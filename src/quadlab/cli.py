@@ -3,7 +3,9 @@
 Subcommands: fit, eval, simulate, portfolio, sparse, experiment.  Tables go
 to CSV, single results to JSON; every path is explicit and nothing writes
 to the working directory implicitly.  The experiment subcommand exits
-nonzero if any asserted verdict fails.
+nonzero if any asserted verdict fails.  Bad input and solver failures
+(``LpError``, e.g. an unattainable target mean) exit 2 with a one-line
+``error: ...`` message on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .functionals import (
     eval_mean_l1_quadrangle,
     eval_quantile_quadrangle,
 )
+from .lp_core import LpError
 from .portfolio import PortfolioProblem, equivalence_sweep, optimize_cvar_dev, optimize_se_dev
 from .regression import fit_biased_mean, fit_ols, fit_quantile, fit_se, induced_alpha, residuals
 from .sparse import SparseProblem, brute_force_subset, fit_sparse_mse, fit_sparse_se
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,12 @@
 deterministic pivot rule; ``solve_mip`` wraps it in best-first branch and
 bound over binary variables.  Problems are small to mid-sized by design:
 the basis inverse is kept dense.
+
+The regression and portfolio fitters all solve one LP shape, a dual with a
+few rows and one boxed column per observation or scenario.  They build it
+with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
+(bound guesses for the boxed columns), and check the answer with
+``certify_objective`` against the primal objective recomputed from it.
 """
 
 from .problem import (
@@ -12,9 +18,10 @@ from .problem import (
     MipSolution,
     LpError,
     SingularBasisError,
+    certify_objective,
     dump_problem,
 )
-from .simplex import solve_lp
+from .simplex import crash_basis, solve_lp
 from .branch_bound import solve_mip
 
 __all__ = [
@@ -23,6 +30,8 @@ __all__ = [
     "MipSolution",
     "LpError",
     "SingularBasisError",
+    "certify_objective",
+    "crash_basis",
     "dump_problem",
     "solve_lp",
     "solve_mip",

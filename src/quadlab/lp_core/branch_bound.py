@@ -84,9 +84,8 @@ def solve_mip(
     def fix_and_polish(binary_values) -> tuple | None:
         nonlocal total_iters
         trial = _relaxation(problem)
-        for j, v in zip(binary_idx, binary_values):
-            v = float(round(v))
-            trial.set_bounds(j, v, v)
+        fixed = np.round(binary_values)
+        trial.set_bounds(binary_idx, fixed, fixed)
         sol = solve_lp(trial, max_iterations=max_lp_iterations)
         total_iters += sol.iterations
         if sol.status == "optimal":
@@ -97,6 +96,8 @@ def solve_mip(
         hint = np.asarray(incumbent_hint, dtype=float)
         if hint.size == problem.num_vars:
             hint = hint[binary_idx]
+        if hint.size != binary_idx.size:
+            raise LpError("incumbent hint must cover every variable or every binary")
         polished = fix_and_polish(hint)
         if polished is not None:
             try_incumbent(polished)
@@ -135,8 +136,7 @@ def solve_mip(
         if incumbent_obj is not None and parent_bound >= incumbent_obj - PRUNE_TOL:
             continue
         node_problem = _relaxation(problem)
-        for pos, j in enumerate(binary_idx):
-            node_problem.set_bounds(j, blo[pos], bup[pos])
+        node_problem.set_bounds(binary_idx, blo, bup)
         sol = solve_lp(node_problem, warm=warm, max_iterations=max_lp_iterations)
         nodes += 1
         total_iters += sol.iterations

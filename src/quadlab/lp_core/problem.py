@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RELATIONS = ("<=", "=", ">=")
+OBJ_MATCH_TOL = 1e-8  # relative gap allowed by ``certify_objective``
 
 
 class LpError(RuntimeError):
@@ -15,6 +16,12 @@ class LpError(RuntimeError):
 
 class SingularBasisError(LpError):
     """The working basis lost invertibility beyond repair."""
+
+
+def certify_objective(value: float, lp_value: float, what: str) -> None:
+    """Raise unless a primal objective recomputed from the solution matches the LP value."""
+    if abs(value - lp_value) > OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
+        raise LpError(f"{what} {value} disagrees with LP optimum {lp_value}")
 
 
 class LpProblem:
@@ -48,11 +55,17 @@ class LpProblem:
             raise LpError("objective length mismatch")
         self.objective = c
 
-    def set_bounds(self, j: int, lo, hi) -> None:
-        self.lower[j] = -np.inf if lo is None else float(lo)
-        self.upper[j] = np.inf if hi is None else float(hi)
-        if self.lower[j] > self.upper[j]:
-            raise LpError(f"empty bound interval for variable {j}")
+    def set_bounds(self, j, lo, hi) -> None:
+        """Bound variable ``j``: an int, a slice or an index array.
+
+        The ends are scalars or arrays matching ``j``; ``None`` is infinite.
+        """
+        self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
+        self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
+        empty = np.flatnonzero(self.lower[j] > self.upper[j])
+        if empty.size:
+            first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
+            raise LpError(f"empty bound interval for variable {first}")
 
     def mark_binary(self, j: int) -> None:
         self.is_binary[j] = True

@@ -35,6 +35,33 @@ def _slack_bounds(relation: str):
     return 0.0, 0.0
 
 
+def _bound_states(lo, hi) -> np.ndarray:
+    """Nonbasic state at the finite lower bound, else the finite upper, else free."""
+    return np.where(np.isfinite(lo), AT_LOWER,
+                    np.where(np.isfinite(hi), AT_UPPER, FREE_ZERO)).astype(np.int8)
+
+
+def crash_basis(problem: LpProblem, at_upper, basic=()):
+    """Warm-start pair (basis, vstate) for ``solve_lp`` from bound guesses.
+
+    Every row's slack is basic, except that the columns listed in ``basic``
+    take the places of the first rows' slacks.  Columns flagged in the
+    boolean ``at_upper`` (over the leading columns) start at their upper
+    bound; every other nonbasic variable, slacks included, starts at its
+    finite lower bound, else at its finite upper bound, else free at zero.
+    """
+    n, m = problem.num_vars, problem.num_rows
+    slack = np.array([_slack_bounds(rel) for rel in problem.relations]).reshape(m, 2)
+    vstate = _bound_states(np.concatenate((problem.lower, slack[:, 0])),
+                           np.concatenate((problem.upper, slack[:, 1])))
+    vstate[np.flatnonzero(at_upper)] = AT_UPPER
+    basis = np.arange(n, n + m, dtype=np.intp)
+    basic = np.asarray(basic, dtype=np.intp)
+    basis[:basic.size] = basic
+    vstate[basis] = BASIC
+    return basis, vstate
+
+
 class _Simplex:
     def __init__(self, problem: LpProblem, dual_tol: float = DUAL_TOL):
         problem.validate()
@@ -62,16 +89,11 @@ class _Simplex:
 
     def cold_start(self):
         self.basis = np.arange(self.n, self.N, dtype=np.intp)
-        self.vstate = np.empty(self.N, dtype=np.int8)
-        self.vstate[:] = BASIC
-        for j in range(self.n):
-            lo, hi = self.lo[j], self.hi[j]
-            if np.isfinite(lo) and (not np.isfinite(hi) or abs(lo) <= abs(hi)):
-                self.vstate[j] = AT_LOWER
-            elif np.isfinite(hi):
-                self.vstate[j] = AT_UPPER
-            else:
-                self.vstate[j] = FREE_ZERO
+        self.vstate = np.full(self.N, BASIC, dtype=np.int8)
+        lo, hi = self.lo[:self.n], self.hi[:self.n]
+        # Start at the bound nearer zero, ties to the lower one.
+        far_lower = np.abs(lo) > np.abs(hi)
+        self.vstate[:self.n] = _bound_states(np.where(far_lower, np.nan, lo), hi)
         self.binv = np.eye(self.m)
         self._recompute_basics()
 
@@ -89,17 +111,11 @@ class _Simplex:
         self.vstate[basis] = BASIC
         # Nonbasic states may disagree with updated bounds (fixed binaries):
         # snap anything inconsistent to a finite bound.
-        for j in range(self.N):
-            if self.vstate[j] == BASIC:
-                continue
-            if self.vstate[j] == AT_LOWER and not np.isfinite(self.lo[j]):
-                self.vstate[j] = AT_UPPER if np.isfinite(self.hi[j]) else FREE_ZERO
-            elif self.vstate[j] == AT_UPPER and not np.isfinite(self.hi[j]):
-                self.vstate[j] = AT_LOWER if np.isfinite(self.lo[j]) else FREE_ZERO
-            elif self.vstate[j] == FREE_ZERO and np.isfinite(self.lo[j]):
-                self.vstate[j] = AT_LOWER
-            elif self.vstate[j] == FREE_ZERO and np.isfinite(self.hi[j]):
-                self.vstate[j] = AT_UPPER
+        vs = self.vstate
+        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        stale = (((vs == AT_LOWER) & ~fin_lo) | ((vs == AT_UPPER) & ~fin_hi)
+                 | ((vs == FREE_ZERO) & (fin_lo | fin_hi)))
+        vs[stale] = _bound_states(self.lo[stale], self.hi[stale])
         self._recompute_basics()
         return True
 

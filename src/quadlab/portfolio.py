@@ -17,9 +17,8 @@ import numpy as np
 
 from .distributions import EmpiricalSample, make_sample
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
-from .lp_core import LpError, LpProblem, solve_lp
+from .lp_core import LpError, LpProblem, certify_objective, crash_basis, solve_lp
 
-DEV_MATCH_TOL = 1e-8
 BUDGET_TOL = 1e-8
 MEAN_TOL = 1e-7
 THRESHOLD_RTOL = 1e-9
@@ -88,17 +87,43 @@ def cvar_deviation_of(losses: EmpiricalSample, alpha) -> float:
     return cvar(losses, alpha) - losses.mean()
 
 
-def _tail_crash(problem: PortfolioProblem, threshold_fn, num_vars: int, num_rows: int):
-    """Bound statuses from the equal-weight portfolio's tail scenarios."""
-    from .lp_core.simplex import AT_LOWER, BASIC, FREE_ZERO, AT_UPPER
+def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols,
+                         asset_rhs, tail_cut, warm, sum_to_one: bool = False):
+    """Solve the bounded-column dual both objectives share.
 
-    x0 = -problem.returns.mean(axis=1)
-    vstate = np.full(num_vars + num_rows, AT_LOWER, dtype=np.int8)
-    vstate[:problem.n][x0 > threshold_fn(x0)] = AT_UPPER
-    vstate[problem.n:num_vars] = FREE_ZERO
-    basis = np.arange(num_vars, num_vars + num_rows, dtype=np.intp)
-    vstate[basis] = BASIC
-    return basis, vstate
+    Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
+    then the free budget-row and target-mean-row multipliers.  Each asset
+    contributes a row (its ``asset_cols`` column, 1, its mean return), an
+    inequality under the long-only policy; ``sum_to_one`` prepends a row
+    making the scenario multipliers sum to one.  Without ``warm``, the
+    start puts at their cap the scenarios whose equal-weight loss exceeds
+    ``tail_cut`` of those losses.  Returns the LP solution, the weights
+    read off the asset-row multipliers, and the validated loss sample.
+    """
+    r = problem.returns
+    n, m = problem.n, problem.m
+    rbar = r.mean(axis=0)
+    lp = LpProblem(n + 2)
+    lp.set_objective(np.concatenate((cost, [-1.0, -problem.target_mean])))
+    lp.set_bounds(slice(0, n), 0.0, cap)
+    if sum_to_one:
+        lp.add_row(np.concatenate((np.ones(n), [0.0, 0.0])), "=", 1.0)
+    relation = "<=" if problem.long_only else "="
+    for j in range(m):
+        lp.add_row(np.concatenate((asset_cols[:, j], [1.0, rbar[j]])), relation,
+                   float(asset_rhs[j]))
+    if warm is None:
+        x0 = -r.mean(axis=1)
+        warm = crash_basis(lp, x0 > tail_cut(x0))
+    sol = solve_lp(lp, warm=warm, dual_tol=1e-12)
+    if sol.status == "unbounded":
+        raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
+    if sol.status != "optimal":
+        raise LpError(f"portfolio LP ended with status {sol.status}")
+    weights = -sol.duals[-m:]
+    losses = _loss_sample(r, weights)
+    _validate(problem, weights, losses)
+    return sol, weights, losses
 
 
 def optimize_se_dev(problem: PortfolioProblem, x, warm=None):
@@ -117,40 +142,11 @@ def optimize_se_dev(problem: PortfolioProblem, x, warm=None):
 def optimize_se_dev_raw(problem: PortfolioProblem, x, warm=None):
     b = _bias_of(x)
     r = problem.returns
-    n, m = problem.n, problem.m
-    rbar = r.mean(axis=0)
-    centered = r - rbar
-
-    lp = LpProblem(n + 2)
-    obj = np.zeros(n + 2)
-    obj[:n] = b.x
-    obj[n] = -1.0          # budget-row multiplier
-    obj[n + 1] = -problem.target_mean
-    lp.set_objective(obj)
-    for i in range(n):
-        lp.set_bounds(i, 0.0, 1.0 / n)
-    relation = "<=" if problem.long_only else "="
-    for j in range(m):
-        col = np.empty(n + 2)
-        col[:n] = centered[:, j]
-        col[n] = 1.0
-        col[n + 1] = rbar[j]
-        lp.add_row(col, relation, 0.0)
-    if warm is None:
-        warm = _tail_crash(problem, lambda x0: x0.mean() + b.x, n + 2, m)
-    sol = solve_lp(lp, warm=warm, dual_tol=1e-12)
-    if sol.status == "unbounded":
-        raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
-    if sol.status != "optimal":
-        raise LpError(f"portfolio LP ended with status {sol.status}")
-
-    weights = -sol.duals[:m]
-    losses = _loss_sample(r, weights)
-    _validate(problem, weights, losses)
+    sol, weights, losses = _solve_scenario_dual(
+        problem, np.full(problem.n, b.x), 1.0 / problem.n, r - r.mean(axis=0),
+        np.zeros(problem.m), lambda x0: x0.mean() + b.x, warm)
     deviation = se_deviation_of(losses, b)
-    lp_value = -float(sol.objective) - b.x_minus
-    if abs(deviation - lp_value) > DEV_MATCH_TOL * max(1.0, abs(lp_value)):
-        raise LpError(f"deviation {deviation} disagrees with LP optimum {lp_value}")
+    certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
     interval = map_x_to_alpha(losses, b)
     return PortfolioSolution(weights=weights, losses=losses,
                              deviation=deviation, alpha_interval=interval), sol
@@ -169,43 +165,12 @@ def optimize_cvar_dev(problem: PortfolioProblem, alpha, warm=None):
 def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None):
     a = _alpha_open(alpha)
     r = problem.returns
-    n, m = problem.n, problem.m
-    rbar = r.mean(axis=0)
     kappa = 1.0 / (1.0 - a)
-
-    lp = LpProblem(n + 2)
-    obj = np.zeros(n + 2)
-    obj[n] = -1.0
-    obj[n + 1] = -problem.target_mean
-    lp.set_objective(obj)
-    for i in range(n):
-        lp.set_bounds(i, 0.0, kappa / n)
-    # threshold row: multipliers sum to one
-    row = np.zeros(n + 2)
-    row[:n] = 1.0
-    lp.add_row(row, "=", 1.0)
-    relation = "<=" if problem.long_only else "="
-    for j in range(m):
-        col = np.empty(n + 2)
-        col[:n] = r[:, j]
-        col[n] = 1.0
-        col[n + 1] = rbar[j]
-        lp.add_row(col, relation, float(rbar[j]))
-    if warm is None:
-        warm = _tail_crash(problem, lambda x0: np.quantile(x0, a), n + 2, m + 1)
-    sol = solve_lp(lp, warm=warm, dual_tol=1e-12)
-    if sol.status == "unbounded":
-        raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
-    if sol.status != "optimal":
-        raise LpError(f"portfolio LP ended with status {sol.status}")
-
-    weights = -sol.duals[1:1 + m]
-    losses = _loss_sample(r, weights)
-    _validate(problem, weights, losses)
+    sol, weights, losses = _solve_scenario_dual(
+        problem, np.zeros(problem.n), kappa / problem.n, r, r.mean(axis=0),
+        lambda x0: np.quantile(x0, a), warm, sum_to_one=True)
     deviation = cvar_deviation_of(losses, a)
-    lp_value = -float(sol.objective)
-    if abs(deviation - lp_value) > DEV_MATCH_TOL * max(1.0, abs(lp_value)):
-        raise LpError(f"deviation {deviation} disagrees with LP optimum {lp_value}")
+    certify_objective(deviation, -float(sol.objective), "deviation")
     # CDF jump interval at the loss quantile; it brackets alpha.
     quantile = var(losses, a).lower
     scale = max(1.0, float(np.max(np.abs(losses.atoms))))
@@ -274,11 +239,9 @@ def se_dev_primal_lp(problem: PortfolioProblem, x):
     obj = np.zeros(m + n)
     obj[m:] = 1.0 / n
     lp.set_objective(obj)
-    for i in range(n):
-        lp.set_bounds(m + i, 0.0, None)
+    lp.set_bounds(slice(m, m + n), 0.0, None)
     if problem.long_only:
-        for j in range(m):
-            lp.set_bounds(j, 0.0, None)
+        lp.set_bounds(slice(0, m), 0.0, None)
     for i in range(n):
         row = np.zeros(m + n)
         row[:m] = centered[i]
@@ -306,11 +269,9 @@ def cvar_dev_primal_lp(problem: PortfolioProblem, alpha):
     obj[m] = 1.0
     obj[m + 1:] = kappa / n
     lp.set_objective(obj)
-    for i in range(n):
-        lp.set_bounds(m + 1 + i, 0.0, None)
+    lp.set_bounds(slice(m + 1, m + 1 + n), 0.0, None)
     if problem.long_only:
-        for j in range(m):
-            lp.set_bounds(j, 0.0, None)
+        lp.set_bounds(slice(0, m), 0.0, None)
     for i in range(n):
         row = np.zeros(m + 1 + n)
         row[:m] = r[i]

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import BiasParam, _bias_of, _alpha_open
-from .lp_core import LpError, LpProblem, solve_lp
+from .lp_core import LpError, LpProblem, certify_objective, crash_basis, solve_lp
 
-OBJ_MATCH_TOL = 1e-8
 ZERO_RESIDUAL_RTOL = 1e-11
 
 
@@ -183,60 +182,37 @@ def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
     small imbalance for phase 1 and keeps iteration counts near the number
     of misclassified observations rather than n.
     """
-    n, d = data.n, data.d
+    n = data.n
     with_mean = mean_bound is not None
-    num = n + (1 if with_mean else 0)
-    problem = LpProblem(num)
-    obj = np.empty(num)
-    obj[:n] = -data.response
-    for i in range(n):
-        problem.set_bounds(i, lam_lo, lam_hi)
-    xbar = data.design.mean(axis=0) if d else np.zeros(0)
-    ybar = float(data.response.mean())
+    rows = np.vstack((np.ones(n), data.design.T))
+    obj = -data.response
     if with_mean:
-        obj[n] = -(ybar + mean_rhs_shift)
-        problem.set_bounds(n, -mean_bound, mean_bound)
+        # the mean-row multiplier's column holds the row averages
+        rows = np.column_stack((rows, np.concatenate(([1.0], data.design.mean(axis=0)))))
+        obj = np.append(obj, -(float(data.response.mean()) + mean_rhs_shift))
+    problem = LpProblem(rows.shape[1])
     problem.set_objective(obj)
-
-    row = np.ones(num) if with_mean else np.ones(n)
-    problem.add_row(row.copy(), "=", 0.0)
-    for j in range(d):
-        col = np.empty(num)
-        col[:n] = data.design[:, j]
-        if with_mean:
-            col[n] = xbar[j]
-        problem.add_row(col, "=", 0.0)
-
-    warm = _crash_basis(data, num, d + 1, with_mean, split_level, mean_rhs_shift)
-    sol = solve_lp(problem, warm=warm, max_iterations=60_000 + 30 * n)
-    if sol.status != "optimal":
-        raise LpError(f"regression LP ended with status {sol.status}")
-    c0 = -float(sol.duals[0])
-    coeffs = -sol.duals[1:1 + d].copy()
-    nu = float(sol.x[n]) if with_mean else None
-    return c0, coeffs, -float(sol.objective), sol, nu
-
-
-def _crash_basis(data: Dataset, num_vars: int, num_rows: int,
-                 with_mean: bool, split_level: float, mean_rhs_shift: float):
-    """Slack basis plus residual-sign bound statuses for the dual multipliers."""
-    from .lp_core.simplex import AT_LOWER, AT_UPPER, BASIC
+    problem.set_bounds(slice(0, n), lam_lo, lam_hi)
+    if with_mean:
+        problem.set_bounds(n, -mean_bound, mean_bound)
+    for row in rows:
+        problem.add_row(row, "=", 0.0)
 
     z = residuals(fit_ols(data), data).z
     if with_mean:
         threshold = float(np.mean(z)) + mean_rhs_shift
     else:
         threshold = float(np.quantile(z, split_level))
-    vstate = np.full(num_vars + num_rows, AT_LOWER, dtype=np.int8)
-    vstate[:data.n][z > threshold] = AT_UPPER
-    basis = np.arange(num_vars, num_vars + num_rows, dtype=np.intp)
-    if with_mean:
-        # The mean-row multiplier absorbs the sign imbalance in one step if
-        # it starts basic in place of the first row's slack.
-        basis = basis.copy()
-        basis[0] = num_vars - 1
-    vstate[basis] = BASIC
-    return basis, vstate
+    # The mean-row multiplier absorbs the sign imbalance in one step if it
+    # starts basic in place of the first row's slack.
+    warm = crash_basis(problem, z > threshold, basic=[n] if with_mean else ())
+    sol = solve_lp(problem, warm=warm, max_iterations=60_000 + 30 * n)
+    if sol.status != "optimal":
+        raise LpError(f"regression LP ended with status {sol.status}")
+    c0 = -float(sol.duals[0])
+    coeffs = -sol.duals[1:]
+    nu = float(sol.x[n]) if with_mean else None
+    return c0, coeffs, -float(sol.objective), sol, nu
 
 
 def fit_quantile(data: Dataset, alpha) -> LinearModel:
@@ -252,8 +228,7 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
                                               split_level=a)
     z = data.response - c0 - data.design @ coeffs
     obj = kb_error(z, a)
-    if abs(obj - lp_value) > OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
-        raise LpError(f"pinball objective {obj} disagrees with LP optimum {lp_value}")
+    certify_objective(obj, lp_value, "pinball objective")
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj)
 
 
@@ -282,8 +257,7 @@ def fit_biased_mean(data: Dataset, x, formulation: str = "compact") -> LinearMod
     c0 += float(np.mean(z)) + b.x
     z = data.response - c0 - data.design @ coeffs
     obj = se_error(z, b)
-    if abs(obj - lp_value) > OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
-        raise LpError(f"part-balancing objective {obj} disagrees with LP optimum {lp_value}")
+    certify_objective(obj, lp_value, "part-balancing objective")
     mean_gap = abs(float(np.mean(z)) + b.x)
     if mean_gap > 1e-7:
         raise LpError(f"residual mean misses -x by {mean_gap}")
@@ -317,8 +291,7 @@ def se_lp_problem(data: Dataset):
     obj = np.zeros(num)
     obj[idx_t] = 1.0
     problem.set_objective(obj)
-    for i in range(n):
-        problem.set_bounds(idx_u[i], 0.0, None)
+    problem.set_bounds(idx_u, 0.0, None)
 
     inv_n = 1.0 / n
     row = np.zeros(num)
@@ -358,9 +331,7 @@ def bmr_aux_lp_problem(data: Dataset, x):
     obj = np.zeros(num)
     obj[idx_t] = 1.0
     problem.set_objective(obj)
-    for i in range(n):
-        problem.set_bounds(idx_p[i], 0.0, None)
-        problem.set_bounds(idx_q[i], 0.0, None)
+    problem.set_bounds(slice(d + 2, num), 0.0, None)
 
     inv_n = 1.0 / n
     row = np.zeros(num)

@@ -144,21 +144,18 @@ class _GramSolver:
         self.yty = float(data.response @ data.response)
         self.n = data.n
 
-    def objective(self, support) -> float:
+    def _system(self, support):
+        """Gram block and right-hand side over the intercept plus ``support``."""
         idx = np.concatenate(([0], np.asarray(support, dtype=np.intp) + 1))
-        g = self.gram[np.ix_(idx, idx)]
-        h = self.rhs[idx]
-        try:
-            beta = np.linalg.solve(g, h)
-        except np.linalg.LinAlgError:
-            bump = 1e-10 * np.trace(g) / g.shape[0]
-            beta = np.linalg.solve(g + bump * np.eye(g.shape[0]), h)
+        return self.gram[np.ix_(idx, idx)], self.rhs[idx]
+
+    def objective(self, support) -> float:
+        g, h = self._system(support)
+        beta = self.coefficients(support)
         return float((self.yty - beta @ h - beta @ (g @ beta - h)) / self.n)
 
     def coefficients(self, support):
-        idx = np.concatenate(([0], np.asarray(support, dtype=np.intp) + 1))
-        g = self.gram[np.ix_(idx, idx)]
-        h = self.rhs[idx]
+        g, h = self._system(support)
         try:
             beta = np.linalg.solve(g, h)
         except np.linalg.LinAlgError:
@@ -263,11 +260,9 @@ def _solve_se_milp(problem: SparseProblem, big_m: float, hint):
         grown.add_row({int(index["c"][j]): 1.0, base + j: -big_m}, "<=", 0.0)
         grown.add_row({int(index["c"][j]): -1.0, base + j: -big_m}, "<=", 0.0)
     grown.add_row({base + j: 1.0 for j in range(d)}, "<=", float(k))
-    full_hint = np.zeros(d)
-    full_hint[:] = hint
     return solve_mip(grown, time_limit_s=problem.time_limit_s,
                      gap_tol=problem.gap_tol, max_nodes=problem.max_nodes,
-                     incumbent_hint=full_hint)
+                     incumbent_hint=hint)
 
 
 def fit_sparse_mse(problem: SparseProblem) -> SparseSolution:

@@ -217,3 +217,14 @@ class TestCli:
         missing = tmp_path / "nope.csv"
         rc = main(["fit", "--method", "ols", "--input", str(missing), "--target", "y"])
         assert rc == 2
+
+    def test_unattainable_target_reports_error(self, tmp_path, capsys):
+        rets = tmp_path / "rets.csv"
+        assert main(["simulate", "--kind", "returns", "--n", "200", "--seed", "8",
+                     "--output", str(rets)]) == 0
+        capsys.readouterr()
+        rc = main(["portfolio", "--mu", "5", "--long-only", "--input", str(rets)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unattainable" in err
