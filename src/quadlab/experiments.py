@@ -230,10 +230,12 @@ def write_csv(path: str, header, matrix) -> None:
 
 
 def _worker_count() -> int:
+    """Worker processes from ``QUADLAB_THREADS``, at least 1 and at most the CPU count."""
     try:
-        return max(1, int(os.environ.get("QUADLAB_THREADS", "1")))
+        wanted = int(os.environ.get("QUADLAB_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def _map_ordered(fn, args_list):

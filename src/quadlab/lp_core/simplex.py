@@ -8,6 +8,19 @@ warm-start basis is primally infeasible.  Phase 2 prices with Dantzig's rule
 and falls back to Bland's rule once a degeneracy watchdog trips.  The basis
 inverse is dense, updated in product form and refactorized periodically.
 
+The watchdog reads the phase-2 objective, which is tracked incrementally: a
+step of length t on entering column j moves it by d_j * sigma * t.  It is
+recomputed from the variable values only when the basis is refactorized,
+so rounding drift in the tracked value is bounded by REFACTOR_EVERY steps.
+
+One iteration is a handful of whole-array operations.  The ratio test
+computes every row's blocking step at once, then resolves them as a scan
+in row order would.  The best step starts as the entering variable's own
+bound flip; a row takes over as the leaving row when its step beats the
+best by more than 1e-12, and a row within 1e-12 of the best wins the tie
+on the larger |pivot|, then the lower basic variable index (under Bland's
+rule on the lower index alone).  A row tying the bound flip never blocks.
+
 Pivot selection is fully deterministic: ties break toward the lowest
 variable index, so identical problems replay identical pivot sequences.
 """
@@ -62,6 +75,20 @@ def crash_basis(problem: LpProblem, at_upper, basic=()):
     return basis, vstate
 
 
+# Pricing weight of a nonbasic state: the reduced cost times this weight is
+# the objective decrease per unit step (free columns take |d| instead).
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
+TIE_TOL = 1e-12       # steps this close count as tied in the ratio test
+
+
+def _tie_reach(t):
+    """Largest step that can tie with or beat a best step near ``t`` >= 0.
+
+    Covers the best step's own TIE_TOL slack, the tie window and rounding.
+    """
+    return t + (4 * TIE_TOL + 1e-15 * t)
+
+
 class _Simplex:
     def __init__(self, problem: LpProblem, dual_tol: float = DUAL_TOL):
         problem.validate()
@@ -84,6 +111,7 @@ class _Simplex:
         self.pivots_since_refactor = 0
         self.bland = False
         self.stall = 0
+        self._steps = np.empty(m)  # ratio-test buffer, one step per row
 
     # -- basis management ---------------------------------------------------
 
@@ -95,7 +123,7 @@ class _Simplex:
         far_lower = np.abs(lo) > np.abs(hi)
         self.vstate[:self.n] = _bound_states(np.where(far_lower, np.nan, lo), hi)
         self.binv = np.eye(self.m)
-        self._recompute_basics()
+        self._sync_states()
 
     def warm_start(self, basis, vstate):
         basis = np.asarray(basis, dtype=np.intp)
@@ -116,8 +144,16 @@ class _Simplex:
         stale = (((vs == AT_LOWER) & ~fin_lo) | ((vs == AT_UPPER) & ~fin_hi)
                  | ((vs == FREE_ZERO) & (fin_lo | fin_hi)))
         vs[stale] = _bound_states(self.lo[stale], self.hi[stale])
-        self._recompute_basics()
+        self._sync_states()
         return True
+
+    def _sync_states(self):
+        """Derive the per-state caches from (basis, vstate), then the basics."""
+        self.lo_b = self.lo[self.basis]
+        self.hi_b = self.hi[self.basis]
+        self.price_sign = np.where(self.fixed, 0.0, _PRICE_SIGN[self.vstate])
+        self.free_nonbasic = int(np.count_nonzero(self.vstate == FREE_ZERO))
+        self._recompute_basics()
 
     def _nonbasic_values(self) -> np.ndarray:
         v = np.zeros(self.N)
@@ -145,32 +181,35 @@ class _Simplex:
 
     def _price(self, costs) -> np.ndarray:
         y = costs[self.basis] @ self.binv
-        d = costs - y @ self.A
-        self._y = y
-        return d
+        return costs - y @ self.A
 
     def _choose_entering(self, d):
-        eligible_lo = (self.vstate == AT_LOWER) & (d < -self.dual_tol) & ~self.fixed
-        eligible_up = (self.vstate == AT_UPPER) & (d > self.dual_tol) & ~self.fixed
-        eligible_fr = (self.vstate == FREE_ZERO) & (np.abs(d) > self.dual_tol)
-        eligible = eligible_lo | eligible_up | eligible_fr
-        if not np.any(eligible):
-            return -1, 0
-        idx = np.nonzero(eligible)[0]
+        """Entering column and direction (j, sigma); j = -1 when none improves.
+
+        A column's score is its objective decrease per unit step: -d at its
+        lower bound, d at its upper bound, |d| when free at zero, 0 when
+        basic or fixed.  Dantzig takes the first largest score, Bland the
+        first score above ``dual_tol``.
+        """
+        score = d * self.price_sign
+        if self.free_nonbasic:
+            free = self.vstate == FREE_ZERO
+            score[free] = np.abs(d[free])
         if self.bland:
-            j = idx[0]
+            j = int(np.argmax(score > self.dual_tol))
         else:
-            j = idx[np.argmax(np.abs(d[idx]))]
-        if self.vstate[j] == AT_LOWER:
-            sigma = 1
-        elif self.vstate[j] == AT_UPPER:
-            sigma = -1
-        else:
-            sigma = 1 if d[j] < 0 else -1
-        return int(j), sigma
+            j = int(np.argmax(score))
+        if not score[j] > self.dual_tol:
+            return -1, 0
+        state = self.vstate[j]
+        if state == AT_LOWER:
+            return j, 1
+        if state == AT_UPPER:
+            return j, -1
+        return j, 1 if d[j] < 0 else -1
 
     def _ratio_test(self, j, sigma, phase1_viol=None):
-        """Largest step for entering j; returns (t, leaving_row, leaving_state).
+        """Largest step for entering j; returns (t, leaving_row, leaving_state, w, delta).
 
         leaving_row = -1 encodes a bound flip of the entering variable;
         t = inf encodes an unbounded direction.
@@ -178,65 +217,87 @@ class _Simplex:
         w = self.binv @ self.A[:, j]
         delta = -sigma * w
         span = self.hi[j] - self.lo[j]
-        best_t = span if np.isfinite(span) else np.inf
-        leave_row, leave_state = -1, AT_UPPER if sigma == 1 else AT_LOWER
-
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
-        xb = self.xb
-        for i in range(self.m):
-            di = delta[i]
-            if abs(di) <= PIVOT_TOL:
-                continue
-            if phase1_viol is not None and phase1_viol[i] == -1:
-                # below its lower bound: blocking only while moving up to it
-                if di > 0:
-                    t = (lo_b[i] - xb[i]) / di
-                    state = AT_LOWER
-                else:
-                    continue
-            elif phase1_viol is not None and phase1_viol[i] == 1:
-                if di < 0:
-                    t = (hi_b[i] - xb[i]) / di
-                    state = AT_UPPER
-                else:
-                    continue
-            elif di > 0:
-                if not np.isfinite(hi_b[i]):
-                    continue
-                t = (hi_b[i] - xb[i]) / di
-                state = AT_UPPER
-            else:
-                if not np.isfinite(lo_b[i]):
-                    continue
-                t = (lo_b[i] - xb[i]) / di
-                state = AT_LOWER
-            if t < -FEAS_TOL:
-                t = 0.0
-            if t < best_t - 1e-12:
-                best_t, leave_row, leave_state = max(t, 0.0), i, state
-            elif leave_row >= 0 and abs(t - best_t) <= 1e-12:
-                # deterministic tie-break: larger pivot, then lower index
-                if self.bland:
-                    if self.basis[i] < self.basis[leave_row]:
-                        leave_row, leave_state = i, state
-                elif abs(delta[i]) > abs(delta[leave_row]) + 1e-15 or (
-                    abs(delta[i]) >= abs(delta[leave_row]) - 1e-15
-                    and self.basis[i] < self.basis[leave_row]
-                ):
-                    leave_row, leave_state = i, state
+        flip_t = float(span) if np.isfinite(span) else np.inf
+        floor, ceil = self.lo_b, self.hi_b
+        if phase1_viol is not None:
+            # A violated row blocks only while moving back to the bound it
+            # violates: below its lower bound it acts as (-inf, lo], above
+            # its upper bound as [hi, inf).
+            below, above = phase1_viol < 0, phase1_viol > 0
+            floor = np.where(below, -np.inf, np.where(above, self.hi_b, self.lo_b))
+            ceil = np.where(below, self.lo_b, np.where(above, np.inf, self.hi_b))
+        rising = delta > 0
+        t = self._steps
+        t.fill(np.inf)
+        np.divide(np.where(rising, ceil, floor) - self.xb, delta, out=t,
+                  where=np.abs(delta) > PIVOT_TOL)
+        r = int(t.argmin())
+        if t[r] < -FEAS_TOL:
+            t[t < -FEAS_TOL] = 0.0
+            r = int(t.argmin())
+        t_min = float(t[r])
+        if not t_min < flip_t - TIE_TOL:
+            return flip_t, -1, AT_UPPER if sigma == 1 else AT_LOWER, w, delta
+        best_t = max(t_min, 0.0)
+        if np.count_nonzero(t <= _tie_reach(best_t)) == 1:
+            leave_row = r
+        else:
+            best_t, leave_row = self._scan_rows(t, flip_t, delta)
+        if phase1_viol is not None and phase1_viol[leave_row]:
+            leave_state = AT_LOWER if phase1_viol[leave_row] < 0 else AT_UPPER
+        else:
+            leave_state = AT_UPPER if rising[leave_row] else AT_LOWER
         return best_t, leave_row, leave_state, w, delta
 
-    def _apply_step(self, j, sigma, t, leave_row, leave_state, w, delta):
-        start = {AT_LOWER: self.lo[j], AT_UPPER: self.hi[j], FREE_ZERO: 0.0}[self.vstate[j]]
-        self.xb = self.xb + t * delta
+    def _scan_rows(self, t, flip_t, delta):
+        """(step, leaving row) as a scan over the rows in order picks them.
+
+        The scan keeps a best step, initially the entering bound flip
+        ``flip_t``; a row more than TIE_TOL below it takes over (its step
+        clamped at zero becomes the best), and a row within TIE_TOL of it
+        contests the current leaving row.  The best step before row i lies
+        within TIE_TOL above the clamped minimum of ``flip_t`` and the steps
+        before i, so only rows within ``_tie_reach`` of that minimum can
+        take over or contest, and the scan visits just those.
+        """
+        before = np.empty_like(t)
+        before[0] = flip_t
+        np.minimum(np.minimum.accumulate(t[:-1]), flip_t, out=before[1:])
+        np.maximum(before, 0.0, out=before)
+        rows = np.flatnonzero((t <= _tie_reach(before)) & (t < np.inf))
+        best, leave = flip_t, -1
+        for i, ti in zip(rows.tolist(), t[rows].tolist()):
+            if ti < best - TIE_TOL:
+                best, leave = max(ti, 0.0), i
+            elif leave >= 0 and abs(ti - best) <= TIE_TOL and self._wins_tie(i, leave, delta):
+                leave = i
+        return best, leave
+
+    def _wins_tie(self, i, k, delta):
+        """Whether row i displaces row k as the leaving row at a tied step."""
+        if self.bland:
+            return self.basis[i] < self.basis[k]
+        di, dk = abs(delta[i]), abs(delta[k])
+        return di > dk + 1e-15 or (di >= dk - 1e-15 and self.basis[i] < self.basis[k])
+
+    def _apply_step(self, j, sigma, t, leave_row, leave_state, w, delta) -> bool:
+        """Move along the step; returns True when it refactorized the basis."""
+        state = self.vstate[j]
+        start = self.lo[j] if state == AT_LOWER else self.hi[j] if state == AT_UPPER else 0.0
+        self.xb += t * delta
         if leave_row < 0:
-            self.vstate[j] = AT_UPPER if sigma == 1 else AT_LOWER
-            return
+            self.vstate[j] = flip = AT_UPPER if sigma == 1 else AT_LOWER
+            self.price_sign[j] = _PRICE_SIGN[flip]
+            return False
         out = self.basis[leave_row]
         self.vstate[out] = leave_state
+        self.price_sign[out] = 0.0 if self.fixed[out] else _PRICE_SIGN[leave_state]
         self.basis[leave_row] = j
+        self.lo_b[leave_row], self.hi_b[leave_row] = self.lo[j], self.hi[j]
         self.vstate[j] = BASIC
+        self.price_sign[j] = 0.0
+        if state == FREE_ZERO:
+            self.free_nonbasic -= 1
         self.xb[leave_row] = start + sigma * t
         piv = w[leave_row]
         if abs(piv) < 1e-12:
@@ -247,30 +308,29 @@ class _Simplex:
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             self._refactor()
+            return True
+        return False
 
     # -- phases -------------------------------------------------------------
 
     def _violations(self):
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
         viol = np.zeros(self.m, dtype=np.int8)
-        viol[self.xb < lo_b - FEAS_TOL] = -1
-        viol[self.xb > hi_b + FEAS_TOL] = 1
+        viol[self.xb < self.lo_b - FEAS_TOL] = -1
+        viol[self.xb > self.hi_b + FEAS_TOL] = 1
         return viol
 
     def _infeasibility(self, viol):
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
         f = 0.0
         below = viol == -1
         above = viol == 1
-        f += float((lo_b[below] - self.xb[below]).sum())
-        f += float((self.xb[above] - hi_b[above]).sum())
+        f += float((self.lo_b[below] - self.xb[below]).sum())
+        f += float((self.xb[above] - self.hi_b[above]).sum())
         return f
 
     def phase1(self, max_iterations) -> str:
         watchdog = max(200, 4 * self.m)
         last_f = np.inf
+        costs = np.zeros(self.N)
         while True:
             viol = self._violations()
             f = self._infeasibility(viol)
@@ -284,10 +344,11 @@ class _Simplex:
                 self.stall += 1
                 if self.stall > watchdog:
                     self.bland = True
-            costs = np.zeros(self.N)
-            costs[self.basis[viol == -1]] = -1.0
-            costs[self.basis[viol == 1]] = 1.0
+            # violation costs sit on basic columns only; clear them before
+            # the pivot changes the basis
+            costs[self.basis] = viol
             d = self._price(costs)
+            costs[self.basis] = 0.0
             j, sigma = self._choose_entering(d)
             if j < 0:
                 return "infeasible"
@@ -301,6 +362,7 @@ class _Simplex:
         watchdog = max(200, 4 * self.m)
         last_obj = np.inf
         self.stall = 0
+        self.obj = self._objective()
         while True:
             if self.iterations >= max_iterations:
                 return "iteration_limit"
@@ -311,11 +373,13 @@ class _Simplex:
             t, leave_row, leave_state, w, delta = self._ratio_test(j, sigma)
             if not np.isfinite(t):
                 return "unbounded"
-            self._apply_step(j, sigma, t, leave_row, leave_state, w, delta)
+            if self._apply_step(j, sigma, t, leave_row, leave_state, w, delta):
+                self.obj = self._objective()
+            else:
+                self.obj += d[j] * sigma * t
             self.iterations += 1
-            obj = self._objective()
-            if obj < last_obj - 1e-13 * max(1.0, abs(last_obj)):
-                last_obj, self.stall = obj, 0
+            if self.obj < last_obj - 1e-13 * max(1.0, abs(last_obj)):
+                last_obj, self.stall = self.obj, 0
             else:
                 self.stall += 1
                 if self.stall > watchdog:
@@ -397,22 +461,15 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
 
 
 def _solve_unconstrained(problem: LpProblem) -> LpSolution:
-    """Row-free LP: each variable sits at whichever bound its cost prefers."""
-    c = problem.objective
-    x = np.zeros(problem.num_vars)
-    for j, cj in enumerate(c):
-        if cj > 0:
-            if not np.isfinite(problem.lower[j]):
-                return LpSolution(status="unbounded")
-            x[j] = problem.lower[j]
-        elif cj < 0:
-            if not np.isfinite(problem.upper[j]):
-                return LpSolution(status="unbounded")
-            x[j] = problem.upper[j]
-        else:
-            if np.isfinite(problem.lower[j]):
-                x[j] = problem.lower[j]
-            elif np.isfinite(problem.upper[j]):
-                x[j] = problem.upper[j]
+    """Row-free LP: each variable sits at whichever bound its cost prefers.
+
+    A zero-cost variable sits at its finite lower bound, else its finite
+    upper bound, else zero; a preferred bound that is infinite is unbounded.
+    """
+    c, lo, hi = problem.objective, problem.lower, problem.upper
+    rest = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    x = np.where(c > 0, lo, np.where(c < 0, hi, rest))
+    if not np.all(np.isfinite(x)):
+        return LpSolution(status="unbounded")
     return LpSolution(status="optimal", x=x, objective=float(c @ x),
                       duals=np.zeros(0), reduced_costs=c.copy())

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from quadlab import experiments
 from quadlab.cli import main
 from quadlab.experiments import (
     CsvFormatError,
@@ -152,6 +153,19 @@ class TestHarness:
         par = run_tables345(cfg)
         for t1, t2 in zip(seq, par):
             assert t1.rows == t2.rows
+
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ("64", 4, 4), ("3", 4, 3), ("4", 4, 4), ("0", 4, 1), ("-2", 4, 1),
+        ("many", 4, 1), (None, 8, 1), ("64", None, 1),
+    ])
+    def test_worker_count_capped_at_cpus(self, monkeypatch, env, cpus, expected):
+        # only reads the setting: no pool or process is started
+        if env is None:
+            monkeypatch.delenv("QUADLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("QUADLAB_THREADS", env)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments._worker_count() == expected
 
 
 class TestCli:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from quadlab.lp_core import (
     LpError,
@@ -12,7 +13,17 @@ from quadlab.lp_core import (
     solve_lp,
     solve_mip,
 )
-from quadlab.lp_core.simplex import AT_LOWER, AT_UPPER, BASIC, FREE_ZERO, _Simplex
+from quadlab.lp_core import simplex
+from quadlab.lp_core.simplex import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    FEAS_TOL,
+    FREE_ZERO,
+    PIVOT_TOL,
+    REFACTOR_EVERY,
+    _Simplex,
+)
 
 
 def _random_bounded_feasible(rng):
@@ -52,6 +63,31 @@ def dual_certificate_value(problem, solution):
         if rel == ">=" and dr > 1e-9:
             return -np.inf
     return value
+
+
+def _box_walk_problem():
+    """Five equality rows over 300 [0, 1] columns; phase 2 needs 600 pivots."""
+    rng = np.random.default_rng(2)
+    m, n = 5, 300
+    p = LpProblem(n)
+    p.set_objective(rng.standard_normal(n))
+    p.set_bounds(slice(0, n), 0.0, 1.0)
+    a = rng.standard_normal((m, n))
+    for r in range(m):
+        p.add_row(a[r], "=", float(a[r].sum() / 2))
+    return p
+
+
+def _highs_objective(problem):
+    a = problem.dense_matrix()
+    rel = np.array(problem.relations)
+    rhs = np.array(problem.rhs)
+    res = linprog(problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
+                  b_ub=np.concatenate((rhs[rel == "<="], -rhs[rel == ">="])),
+                  A_eq=a[rel == "="], b_eq=rhs[rel == "="],
+                  bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    assert res.status == 0
+    return res.fun
 
 
 class TestSolveLp:
@@ -102,6 +138,67 @@ class TestSolveLp:
         assert s.status == "optimal"
         assert s.objective == pytest.approx(-0.05, abs=1e-10)
 
+    def test_watchdog_trips_on_tracked_objective(self):
+        # 600 degenerate-heavy phase-2 pivots: the tracked objective stalls
+        # long enough to switch to Bland's rule, which then terminates
+        p = _box_walk_problem()
+        s = _Simplex(p)
+        s.cold_start()
+        assert s.phase1(10**6) == "feasible"
+        assert not s.bland
+        assert s.phase2(10**6) == "optimal"
+        assert s.bland
+        assert s.obj == pytest.approx(_highs_objective(p), abs=1e-9)
+
+    @pytest.mark.parametrize("every", [REFACTOR_EVERY, 3])
+    def test_tracked_objective_resyncs_only_at_refactor(self, monkeypatch, every):
+        # a short refactor period puts bound flips right after refactors
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", every)
+        p = _box_walk_problem()
+        s = _Simplex(p)
+        s.cold_start()
+        assert s.phase1(10**6) == "feasible"
+        counts = {"objective": 0, "refactor": 0, "resync_checked": 0, "flip": 0, "pivot": 0,
+                  "flip_after_refactor": 0}
+        objective, refactor, apply_step, price = s._objective, s._refactor, s._apply_step, s._price
+        pending = []
+
+        def counted_objective():
+            counts["objective"] += 1
+            return objective()
+
+        def counted_refactor():
+            counts["refactor"] += 1
+            refactor()
+            pending.append(True)
+
+        def counted_step(j, sigma, t, leave_row, *rest):
+            counts["flip" if leave_row < 0 else "pivot"] += 1
+            if leave_row < 0 and s.pivots_since_refactor == 0:
+                counts["flip_after_refactor"] += 1
+            return apply_step(j, sigma, t, leave_row, *rest)
+
+        def checked_price(costs):
+            # the first pricing after a refactor sees the resynced objective
+            if pending:
+                assert s.obj == objective()
+                counts["resync_checked"] += 1
+                pending.clear()
+            return price(costs)
+
+        s._objective, s._refactor = counted_objective, counted_refactor
+        s._apply_step, s._price = counted_step, checked_price
+        assert s.phase2(10**6) == "optimal"
+        assert counts["pivot"] > 2 * every and counts["flip"] > 0
+        assert counts["refactor"] >= 2
+        if every < REFACTOR_EVERY:
+            assert counts["flip_after_refactor"] > 0
+        assert counts["resync_checked"] == counts["refactor"]
+        # one rebuild when phase 2 starts, then one per refactor; bound
+        # flips never rebuild it
+        assert counts["objective"] == 1 + counts["refactor"]
+        assert s.obj == pytest.approx(objective(), rel=1e-12, abs=1e-12)
+
     def test_equality_feasibility(self, rng):
         for _ in range(30):
             p = _random_bounded_feasible(rng)
@@ -148,6 +245,31 @@ class TestSolveLp:
         s = solve_lp(p)
         assert s.status == "optimal"
         assert s.x.tolist() == [-1.0, 5.0]
+        # each cost sign against each bound kind; None marks unbounded
+        kinds = [(-1.0, 5.0), (2.0, np.inf), (-np.inf, 3.0), (-np.inf, np.inf)]
+        expected = {1.0: [-1.0, 2.0, None, None],
+                    -1.0: [5.0, None, 3.0, None],
+                    0.0: [-1.0, 2.0, 3.0, 0.0]}
+        cases = [(cost, lo, hi, x) for cost, xs in expected.items()
+                 for (lo, hi), x in zip(kinds, xs)]
+        for cost, lo, hi, x in cases:
+            q = LpProblem(1)
+            q.set_objective([cost])
+            q.set_bounds(0, lo, hi)
+            assert solve_lp(q).status == ("unbounded" if x is None else "optimal")
+        # all bounded cases at once, then one unbounded column among them
+        bounded = [case for case in cases if case[3] is not None]
+        cost, lo, hi, x = (np.array(v) for v in zip(*bounded))
+        q = LpProblem(cost.size)
+        q.set_objective(cost)
+        q.set_bounds(slice(None), lo, hi)
+        s = solve_lp(q)
+        assert s.status == "optimal"
+        assert s.x.tolist() == x.tolist()
+        assert s.objective == float(cost @ x)
+        assert s.reduced_costs.tolist() == cost.tolist() and s.duals.size == 0
+        q.set_bounds(3, None, None)
+        assert solve_lp(q).status == "unbounded"
 
 
 class TestSetBounds:
@@ -290,6 +412,227 @@ class TestStartStates:
         for i in basis:
             expected[i] = BASIC
         assert s.vstate.tolist() == expected
+
+
+def _loop_choose_entering(s, d):
+    """Per-mask reference for the entering choice: (j, sigma), j = -1 if none."""
+    eligible_lo = (s.vstate == AT_LOWER) & (d < -s.dual_tol) & ~s.fixed
+    eligible_up = (s.vstate == AT_UPPER) & (d > s.dual_tol) & ~s.fixed
+    eligible_fr = (s.vstate == FREE_ZERO) & (np.abs(d) > s.dual_tol)
+    eligible = eligible_lo | eligible_up | eligible_fr
+    if not np.any(eligible):
+        return -1, 0
+    idx = np.nonzero(eligible)[0]
+    j = idx[0] if s.bland else idx[np.argmax(np.abs(d[idx]))]
+    if s.vstate[j] == AT_LOWER:
+        sigma = 1
+    elif s.vstate[j] == AT_UPPER:
+        sigma = -1
+    else:
+        sigma = 1 if d[j] < 0 else -1
+    return int(j), sigma
+
+
+def _loop_ratio_test(s, j, sigma, phase1_viol=None):
+    """Row-by-row reference for the ratio test: (t, leave_row, leave_state)."""
+    delta = -sigma * (s.binv @ s.A[:, j])
+    span = s.hi[j] - s.lo[j]
+    best_t = span if np.isfinite(span) else np.inf
+    leave_row, leave_state = -1, AT_UPPER if sigma == 1 else AT_LOWER
+    lo_b, hi_b, xb = s.lo[s.basis], s.hi[s.basis], s.xb
+    for i in range(s.m):
+        di = delta[i]
+        if abs(di) <= PIVOT_TOL:
+            continue
+        if phase1_viol is not None and phase1_viol[i] == -1:
+            if di <= 0:
+                continue
+            t, state = (lo_b[i] - xb[i]) / di, AT_LOWER
+        elif phase1_viol is not None and phase1_viol[i] == 1:
+            if di >= 0:
+                continue
+            t, state = (hi_b[i] - xb[i]) / di, AT_UPPER
+        elif di > 0:
+            if not np.isfinite(hi_b[i]):
+                continue
+            t, state = (hi_b[i] - xb[i]) / di, AT_UPPER
+        else:
+            if not np.isfinite(lo_b[i]):
+                continue
+            t, state = (lo_b[i] - xb[i]) / di, AT_LOWER
+        if t < -FEAS_TOL:
+            t = 0.0
+        if t < best_t - 1e-12:
+            best_t, leave_row, leave_state = max(t, 0.0), i, state
+        elif leave_row >= 0 and abs(t - best_t) <= 1e-12:
+            if s.bland:
+                if s.basis[i] < s.basis[leave_row]:
+                    leave_row, leave_state = i, state
+            elif abs(delta[i]) > abs(delta[leave_row]) + 1e-15 or (
+                abs(delta[i]) >= abs(delta[leave_row]) - 1e-15
+                and s.basis[i] < s.basis[leave_row]
+            ):
+                leave_row, leave_state = i, state
+    return best_t, leave_row, leave_state
+
+
+def _entering_moves(s):
+    """Every (j, sigma) a nonbasic, non-fixed column can enter with."""
+    for j in np.flatnonzero((s.vstate != BASIC) & ~s.fixed):
+        if s.vstate[j] == FREE_ZERO:
+            yield int(j), 1
+            yield int(j), -1
+        else:
+            yield int(j), 1 if s.vstate[j] == AT_LOWER else -1
+
+
+def _assert_ratio_tests_match(s, phase1_viol=None):
+    """Compare every entering move under Dantzig and Bland; returns the outcomes."""
+    outcomes = []
+    for bland in (False, True):
+        s.bland = bland
+        for j, sigma in _entering_moves(s):
+            t, row, state, _, _ = s._ratio_test(j, sigma, phase1_viol)
+            ref = _loop_ratio_test(s, j, sigma, phase1_viol)
+            assert (t, row, state) == ref, (j, sigma, bland)
+            outcomes.append(ref)
+    s.bland = False
+    return outcomes
+
+
+def _equality_box_problem(rng, m=12, n=20, fixed=(), free=()):
+    """Equality rows over boxed columns; chosen columns fixed or free."""
+    p = LpProblem(n)
+    lo = rng.uniform(-1.0, 0.0, n)
+    hi = lo + rng.uniform(0.1, 1.0, n)
+    hi[list(fixed)] = lo[list(fixed)]
+    p.set_bounds(slice(0, n), lo, hi)
+    if free:
+        p.set_bounds(list(free), None, None)
+    p.set_objective(rng.standard_normal(n))
+    a = rng.standard_normal((m, n))
+    for r in range(m):
+        p.add_row(a[r], "=", float(rng.standard_normal()))
+    return p
+
+
+class TestIterationKernels:
+    """Vectorized pricing and ratio test against their per-row loop references."""
+
+    def test_choose_entering_matches_loop(self, rng):
+        p = _equality_box_problem(rng, m=6, n=40, fixed=(3, 7, 11), free=(0, 5, 20))
+        # |d| drawn from a few values so that exact ties are common
+        levels = np.array([-2.0, -1.0, -2e-9, -1e-9, 0.0, 1e-9, 2e-9, 1.0, 2.0])
+        for _ in range(40):
+            s = _Simplex(p)
+            vstate = rng.choice([AT_LOWER, AT_UPPER, FREE_ZERO], s.N).astype(np.int8)
+            basis = rng.choice(s.N, s.m, replace=False)
+            if not s.warm_start(basis, vstate):
+                continue
+            d = rng.choice(levels, s.N)
+            for bland in (False, True):
+                s.bland = bland
+                assert s._choose_entering(d) == _loop_choose_entering(s, d)
+        s.bland = False
+        assert s._choose_entering(np.zeros(s.N)) == (-1, 0)
+
+    def test_choose_entering_skips_fixed_takes_free(self, rng):
+        p = _equality_box_problem(rng, m=3, n=6, fixed=(0,), free=(1,))
+        s = _Simplex(p)
+        assert s.warm_start(np.arange(6, 9), np.full(9, AT_LOWER, dtype=np.int8))
+        d = np.zeros(s.N)
+        d[0] = -5.0                      # fixed: never enters
+        d[1] = 3.0                       # free: enters downward with |d|
+        d[2] = -1.0
+        assert s._choose_entering(d) == (1, -1) == _loop_choose_entering(s, d)
+        s.bland = True
+        assert s._choose_entering(d) == (1, -1) == _loop_choose_entering(s, d)
+
+    def test_ratio_test_matches_loop_with_phase1_violations(self, rng):
+        seen_violations = 0
+        for _ in range(15):
+            p = _equality_box_problem(rng, fixed=(2,), free=(4,))
+            s = _Simplex(p)
+            vstate = rng.choice([AT_LOWER, AT_UPPER], s.N).astype(np.int8)
+            basis = np.sort(rng.choice(s.N, s.m, replace=False))
+            if not s.warm_start(basis, vstate):
+                continue
+            viol = s._violations()
+            seen_violations += int(np.count_nonzero(viol))
+            _assert_ratio_tests_match(s, viol)
+            _assert_ratio_tests_match(s)
+        assert seen_violations > 0
+
+    def test_ratio_test_exact_ties_from_duplicated_rows(self, rng):
+        p = LpProblem(8)
+        p.set_bounds(slice(0, 8), 0.0, 4.0)
+        a = rng.standard_normal((3, 8))
+        for r in (0, 1, 1, 2, 0, 1):     # rows 2, 4 and 5 repeat rows 1, 0 and 1
+            p.add_row(a[r], "<=", 1.0)
+        s = _Simplex(p)
+        s.cold_start()
+        rows = [row for _, row, _ in _assert_ratio_tests_match(s)]
+        # a duplicated slack ties its original exactly, with the same |pivot|;
+        # the lower basic index (the original's slack) always wins
+        assert {0, 1} & set(rows)
+        assert not {2, 4, 5} & set(rows)
+
+    def test_ratio_test_near_ties(self, rng):
+        # steps placed within a few 1e-12 of each other and of the flip, plus
+        # slightly negative ones (kept, then clamped at zero) and ones below
+        # -FEAS_TOL (reset to zero)
+        offsets = np.array([-3e-12, -1.5e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 1.5e-12, 3e-12])
+        rows_seen = set()
+        for _ in range(60):
+            p = _equality_box_problem(rng, m=10, n=6)
+            s = _Simplex(p)
+            s.cold_start()
+            j = int(rng.integers(6))
+            sigma = 1 if s.vstate[j] == AT_LOWER else -1
+            delta = -sigma * (s.binv @ s.A[:, j])
+            span = s.hi[j] - s.lo[j]
+            base = rng.choice([0.0, span, 0.5 * span])
+            if base == span and rng.random() < 0.5:
+                # no row beats the flip by more than 1e-12
+                steps = base + rng.choice(offsets[offsets >= -1e-12], s.m)
+            else:
+                steps = base + rng.choice(offsets, s.m)
+                steps[rng.random(s.m) < 0.1] = -5e-10
+                steps[rng.random(s.m) < 0.1] = -1e-8
+            target = np.where(delta > 0, s.hi[s.basis], s.lo[s.basis])
+            s.xb = target - steps * delta
+            for bland in (False, True):
+                s.bland = bland
+                got = s._ratio_test(j, sigma)[:3]
+                assert got == _loop_ratio_test(s, j, sigma), (bland, steps.tolist())
+                rows_seen.add(got[1])
+        # both the flip and many different rows must have won
+        assert -1 in rows_seen and len(rows_seen) >= 8
+
+    def test_ratio_test_row_tying_the_bound_flip(self):
+        # x in [0, 1] enters upward; the slack of x <= rhs blocks at step rhs
+        for rhs, expected_row in ((1.0, -1), (1.0 - 5e-13, -1), (1.0 - 2e-12, 0)):
+            p = LpProblem(1)
+            p.set_bounds(0, 0.0, 1.0)
+            p.add_row({0: 1.0}, "<=", rhs)
+            s = _Simplex(p)
+            s.cold_start()
+            t, row, state, _, _ = s._ratio_test(0, 1)
+            assert (t, row, state) == _loop_ratio_test(s, 0, 1)
+            assert row == expected_row
+            assert t == (1.0 if row < 0 else rhs)
+
+    def test_ratio_test_unbounded_direction(self):
+        p = LpProblem(2)
+        p.set_bounds(0, 0.0, None)
+        p.add_row({0: 1.0, 1: 1.0}, ">=", 0.0)
+        p.add_row({0: 2.0}, ">=", -1.0)
+        s = _Simplex(p)
+        s.cold_start()
+        for j, sigma in ((0, 1), (1, 1), (1, -1)):
+            t, row, state, _, _ = s._ratio_test(j, sigma)
+            assert (t, row, state) == _loop_ratio_test(s, j, sigma)
+        assert s._ratio_test(0, 1)[:2] == (np.inf, -1)
 
 
 class TestCertifyObjective:
