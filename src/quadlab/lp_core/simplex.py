@@ -10,16 +10,18 @@ inverse is dense, updated in product form and refactorized periodically.
 
 The watchdog reads the phase-2 objective, which is tracked incrementally: a
 step of length t on entering column j moves it by d_j * sigma * t.  It is
-recomputed from the variable values only when the basis is refactorized,
-so rounding drift in the tracked value is bounded by REFACTOR_EVERY steps.
+recomputed from the variable values only when the basis is refactorized
+(every REFACTOR_EVERY pivots; bound flips do not count), so rounding drift
+in the tracked value never outlives a refactor.
 
 One iteration is a handful of whole-array operations.  The ratio test
 computes every row's blocking step at once, then resolves them as a scan
 in row order would.  The best step starts as the entering variable's own
-bound flip; a row takes over as the leaving row when its step beats the
-best by more than 1e-12, and a row within 1e-12 of the best wins the tie
-on the larger |pivot|, then the lower basic variable index (under Bland's
-rule on the lower index alone).  A row tying the bound flip never blocks.
+bound flip.  A row whose step beats the best by more than 1e-12 becomes
+the leaving row, and its step, clamped at zero, the new best; a row within
+1e-12 of the best wins the tie on the larger |pivot|, then on the lower
+basic variable index (under Bland's rule on the lower index alone).  A row
+tying the bound flip never blocks it.
 
 Pivot selection is fully deterministic: ties break toward the lowest
 variable index, so identical problems replay identical pivot sequences.
@@ -75,8 +77,9 @@ def crash_basis(problem: LpProblem, at_upper, basic=()):
     return basis, vstate
 
 
-# Pricing weight of a nonbasic state: the reduced cost times this weight is
-# the objective decrease per unit step (free columns take |d| instead).
+# Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced
+# cost times this weight is the objective decrease per unit step of a
+# nonbasic column (free columns take |d| instead).
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 TIE_TOL = 1e-12       # steps this close count as tied in the ratio test
 
