@@ -3,7 +3,8 @@
 Subcommands: fit, eval, simulate, portfolio, sparse, experiment.  Tables go
 to CSV, single results to JSON; every path is explicit and nothing writes
 to the working directory implicitly.  The experiment subcommand exits
-nonzero if any asserted verdict fails.  Bad input and solver failures
+nonzero if any asserted verdict fails.  Usage errors (a missing ``--alpha``,
+an unknown ``--column``, a bad ``--sweep``), bad input and solver failures
 (``LpError``, e.g. an unattainable target mean) exit 2 with a one-line
 ``error: ...`` message on stderr.
 """
@@ -55,7 +56,7 @@ def _cmd_fit(args) -> int:
         params = {}
     elif args.method == "quantile":
         if args.alpha is None:
-            raise SystemExit("--alpha is required for --method quantile")
+            raise ValueError("--alpha is required for --method quantile")
         model = fit_quantile(data, args.alpha)
         params = {"alpha": args.alpha}
     elif args.method == "se":
@@ -81,11 +82,11 @@ def _cmd_eval(args) -> int:
     header, matrix = load_csv(args.input)
     column = args.column or header[0]
     if column not in header:
-        raise SystemExit(f"column {column!r} not found in {header}")
+        raise ValueError(f"column {column!r} not found in {header}")
     sample = make_sample(matrix[:, header.index(column)])
     if args.family == "quantile":
         if args.alpha is None:
-            raise SystemExit("--alpha is required for the quantile family")
+            raise ValueError("--alpha is required for the quantile family")
         ev = eval_quantile_quadrangle(sample, args.alpha)
     elif args.family == "biased_mean":
         ev = eval_biased_mean_quadrangle(sample, args.x)
@@ -137,18 +138,21 @@ def _cmd_portfolio(args) -> int:
         try:
             x0, x1, step = (float(v) for v in args.sweep.split(":"))
         except ValueError as exc:
-            raise SystemExit("--sweep wants x0:x1:step") from exc
+            raise ValueError("--sweep wants x0:x1:step") from exc
+        if not (np.all(np.isfinite([x0, x1, step])) and step > 0):
+            raise ValueError("--sweep wants finite x0:x1:step with step > 0")
+        as_json = args.format == "json" or (args.output or "").endswith(".json")
+        if not as_json and not args.output:
+            raise ValueError("--output is required for CSV sweeps")
         grid = list(np.arange(x0, x1 + 0.5 * step, step))
         rows = equivalence_sweep(matrix, args.mu, grid, long_only=args.long_only)
         out_header = ["x", "alpha", "se_dev_opt", "cvar_dev_at_se_opt",
                       "cvar_dev_opt", "se_dev_at_cvar_opt"]
         table = [[rw[k] if rw[k] == rw[k] else float("nan") for k in out_header] for rw in rows]
-        if args.format == "json" or (args.output or "").endswith(".json"):
+        if as_json:
             _write_json({"columns": out_header, "rows": table,
                          "errors": [rw["error"] for rw in rows]}, args.output)
         else:
-            if not args.output:
-                raise SystemExit("--output is required for CSV sweeps")
             write_csv(args.output, out_header, table)
             print(f"wrote {args.output}")
         return 0
@@ -158,7 +162,7 @@ def _cmd_portfolio(args) -> int:
         params = {"x": args.x}
     else:
         if args.alpha is None:
-            raise SystemExit("--alpha is required for --objective cvar")
+            raise ValueError("--alpha is required for --objective cvar")
         sol = optimize_cvar_dev(problem, args.alpha)
         params = {"alpha": args.alpha}
     _write_json({
@@ -205,10 +209,10 @@ def _cmd_experiment(args) -> int:
     if args.config:
         config = ExperimentConfig.from_json(args.config)
         if args.id and args.id != config.experiment:
-            raise SystemExit("--id disagrees with the config file")
+            raise ValueError("--id disagrees with the config file")
     else:
         if not args.id:
-            raise SystemExit("give --id or --config")
+            raise ValueError("give --id or --config")
         config = ExperimentConfig(experiment=args.id, seed=args.seed)
     tables = run_experiment(config)
     out_dir = args.output_dir or "."

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -19,16 +21,35 @@ class QuadratureError(RuntimeError):
     """Numerical quadrature did not reach the requested accuracy."""
 
 
+class SortedView(NamedTuple):
+    """Distinct sorted atoms, their merged probabilities, and the step CDF."""
+
+    atoms: np.ndarray
+    probabilities: np.ndarray
+    cdf: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """A finite discrete distribution: atoms with probabilities summing to 1."""
+    """A finite discrete distribution: atoms with probabilities summing to 1.
+
+    Samples are immutable: the constructor stores read-only copies of
+    ``atoms`` and ``probabilities``, so the caller's arrays stay writable and
+    later writes to them do not reach the sample.  That is what makes the
+    cached ``sorted_view`` safe to reuse.
+    """
 
     atoms: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        probs = np.asarray(self.probabilities, dtype=float)
+        atoms = _read_only(np.array(self.atoms, dtype=float))
+        probs = _read_only(np.array(self.probabilities, dtype=float))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probabilities", probs)
         if atoms.ndim != 1 or atoms.size < 1:
@@ -48,6 +69,27 @@ class EmpiricalSample:
 
     def mean(self) -> float:
         return float(self.atoms @ self.probabilities)
+
+    @cached_property
+    def sorted_view(self) -> SortedView:
+        """The sample sorted once: distinct atoms, merged probabilities, step CDF.
+
+        Built on first use and cached; its arrays are read-only.  The last
+        CDF entry is set to exactly 1.
+        """
+        order = np.argsort(self.atoms, kind="stable")
+        a = self.atoms[order]
+        p = self.probabilities[order]
+        distinct = np.empty(a.size, dtype=bool)
+        distinct[0] = True
+        distinct[1:] = a[1:] != a[:-1]
+        idx = np.cumsum(distinct) - 1
+        atoms = a[distinct]
+        probs = np.zeros(atoms.size)
+        np.add.at(probs, idx, p)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        return SortedView(_read_only(atoms), _read_only(probs), _read_only(cdf))
 
 
 def make_sample(values, weights=None) -> EmpiricalSample:

@@ -11,6 +11,14 @@ from quadlab.distributions import (
     sample_skew_normal,
     skew_normal_cdf_at_zero,
 )
+from quadlab.functionals import (
+    cvar,
+    cvar_via_min,
+    error_projection,
+    quadrangle_relation_check,
+    superexpectation_dual,
+    var,
+)
 
 
 class TestMakeSample:
@@ -53,6 +61,73 @@ class TestMakeSample:
     def test_invariant_checked_on_type(self):
         with pytest.raises(ValueError):
             EmpiricalSample(np.array([1.0]), np.array([0.5]))
+
+
+# Every functional that reads the cached sorted view.
+VIEW_READERS = (
+    lambda s: var(s, 0.3),
+    lambda s: cvar(s, 0.3),
+    lambda s: cvar_via_min(s, 0.3),
+    lambda s: superexpectation_dual(s, 0.2),
+    lambda s: quadrangle_relation_check(s, 0.2),
+    lambda s: error_projection(s, 0.2),
+)
+
+
+class TestSampleContract:
+    """Samples are immutable and sort themselves at most once."""
+
+    def test_arrays_read_only(self):
+        s = make_sample([3.0, 1.0, 2.0])
+        with pytest.raises(ValueError):
+            s.atoms[0] = 0.0
+        with pytest.raises(ValueError):
+            s.probabilities[0] = 1.0
+        view = s.sorted_view
+        for array in view:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_caller_arrays_detached(self, rng):
+        atoms = rng.standard_normal(30)
+        probs = np.full(30, 1.0 / 30)
+        weights = rng.uniform(0.1, 1.0, 30)
+        direct, made = EmpiricalSample(atoms, probs), make_sample(atoms, weights)
+        before = [(s.mean(), var(s, 0.4), cvar(s, 0.4)) for s in (direct, made)]
+        assert atoms.flags.writeable and probs.flags.writeable and weights.flags.writeable
+        atoms[:5] = 100.0
+        probs[:] = np.linspace(0.0, 2.0 / 30, 30)
+        weights[0] = 50.0
+        assert [(s.mean(), var(s, 0.4), cvar(s, 0.4)) for s in (direct, made)] == before
+
+    def test_sorted_view_built_once(self, rng, monkeypatch):
+        s = make_sample(rng.integers(0, 9, 50).astype(float))
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        for reader in VIEW_READERS + VIEW_READERS:
+            reader(s)
+        assert len(calls) == 1
+        assert s.sorted_view is s.sorted_view
+
+    def test_sorted_view_contents(self):
+        view = make_sample([2.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4]).sorted_view
+        assert view.atoms.tolist() == [1.0, 2.0, 3.0]
+        assert np.allclose(view.probabilities, [0.2, 0.4, 0.4])
+        assert np.allclose(view.cdf, [0.2, 0.6, 1.0]) and view.cdf[-1] == 1.0
+
+    def test_cached_view_gives_identical_results(self, rng):
+        atoms = np.round(rng.standard_normal(300) * 64) / 64
+        weights = rng.uniform(0.05, 1.0, 300)
+        warm = make_sample(atoms, weights)
+        warm.sorted_view
+        for reader in VIEW_READERS:
+            assert repr(reader(warm)) == repr(reader(make_sample(atoms, weights)))
 
 
 class TestSkewNormal:

@@ -242,3 +242,27 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unattainable" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--method", "quantile", "--input", "{reg}", "--target", "y"], "--alpha"),
+        (["eval", "--family", "quantile", "--input", "{reg}"], "--alpha"),
+        (["eval", "--family", "mean_l1", "--input", "{reg}", "--column", "z"], "'z' not found"),
+        (["portfolio", "--objective", "cvar", "--mu", "0.001", "--input", "{rets}"], "--alpha"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:1"], "x0:x1:step"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:1:0"], "step > 0"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:0.002:0.001",
+          "--format", "csv"], "--output"),
+        (["experiment", "--id", "sparse_recovery", "--config", "{cfg}"], "disagrees"),
+        (["experiment"], "--id or --config"),
+    ])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
+        paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",
+                 "cfg": tmp_path / "cfg.json"}
+        write_csv(str(paths["reg"]), ["x", "y"], np.array([[0.0, 1.0], [1.0, 2.5], [2.0, 2.9]]))
+        write_csv(str(paths["rets"]), ["a", "b"], np.array([[0.01, 0.0], [-0.01, 0.02]]))
+        paths["cfg"].write_text(json.dumps({"experiment": "table2_pattern", "seed": 1}))
+        rc = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err

@@ -3,6 +3,7 @@ import pytest
 
 from quadlab.distributions import make_sample
 from quadlab.functionals import (
+    _TIE_TOL,
     BiasParam,
     cvar,
     cvar_via_min,
@@ -10,6 +11,8 @@ from quadlab.functionals import (
     eval_biased_mean_quadrangle,
     eval_mean_l1_quadrangle,
     eval_quantile_quadrangle,
+    neg_part_mean,
+    pos_part_mean,
     quadrangle_relation_check,
     subregularity_probe,
     superexpectation,
@@ -196,6 +199,51 @@ class TestErrorProjection:
             q = eval_biased_mean_quadrangle(s, x)
             assert c == pytest.approx(x + s.mean(), abs=1e-10)
             assert v == pytest.approx(q.deviation, abs=1e-10)
+
+
+def _loop_error_projection(sample, x):
+    """One direct O(n) error evaluation per candidate: the reference for error_projection."""
+    b = BiasParam(float(x))
+    center = b.x + sample.mean()
+    candidates = np.concatenate((np.unique(sample.atoms), [center]))
+    values = np.array([max(neg_part_mean(sample, c) - b.x_plus,
+                           pos_part_mean(sample, c) - b.x_minus) for c in candidates])
+    best = values.min()
+    center_value = values[-1]
+    tol = _TIE_TOL * max(1.0, abs(best))
+    if center_value <= best + tol:
+        return float(center), float(center_value)
+    return float(candidates[int(values.argmin())]), float(best)
+
+
+class TestErrorProjectionLoopReference:
+    """Prefix-sum error_projection against the per-candidate loop, bit for bit."""
+
+    BIASES = (-10.0, -1.5, -0.5, 0.0, 0.25, 1.5, 10.0)
+
+    def _check(self, sample):
+        for x in self.BIASES:
+            assert error_projection(sample, x) == _loop_error_projection(sample, x), x
+
+    def test_tied_grid_weighted(self, rng):
+        for n in (2, 40, 500):
+            atoms = rng.integers(-64, 64, n) / 1024.0
+            self._check(make_sample(atoms, rng.uniform(0.05, 1.0, n)))
+
+    def test_one_and_two_atoms(self):
+        self._check(make_sample([3.0]))
+        self._check(make_sample([-1.0, 2.0], [0.3, 0.7]))
+        self._check(make_sample([0.5, 0.5, 0.5]))
+
+    def test_one_sided_beyond_spread(self, rng):
+        # |x| = 10 exceeds the spread, so the error is flat over a stretch of atoms.
+        spread = np.abs(rng.standard_normal(60))
+        self._check(make_sample(5.0 + spread, rng.uniform(0.05, 1.0, 60)))
+        self._check(make_sample(-5.0 - spread))
+
+    def test_random(self, rng):
+        for _ in range(40):
+            self._check(random_sample(rng, max_n=200))
 
 
 class TestRelationIdentities:
