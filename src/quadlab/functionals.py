@@ -303,12 +303,10 @@ def error_projection(sample: EmpiricalSample, x):
     b = _bias_of(x)
     center = b.x + sample.mean()
     center_value = _biased_error_of_shifted(sample, b, center)
-    atoms, probs, cdf = sample.sorted_view
-    weighted = atoms * probs
-    below = np.concatenate(([0.0], weighted.cumsum()[:-1]))
-    above = np.concatenate((weighted[::-1].cumsum()[::-1][1:], [0.0]))
-    neg = atoms * np.concatenate(([0.0], cdf[:-1])) - below
-    pos = above - atoms * (1.0 - cdf)
+    atoms, grid, tail = _upper_tail_grid(sample)
+    below = np.concatenate(([0.0], (atoms * sample.sorted_view.probabilities).cumsum()[:-1]))
+    neg = atoms * grid[:-1] - below
+    pos = tail[1:] - atoms * (1.0 - grid[1:])
     values = np.maximum(neg - b.x_plus, pos - b.x_minus)
     best = min(values.min(), center_value)
     tol = _TIE_TOL * max(1.0, abs(best))
