@@ -4,9 +4,9 @@ Subcommands: fit, eval, simulate, portfolio, sparse, experiment.  Tables go
 to CSV, single results to JSON; every path is explicit and nothing writes
 to the working directory implicitly.  The experiment subcommand exits
 nonzero if any asserted verdict fails.  Usage errors (a missing ``--alpha``,
-an unknown ``--column``, a bad ``--sweep``), bad input and solver failures
-(``LpError``, e.g. an unattainable target mean) exit 2 with a one-line
-``error: ...`` message on stderr.
+an unknown ``--column``, a bad ``--sweep``, ``--big-m`` without ``--milp``),
+bad input and solver failures (``LpError``, e.g. an unattainable target
+mean) exit 2 with a one-line ``error: ...`` message on stderr.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .functionals import (
 from .lp_core import LpError
 from .portfolio import PortfolioProblem, equivalence_sweep, optimize_cvar_dev, optimize_se_dev
 from .regression import fit_biased_mean, fit_ols, fit_quantile, fit_se, induced_alpha, residuals
-from .sparse import SparseProblem, brute_force_subset, fit_sparse_mse, fit_sparse_se
+from .sparse import SparseProblem, brute_force_subset, fit_sparse_mse, fit_sparse_se, fit_sparse_se_milp
 
 
 def _write_json(payload: dict, path: str | None) -> None:
@@ -177,6 +177,12 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_sparse(args) -> int:
+    if args.milp and args.oracle:
+        raise ValueError("give --milp or --oracle, not both")
+    if args.milp and args.error != "se":
+        raise ValueError("--milp needs --error se")
+    if args.big_m != "auto" and not args.milp:
+        raise ValueError("--big-m applies only with --milp")
     data = load_csv(args.input, args.target)
     big_m = None if args.big_m == "auto" else float(args.big_m)
     problem = SparseProblem(data, k=args.k, error_kind=args.error, big_m=big_m,
@@ -184,6 +190,8 @@ def _cmd_sparse(args) -> int:
                             max_nodes=args.max_nodes)
     if args.oracle:
         sol = brute_force_subset(data, args.k, args.error)
+    elif args.milp:
+        sol = fit_sparse_se_milp(problem)
     elif args.error == "se":
         sol = fit_sparse_se(problem)
     else:
@@ -280,10 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=300.0)
     p.add_argument("--gap", type=float, default=1e-9)
-    p.add_argument("--big-m", default="auto")
+    p.add_argument("--big-m", default="auto", help="box of the big-M program (with --milp)")
     p.add_argument("--max-nodes", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="force exhaustive enumeration")
+    p.add_argument("--milp", action="store_true",
+                   help="solve the big-M mixed-binary program (--error se) instead of "
+                        "the include/exclude search")
     p.add_argument("--input", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--output")

@@ -22,11 +22,20 @@ class QuadratureError(RuntimeError):
 
 
 class SortedView(NamedTuple):
-    """Distinct sorted atoms, their merged probabilities, and the step CDF."""
+    """Distinct sorted atoms a_1 < ... < a_k, their merged probabilities, the
+    step CDF, and the upper-tail grid.
+
+    ``grid`` has length k+1: 0, F(a_1), ..., F(a_k) = 1.  ``tail[j]`` is
+    E[X; X > a_j], the expectation of the atoms strictly above the j-th
+    distinct atom (``tail[0]`` is the full mean, ``tail[k]`` is 0); on the
+    grid it equals int_G[j]^1 VaR-_beta dbeta.
+    """
 
     atoms: np.ndarray
     probabilities: np.ndarray
     cdf: np.ndarray
+    grid: np.ndarray
+    tail: np.ndarray
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -72,7 +81,8 @@ class EmpiricalSample:
 
     @cached_property
     def sorted_view(self) -> SortedView:
-        """The sample sorted once: distinct atoms, merged probabilities, step CDF.
+        """The sample sorted once: distinct atoms, merged probabilities, step
+        CDF and the upper-tail sums on the cumulative grid.
 
         Built on first use and cached; its arrays are read-only.  The last
         CDF entry is set to exactly 1.
@@ -89,7 +99,10 @@ class EmpiricalSample:
         np.add.at(probs, idx, p)
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        return SortedView(_read_only(atoms), _read_only(probs), _read_only(cdf))
+        weighted = atoms * probs
+        tail = np.concatenate((weighted[::-1].cumsum()[::-1], [0.0]))
+        grid = np.concatenate(([0.0], cdf))
+        return SortedView(*map(_read_only, (atoms, probs, cdf, grid, tail)))
 
 
 def make_sample(values, weights=None) -> EmpiricalSample:

@@ -6,11 +6,12 @@ objectives are piecewise linear, so grid evaluation is exact up to float
 rounding and supports 1e-10 identity checks.
 
 Each sample is sorted once: ``EmpiricalSample.sorted_view`` caches the
-distinct sorted atoms, their merged probabilities and the step CDF, and every
-kink grid here is read off that view.  Tail and part means on the whole grid
-come from prefix and suffix sums over it (Acerbi & Tasche 2002), so a grid of
-u distinct atoms costs O(u) after the O(n log n) sort instead of one O(n)
-pass per grid point.  ``pos_part_mean``, ``neg_part_mean`` and
+distinct sorted atoms, their merged probabilities, the step CDF and the
+upper-tail sums on the cumulative grid, and every kink grid here is read off
+that view.  Tail and part means on the whole grid come from prefix and
+suffix sums over it (Acerbi & Tasche 2002), so a grid of u distinct atoms
+costs O(u) after the O(n log n) sort instead of one O(n) pass per grid
+point.  ``pos_part_mean``, ``neg_part_mean`` and
 ``probability_interval_at`` stay direct O(n) sums: they are the independent
 side of the identity checks.
 
@@ -107,19 +108,6 @@ def _bias_of(x) -> BiasParam:
     return x if isinstance(x, BiasParam) else BiasParam(float(x))
 
 
-def _upper_tail_grid(sample: EmpiricalSample):
-    """Cumulative grid G and exact tail expectations T(G[j]) = int_G[j]^1 VaR- dbeta.
-
-    G has length k+1: 0, F(a_1), ..., F(a_k) = 1.  T[j] is the expectation of
-    the atoms strictly above the j-th distinct atom (T[0] is the full mean).
-    """
-    atoms, probs, cdf = sample.sorted_view
-    weighted = atoms * probs
-    tail = np.concatenate((weighted[::-1].cumsum()[::-1], [0.0]))
-    grid = np.concatenate(([0.0], cdf))
-    return atoms, grid, tail
-
-
 def pos_part_mean(sample: EmpiricalSample, x: float) -> float:
     """E[X - x]_+ evaluated exactly."""
     return float(np.maximum(sample.atoms - x, 0.0) @ sample.probabilities)
@@ -150,7 +138,8 @@ def var(sample: EmpiricalSample, alpha) -> VarInterval:
     step CDF directly.
     """
     a = _alpha_of(alpha)
-    atoms, _, cdf = sample.sorted_view
+    view = sample.sorted_view
+    atoms, cdf = view.atoms, view.cdf
     if a <= 0.0:
         lower = atoms[0]
     else:
@@ -170,7 +159,8 @@ def cvar(sample: EmpiricalSample, alpha) -> float:
     a = _alpha_of(alpha)
     if a >= 1.0:
         return float(sample.atoms.max())
-    atoms, _, cdf = sample.sorted_view
+    view = sample.sorted_view
+    atoms, cdf = view.atoms, view.cdf
     lo = np.concatenate(([0.0], cdf[:-1]))
     frac = np.clip(cdf, a, 1.0) - np.clip(lo, a, 1.0)
     return float((atoms @ frac) / (1.0 - a))
@@ -184,7 +174,8 @@ def cvar_via_min(sample: EmpiricalSample, alpha):
     interval, which equals the quantile interval.
     """
     a = _alpha_open(alpha)
-    atoms, grid, tail = _upper_tail_grid(sample)
+    view = sample.sorted_view
+    atoms, grid, tail = view.atoms, view.grid, view.tail
     # E[X - atom_j]_+ = tail_{j+1} - atom_j * (1 - F_j)
     surplus = tail[1:] - atoms * (1.0 - grid[1:])
     values = atoms + surplus / (1.0 - a)
@@ -207,8 +198,8 @@ def superexpectation_dual(sample: EmpiricalSample, x: float):
     cumulative probabilities; the maximizer set is [P(X < x), P(X <= x)].
     """
     x = float(x)
-    _, grid, tail = _upper_tail_grid(sample)
-    values = grid * x + tail
+    view = sample.sorted_view
+    values = view.grid * x + view.tail
     best = float(values.max())
     below, at_or_below = probability_interval_at(sample, x)
     return best, (below, at_or_below)
@@ -303,8 +294,9 @@ def error_projection(sample: EmpiricalSample, x):
     b = _bias_of(x)
     center = b.x + sample.mean()
     center_value = _biased_error_of_shifted(sample, b, center)
-    atoms, grid, tail = _upper_tail_grid(sample)
-    below = np.concatenate(([0.0], (atoms * sample.sorted_view.probabilities).cumsum()[:-1]))
+    view = sample.sorted_view
+    atoms, grid, tail = view.atoms, view.grid, view.tail
+    below = np.concatenate(([0.0], (atoms * view.probabilities).cumsum()[:-1]))
     neg = atoms * grid[:-1] - below
     pos = tail[1:] - atoms * (1.0 - grid[1:])
     values = np.maximum(neg - b.x_plus, pos - b.x_minus)
@@ -326,7 +318,8 @@ def quadrangle_relation_check(sample: EmpiricalSample, x) -> np.ndarray:
     b = _bias_of(x)
     lhs = eval_biased_mean_quadrangle(sample, b)
     mean = sample.mean()
-    _, grid, tail = _upper_tail_grid(sample)
+    view = sample.sorted_view
+    grid, tail = view.grid, view.tail
     one_minus = 1.0 - grid
     pos = pos_part_mean(sample, 0.0)
     neg = neg_part_mean(sample, 0.0)

@@ -10,6 +10,15 @@ few rows and one boxed column per observation or scenario.  They build it
 with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
 (bound guesses for the boxed columns), and check the answer with
 ``certify_objective`` against the primal objective recomputed from it.
+
+Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
+nothing (unbounded slack, zero dual).  The best-subset search keeps one
+such dual and frees the rows of excluded columns with
+``LpProblem.set_relation``; an optimal basis stays primal feasible when
+rows are freed, so each child solve warm-starts straight into phase 2.
+The literal epigraph LPs add their one-row-per-observation blocks with
+``LpProblem.add_rows``, which takes each row's entries instead of a dense
+row.
 """
 
 from .problem import (

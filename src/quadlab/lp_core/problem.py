@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RELATIONS = ("<=", "=", ">=")
+RELATIONS = ("<=", "=", ">=", "free")
 OBJ_MATCH_TOL = 1e-8  # relative gap allowed by ``certify_objective``
 
 
@@ -24,12 +24,25 @@ def certify_objective(value: float, lp_value: float, what: str) -> None:
         raise LpError(f"{what} {value} disagrees with LP optimum {lp_value}")
 
 
+def _check_relation(relation: str) -> None:
+    if relation not in RELATIONS:
+        raise LpError(f"unknown relation {relation!r}")
+
+
 class LpProblem:
     """Linear program in minimize form with per-variable bounds.
 
     Rows are stored sparsely as (indices, values, relation, rhs).  Variables
     default to free; ``set_bounds`` takes ``None`` for an infinite end.
     Binary variables are continuous [0, 1] columns flagged for the MIP layer.
+
+    A row's relation is ``<=``, ``=``, ``>=`` or ``free``.  A free row
+    constrains nothing: its slack is unbounded and its dual is zero at an
+    optimum (to the reduced-cost tolerance).  Switching rows between ``=``
+    and ``free`` with ``set_relation`` drops constraints without rebuilding
+    the problem, and an optimal basis of the constrained problem stays
+    primal feasible for the relaxed one, so it warm-starts straight into
+    phase 2.
     """
 
     def __init__(self, num_vars: int):
@@ -67,15 +80,21 @@ class LpProblem:
             first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
             raise LpError(f"empty bound interval for variable {first}")
 
-    def mark_binary(self, j: int) -> None:
+    def mark_binary(self, j) -> None:
+        """Flag variable ``j`` (an int, a slice or an index array) binary."""
         self.is_binary[j] = True
-        self.lower[j] = max(self.lower[j], 0.0)
-        self.upper[j] = min(self.upper[j], 1.0)
+        self.lower[j] = np.maximum(self.lower[j], 0.0)
+        self.upper[j] = np.minimum(self.upper[j], 1.0)
+
+    def set_relation(self, rows, relation: str) -> None:
+        """Give every row listed in ``rows`` the relation ``relation``."""
+        _check_relation(relation)
+        for r in np.arange(self.num_rows)[rows].reshape(-1).tolist():
+            self.relations[r] = relation
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
         """Append a constraint; ``coeffs`` is a dict {index: value} or a dense vector."""
-        if relation not in RELATIONS:
-            raise LpError(f"unknown relation {relation!r}")
+        _check_relation(relation)
         if isinstance(coeffs, dict):
             idx = np.fromiter(coeffs.keys(), dtype=np.intp, count=len(coeffs))
             val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
@@ -98,6 +117,39 @@ class LpProblem:
         self.relations.append(relation)
         self.rhs.append(float(rhs))
 
+    def add_rows(self, index, value, relation: str, rhs) -> None:
+        """Append a block of rows given by their entries.
+
+        ``index`` and ``value`` are (rows, width) arrays: row r holds
+        ``value[r, i]`` on variable ``index[r, i]``, and no row may name a
+        variable twice.  Zero entries are dropped and each row is stored with
+        its indices ascending, exactly as ``add_row`` stores the same row
+        given densely.  ``rhs`` is a scalar or one value per row.
+        """
+        _check_relation(relation)
+        idx = np.asarray(index, dtype=np.intp)
+        val = np.asarray(value, dtype=float)
+        if idx.ndim != 2 or val.shape != idx.shape:
+            raise LpError("row block index and value shapes differ")
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), idx.shape[:1])
+        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
+            raise LpError("row references unknown variable")
+        if not np.all(np.isfinite(val)):
+            raise LpError("row coefficients must be finite")
+        if not np.all(np.isfinite(rhs)):
+            raise LpError("rhs must be finite")
+        order = np.argsort(idx, axis=1, kind="stable")
+        idx = np.take_along_axis(idx, order, axis=1)
+        val = np.take_along_axis(val, order, axis=1)
+        if np.any(idx[:, 1:] == idx[:, :-1]):
+            raise LpError("row names a variable twice")
+        keep = val != 0.0
+        for r in range(idx.shape[0]):
+            self.row_index.append(idx[r, keep[r]])
+            self.row_value.append(val[r, keep[r]])
+        self.relations.extend([relation] * idx.shape[0])
+        self.rhs.extend(rhs.tolist())
+
     def validate(self) -> None:
         if not np.all(np.isfinite(self.objective)):
             raise LpError("objective has non-finite entries")
@@ -107,8 +159,10 @@ class LpProblem:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_rows, self.num_vars))
-        for r, (idx, val) in enumerate(zip(self.row_index, self.row_value)):
-            a[r, idx] = val
+        if self.num_rows:
+            lengths = [idx.size for idx in self.row_index]
+            rows = np.repeat(np.arange(self.num_rows), lengths)
+            a[rows, np.concatenate(self.row_index)] = np.concatenate(self.row_value)
         return a
 
     def copy(self) -> "LpProblem":

@@ -1,7 +1,8 @@
 """Revised simplex with two-sided variable bounds.
 
 Rows become equalities through one slack per row whose bounds encode the
-relation; the all-slack basis is then always structurally valid.  Phase 1
+relation (a ``free`` row's slack is unbounded, so the row constrains
+nothing); the all-slack basis is then always structurally valid.  Phase 1
 minimizes the total bound violation of the basic variables (a composite
 objective, no artificial columns), which doubles as the repair step when a
 warm-start basis is primally infeasible.  Phase 2 prices with Dantzig's rule
@@ -47,6 +48,8 @@ def _slack_bounds(relation: str):
         return 0.0, np.inf
     if relation == ">=":
         return -np.inf, 0.0
+    if relation == "free":
+        return -np.inf, np.inf
     return 0.0, 0.0
 
 
@@ -428,8 +431,10 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     """Solve an LP to optimality with deterministic pivoting.
 
     ``warm`` is an optional (basis, vstate) pair from a previous solution of
-    a problem with the same rows (bounds may differ); an unusable warm basis
-    silently falls back to the cold start.  Integrality flags are ignored
+    a problem with the same rows (bounds and relations may differ: a
+    nonbasic state that no longer fits its bounds snaps to a finite bound,
+    or to free at zero); an unusable warm basis silently falls back to the
+    cold start.  Integrality flags are ignored
     here and must be absent.  ``dual_tol`` is the reduced-cost threshold:
     callers with many bounded columns tighten it, since the worst-case
     objective slack at optimality scales like (columns x ranges x dual_tol).

@@ -229,6 +229,14 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
 
 # -- direct scenario-row formulations, used as test oracles -------------------
 
+def _scenario_index(n: int, width: int):
+    """Entry indices of scenario rows: the first ``width`` columns, then v_i = width + i."""
+    index = np.empty((n, width + 1), dtype=np.intp)
+    index[:, :width] = np.arange(width)
+    index[:, width] = width + np.arange(n)
+    return index
+
+
 def se_dev_primal_lp(problem: PortfolioProblem, x):
     """One-row-per-scenario LP for the part-balancing objective."""
     b = _bias_of(x)
@@ -242,11 +250,8 @@ def se_dev_primal_lp(problem: PortfolioProblem, x):
     lp.set_bounds(slice(m, m + n), 0.0, None)
     if problem.long_only:
         lp.set_bounds(slice(0, m), 0.0, None)
-    for i in range(n):
-        row = np.zeros(m + n)
-        row[:m] = centered[i]
-        row[m + i] = 1.0
-        lp.add_row(row, ">=", -b.x)
+    # centered_i . w + v_i >= -x, one row per scenario
+    lp.add_rows(_scenario_index(n, m), np.column_stack((centered, np.ones(n))), ">=", -b.x)
     budget = np.zeros(m + n)
     budget[:m] = 1.0
     lp.add_row(budget, "=", 1.0)
@@ -272,12 +277,8 @@ def cvar_dev_primal_lp(problem: PortfolioProblem, alpha):
     lp.set_bounds(slice(m + 1, m + 1 + n), 0.0, None)
     if problem.long_only:
         lp.set_bounds(slice(0, m), 0.0, None)
-    for i in range(n):
-        row = np.zeros(m + 1 + n)
-        row[:m] = r[i]
-        row[m] = 1.0
-        row[m + 1 + i] = 1.0
-        lp.add_row(row, ">=", 0.0)
+    # r_i . w + zeta + v_i >= 0, one row per scenario
+    lp.add_rows(_scenario_index(n, m + 1), np.column_stack((r, np.ones((n, 2)))), ">=", 0.0)
     budget = np.zeros(m + 1 + n)
     budget[:m] = 1.0
     lp.add_row(budget, "=", 1.0)

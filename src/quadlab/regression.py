@@ -167,20 +167,21 @@ def fit_ols(data: Dataset) -> LinearModel:
 
 # -- compact dual LPs for the piecewise-linear fits ---------------------------
 
-def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
-                 mean_bound: float | None, mean_rhs_shift: float = 0.0,
-                 split_level: float = 0.5):
-    """Solve the bounded-column dual of a residual-splitting LP.
+def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
+                  mean_bound: float | None, mean_rhs_shift: float = 0.0,
+                  split_level: float = 0.5):
+    """The bounded-column dual of a residual-splitting LP and its crash start.
 
     Variables are one multiplier per observation in [lam_lo, lam_hi], plus a
     mean-row multiplier in [-mean_bound, mean_bound] when requested.  Rows
-    force the multipliers orthogonal to the intercept and design columns;
-    the row duals are the negated fit coefficients.
+    force the multipliers orthogonal to the intercept and design columns
+    (row 1 + j belongs to column j); the row duals are the negated fit
+    coefficients.
 
-    A crash start assigns each multiplier to the bound its residual sign
+    The crash start assigns each multiplier to the bound its residual sign
     would dictate at an OLS fit split at ``split_level``; that leaves only a
     small imbalance for phase 1 and keeps iteration counts near the number
-    of misclassified observations rather than n.
+    of misclassified observations rather than n.  Returns (problem, warm).
     """
     n = data.n
     with_mean = mean_bound is not None
@@ -206,13 +207,70 @@ def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
     # The mean-row multiplier absorbs the sign imbalance in one step if it
     # starts basic in place of the first row's slack.
     warm = crash_basis(problem, z > threshold, basic=[n] if with_mean else ())
+    return problem, warm
+
+
+def _solve_dual(problem: LpProblem, warm, n: int):
     sol = solve_lp(problem, warm=warm, max_iterations=60_000 + 30 * n)
     if sol.status != "optimal":
         raise LpError(f"regression LP ended with status {sol.status}")
+    return sol
+
+
+def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
+                 mean_bound: float | None, mean_rhs_shift: float = 0.0,
+                 split_level: float = 0.5):
+    """Solve the dual built by ``_dual_problem``; read the fit off its row duals."""
+    problem, warm = _dual_problem(data, lam_lo, lam_hi, mean_bound, mean_rhs_shift,
+                                  split_level)
+    sol = _solve_dual(problem, warm, data.n)
     c0 = -float(sol.duals[0])
     coeffs = -sol.duals[1:]
-    nu = float(sol.x[n]) if with_mean else None
+    nu = float(sol.x[data.n]) if mean_bound is not None else None
     return c0, coeffs, -float(sol.objective), sol, nu
+
+
+class SeSubsetOracle:
+    """Zero-bias part-balancing errors on column subsets, for the subset search.
+
+    The compact dual of ``fit_se`` is built once.  Fitting on a subset of
+    the columns keeps that subset's rows as equalities and frees the other
+    rows, which pins the left-out coefficients at zero (a free row's dual,
+    the negated coefficient, is zero).  Freeing rows only relaxes the dual,
+    so the optimal basis of a column set stays primal feasible for any
+    subset of it, and a fit warm-started from it goes straight to phase 2.
+
+    A node is (sorted columns, error, dual solution).  ``relax`` and
+    ``objective`` fit a column set warm-started from the given parent node,
+    or from the OLS crash of ``fit_se`` without one, and return the parent
+    itself for its own column set; ``branch_values`` reads the fitted
+    coefficients of the free columns off the node's row duals.
+    """
+
+    def __init__(self, data: Dataset):
+        half_n = 0.5 / data.n
+        self.problem, self.crash = _dual_problem(data, -half_n, half_n, 0.5)
+        self.n = data.n
+
+    def _node(self, columns, parent):
+        key = tuple(sorted(columns))
+        if parent is not None and parent[0] == key:
+            return parent
+        self.problem.set_relation(slice(1, None), "free")
+        self.problem.set_relation(1 + np.asarray(key, dtype=np.intp), "=")
+        start = self.crash if parent is None else (parent[2].basis, parent[2].vstate)
+        sol = _solve_dual(self.problem, start, self.n)
+        return key, -float(sol.objective), sol
+
+    def relax(self, included, free, parent):
+        node = self._node(included + free, parent)
+        return node[1], node
+
+    def branch_values(self, included, free, node):
+        return -node[2].duals[1 + np.asarray(free, dtype=np.intp)]
+
+    def objective(self, support, node) -> float:
+        return self._node(support, node)[1]
 
 
 def fit_quantile(data: Dataset, alpha) -> LinearModel:
@@ -276,6 +334,21 @@ def fit_se(data: Dataset) -> LinearModel:
 
 # -- literal primal formulations ---------------------------------------------
 
+def _observation_index(n: int, idx_c0: int, idx_c, idx_part):
+    """Entry indices of the rows sign * (c0 + c . x_i) + part_i, one per observation."""
+    index = np.empty((n, idx_c.size + 2), dtype=np.intp)
+    index[:, 0] = idx_c0
+    index[:, 1:-1] = idx_c
+    index[:, -1] = idx_part
+    return index
+
+
+def _observation_value(design: np.ndarray, sign: float):
+    """Entry values matching ``_observation_index``: sign, sign * x_i, then 1."""
+    n = design.shape[0]
+    return np.column_stack((np.full(n, sign), sign * design, np.ones(n)))
+
+
 def se_lp_problem(data: Dataset):
     """Epigraph LP for the zero-bias fit with one part variable per row.
 
@@ -303,13 +376,9 @@ def se_lp_problem(data: Dataset):
     if d:
         row[idx_c] = -data.design.mean(axis=0)
     problem.add_row(row, ">=", -float(data.response.mean()))
-    for i in range(n):
-        r = np.zeros(num)
-        r[idx_u[i]] = 1.0
-        r[idx_c0] = 1.0
-        if d:
-            r[idx_c] = data.design[i]
-        problem.add_row(r, ">=", float(data.response[i]))
+    # u_i + c0 + c . x_i >= y_i, one row per observation
+    problem.add_rows(_observation_index(n, idx_c0, idx_c, idx_u),
+                     _observation_value(data.design, 1.0), ">=", data.response)
     index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "u": idx_u}
     return problem, index
 
@@ -342,19 +411,14 @@ def bmr_aux_lp_problem(data: Dataset, x):
     row[idx_t] = 1.0
     row[idx_p] = -inv_n
     problem.add_row(row, ">=", -b.x_minus)
-    for i in range(n):
-        r = np.zeros(num)
-        r[idx_p[i]] = 1.0
-        r[idx_c0] = 1.0
-        if d:
-            r[idx_c] = data.design[i]
-        problem.add_row(r, ">=", float(data.response[i]))
-        r = np.zeros(num)
-        r[idx_q[i]] = 1.0
-        r[idx_c0] = -1.0
-        if d:
-            r[idx_c] = -data.design[i]
-        problem.add_row(r, ">=", -float(data.response[i]))
+    # p_i + c0 + c . x_i >= y_i and q_i - c0 - c . x_i >= -y_i, interleaved
+    entries = np.empty((2 * n, d + 2), dtype=np.intp)
+    entries[0::2] = _observation_index(n, idx_c0, idx_c, idx_p)
+    entries[1::2] = _observation_index(n, idx_c0, idx_c, idx_q)
+    value = np.empty((2 * n, d + 2))
+    value[0::2] = _observation_value(data.design, 1.0)
+    value[1::2] = _observation_value(data.design, -1.0)
+    problem.add_rows(entries, value, ">=", np.column_stack((data.response, -data.response)).ravel())
     index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "p": idx_p, "q": idx_q}
     return problem, index
 

@@ -1,14 +1,18 @@
 """Cardinality-constrained (best-subset) regression.
 
-Two exact solvers and one oracle:
+One search, one cross-check and one oracle:
 
-* part-balancing error: big-M mixed-binary LP handed to the branch-and-bound
-  layer, with automatic big-M escalation when a coefficient presses against
-  the box;
-* squared error: a bespoke include/exclude branch and bound whose node bound
-  is the least-squares objective with the excluded set forced to zero (valid
-  because adding exclusions can only raise the minimum), seeded by greedy
-  forward selection;
+* ``fit_sparse_se`` and ``fit_sparse_mse`` run the same best-first
+  include/exclude branch and bound.  A node's bound is the error minimized
+  over its included-plus-free columns with the excluded ones forced to zero
+  (valid because adding exclusions can only raise the minimum).  The
+  squared error reads it from one Gram matrix; the part-balancing error
+  from the compact dual of ``fit_se`` with the excluded columns' rows
+  freed, each node warm-started from its parent's basis.  Greedy forward
+  selection under squared error seeds the incumbent of both;
+* ``fit_sparse_se_milp``: the paper's big-M mixed-binary LP for the
+  part-balancing error, handed to the branch-and-bound layer with automatic
+  big-M escalation when a coefficient presses against the box;
 * ``brute_force_subset``: exhaustive enumeration of all size-k supports,
   guarded to a million combinations.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp_core import LpError, solve_mip
-from .regression import Dataset, LinearModel, fit_ols, fit_se, se_lp_problem
+from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_lp_problem
 
 BRUTE_FORCE_GUARD = 10 ** 6
 ZERO_COEFF_TOL = 1e-8
@@ -34,10 +38,10 @@ ZERO_COEFF_TOL = 1e-8
 class SparseProblem:
     """Best-subset instance: data, cardinality bound, error kind, budgets.
 
-    ``big_m`` of None requests the automatic bound 2*max(1, |c_ols|_inf).
-    ``max_nodes`` is the deterministic search budget; the wall-clock limit
-    stays as a backstop (timing-dependent results are possible once it
-    binds).
+    ``big_m`` is the box of the big-M program (``fit_sparse_se_milp`` only);
+    None requests the automatic bound 2*max(1, |c_ols|_inf).  ``max_nodes``
+    is the deterministic search budget; the wall-clock limit stays as a
+    backstop (timing-dependent results are possible once it binds).
     """
 
     data: Dataset
@@ -143,6 +147,7 @@ class _GramSolver:
         self.rhs = full.T @ data.response
         self.yty = float(data.response @ data.response)
         self.n = data.n
+        self.d = data.d
 
     def _system(self, support):
         """Gram block and right-hand side over the intercept plus ``support``."""
@@ -174,19 +179,14 @@ def _brute_force_mse(data: Dataset, k: int):
     return best_support, best_obj
 
 
-def _greedy_forward(data: Dataset, k: int, error_kind: str):
-    """Forward selection: k steps, each adding the largest improvement."""
+def _greedy_forward(solver: _GramSolver, k: int):
+    """Forward selection under squared error: k steps, each adding the best column."""
     chosen: list[int] = []
-    remaining = list(range(data.d))
-    solver = _GramSolver(data) if error_kind == "mse" else None
+    remaining = list(range(solver.d))
     while len(chosen) < k and remaining:
         best_j, best_obj = None, np.inf
         for j in remaining:
-            trial = chosen + [j]
-            if solver is not None:
-                obj = solver.objective(trial)
-            else:
-                _, _, obj = _sparse_model(data, trial, "se")
+            obj = solver.objective(chosen + [j])
             if obj < best_obj - 1e-15:
                 best_j, best_obj = j, obj
         chosen.append(best_j)
@@ -194,16 +194,142 @@ def _greedy_forward(data: Dataset, k: int, error_kind: str):
     return tuple(sorted(chosen))
 
 
-def fit_sparse_se(problem: SparseProblem) -> SparseSolution:
-    """Best subset under the part-balancing error via a big-M binary LP.
+class _GramOracle:
+    """Least-squares errors on column subsets for the search; nodes carry nothing.
 
-    The epigraph LP gains one indicator per coefficient with the linking
-    rows -M z_j <= c_j <= M z_j and a cardinality row.  If an incumbent
-    coefficient reaches 0.99*M the box was binding: M doubles and the solve
-    repeats, at most three times.
+    The part-balancing counterpart is ``regression.SeSubsetOracle``.
+    """
+
+    def __init__(self, solver: _GramSolver):
+        self.solver = solver
+
+    def relax(self, included, free, parent):
+        return self.solver.objective(included + free), None
+
+    def branch_values(self, included, free, node):
+        return self.solver.coefficients(included + free)[1 + len(included):]
+
+    def objective(self, support, node) -> float:
+        return self.solver.objective(support)
+
+
+def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
+    """Best-first include/exclude branch and bound over a subset oracle.
+
+    A node fixes some columns in and leaves others free (the rest are out);
+    ``oracle.relax`` gives its bound, the minimum error over in-plus-free,
+    which exclusions can only raise.  Branching picks the free column with
+    the largest |coefficient| in ``oracle.branch_values``; the include child
+    keeps the parent's column set, the exclude child drops the column.  A
+    node with k columns in, or at most k columns in reach, is a leaf scored
+    by ``oracle.objective``.  ``seed`` is the starting incumbent support.
+    Oracle calls below a node receive that node's state, for warm starts.
+    """
+    data, k = problem.data, problem.k
+    start = time.perf_counter()
+    root_candidates = tuple(range(data.d))
+    root_bound, root = oracle.relax((), root_candidates, None)
+    incumbent_support = seed
+    incumbent_obj = oracle.objective(seed, root)
+
+    counter = 0
+    heap = [(root_bound, 0, (), root_candidates, root)]
+    nodes = 0
+    best_bound = root_bound
+    status = None
+    while heap:
+        lb = min(heap[0][0], incumbent_obj)
+        best_bound = max(best_bound, lb)
+        if abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj)) <= problem.gap_tol:
+            status = "optimal"
+            break
+        if problem.max_nodes is not None and nodes >= problem.max_nodes:
+            status = "feasible"
+            break
+        if time.perf_counter() - start > problem.time_limit_s:
+            status = "time_limit"
+            break
+        bound, _, included, free, node = heapq.heappop(heap)
+        if bound >= incumbent_obj - 1e-12:
+            continue
+        nodes += 1
+        if len(included) == k or len(included) + len(free) <= k:
+            leaf = tuple(sorted(included if len(included) == k else included + free))
+            obj = oracle.objective(leaf, node)
+            if obj < incumbent_obj - 1e-15:
+                incumbent_support, incumbent_obj = leaf, obj
+            continue
+        branch_pos = int(np.argmax(np.abs(oracle.branch_values(included, free, node))))
+        j = free[branch_pos]
+        rest = free[:branch_pos] + free[branch_pos + 1:]
+        for child_in, child_free in (((*included, j), rest), (included, rest)):
+            if len(child_in) + len(child_free) < k:
+                continue
+            if len(child_in) == k:
+                obj = oracle.objective(tuple(sorted(child_in)), node)
+                if obj < incumbent_obj - 1e-15:
+                    incumbent_support, incumbent_obj = tuple(sorted(child_in)), obj
+                continue
+            child_bound, child = oracle.relax(child_in, child_free, node)
+            if child_bound >= incumbent_obj - 1e-12:
+                continue
+            counter += 1
+            heapq.heappush(heap, (child_bound, counter, child_in, child_free, child))
+    if status is None:
+        best_bound = incumbent_obj
+        status = "optimal"
+    best_bound = min(best_bound, incumbent_obj)
+
+    model, support, objective = _sparse_model(data, incumbent_support, problem.error_kind)
+    bound = min(best_bound, objective)
+    gap = abs(objective - bound) / max(1.0, abs(objective))
+    return SparseSolution(model=model, support=support, objective=objective,
+                          bound=bound, gap=gap, status=status, nodes=nodes,
+                          time_s=time.perf_counter() - start)
+
+
+def fit_sparse_mse(problem: SparseProblem) -> SparseSolution:
+    """Best subset under squared error by include/exclude branch and bound.
+
+    Node bounds and branching coefficients are least-squares fits from one
+    Gram matrix; greedy forward selection seeds the incumbent.
+    """
+    if problem.error_kind != "mse":
+        raise ValueError("fit_sparse_mse expects error kind 'mse'")
+    solver = _GramSolver(problem.data)
+    return _include_exclude(problem, _GramOracle(solver), _greedy_forward(solver, problem.k))
+
+
+def fit_sparse_se(problem: SparseProblem) -> SparseSolution:
+    """Best subset under the part-balancing error by include/exclude branch and bound.
+
+    Node bounds are fits on the compact dual of ``fit_se`` with the rows of
+    excluded columns freed, each warm-started from its parent's basis, and
+    the branching coefficients are the negated row duals.  The squared-error
+    greedy support, scored under the part-balancing error, seeds the
+    incumbent.  ``fit_sparse_se_milp`` solves the same problem as the
+    paper's big-M program; ``big_m`` applies only there.
     """
     if problem.error_kind != "se":
         raise ValueError("fit_sparse_se expects error kind 'se'")
+    if problem.big_m is not None:
+        raise ValueError("big-M applies only to fit_sparse_se_milp")
+    seed = _greedy_forward(_GramSolver(problem.data), problem.k)
+    return _include_exclude(problem, SeSubsetOracle(problem.data), seed)
+
+
+def fit_sparse_se_milp(problem: SparseProblem) -> SparseSolution:
+    """Best subset under the part-balancing error via a big-M binary LP.
+
+    The paper's formulation, kept as a cross-check of ``fit_sparse_se``.
+    The epigraph LP gains one indicator per coefficient with the linking
+    rows -M z_j <= c_j <= M z_j and a cardinality row.  If an incumbent
+    coefficient reaches 0.99*M the box was binding: M doubles and the solve
+    repeats, at most three times.  The squared-error greedy support is the
+    incumbent hint.
+    """
+    if problem.error_kind != "se":
+        raise ValueError("fit_sparse_se_milp expects error kind 'se'")
     data, k = problem.data, problem.k
     start = time.perf_counter()
     if problem.big_m is not None:
@@ -211,10 +337,8 @@ def fit_sparse_se(problem: SparseProblem) -> SparseSolution:
     else:
         ols = fit_ols(data)
         big_m = 2.0 * max(1.0, float(np.max(np.abs(ols.coefficients), initial=0.0)))
-    hint_support = _greedy_forward(data, k, "se")
     hint = np.zeros(data.d)
-    for j in hint_support:
-        hint[j] = 1.0
+    hint[list(_greedy_forward(_GramSolver(data), k))] = 1.0
 
     escalations = 0
     while True:
@@ -255,87 +379,15 @@ def _solve_se_milp(problem: SparseProblem, big_m: float, hint):
     grown.row_value = lp.row_value
     grown.relations = lp.relations
     grown.rhs = lp.rhs
-    for j in range(d):
-        grown.mark_binary(base + j)
-        grown.add_row({int(index["c"][j]): 1.0, base + j: -big_m}, "<=", 0.0)
-        grown.add_row({int(index["c"][j]): -1.0, base + j: -big_m}, "<=", 0.0)
-    grown.add_row({base + j: 1.0 for j in range(d)}, "<=", float(k))
+    binaries = base + np.arange(d)
+    grown.mark_binary(binaries)
+    # c_j - M z_j <= 0 and -c_j - M z_j <= 0, interleaved by j
+    linking = np.empty((2 * d, 2), dtype=np.intp)
+    linking[:, 0] = np.repeat(index["c"], 2)
+    linking[:, 1] = np.repeat(binaries, 2)
+    signs = np.tile([1.0, -1.0], d)
+    grown.add_rows(linking, np.column_stack((signs, np.full(2 * d, -big_m))), "<=", 0.0)
+    grown.add_rows(binaries[None, :], np.ones((1, d)), "<=", float(k))
     return solve_mip(grown, time_limit_s=problem.time_limit_s,
                      gap_tol=problem.gap_tol, max_nodes=problem.max_nodes,
                      incumbent_hint=hint)
-
-
-def fit_sparse_mse(problem: SparseProblem) -> SparseSolution:
-    """Best subset under squared error by include/exclude branch and bound.
-
-    A node fixes some variables in and some out; its bound is the
-    least-squares objective over in-plus-free, which exclusions can only
-    raise.  Branching picks the free variable with the largest coefficient
-    in the node's relaxed fit.
-    """
-    if problem.error_kind != "mse":
-        raise ValueError("fit_sparse_mse expects error kind 'mse'")
-    data, k = problem.data, problem.k
-    start = time.perf_counter()
-    solver = _GramSolver(data)
-    incumbent_support = _greedy_forward(data, k, "mse")
-    incumbent_obj = solver.objective(incumbent_support)
-
-    counter = 0
-    root_candidates = tuple(range(data.d))
-    root_bound = solver.objective(root_candidates)
-    heap = [(root_bound, 0, (), root_candidates)]
-    nodes = 0
-    best_bound = root_bound
-    status = None
-    while heap:
-        lb = min(heap[0][0], incumbent_obj)
-        best_bound = max(best_bound, lb)
-        if abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj)) <= problem.gap_tol:
-            status = "optimal"
-            break
-        if problem.max_nodes is not None and nodes >= problem.max_nodes:
-            status = "feasible"
-            break
-        if time.perf_counter() - start > problem.time_limit_s:
-            status = "time_limit"
-            break
-        bound, _, included, free = heapq.heappop(heap)
-        if bound >= incumbent_obj - 1e-12:
-            continue
-        nodes += 1
-        if len(included) == k or len(included) + len(free) <= k:
-            leaf = tuple(sorted(included if len(included) == k else included + free))
-            obj = solver.objective(leaf)
-            if obj < incumbent_obj - 1e-15:
-                incumbent_support, incumbent_obj = leaf, obj
-            continue
-        beta = solver.coefficients(included + free)
-        free_betas = beta[1 + len(included):]
-        branch_pos = int(np.argmax(np.abs(free_betas)))
-        j = free[branch_pos]
-        rest = free[:branch_pos] + free[branch_pos + 1:]
-        for child_in, child_free in (((*included, j), rest), (included, rest)):
-            if len(child_in) + len(child_free) < k:
-                continue
-            if len(child_in) == k:
-                obj = solver.objective(tuple(sorted(child_in)))
-                if obj < incumbent_obj - 1e-15:
-                    incumbent_support, incumbent_obj = tuple(sorted(child_in)), obj
-                continue
-            child_bound = solver.objective(child_in + child_free)
-            if child_bound >= incumbent_obj - 1e-12:
-                continue
-            counter += 1
-            heapq.heappush(heap, (child_bound, counter, child_in, child_free))
-    if status is None:
-        best_bound = incumbent_obj
-        status = "optimal"
-    best_bound = min(best_bound, incumbent_obj)
-
-    model, support, objective = _sparse_model(data, incumbent_support, "mse")
-    bound = min(best_bound, objective)
-    gap = abs(objective - bound) / max(1.0, abs(objective))
-    return SparseSolution(model=model, support=support, objective=objective,
-                          bound=bound, gap=gap, status=status, nodes=nodes,
-                          time_s=time.perf_counter() - start)

@@ -121,6 +121,18 @@ class TestSampleContract:
         assert np.allclose(view.probabilities, [0.2, 0.4, 0.4])
         assert np.allclose(view.cdf, [0.2, 0.6, 1.0]) and view.cdf[-1] == 1.0
 
+    def test_upper_tail_sums_on_view(self, rng):
+        atoms = np.round(rng.standard_normal(60) * 8) / 8
+        s = make_sample(atoms, rng.uniform(0.1, 1.0, 60))
+        view = s.sorted_view
+        assert view.grid.tolist() == [0.0] + view.cdf.tolist()
+        for j in range(view.atoms.size + 1):
+            above = view.atoms[j:]
+            assert view.tail[j] == pytest.approx(above @ view.probabilities[j:], abs=1e-15)
+        assert view.tail[-1] == 0.0
+        assert view.tail[0] == pytest.approx(s.mean(), abs=1e-14)
+        assert s.sorted_view.tail is view.tail
+
     def test_cached_view_gives_identical_results(self, rng):
         atoms = np.round(rng.standard_normal(300) * 64) / 64
         weights = rng.uniform(0.05, 1.0, 300)

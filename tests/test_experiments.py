@@ -219,6 +219,21 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["support"] == [2]
 
+    def test_sparse_milp_command(self, tmp_path, rng):
+        x = rng.standard_normal((40, 4))
+        y = 2.0 * x[:, 2] + 0.01 * rng.standard_normal(40)
+        src = tmp_path / "s.csv"
+        write_csv(str(src), ["a", "b", "c", "d", "y"], np.column_stack((x, y)))
+        payloads = []
+        for extra in ([], ["--milp"], ["--milp", "--big-m", "0.5"]):
+            out = tmp_path / "sp.json"
+            assert main(["sparse", "--error", "se", "--k", "1", "--input", str(src),
+                         "--target", "y", "--output", str(out), *extra]) == 0
+            payloads.append(json.loads(out.read_text()))
+        assert [p["support"] for p in payloads] == [[2], [2], [2]]
+        assert payloads[1]["objective"] == pytest.approx(payloads[0]["objective"], abs=1e-8)
+        assert [p["big_m_active"] for p in payloads] == [False, False, True]
+
     def test_experiment_command_exit_code(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "table2_pattern", "seed": 99}))
@@ -253,6 +268,12 @@ class TestCli:
         (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:0.002:0.001",
           "--format", "csv"], "--output"),
         (["experiment", "--id", "sparse_recovery", "--config", "{cfg}"], "disagrees"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--big-m", "5"], "--milp"),
+        (["sparse", "--error", "mse", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--milp"], "--error se"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--milp", "--oracle"], "not both"),
         (["experiment"], "--id or --config"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):

@@ -652,6 +652,120 @@ class TestDump:
         assert "2.0" in text and "<=" in text and "bound 0" in text
 
 
+class TestRowBlocks:
+    def test_add_rows_matches_dense_add_row(self, rng):
+        n, width = 30, 4
+        index = np.array([rng.choice(n, width, replace=False) for _ in range(12)])
+        value = rng.standard_normal((12, width))
+        value[rng.random((12, width)) < 0.3] = 0.0
+        value[0, 0] = -0.0
+        rhs = rng.standard_normal(12)
+        block, rows = LpProblem(n), LpProblem(n)
+        block.add_rows(index, value, ">=", rhs)
+        for r in range(12):
+            dense = np.zeros(n)
+            dense[index[r]] = value[r]
+            rows.add_row(dense, ">=", float(rhs[r]))
+        assert dump_problem(block) == dump_problem(rows)
+        assert np.array_equal(block.dense_matrix(), rows.dense_matrix())
+
+    def test_add_rows_scalar_rhs_and_empty_block(self):
+        p = LpProblem(3)
+        p.add_rows(np.zeros((0, 2), dtype=int), np.zeros((0, 2)), "<=", 1.0)
+        assert p.num_rows == 0
+        p.add_rows([[2, 0]], [[1.0, 3.0]], "=", 4.0)
+        assert p.row_index[0].tolist() == [0, 2] and p.row_value[0].tolist() == [3.0, 1.0]
+        assert p.relations == ["="] and p.rhs == [4.0]
+
+    @pytest.mark.parametrize("index, value, relation, rhs, message", [
+        ([[0, 0]], [[1.0, 2.0]], "<=", 0.0, "twice"),
+        ([[0, 3]], [[1.0, 2.0]], "<=", 0.0, "unknown variable"),
+        ([[0, 1]], [[1.0]], "<=", 0.0, "shapes"),
+        ([[0, 1]], [[1.0, np.nan]], "<=", 0.0, "finite"),
+        ([[0, 1]], [[1.0, 2.0]], "<=", np.inf, "rhs"),
+        ([[0, 1]], [[1.0, 2.0]], "<", 0.0, "relation"),
+    ])
+    def test_add_rows_rejects(self, index, value, relation, rhs, message):
+        p = LpProblem(3)
+        with pytest.raises(LpError, match=message):
+            p.add_rows(index, value, relation, rhs)
+        assert p.num_rows == 0
+
+    def test_mark_binary_index_array(self):
+        one, many = LpProblem(6), LpProblem(6)
+        for p in (one, many):
+            p.set_bounds(slice(0, 6), -2.0, 0.5)
+        one.mark_binary(np.arange(1, 5))
+        for j in range(1, 5):
+            many.mark_binary(j)
+        assert dump_problem(one) == dump_problem(many)
+
+    def test_set_relation(self):
+        p = LpProblem(2)
+        for _ in range(4):
+            p.add_row({0: 1.0}, "=", 0.0)
+        p.set_relation(slice(1, None), "free")
+        p.set_relation(np.array([2]), "<=")
+        assert p.relations == ["=", "free", "<=", "free"]
+        with pytest.raises(LpError):
+            p.set_relation(0, "~")
+
+
+class TestFreeRows:
+    def test_matches_highs_with_rows_dropped(self, rng):
+        for _ in range(30):
+            p = _random_bounded_feasible(rng)
+            free = rng.random(p.num_rows) < 0.4
+            p.set_relation(np.flatnonzero(free), "free")
+            sol = solve_lp(p)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(_highs_objective(p), abs=1e-8)
+            kept = LpProblem(p.num_vars)
+            kept.set_objective(p.objective)
+            kept.set_bounds(slice(None), p.lower, p.upper)
+            for r in np.flatnonzero(~free):
+                kept.add_row(p.dense_matrix()[r], p.relations[r], p.rhs[r])
+            assert sol.objective == pytest.approx(solve_lp(kept).objective, abs=1e-9)
+            assert np.all(np.abs(sol.duals[free]) <= simplex.DUAL_TOL)
+
+    def test_free_row_rhs_ignored(self):
+        p = LpProblem(2)
+        p.set_objective([1.0, 1.0])
+        p.set_bounds(slice(None), 0.0, 5.0)
+        p.add_row({0: 1.0, 1: 1.0}, ">=", 2.0)
+        p.add_row({0: 1.0}, "free", 1e6)
+        sol = solve_lp(p)
+        assert sol.status == "optimal" and sol.objective == pytest.approx(2.0)
+
+    def test_warm_toggle_reaches_cold_optimum(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(2, 10))
+            n = int(rng.integers(m + 1, 20))
+            a = rng.standard_normal((m, n))
+            x0 = rng.uniform(-1.0, 1.0, n)
+            p = LpProblem(n)
+            p.set_objective(rng.standard_normal(n))
+            p.set_bounds(slice(None), -2.0, 2.0)
+            p.add_rows(np.tile(np.arange(n), (m, 1)), a, "=", a @ x0)
+            rows = rng.choice(m, size=max(1, m // 2), replace=False)
+            first = solve_lp(p)
+            assert first.status == "optimal"
+            p.set_relation(rows, "free")
+            # the constrained optimum is primal feasible for the relaxation
+            start = _Simplex(p)
+            assert start.warm_start(first.basis, first.vstate)
+            assert start.phase1(100) == "feasible" and start.iterations == 0
+            relaxed = solve_lp(p, warm=(first.basis, first.vstate))
+            assert relaxed.status == "optimal"
+            assert relaxed.objective == pytest.approx(solve_lp(p).objective, abs=1e-9)
+            assert relaxed.objective <= first.objective + 1e-9
+            p.set_relation(rows, "=")
+            back = solve_lp(p, warm=(relaxed.basis, relaxed.vstate))
+            assert back.status == "optimal"
+            assert back.objective == pytest.approx(first.objective, abs=1e-9)
+            assert back.objective == pytest.approx(_highs_objective(p), abs=1e-8)
+
+
 class TestSolveMip:
     def test_trivial_binary(self):
         p = LpProblem(1)

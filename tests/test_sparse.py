@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from quadlab.distributions import DesignSpec, sample_correlated_design
 from quadlab.regression import Dataset, LinearModel, fit_ols, fit_se
 from quadlab.sparse import (
     SparseProblem,
+    _GramSolver,
+    _sparse_model,
     brute_force_subset,
     fit_sparse_mse,
     fit_sparse_se,
+    fit_sparse_se_milp,
     support_accuracy,
 )
 
@@ -25,15 +30,17 @@ class TestExactRecovery:
     def test_single_column_response(self, rng):
         x = rng.standard_normal((30, 3))
         data = Dataset(x, x[:, 1].copy())
-        for fitter, kind in ((fit_sparse_se, "se"), (fit_sparse_mse, "mse")):
+        for fitter, kind in ((fit_sparse_se, "se"), (fit_sparse_se_milp, "se"),
+                             (fit_sparse_mse, "mse")):
             sol = fitter(SparseProblem(data, k=1, error_kind=kind))
             assert sol.support == (1,)
             assert sol.objective == pytest.approx(0.0, abs=1e-10)
 
     def test_full_cardinality_equals_unrestricted(self, rng):
         data, _ = planted_instance(rng, d=6, k=2, noise=0.3)
-        se_sol = fit_sparse_se(SparseProblem(data, k=6, error_kind="se"))
-        assert se_sol.objective == pytest.approx(fit_se(data).objective, abs=1e-8)
+        for fitter in (fit_sparse_se, fit_sparse_se_milp):
+            se_sol = fitter(SparseProblem(data, k=6, error_kind="se"))
+            assert se_sol.objective == pytest.approx(fit_se(data).objective, abs=1e-8)
         mse_sol = fit_sparse_mse(SparseProblem(data, k=6, error_kind="mse"))
         assert mse_sol.objective == pytest.approx(fit_ols(data).objective, abs=1e-10)
 
@@ -65,7 +72,8 @@ class TestOracle:
     def test_oracle_dominates_solvers(self, rng):
         for _ in range(4):
             data, _ = planted_instance(rng, d=8, k=2, rho=0.5, noise=1.0)
-            for kind, fitter in (("se", fit_sparse_se), ("mse", fit_sparse_mse)):
+            for kind, fitter in (("se", fit_sparse_se), ("se", fit_sparse_se_milp),
+                                 ("mse", fit_sparse_mse)):
                 oracle = brute_force_subset(data, 2, kind)
                 sol = fitter(SparseProblem(data, k=2, error_kind=kind))
                 assert oracle.objective <= sol.objective + 1e-8
@@ -87,36 +95,43 @@ class TestOracle:
 class TestSolverContracts:
     def test_bound_below_incumbent(self, rng):
         data, _ = planted_instance(rng, d=10, k=3, rho=0.6, noise=1.0)
-        for kind, fitter in (("se", fit_sparse_se), ("mse", fit_sparse_mse)):
+        for kind, fitter in (("se", fit_sparse_se), ("se", fit_sparse_se_milp),
+                             ("mse", fit_sparse_mse)):
             sol = fitter(SparseProblem(data, k=3, error_kind=kind))
             assert sol.bound <= sol.objective + 1e-9
             assert sol.gap >= 0.0
 
     def test_off_support_coefficients_exact_zero(self, rng):
         data, _ = planted_instance(rng, d=9, k=2, noise=0.5)
-        sol = fit_sparse_se(SparseProblem(data, k=2, error_kind="se"))
-        off = [j for j in range(9) if j not in sol.support]
-        assert all(sol.model.coefficients[j] == 0.0 for j in off)
-        assert len(sol.support) <= 2
+        for fitter in (fit_sparse_se, fit_sparse_se_milp):
+            sol = fitter(SparseProblem(data, k=2, error_kind="se"))
+            off = [j for j in range(9) if j not in sol.support]
+            assert all(sol.model.coefficients[j] == 0.0 for j in off)
+            assert len(sol.support) <= 2
 
     def test_node_budget_returns_feasible(self, rng):
         data, _ = planted_instance(rng, d=12, k=3, rho=0.8, noise=1.0)
-        sol = fit_sparse_se(SparseProblem(data, k=3, error_kind="se", max_nodes=1))
-        assert sol.status in ("feasible", "optimal", "time_limit")
-        assert sol.objective is not None
+        for fitter in (fit_sparse_se, fit_sparse_se_milp):
+            sol = fitter(SparseProblem(data, k=3, error_kind="se", max_nodes=1))
+            assert sol.status in ("feasible", "optimal", "time_limit")
+            assert sol.objective is not None
 
     def test_error_kind_checked(self, rng):
         data, _ = planted_instance(rng)
         with pytest.raises(ValueError):
             fit_sparse_se(SparseProblem(data, k=1, error_kind="mse"))
         with pytest.raises(ValueError):
+            fit_sparse_se_milp(SparseProblem(data, k=1, error_kind="mse"))
+        with pytest.raises(ValueError):
             fit_sparse_mse(SparseProblem(data, k=1, error_kind="se"))
+        with pytest.raises(ValueError, match="fit_sparse_se_milp"):
+            fit_sparse_se(SparseProblem(data, k=1, error_kind="se", big_m=10.0))
 
     def test_explicit_big_m_small_triggers_escalation_flag(self, rng):
         x = rng.standard_normal((40, 3))
         y = 5.0 * x[:, 0] + 0.01 * rng.standard_normal(40)
         data = Dataset(x, y)
-        sol = fit_sparse_se(SparseProblem(data, k=1, error_kind="se", big_m=1.0))
+        sol = fit_sparse_se_milp(SparseProblem(data, k=1, error_kind="se", big_m=1.0))
         assert sol.big_m_active
         assert sol.support == (0,)
         assert sol.model.coefficients[0] == pytest.approx(5.0, abs=1e-2)
@@ -143,3 +158,147 @@ class TestAccuracy:
         model = LinearModel(0.0, np.array([1e-12, 1.0]))
         true = np.array([1.0, 1.0])
         assert support_accuracy(model, true, 2).accuracy == pytest.approx(0.5)
+
+
+def _loop_greedy_mse(data, k):
+    """The squared-error greedy seed as it stood before the shared search loop."""
+    chosen, remaining = [], list(range(data.d))
+    solver = _GramSolver(data)
+    while len(chosen) < k and remaining:
+        best_j, best_obj = None, np.inf
+        for j in remaining:
+            obj = solver.objective(chosen + [j])
+            if obj < best_obj - 1e-15:
+                best_j, best_obj = j, obj
+        chosen.append(best_j)
+        remaining.remove(best_j)
+    return tuple(sorted(chosen))
+
+
+def _loop_fit_sparse_mse(problem):
+    """``fit_sparse_mse`` as a bespoke loop, the reference for the shared search."""
+    data, k = problem.data, problem.k
+    solver = _GramSolver(data)
+    incumbent_support = _loop_greedy_mse(data, k)
+    incumbent_obj = solver.objective(incumbent_support)
+
+    counter = 0
+    root_candidates = tuple(range(data.d))
+    root_bound = solver.objective(root_candidates)
+    heap = [(root_bound, 0, (), root_candidates)]
+    nodes = 0
+    best_bound = root_bound
+    status = None
+    while heap:
+        lb = min(heap[0][0], incumbent_obj)
+        best_bound = max(best_bound, lb)
+        if abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj)) <= problem.gap_tol:
+            status = "optimal"
+            break
+        if problem.max_nodes is not None and nodes >= problem.max_nodes:
+            status = "feasible"
+            break
+        bound, _, included, free = heapq.heappop(heap)
+        if bound >= incumbent_obj - 1e-12:
+            continue
+        nodes += 1
+        if len(included) == k or len(included) + len(free) <= k:
+            leaf = tuple(sorted(included if len(included) == k else included + free))
+            obj = solver.objective(leaf)
+            if obj < incumbent_obj - 1e-15:
+                incumbent_support, incumbent_obj = leaf, obj
+            continue
+        beta = solver.coefficients(included + free)
+        free_betas = beta[1 + len(included):]
+        branch_pos = int(np.argmax(np.abs(free_betas)))
+        j = free[branch_pos]
+        rest = free[:branch_pos] + free[branch_pos + 1:]
+        for child_in, child_free in (((*included, j), rest), (included, rest)):
+            if len(child_in) + len(child_free) < k:
+                continue
+            if len(child_in) == k:
+                obj = solver.objective(tuple(sorted(child_in)))
+                if obj < incumbent_obj - 1e-15:
+                    incumbent_support, incumbent_obj = tuple(sorted(child_in)), obj
+                continue
+            child_bound = solver.objective(child_in + child_free)
+            if child_bound >= incumbent_obj - 1e-12:
+                continue
+            counter += 1
+            heapq.heappush(heap, (child_bound, counter, child_in, child_free))
+    if status is None:
+        best_bound = incumbent_obj
+        status = "optimal"
+    best_bound = min(best_bound, incumbent_obj)
+
+    model, support, objective = _sparse_model(data, incumbent_support, "mse")
+    bound = min(best_bound, objective)
+    gap = abs(objective - bound) / max(1.0, abs(objective))
+    return model, support, objective, bound, gap, status, nodes
+
+
+def _mse_cases():
+    """40 (d, rho, k, max_nodes) cases: 36 drawn, plus the k = 1 and k = d ends."""
+    rng = np.random.default_rng(404)
+    cases = [(int(d), float(rng.choice([0.0, 0.6, 0.9])), int(rng.integers(1, d + 1)),
+              [1, None][int(rng.integers(2))]) for d in rng.integers(6, 13, size=36)]
+    return cases + [(6, 0.9, 6, None), (12, 0.0, 1, None), (12, 0.6, 12, 1), (7, 0.6, 1, 1)]
+
+
+class TestSharedSearch:
+    def test_mse_bit_identical_to_loop(self):
+        rng = np.random.default_rng(4041)
+        cases = _mse_cases()
+        assert len(cases) == 40
+        for d, rho, k, max_nodes in cases:
+            data, _ = planted_instance(rng, n=50, d=d, k=min(k, 3), rho=rho, noise=1.0)
+            problem = SparseProblem(data, k=k, error_kind="mse", max_nodes=max_nodes)
+            sol = fit_sparse_mse(problem)
+            model, support, objective, bound, gap, status, nodes = _loop_fit_sparse_mse(problem)
+            assert (sol.support, sol.objective, sol.bound, sol.gap, sol.status, sol.nodes) == \
+                (support, objective, bound, gap, status, nodes)
+            assert sol.model.intercept == model.intercept
+            assert np.array_equal(sol.model.coefficients, model.coefficients)
+
+    @staticmethod
+    def _adversarial(rng):
+        """(name, data, k) instances with ties, degeneracy and exact fits."""
+        x = rng.standard_normal((40, 6))
+        x[:, 4] = x[:, 1]
+        yield "duplicated columns", Dataset(x, x[:, 1] - 0.5 * x[:, 3]
+                                            + 0.3 * rng.standard_normal(40)), 2
+        data, _ = planted_instance(rng, n=40, d=7, k=3, rho=0.6, noise=0.0)
+        yield "zero noise", data, 3
+        x = rng.standard_normal((40, 6))
+        x[:, 2] = 1.7
+        yield "constant column", Dataset(x, x[:, 0] + 0.5 * rng.standard_normal(40)), 2
+        data, _ = planted_instance(rng, n=40, d=8, k=2, rho=0.9, noise=1.0)
+        yield "k = 1", data, 1
+        yield "k = d", data, 8
+        data, _ = planted_instance(rng, n=30, d=5, k=2, rho=0.0, noise=0.0)
+        yield "zero noise, k = d", data, 5
+
+    def test_se_search_matches_milp_and_oracle(self, rng):
+        for name, data, k in self._adversarial(rng):
+            problem = SparseProblem(data, k=k, error_kind="se")
+            search = fit_sparse_se(problem)
+            milp = fit_sparse_se_milp(problem)
+            oracle = brute_force_subset(data, k, "se")
+            assert search.status == "optimal", name
+            assert search.objective == pytest.approx(oracle.objective, abs=1e-8), name
+            assert milp.objective == pytest.approx(oracle.objective, abs=1e-8), name
+            assert search.bound <= search.objective + 1e-9, name
+            assert len(search.support) <= k, name
+
+    def test_se_node_budget_keeps_incumbent(self, rng):
+        for name, data, k in self._adversarial(rng):
+            sol = fit_sparse_se(SparseProblem(data, k=k, error_kind="se", max_nodes=1))
+            oracle = brute_force_subset(data, k, "se")
+            assert sol.status in ("feasible", "optimal"), name
+            assert sol.nodes <= 1, name
+            assert len(sol.support) <= k, name
+            assert sol.objective >= oracle.objective - 1e-8, name
+            assert sol.bound <= sol.objective + 1e-9, name
+            z = data.response - sol.model.predict(data.design)
+            assert sol.objective == pytest.approx(
+                max(np.mean(np.maximum(-z, 0.0)), np.mean(np.maximum(z, 0.0))), abs=1e-12)
