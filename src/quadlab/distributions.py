@@ -22,13 +22,12 @@ class QuadratureError(RuntimeError):
 
 
 class SortedView(NamedTuple):
-    """Distinct sorted atoms a_1 < ... < a_k, their merged probabilities, the
-    step CDF, and the upper-tail grid.
+    """Distinct sorted atoms, merged probabilities, step CDF and upper-tail sums.
 
-    ``grid`` has length k+1: 0, F(a_1), ..., F(a_k) = 1.  ``tail[j]`` is
-    E[X; X > a_j], the expectation of the atoms strictly above the j-th
-    distinct atom (``tail[0]`` is the full mean, ``tail[k]`` is 0); on the
-    grid it equals int_G[j]^1 VaR-_beta dbeta.
+    For atoms a_1 < ... < a_k, ``grid`` has length k+1: 0, F(a_1), ...,
+    F(a_k) = 1.  ``tail[j]`` is E[X; X > a_j], the expectation of the atoms
+    strictly above the j-th distinct atom (``tail[0]`` is the full mean,
+    ``tail[k]`` is 0); it equals int_grid[j]^1 VaR-_beta dbeta.
     """
 
     atoms: np.ndarray
@@ -81,8 +80,7 @@ class EmpiricalSample:
 
     @cached_property
     def sorted_view(self) -> SortedView:
-        """The sample sorted once: distinct atoms, merged probabilities, step
-        CDF and the upper-tail sums on the cumulative grid.
+        """The sample sorted once, with its upper-tail sums (see ``SortedView``).
 
         Built on first use and cached; its arrays are read-only.  The last
         CDF entry is set to exactly 1.

@@ -159,10 +159,8 @@ class LpProblem:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.num_rows, self.num_vars))
-        if self.num_rows:
-            lengths = [idx.size for idx in self.row_index]
-            rows = np.repeat(np.arange(self.num_rows), lengths)
-            a[rows, np.concatenate(self.row_index)] = np.concatenate(self.row_value)
+        for r, (idx, val) in enumerate(zip(self.row_index, self.row_value)):
+            a[r, idx] = val
         return a
 
     def copy(self) -> "LpProblem":

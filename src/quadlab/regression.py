@@ -5,9 +5,11 @@ programs.  Their row counts grow with the sample, so the fitters solve the
 equivalent bounded-column dual, whose basis stays (d+1)-sized, and read the
 coefficients off the row multipliers; optimality of the stated primal is
 certified by recomputing the objective from the residuals and matching the
-LP value.  The literal primal formulations with auxiliary part variables
-are also provided: the sparse module embeds them in its MILP, and the test
-suite cross-checks the two routes.
+LP value.  ``SeSubsetOracle`` keeps one zero-bias dual for the best-subset
+search and fits column subsets on it by freeing rows.  The literal primal
+formulations with auxiliary part variables are also provided: the sparse
+module's MILP cross-check embeds them, and the test suite cross-checks the
+two routes.
 
 Identity used throughout for the biased-mean error with bias x:
 max{E[Z_-] - x_+, E[Z_+] - x_-} = (E|Z| - |x|)/2 + |E[Z] + x|/2.

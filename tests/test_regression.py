@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from quadlab.regression import (
     Dataset,
     NewsvendorSpec,
     Residuals,
+    SeSubsetOracle,
     bmr_aux_lp_problem,
     fit_biased_mean,
     fit_ols,
@@ -276,3 +279,41 @@ class TestAuxFormulationGuards:
         assert sol.status == "optimal"
         p, q = sol.x[index["p"]], sol.x[index["q"]]
         assert float(np.max(p * q, initial=0.0)) <= 1e-8
+
+
+class TestSeSubsetOracle:
+    def test_root_is_the_fit_se_solve(self, rng):
+        for _ in range(5):
+            data = random_dataset(rng, max_d=6)
+            if data.d == 0:
+                continue
+            columns = tuple(range(data.d))
+            bound, root = SeSubsetOracle(data).relax((), columns, None)
+            fit = fit_se(data)
+            assert np.array_equal(SeSubsetOracle(data).branch_values((), columns, root),
+                                  fit.coefficients)
+            assert bound == pytest.approx(fit.objective, abs=1e-12)
+
+    def test_warm_subsets_match_cold_refits(self, rng):
+        x = rng.standard_normal((60, 5))
+        x[:, 3] = x[:, 0]
+        data = Dataset(x, x @ np.array([1.0, 0.0, -2.0, 0.0, 0.5]) + rng.standard_normal(60))
+        oracle = SeSubsetOracle(data)
+        _, root = oracle.relax((), tuple(range(5)), None)
+        for size in (1, 2, 3, 4):
+            for support in itertools.combinations(range(5), size):
+                _, node = oracle.relax(support[:1], support[1:], root)
+                refit = fit_se(Dataset(x[:, list(support)], data.response))
+                assert oracle.objective(support, root) == pytest.approx(refit.objective,
+                                                                        abs=1e-10)
+                coeffs = oracle.branch_values((), support, node)
+                z = data.response - x[:, list(support)] @ coeffs
+                z -= z.mean()
+                assert 0.5 * np.mean(np.abs(z)) == pytest.approx(refit.objective, abs=1e-10)
+
+    def test_own_columns_reuse_the_node(self, rng):
+        x = rng.standard_normal((30, 4))
+        oracle = SeSubsetOracle(Dataset(x, x[:, 0] + rng.standard_normal(30)))
+        bound, node = oracle.relax((), (2, 0, 1), None)
+        assert oracle.relax((0,), (1, 2), node) == (bound, node)
+        assert oracle.objective((0, 1, 2), node) == bound
