@@ -139,7 +139,11 @@ def brute_force_subset(data: Dataset, k: int, error_kind: str) -> SparseSolution
 
 
 class _GramSolver:
-    """Least-squares objectives on arbitrary supports from one Gram matrix."""
+    """Least-squares objectives on arbitrary supports from one Gram matrix.
+
+    It is also the squared-error oracle of the subset search, whose nodes
+    carry nothing: the part-balancing one is ``regression.SeSubsetOracle``.
+    """
 
     def __init__(self, data: Dataset):
         full = np.hstack((np.ones((data.n, 1)), data.design))
@@ -154,7 +158,7 @@ class _GramSolver:
         idx = np.concatenate(([0], np.asarray(support, dtype=np.intp) + 1))
         return self.gram[np.ix_(idx, idx)], self.rhs[idx]
 
-    def objective(self, support) -> float:
+    def objective(self, support, node=None) -> float:
         g, h = self._system(support)
         beta = self.coefficients(support)
         return float((self.yty - beta @ h - beta @ (g @ beta - h)) / self.n)
@@ -167,6 +171,12 @@ class _GramSolver:
             bump = 1e-10 * np.trace(g) / g.shape[0]
             beta = np.linalg.solve(g + bump * np.eye(g.shape[0]), h)
         return beta
+
+    def relax(self, included, free, parent):
+        return self.objective(included + free), None
+
+    def branch_values(self, included, free, node):
+        return self.coefficients(included + free)[1 + len(included):]
 
 
 def _brute_force_mse(data: Dataset, k: int):
@@ -192,25 +202,6 @@ def _greedy_forward(solver: _GramSolver, k: int):
         chosen.append(best_j)
         remaining.remove(best_j)
     return tuple(sorted(chosen))
-
-
-class _GramOracle:
-    """Least-squares errors on column subsets for the search; nodes carry nothing.
-
-    The part-balancing counterpart is ``regression.SeSubsetOracle``.
-    """
-
-    def __init__(self, solver: _GramSolver):
-        self.solver = solver
-
-    def relax(self, included, free, parent):
-        return self.solver.objective(included + free), None
-
-    def branch_values(self, included, free, node):
-        return self.solver.coefficients(included + free)[1 + len(included):]
-
-    def objective(self, support, node) -> float:
-        return self.solver.objective(support)
 
 
 def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
@@ -297,7 +288,7 @@ def fit_sparse_mse(problem: SparseProblem) -> SparseSolution:
     if problem.error_kind != "mse":
         raise ValueError("fit_sparse_mse expects error kind 'mse'")
     solver = _GramSolver(problem.data)
-    return _include_exclude(problem, _GramOracle(solver), _greedy_forward(solver, problem.k))
+    return _include_exclude(problem, solver, _greedy_forward(solver, problem.k))
 
 
 def fit_sparse_se(problem: SparseProblem) -> SparseSolution:

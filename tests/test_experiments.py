@@ -268,13 +268,13 @@ class TestCli:
         (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:0.002:0.001",
           "--format", "csv"], "--output"),
         (["experiment", "--id", "sparse_recovery", "--config", "{cfg}"], "disagrees"),
+        (["experiment"], "--id or --config"),
         (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
           "--big-m", "5"], "--milp"),
         (["sparse", "--error", "mse", "--k", "1", "--input", "{reg}", "--target", "y",
           "--milp"], "--error se"),
         (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
           "--milp", "--oracle"], "not both"),
-        (["experiment"], "--id or --config"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",
