@@ -139,7 +139,8 @@ class SkewNormalSpec:
 
     Standardization uses the population moments of the base distribution:
     mean delta*sqrt(2/pi) and variance 1 - 2*delta^2/pi with
-    delta = a / sqrt(1 + a^2).
+    delta = a / sqrt(1 + a^2), which is +-1 to double precision once a^2
+    overflows (|a| above about 1.34e154).
     """
 
     shape: float
@@ -151,7 +152,11 @@ class SkewNormalSpec:
 
     @property
     def delta(self) -> float:
-        return self.shape / math.sqrt(1.0 + self.shape * self.shape)
+        a = self.shape
+        scale = 1.0 + a * a
+        if math.isinf(scale):
+            return math.copysign(1.0, a)
+        return a / math.sqrt(scale)
 
     @property
     def base_mean(self) -> float:

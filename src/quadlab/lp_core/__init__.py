@@ -19,9 +19,16 @@ rows are freed, so each child solve warm-starts straight into phase 2.
 The literal epigraph LPs add their one-row-per-observation blocks with
 ``LpProblem.add_rows``, which takes each row's entries instead of a dense
 row.
+
+``solve_box_stack`` is the same bounded simplex written over a stack of
+same-shape LPs, min c.u s.t. A_l u = 0, lo <= u <= hi with c, lo and hi
+shared: each numpy step advances every unfinished LP by one pivot or bound
+flip.  It exists for the exhaustive best-subset oracle, whose C(d, k)
+centred-LAD duals (one per support) have exactly that shape.
 """
 
 from .problem import (
+    OBJ_MATCH_TOL,
     LpProblem,
     LpSolution,
     MipSolution,
@@ -32,16 +39,21 @@ from .problem import (
 )
 from .simplex import crash_basis, solve_lp
 from .branch_bound import solve_mip
+from .stacked import StackLimitError, StackSolution, solve_box_stack
 
 __all__ = [
+    "OBJ_MATCH_TOL",
     "LpProblem",
     "LpSolution",
     "MipSolution",
     "LpError",
     "SingularBasisError",
+    "StackLimitError",
+    "StackSolution",
     "certify_objective",
     "crash_basis",
     "dump_problem",
+    "solve_box_stack",
     "solve_lp",
     "solve_mip",
 ]

@@ -200,7 +200,10 @@ class LpSolution:
     """Simplex output; ``duals`` holds one multiplier per input row.
 
     ``basis``/``vstate`` describe the final basis over the slack-extended
-    variable vector and can be fed back in as a warm start.
+    variable vector and can be fed back in as a warm start.  ``warm_used``
+    is True when the solve started from the offered warm basis, and False
+    when none was offered or it was rejected (wrong size, a repeated index
+    or a singular basis) in favour of the cold start.
     """
 
     status: str
@@ -212,6 +215,7 @@ class LpSolution:
     basis: np.ndarray | None = None
     vstate: np.ndarray | None = None
     message: str = ""
+    warm_used: bool = False
 
 
 @dataclass

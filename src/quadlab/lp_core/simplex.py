@@ -433,11 +433,12 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     ``warm`` is an optional (basis, vstate) pair from a previous solution of
     a problem with the same rows (bounds and relations may differ: a
     nonbasic state that no longer fits its bounds snaps to a finite bound,
-    or to free at zero); an unusable warm basis silently falls back to the
-    cold start.  Integrality flags are ignored
-    here and must be absent.  ``dual_tol`` is the reduced-cost threshold:
-    callers with many bounded columns tighten it, since the worst-case
-    objective slack at optimality scales like (columns x ranges x dual_tol).
+    or to free at zero); an unusable warm basis falls back to the cold
+    start, and ``LpSolution.warm_used`` reports which start ran.
+    Integrality flags are ignored here and must be absent.  ``dual_tol`` is
+    the reduced-cost threshold: callers with many bounded columns tighten
+    it, since the worst-case objective slack at optimality scales like
+    (columns x ranges x dual_tol).
     """
     if np.any(problem.is_binary):
         raise LpError("solve_lp does not accept integrality flags; use solve_mip")
@@ -455,17 +456,18 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     status = s.phase1(max_iterations)
     if status == "feasible":
         status = s.phase2(max_iterations)
-    elif status == "infeasible":
-        return LpSolution(status="infeasible", iterations=s.iterations,
-                          message="phase 1 ended with positive infeasibility")
-    if status == "iteration_limit":
-        sol = s.solution("iteration_limit", problem)
-        sol.message = f"stopped after {s.iterations} iterations"
-        return sol
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=s.iterations,
-                          message="improving direction with no blocking bound")
-    return s.solution(status, problem)
+    if status == "infeasible":
+        sol = LpSolution(status="infeasible", iterations=s.iterations,
+                         message="phase 1 ended with positive infeasibility")
+    elif status == "unbounded":
+        sol = LpSolution(status="unbounded", iterations=s.iterations,
+                         message="improving direction with no blocking bound")
+    else:
+        sol = s.solution(status, problem)
+        if status == "iteration_limit":
+            sol.message = f"stopped after {s.iterations} iterations"
+    sol.warm_used = started
+    return sol
 
 
 def _solve_unconstrained(problem: LpProblem) -> LpSolution:

@@ -14,7 +14,10 @@ One search, one cross-check and one oracle:
   part-balancing error, handed to the branch-and-bound layer with automatic
   big-M escalation when a coefficient presses against the box;
 * ``brute_force_subset``: exhaustive enumeration of all size-k supports,
-  guarded to a million combinations.
+  guarded to a million combinations.  It shares neither formulation nor
+  solver with the search: every squared-error Gram block is solved in one
+  batched call, and every part-balancing support in one stacked simplex
+  over the centred-LAD duals (see ``brute_force_subset``).
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import LpError, solve_mip
+from .lp_core import (OBJ_MATCH_TOL, LpError, StackLimitError, certify_objective,
+                      solve_box_stack, solve_mip)
 from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_lp_problem
 
 BRUTE_FORCE_GUARD = 10 ** 6
 ZERO_COEFF_TOL = 1e-8
+STACK_BYTES = 32 << 20  # working memory of one batched oracle solve
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,12 @@ def brute_force_subset(data: Dataset, k: int, error_kind: str) -> SparseSolution
     """Exhaustive best subset of size k; the oracle for the exact solvers.
 
     Size-k enumeration suffices under minimization because enlarging a
-    support never increases the restricted optimum.
+    support never increases the restricted optimum.  Every support is
+    scored in batches (``_mse_objectives``, ``_se_objectives``), the first
+    support beating the best so far by more than 1e-15 wins, and only the
+    winner is refit through ``_sparse_model``; under the part-balancing
+    error its refit objective must match the batched value within
+    ``OBJ_MATCH_TOL``.
     """
     if error_kind not in ("mse", "se"):
         raise ValueError("error kind must be 'mse' or 'se'")
@@ -124,18 +134,63 @@ def brute_force_subset(data: Dataset, k: int, error_kind: str) -> SparseSolution
     if count > BRUTE_FORCE_GUARD:
         raise ValueError(f"C(d, k) = {count} exceeds the enumeration guard")
     start = time.perf_counter()
-    if error_kind == "mse":
-        best_support, best_obj = _brute_force_mse(data, k)
-    else:
-        best_support, best_obj = None, np.inf
-        for combo in itertools.combinations(range(data.d), k):
-            _, _, obj = _sparse_model(data, combo, "se")
-            if obj < best_obj - 1e-15:
-                best_support, best_obj = combo, obj
+    values = _mse_objectives(data, k) if error_kind == "mse" else _se_objectives(data, k)
+    best_support, best_obj = None, np.inf
+    for combo, obj in zip(itertools.combinations(range(data.d), k), values.tolist()):
+        if obj < best_obj - 1e-15:
+            best_support, best_obj = combo, obj
     model, support, objective = _sparse_model(data, best_support, error_kind)
+    if error_kind == "se":
+        certify_objective(objective, best_obj, f"refit of oracle support {best_support}")
     return SparseSolution(model=model, support=support, objective=objective,
                           bound=objective, gap=0.0, status="optimal",
                           nodes=count, time_s=time.perf_counter() - start)
+
+
+def _combination_chunks(d: int, k: int, item_bytes: int):
+    """All size-k column subsets in ``itertools.combinations`` order, as (m, k) arrays.
+
+    Each chunk holds as many subsets as fit ``STACK_BYTES`` at
+    ``item_bytes`` of working memory per subset (at least one).
+    """
+    size = max(1, STACK_BYTES // item_bytes)
+    combos = itertools.combinations(range(d), k)
+    while chunk := list(itertools.islice(combos, size)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _se_objectives(data: Dataset, k: int) -> np.ndarray:
+    """Zero-bias part-balancing error of every size-k support, in combinations order.
+
+    At zero bias the error's statistic is the mean, so the intercept
+    recentres: SE(S) = 1/2 min_c mean|y~ - X~_S c| on centred data y~, X~.
+    That intercept-free L1 fit has the dual max y~.u s.t. X~_S^T u = 0,
+    |u_i| <= 1/(2n), with k rows whose duals are the negated coefficients.
+    Each chunk of supports is one ``solve_box_stack`` call, and each value
+    is certified: it must equal 1/2 mean|y~ - X~_S beta| with beta read off
+    the support's row duals, within ``OBJ_MATCH_TOL``.
+    """
+    y = data.response - data.response.mean()
+    xt = (data.design - data.design.mean(axis=0)).T
+    half_n = 0.5 / data.n
+    out = []
+    for chunk in _combination_chunks(data.d, k, 8 * data.n * (k + 8)):
+        a = xt[chunk]
+        try:
+            sol = solve_box_stack(-y, -half_n, half_n, a)
+        except StackLimitError as exc:
+            raise LpError(f"oracle LP of support {tuple(chunk[exc.index].tolist())}: "
+                          f"{exc}") from exc
+        value = -sol.objective
+        fitted = (-sol.duals[:, None, :] @ a)[:, 0, :]
+        primal = 0.5 * np.mean(np.abs(y - fitted), axis=1)
+        miss = np.flatnonzero(np.abs(primal - value) > OBJ_MATCH_TOL * np.maximum(1.0, np.abs(value)))
+        if miss.size:
+            i = miss[0]
+            raise LpError(f"oracle support {tuple(chunk[i].tolist())}: primal error {primal[i]} "
+                          f"disagrees with LP optimum {value[i]}")
+        out.append(value)
+    return np.concatenate(out)
 
 
 class _GramSolver:
@@ -160,17 +215,11 @@ class _GramSolver:
 
     def objective(self, support, node=None) -> float:
         g, h = self._system(support)
-        beta = self.coefficients(support)
+        beta = _ridge_solve(g, h)
         return float((self.yty - beta @ h - beta @ (g @ beta - h)) / self.n)
 
     def coefficients(self, support):
-        g, h = self._system(support)
-        try:
-            beta = np.linalg.solve(g, h)
-        except np.linalg.LinAlgError:
-            bump = 1e-10 * np.trace(g) / g.shape[0]
-            beta = np.linalg.solve(g + bump * np.eye(g.shape[0]), h)
-        return beta
+        return _ridge_solve(*self._system(support))
 
     def relax(self, included, free, parent):
         return self.objective(included + free), None
@@ -179,14 +228,38 @@ class _GramSolver:
         return self.coefficients(included + free)[1 + len(included):]
 
 
-def _brute_force_mse(data: Dataset, k: int):
+def _ridge_solve(g, h):
+    """Solve a Gram block; a singular one gets 1e-10 * trace/dim on its diagonal."""
+    try:
+        return np.linalg.solve(g, h)
+    except np.linalg.LinAlgError:
+        bump = 1e-10 * np.trace(g) / g.shape[0]
+        return np.linalg.solve(g + bump * np.eye(g.shape[0]), h)
+
+
+def _mse_objectives(data: Dataset, k: int) -> np.ndarray:
+    """Least-squares error of every size-k support, in combinations order.
+
+    Each chunk's Gram blocks are solved in one batched call; if any block
+    of the chunk is singular, the chunk is solved block by block with the
+    ridge fallback of ``_ridge_solve``.
+    """
     solver = _GramSolver(data)
-    best_support, best_obj = None, np.inf
-    for combo in itertools.combinations(range(data.d), k):
-        obj = solver.objective(combo)
-        if obj < best_obj - 1e-15:
-            best_support, best_obj = combo, obj
-    return best_support, best_obj
+    out = []
+    for chunk in _combination_chunks(data.d, k, 8 * (k + 1) * (k + 4)):
+        idx = np.column_stack((np.zeros(len(chunk), dtype=np.intp), chunk + 1))
+        g = solver.gram[idx[:, :, None], idx[:, None, :]]
+        h = solver.rhs[idx]
+        try:
+            beta = np.linalg.solve(g, h[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            beta = np.array([_ridge_solve(gi, hi) for gi, hi in zip(g, h)])
+        # stacked (1 x m)(m x 1) products replay ``objective``'s dot products
+        row = beta[:, None, :]
+        fitted = (g @ beta[..., None])[..., 0]
+        out.append((solver.yty - (row @ h[..., None])[:, 0, 0]
+                    - (row @ (fitted - h)[..., None])[:, 0, 0]) / solver.n)
+    return np.concatenate(out)
 
 
 def _greedy_forward(solver: _GramSolver, k: int):

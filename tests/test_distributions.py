@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -168,6 +170,19 @@ class TestSkewNormal:
         with pytest.raises(ValueError):
             sample_skew_normal(SkewNormalSpec(1.0), 0, seed=0)
 
+    def test_delta_unchanged_where_square_is_finite(self):
+        rng = np.random.default_rng(8)
+        for a in (rng.standard_normal(2000) * 10.0 ** rng.uniform(-8.0, 153.0, 2000)).tolist():
+            assert SkewNormalSpec(a).delta == a / math.sqrt(1.0 + a * a)
+
+    @pytest.mark.parametrize("shape", [1e155, -1e155, 1e300, -1e300])
+    def test_huge_shape_is_half_normal(self, shape):
+        # a^2 overflows: delta must tend to sign(a), not collapse to 0
+        assert SkewNormalSpec(shape).delta == math.copysign(1.0, shape)
+        raw = sample_skew_normal(SkewNormalSpec(shape, standardized=False), 200, seed=5)
+        u = np.random.default_rng(5).standard_normal((200, 2))
+        assert np.array_equal(raw, math.copysign(1.0, shape) * np.abs(u[:, 0]))
+
 
 class TestSkewNormalCdfAtZero:
     def test_symmetric_shape(self):
@@ -178,6 +193,13 @@ class TestSkewNormalCdfAtZero:
 
     def test_mirror_symmetry(self):
         assert abs(skew_normal_cdf_at_zero(-10.0) - (1 - 0.572760)) < 1e-4
+
+    @pytest.mark.parametrize("shape", [1e155, -1e155, 1e300, -1e300])
+    def test_huge_shape_matches_finite_square(self, shape):
+        # 1e150 is the largest tested shape whose square is still finite
+        reference = skew_normal_cdf_at_zero(math.copysign(1e150, shape))
+        assert skew_normal_cdf_at_zero(shape) == pytest.approx(reference, abs=1e-12)
+        assert reference == pytest.approx(0.5750625 if shape > 0 else 0.4249375, abs=1e-7)
 
     def test_against_library_cdf(self):
         for a in (0.5, 2.0, 10.0, -4.0):

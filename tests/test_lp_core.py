@@ -7,13 +7,15 @@ from scipy.optimize import linprog
 from quadlab.lp_core import (
     LpError,
     LpProblem,
+    StackLimitError,
     certify_objective,
     crash_basis,
     dump_problem,
+    solve_box_stack,
     solve_lp,
     solve_mip,
 )
-from quadlab.lp_core import simplex
+from quadlab.lp_core import simplex, stacked
 from quadlab.lp_core.simplex import (
     AT_LOWER,
     AT_UPPER,
@@ -764,6 +766,111 @@ class TestFreeRows:
             assert back.status == "optimal"
             assert back.objective == pytest.approx(first.objective, abs=1e-9)
             assert back.objective == pytest.approx(_highs_objective(p), abs=1e-8)
+
+
+class TestWarmUsed:
+    @staticmethod
+    def _problem():
+        p = TestCrashBasis._mixed_problem()  # columns 4 and 5 are equal
+        return p, solve_lp(p)
+
+    def test_cold_solve_reports_no_warm_start(self):
+        _, cold = self._problem()
+        assert cold.status == "optimal" and not cold.warm_used
+
+    def test_optimal_basis_is_used(self):
+        p, cold = self._problem()
+        warm = solve_lp(p, warm=(cold.basis, cold.vstate))
+        assert warm.warm_used and warm.iterations == 0
+        assert warm.objective == cold.objective
+
+    @pytest.mark.parametrize("basis", [[6, 7], [6, 7, 8, 0], [6, 6, 8], [4, 5, 7]],
+                             ids=["short", "long", "repeated index", "singular"])
+    def test_rejected_basis_falls_back_to_cold(self, basis):
+        p, cold = self._problem()
+        vstate = np.full(p.num_vars + p.num_rows, AT_LOWER, dtype=np.int8)
+        sol = solve_lp(p, warm=(np.array(basis), vstate))
+        assert not sol.warm_used
+        assert (sol.status, sol.iterations, sol.objective) == \
+            (cold.status, cold.iterations, cold.objective)
+
+    def test_reported_on_every_status(self):
+        p = LpProblem(1)
+        p.add_row({0: 1.0}, ">=", 2.0)
+        p.add_row({0: 1.0}, "<=", 1.0)
+        slack_basis = (np.array([1, 2]), np.array([AT_LOWER, BASIC, BASIC], dtype=np.int8))
+        infeasible = solve_lp(p, warm=slack_basis)
+        assert infeasible.status == "infeasible" and infeasible.warm_used
+        q = LpProblem(1)
+        q.set_objective([-1.0])
+        q.set_bounds(0, 0, None)
+        q.add_row({0: 1.0}, ">=", 0.0)
+        unbounded = solve_lp(q, warm=(np.array([1]), np.array([AT_LOWER, BASIC], dtype=np.int8)))
+        assert unbounded.status == "unbounded" and unbounded.warm_used
+        limited = solve_lp(_box_walk_problem(), max_iterations=3)
+        assert limited.status == "iteration_limit" and not limited.warm_used
+
+
+def _random_stack(rng, kind):
+    """(c, lo, hi, a) for a stack of 8 box LPs; ``kind`` adds ties or degeneracy."""
+    k, n = int(rng.integers(1, 5)), int(rng.integers(2, 30))
+    a = rng.standard_normal((8, k, n))
+    c = rng.standard_normal(n)
+    lo, hi = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+    if kind == "tied":
+        # small integers and a common box: tied prices and tied ratios
+        a = rng.integers(-1, 2, size=a.shape).astype(float)
+        c = rng.integers(-2, 3, size=n).astype(float)
+        lo, hi = -np.ones(n), np.ones(n)
+    elif kind == "degenerate":
+        # a repeated row, all-zero rows, and costs in the row space of LP 0
+        a[:, -1] = a[:, 0]
+        a[1::2, 0] = 0.0
+        c = a[0].T @ rng.standard_normal(k)
+    return c, lo, hi, a
+
+
+class TestBoxStack:
+    @pytest.mark.parametrize("kind", ["random", "tied", "degenerate"])
+    def test_matches_highs_with_certified_duals(self, rng, kind):
+        for _ in range(8):
+            c, lo, hi, a = _random_stack(rng, kind)
+            sol = solve_box_stack(c, lo, hi, a)
+            for l in range(a.shape[0]):
+                res = linprog(c, A_eq=a[l], b_eq=np.zeros(a.shape[1]),
+                              bounds=list(zip(lo, hi)), method="highs")
+                assert res.status == 0
+                assert sol.objective[l] == pytest.approx(res.fun, abs=1e-9)
+                # the row duals attain the Lagrangian dual bound of the box LP
+                reduced = c - sol.duals[l] @ a[l]
+                bound = np.minimum(lo * reduced, hi * reduced).sum()
+                assert bound == pytest.approx(sol.objective[l], abs=1e-9)
+
+    def test_replays_identically(self, rng):
+        c, lo, hi, a = _random_stack(rng, "tied")
+        first, second = solve_box_stack(c, lo, hi, a), solve_box_stack(c, lo, hi, a)
+        for x, y in zip(first, second):
+            assert np.array_equal(x, y)
+
+    def test_each_lp_independent_of_its_stack(self, rng):
+        c, lo, hi, a = _random_stack(rng, "random")
+        whole = solve_box_stack(c, lo, hi, a)
+        for l in range(a.shape[0]):
+            alone = solve_box_stack(c, lo, hi, a[l:l + 1])
+            assert alone.objective[0] == whole.objective[l]
+            assert np.array_equal(alone.duals[0], whole.duals[l])
+            assert alone.iterations[0] == whole.iterations[l]
+
+    def test_iteration_cap_raises(self, rng, monkeypatch):
+        c, lo, hi, a = _random_stack(rng, "random")
+        monkeypatch.setattr(stacked, "ITERATIONS_PER_VARIABLE", 0)
+        with pytest.raises(StackLimitError, match="iteration cap") as info:
+            solve_box_stack(c, lo, hi, a)
+        assert isinstance(info.value, LpError) and info.value.index == 0
+
+    def test_rejects_empty_box(self):
+        with pytest.raises(LpError, match="box"):
+            solve_box_stack(1.0, 0.5, 0.5, np.ones((2, 1, 3)))
 
 
 class TestSolveMip:

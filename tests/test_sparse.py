@@ -1,13 +1,18 @@
 import heapq
+import itertools
 
 import numpy as np
 import pytest
 
+from quadlab import sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
+from quadlab.lp_core import LpError, stacked
 from quadlab.regression import Dataset, LinearModel, fit_ols, fit_se
 from quadlab.sparse import (
     SparseProblem,
     _GramSolver,
+    _mse_objectives,
+    _se_objectives,
     _sparse_model,
     brute_force_subset,
     fit_sparse_mse,
@@ -302,3 +307,77 @@ class TestSharedSearch:
             z = data.response - sol.model.predict(data.design)
             assert sol.objective == pytest.approx(
                 max(np.mean(np.maximum(-z, 0.0)), np.mean(np.maximum(z, 0.0))), abs=1e-12)
+
+
+def _recovery_replication(rep_seed, d=8, n=100, rho=0.9, k=3):
+    """The planted-support generator of the sparse-recovery experiment."""
+    s_x, s_c, s_eps = np.random.SeedSequence(rep_seed).spawn(3)
+    design = sample_correlated_design(DesignSpec(d, rho), n, s_x)
+    rng_c = np.random.default_rng(s_c)
+    block = d // k
+    support = np.array([b * block + rng_c.integers(block) for b in range(k)])
+    truth = np.zeros(d)
+    truth[support] = rng_c.choice([-1.0, 1.0], size=k)
+    return Dataset(design, design @ truth + np.random.default_rng(s_eps).standard_normal(n))
+
+
+def _oracle_instances(rng):
+    yield from TestSharedSearch._adversarial(rng)
+    for seed in range(3):
+        yield f"recovery replication {seed}", _recovery_replication(7100 + seed), 3
+
+
+class TestStackedOracle:
+    def test_se_values_match_per_subset_refits(self, rng):
+        for name, data, k in _oracle_instances(rng):
+            values = _se_objectives(data, k)
+            combos = list(itertools.combinations(range(data.d), k))
+            refits = np.array([_sparse_model(data, combo, "se")[2] for combo in combos])
+            assert values.shape == (len(combos),), name
+            assert np.max(np.abs(values - refits)) <= 1e-12, name
+            sol = brute_force_subset(data, k, "se")
+            assert sol.nodes == len(combos), name
+            assert sol.objective == pytest.approx(values.min(), abs=1e-12), name
+
+    def test_chunks_give_the_same_values(self, rng, monkeypatch):
+        for name, data, k in _oracle_instances(rng):
+            whole = (_se_objectives(data, k), _mse_objectives(data, k))
+            winners = [brute_force_subset(data, k, kind) for kind in ("se", "mse")]
+            for budget in (1, 7 * 8 * data.n * (k + 8)):
+                monkeypatch.setattr(sparse, "STACK_BYTES", budget)
+                assert np.array_equal(_se_objectives(data, k), whole[0]), name
+                assert np.array_equal(_mse_objectives(data, k), whole[1]), name
+                for kind, sol in zip(("se", "mse"), winners):
+                    again = brute_force_subset(data, k, kind)
+                    assert (again.support, again.objective) == (sol.support, sol.objective)
+            monkeypatch.undo()
+
+    def test_mse_values_equal_gram_loop(self, rng):
+        x = rng.standard_normal((40, 7))
+        x[:, 4] = x[:, 1]
+        singular = x.copy()
+        singular[:, 2] = 0.0  # an exactly singular Gram block in every chunk holding column 2
+        for design in (x, singular):
+            data = Dataset(design, design[:, 0] + rng.standard_normal(40))
+            solver = _GramSolver(data)
+            for k in (1, 3, 7):
+                loop = [solver.objective(c) for c in itertools.combinations(range(7), k)]
+                assert np.array_equal(_mse_objectives(data, k), np.array(loop))
+
+    def test_iteration_cap_names_the_support(self, rng, monkeypatch):
+        data, _ = planted_instance(rng, d=6, k=2, noise=1.0)
+        monkeypatch.setattr(stacked, "ITERATIONS_PER_VARIABLE", 0)
+        with pytest.raises(LpError, match=r"support \(0, 1\).*iteration cap"):
+            brute_force_subset(data, 2, "se")
+
+    def test_certificate_miss_raises(self, rng, monkeypatch):
+        data, _ = planted_instance(rng, d=6, k=2, noise=1.0)
+        solve = sparse.solve_box_stack
+
+        def shifted(*args):
+            sol = solve(*args)
+            return sol._replace(objective=sol.objective - 1e-6)
+
+        monkeypatch.setattr(sparse, "solve_box_stack", shifted)
+        with pytest.raises(LpError, match="disagrees"):
+            brute_force_subset(data, 2, "se")
