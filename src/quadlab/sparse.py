@@ -174,6 +174,7 @@ def _se_objectives(data: Dataset, k: int) -> np.ndarray:
     xt = (data.design - data.design.mean(axis=0)).T
     half_n = 0.5 / data.n
     out = []
+    # per support: its k x n rows plus about eight length-n work arrays
     for chunk in _combination_chunks(data.d, k, 8 * data.n * (k + 8)):
         a = xt[chunk]
         try:
@@ -184,7 +185,8 @@ def _se_objectives(data: Dataset, k: int) -> np.ndarray:
         value = -sol.objective
         fitted = (-sol.duals[:, None, :] @ a)[:, 0, :]
         primal = 0.5 * np.mean(np.abs(y - fitted), axis=1)
-        miss = np.flatnonzero(np.abs(primal - value) > OBJ_MATCH_TOL * np.maximum(1.0, np.abs(value)))
+        tol = OBJ_MATCH_TOL * np.maximum(1.0, np.abs(value))
+        miss = np.flatnonzero(np.abs(primal - value) > tol)
         if miss.size:
             i = miss[0]
             raise LpError(f"oracle support {tuple(chunk[i].tolist())}: primal error {primal[i]} "

@@ -852,15 +852,6 @@ class TestBoxStack:
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
 
-    def test_each_lp_independent_of_its_stack(self, rng):
-        c, lo, hi, a = _random_stack(rng, "random")
-        whole = solve_box_stack(c, lo, hi, a)
-        for l in range(a.shape[0]):
-            alone = solve_box_stack(c, lo, hi, a[l:l + 1])
-            assert alone.objective[0] == whole.objective[l]
-            assert np.array_equal(alone.duals[0], whole.duals[l])
-            assert alone.iterations[0] == whole.iterations[l]
-
     def test_iteration_cap_raises(self, rng, monkeypatch):
         c, lo, hi, a = _random_stack(rng, "random")
         monkeypatch.setattr(stacked, "ITERATIONS_PER_VARIABLE", 0)
