@@ -5,8 +5,9 @@ to CSV, single results to JSON; every path is explicit and nothing writes
 to the working directory implicitly.  The experiment subcommand exits
 nonzero if any asserted verdict fails.  Usage errors (a missing ``--alpha``,
 an unknown ``--column``, a bad ``--sweep``, ``--big-m`` without ``--milp``),
-bad input and solver failures (``LpError``, e.g. an unattainable target
-mean) exit 2 with a one-line ``error: ...`` message on stderr.
+bad input, solver failures (``LpError``, e.g. an unattainable target
+mean) and quadrature failures (``QuadratureError``) exit 2 with a one-line
+``error: ...`` message on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distributions import DesignSpec, SkewNormalSpec, make_sample, sample_correlated_design, sample_skew_normal
+from .distributions import (
+    DesignSpec,
+    QuadratureError,
+    SkewNormalSpec,
+    make_sample,
+    sample_correlated_design,
+    sample_skew_normal,
+)
 from .experiments import (
     ExperimentConfig,
     emit_report,
@@ -231,6 +239,8 @@ def _cmd_experiment(args) -> int:
         print(f"wrote {base}.csv and {base}.json")
         for key, value in table.metadata.get("verdicts", {}).items():
             print(f"  verdict {table.name}.{key}: {value}")
+        for key, value in table.metadata.get("diagnostics", {}).items():
+            print(f"  {table.name}.{key}: {value}")
     ok = verdicts_pass(tables)
     print("ALL VERDICTS PASS" if ok else "VERDICT FAILURES PRESENT")
     return 0 if ok else 1
@@ -314,7 +324,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, LpError) as exc:
+    except (ValueError, OSError, LpError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -88,17 +88,18 @@ def cvar_deviation_of(losses: EmpiricalSample, alpha) -> float:
 
 
 def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols,
-                         asset_rhs, tail_cut, warm, sum_to_one: bool = False):
+                         asset_rhs, crash, warm, sum_to_one: bool = False):
     """Solve the bounded-column dual both objectives share.
 
     Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
-    then the free budget-row and target-mean-row multipliers.  Each asset
-    contributes a row (its ``asset_cols`` column, 1, its mean return), an
-    inequality under the long-only policy; ``sum_to_one`` prepends a row
-    making the scenario multipliers sum to one.  Without ``warm``, the
-    start puts at their cap the scenarios whose equal-weight loss exceeds
-    ``tail_cut`` of those losses.  Returns the LP solution, the weights
-    read off the asset-row multipliers, and the validated loss sample.
+    then the free budget-row and target-mean-row multipliers (columns n and
+    n + 1).  Each asset contributes a row (its ``asset_cols`` column, 1, its
+    mean return), an inequality under the long-only policy; ``sum_to_one``
+    prepends a row making the scenario multipliers sum to one.  Without
+    ``warm``, the start is ``crash_basis(lp, *crash)``: ``crash`` is the
+    pair (scenarios at their cap, basic columns) read off a loss guess.
+    Returns the LP solution, the weights read off the asset-row
+    multipliers, and the validated loss sample.
     """
     r = problem.returns
     n, m = problem.n, problem.m
@@ -113,8 +114,7 @@ def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols
         lp.add_row(np.concatenate((asset_cols[:, j], [1.0, rbar[j]])), relation,
                    float(asset_rhs[j]))
     if warm is None:
-        x0 = -r.mean(axis=1)
-        warm = crash_basis(lp, x0 > tail_cut(x0))
+        warm = crash_basis(lp, *crash)
     sol = solve_lp(lp, warm=warm, dual_tol=1e-12)
     if sol.status == "unbounded":
         raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
@@ -142,9 +142,10 @@ def optimize_se_dev(problem: PortfolioProblem, x, warm=None):
 def optimize_se_dev_raw(problem: PortfolioProblem, x, warm=None):
     b = _bias_of(x)
     r = problem.returns
+    guess = -r.mean(axis=1)  # equal-weight losses
     sol, weights, losses = _solve_scenario_dual(
         problem, np.full(problem.n, b.x), 1.0 / problem.n, r - r.mean(axis=0),
-        np.zeros(problem.m), lambda x0: x0.mean() + b.x, warm)
+        np.zeros(problem.m), (guess > guess.mean() + b.x, ()), warm)
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
     interval = map_x_to_alpha(losses, b)
@@ -162,21 +163,55 @@ def optimize_cvar_dev(problem: PortfolioProblem, alpha, warm=None):
     return sol
 
 
-def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None):
+def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None, crash=None):
+    """``optimize_cvar_dev`` that also returns the LP solution.
+
+    Without ``warm``, the solve starts from ``crash`` (an (at-cap mask,
+    basic columns) pair such as ``crossover_crash`` returns), else from the
+    scenarios whose equal-weight loss exceeds its alpha-quantile at the cap.
+    """
     a = _alpha_open(alpha)
     r = problem.returns
     kappa = 1.0 / (1.0 - a)
+    if crash is None:
+        guess = -r.mean(axis=1)  # equal-weight losses
+        crash = (guess > np.quantile(guess, a), ())
     sol, weights, losses = _solve_scenario_dual(
         problem, np.zeros(problem.n), kappa / problem.n, r, r.mean(axis=0),
-        lambda x0: np.quantile(x0, a), warm, sum_to_one=True)
+        crash, warm, sum_to_one=True)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
     # CDF jump interval at the loss quantile; it brackets alpha.
     quantile = var(losses, a).lower
-    scale = max(1.0, float(np.max(np.abs(losses.atoms))))
-    interval = probability_interval_at(losses, quantile, atol=THRESHOLD_RTOL * scale)
+    interval = probability_interval_at(losses, quantile, atol=_tie_band(losses))
     return PortfolioSolution(weights=weights, losses=losses,
                              deviation=deviation, alpha_interval=interval), sol
+
+
+def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x):
+    """Tail-average dual start read off a part-balancing optimum at bias x.
+
+    By the equivalence of the two objectives, the loss sample ``losses``
+    that minimizes the part-balancing deviation at x also minimizes the
+    tail-average deviation at the level ``map_x_to_alpha`` gives, so it
+    names that dual's optimal basis.  The scenarios above the threshold
+    x + E[X] sit at their cap; the basic columns are the free budget and
+    mean multipliers, then the scenarios tied at the threshold (within the
+    ``map_x_to_alpha`` band), then, while row slots remain, the
+    lowest-loss scenarios above it.  Returns the (at-cap mask, basic
+    columns) pair ``optimize_cvar_dev_raw`` takes as ``crash``.
+    """
+    atoms = losses.atoms
+    threshold = _bias_of(x).x + losses.mean()
+    atol = _tie_band(losses)
+    above = atoms > threshold + atol
+    tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
+    slots = problem.m + 1  # the tail dual's rows: sum-to-one, then one per asset
+    spare = max(0, slots - 2 - tied.size)
+    tail = np.flatnonzero(above)
+    nearest = tail[np.argsort(atoms[tail], kind="stable")[:spare]]
+    basic = np.concatenate(([problem.n, problem.n + 1], tied, nearest))[:slots]
+    return above, basic
 
 
 def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
@@ -185,10 +220,13 @@ def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
     Atoms within a relative float-dust band of the threshold count as equal,
     which keeps solver-active scenarios inside the interval.
     """
-    b = _bias_of(x)
-    threshold = b.x + losses.mean()
-    scale = max(1.0, float(np.max(np.abs(losses.atoms))))
-    return probability_interval_at(losses, threshold, atol=THRESHOLD_RTOL * scale)
+    threshold = _bias_of(x).x + losses.mean()
+    return probability_interval_at(losses, threshold, atol=_tie_band(losses))
+
+
+def _tie_band(losses: EmpiricalSample) -> float:
+    """Half-width of the band within which a loss counts as tied with a threshold."""
+    return THRESHOLD_RTOL * max(1.0, float(np.max(np.abs(losses.atoms))))
 
 
 def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = False):
@@ -198,18 +236,29 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     level alpha (upper end of the induced interval), solve the tail-average
     problem there, and evaluate each objective at the other optimum.  Solver
     failures are recorded per point and the sweep continues.
+
+    Each part-balancing solve starts from the previous point's basis.  Each
+    tail-average solve starts from ``crossover_crash`` of that point's
+    part-balancing optimum, the basis the equivalence of the two objectives
+    names, so it takes a few pivots; no tail-average basis is chained from
+    point to point.  Each row also reports the tail-average solve's
+    ``cvar_iterations``, whether it started from that basis
+    (``cvar_warm_used``), and whether it returned the part-balancing weights
+    to within ``BUDGET_TOL`` (``cvar_kept_se_weights``), where the
+    part-balancing cross-gap compares a portfolio with itself.
     """
     x_grid = list(x_grid)
     if not x_grid:
         raise ValueError("x grid must be nonempty")
     problem = PortfolioProblem(np.asarray(returns, dtype=float), target_mean, long_only)
     rows = []
-    warm_se = warm_cvar = None
+    warm_se = None
     for x in x_grid:
         row = {"x": float(x), "alpha": np.nan,
                "se_dev_opt": np.nan, "cvar_dev_at_se_opt": np.nan,
                "cvar_dev_opt": np.nan, "se_dev_at_cvar_opt": np.nan,
-               "error": ""}
+               "cvar_iterations": 0, "cvar_warm_used": False,
+               "cvar_kept_se_weights": False, "error": ""}
         try:
             se_sol, se_lp = optimize_se_dev_raw(problem, x, warm_se)
             warm_se = (se_lp.basis, se_lp.vstate)
@@ -217,8 +266,12 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
             row["se_dev_opt"] = se_sol.deviation
             row["alpha"] = alpha
             row["cvar_dev_at_se_opt"] = cvar_deviation_of(se_sol.losses, alpha)
-            cvar_sol, cvar_lp = optimize_cvar_dev_raw(problem, alpha, warm_cvar)
-            warm_cvar = (cvar_lp.basis, cvar_lp.vstate)
+            cvar_sol, cvar_lp = optimize_cvar_dev_raw(
+                problem, alpha, crash=crossover_crash(problem, se_sol.losses, x))
+            row["cvar_iterations"] = cvar_lp.iterations
+            row["cvar_warm_used"] = cvar_lp.warm_used
+            row["cvar_kept_se_weights"] = bool(
+                np.max(np.abs(cvar_sol.weights - se_sol.weights)) <= BUDGET_TOL)
             row["cvar_dev_opt"] = cvar_sol.deviation
             row["se_dev_at_cvar_opt"] = se_deviation_of(cvar_sol.losses, x)
         except (LpError, ValueError) as exc:

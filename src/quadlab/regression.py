@@ -124,10 +124,6 @@ def se_error(z: np.ndarray, x=0.0) -> float:
                float(np.mean(np.maximum(z, 0.0))) - b.x_minus)
 
 
-def mse_error(z: np.ndarray) -> float:
-    return float(np.mean(z * z))
-
-
 def induced_alpha(res: Residuals, zero_rtol: float = ZERO_RESIDUAL_RTOL):
     """[P(z < 0), P(z <= 0)] as exact empirical fractions.
 

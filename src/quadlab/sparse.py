@@ -37,6 +37,7 @@ from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, s
 BRUTE_FORCE_GUARD = 10 ** 6
 ZERO_COEFF_TOL = 1e-8
 STACK_BYTES = 32 << 20  # working memory of one batched oracle solve
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -212,16 +213,18 @@ class _GramSolver:
 
     def _system(self, support):
         """Gram block and right-hand side over the intercept plus ``support``."""
-        idx = np.concatenate(([0], np.asarray(support, dtype=np.intp) + 1))
-        return self.gram[np.ix_(idx, idx)], self.rhs[idx]
+        idx = np.array((-1, *support)) + 1
+        return self.gram[idx[:, None], idx], self.rhs[idx]
 
     def objective(self, support, node=None) -> float:
         g, h = self._system(support)
-        beta = _ridge_solve(g, h)
-        return float((self.yty - beta @ h - beta @ (g @ beta - h)) / self.n)
+        _, _, explained = _gram_fits(g[None], h[None], self.n)
+        return float((self.yty - explained[0]) / self.n)
 
     def coefficients(self, support):
-        return _ridge_solve(*self._system(support))
+        g, h = self._system(support)
+        v, coords, _ = _gram_fits(g[None], h[None], self.n)
+        return v[0] @ coords[0]
 
     def relax(self, included, free, parent):
         return self.objective(included + free), None
@@ -230,37 +233,39 @@ class _GramSolver:
         return self.coefficients(included + free)[1 + len(included):]
 
 
-def _ridge_solve(g, h):
-    """Solve a Gram block; a singular one gets 1e-10 * trace/dim on its diagonal."""
-    try:
-        return np.linalg.solve(g, h)
-    except np.linalg.LinAlgError:
-        bump = 1e-10 * np.trace(g) / g.shape[0]
-        return np.linalg.solve(g + bump * np.eye(g.shape[0]), h)
+def _gram_fits(g, h, n: int):
+    """Least-squares fits on a stack of Gram blocks g with right-hand sides h.
+
+    Each block is solved rank-revealingly: with g = V diag(lam) V^T, only
+    the eigenpairs with lam > n * eps * lam_max are kept, since smaller
+    ones are rounding left in the n-term Gram sums (a constant or
+    collinear column makes them) and dividing by them scores garbage.
+    Returns the eigenvectors V, the coordinates (v.h) / lam (zero for a
+    dropped pair), so V @ coordinates is the minimum-norm solution, and the
+    explained sum of squares sum_kept (v.h)^2 / lam, so the error is
+    (y.y - explained) / n with no large coefficients to cancel.
+    """
+    lam, v = np.linalg.eigh(g)
+    proj = (h[:, None, :] @ v)[:, 0, :]
+    coords = proj / np.where(lam > lam[:, -1:] * (n * _EPS), lam, np.inf)
+    return v, coords, (proj[:, None, :] @ coords[:, :, None])[:, 0, 0]
 
 
 def _mse_objectives(data: Dataset, k: int) -> np.ndarray:
     """Least-squares error of every size-k support, in combinations order.
 
-    Each chunk's Gram blocks are solved in one batched call; if any block
-    of the chunk is singular, the chunk is solved block by block with the
-    ridge fallback of ``_ridge_solve``.
+    Each chunk's Gram blocks go through one ``_gram_fits`` call, the code
+    ``_GramSolver.objective`` runs on a single block, so the values are the
+    same.
     """
     solver = _GramSolver(data)
     out = []
-    for chunk in _combination_chunks(data.d, k, 8 * (k + 1) * (k + 4)):
+    # per support: its Gram block and eigenvectors plus six length-(k+1) arrays
+    for chunk in _combination_chunks(data.d, k, 8 * (k + 1) * (2 * k + 8)):
         idx = np.column_stack((np.zeros(len(chunk), dtype=np.intp), chunk + 1))
         g = solver.gram[idx[:, :, None], idx[:, None, :]]
-        h = solver.rhs[idx]
-        try:
-            beta = np.linalg.solve(g, h[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            beta = np.array([_ridge_solve(gi, hi) for gi, hi in zip(g, h)])
-        # stacked (1 x m)(m x 1) products replay ``objective``'s dot products
-        row = beta[:, None, :]
-        fitted = (g @ beta[..., None])[..., 0]
-        out.append((solver.yty - (row @ h[..., None])[:, 0, 0]
-                    - (row @ (fitted - h)[..., None])[:, 0, 0]) / solver.n)
+        _, _, explained = _gram_fits(g, solver.rhs[idx], solver.n)
+        out.append((solver.yty - explained) / solver.n)
     return np.concatenate(out)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from quadlab import experiments
 from quadlab.cli import main
+from quadlab.distributions import QuadratureError
 from quadlab.experiments import (
     CsvFormatError,
     ExperimentConfig,
@@ -137,6 +138,15 @@ class TestHarness:
         assert len(t.rows) == 2
         assert all(r[-1] in (0.0, 1.0) for r in t.rows)
 
+    def test_fig1_sweep_seed_7000_passes(self):
+        # A warm chain from the previous CVaR basis used to stop at the
+        # iteration limit on the first two points of this draw.
+        t = run_fig1_sweep(ExperimentConfig(experiment="fig1_sweep", seed=7000))
+        assert len(t.rows) == 25
+        assert np.all(t.column("pass") == 1.0)
+        assert t.metadata["verdicts"]["all_points_within_1e-5"] is True
+        assert 0 < t.metadata["diagnostics"]["cvar_iterations"] <= 25 * 20
+
     def test_sparse_recovery_reduced(self):
         cfg = ExperimentConfig(experiment="sparse_recovery", seed=3,
                                sample_sizes=[60], replications=2,
@@ -242,6 +252,18 @@ class TestCli:
         assert (tmp_path / "table2_pattern.csv").exists()
         assert (tmp_path / "table2_pattern.json").exists()
 
+    def test_sweep_experiment_prints_cvar_diagnostics(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "fig1_sweep", "seed": 3,
+                                   "sample_sizes": [400], "x_grid": [0.0, 0.004]}))
+        main(["experiment", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        report = json.loads((tmp_path / "fig1_sweep.json").read_text())
+        diagnostics = report["metadata"]["diagnostics"]
+        assert f"fig1_sweep.cvar_iterations: {diagnostics['cvar_iterations']}\n" in out
+        assert ("fig1_sweep.cvar_kept_se_weights_points: "
+                f"{diagnostics['cvar_kept_se_weights_points']}\n") in out
+
     def test_bad_input_reports_error(self, tmp_path):
         missing = tmp_path / "nope.csv"
         rc = main(["fit", "--method", "ols", "--input", str(missing), "--target", "y"])
@@ -257,6 +279,16 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unattainable" in err
+
+    def test_quadrature_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(shape):
+            raise QuadratureError("quadrature error estimate 1.000e-03 exceeds 1e-6")
+
+        monkeypatch.setattr(experiments, "skew_normal_cdf_at_zero", fail)
+        rc = main(["experiment", "--id", "tables345", "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: quadrature error estimate 1.000e-03 exceeds 1e-6\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--method", "quantile", "--input", "{reg}", "--target", "y"], "--alpha"),

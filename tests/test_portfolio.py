@@ -9,10 +9,13 @@ from quadlab.portfolio import (
     PortfolioProblem,
     cvar_deviation_of,
     cvar_dev_primal_lp,
+    crossover_crash,
     equivalence_sweep,
     map_x_to_alpha,
     optimize_cvar_dev,
+    optimize_cvar_dev_raw,
     optimize_se_dev,
+    optimize_se_dev_raw,
     se_deviation_of,
     se_dev_primal_lp,
 )
@@ -130,6 +133,56 @@ class TestSweep:
             rel2 = abs(rw["se_dev_opt"] - rw["se_dev_at_cvar_opt"]) / max(1e-12, abs(rw["se_dev_opt"]))
             assert rel1 <= 2e-3
             assert rel2 <= 2e-3
+
+    @pytest.mark.parametrize("long_only", [False, True])
+    def test_crossover_start_matches_independent_chain(self, rng, long_only):
+        # Each sweep CVaR solve starts at its point's SE optimum; an
+        # independent chain started cold at the first level and warm-started
+        # from each previous CVaR basis must reach the same optimum.
+        r = random_returns(rng, n=300, m=5)
+        means = np.sort(r.mean(axis=0))
+        # Long-only, a target near the top asset mean leaves some weights at
+        # zero, so some asset rows are slack at the optimum.
+        mu = float(means[-2]) if long_only else float(means.mean())
+        problem = PortfolioProblem(r, mu, long_only=long_only)
+        rows = equivalence_sweep(r, mu, [0.0, 0.002, 0.005, 0.01], long_only=long_only)
+        warm = None
+        for rw in rows:
+            assert rw["error"] == ""
+            assert rw["cvar_warm_used"]
+            sol, lp = optimize_cvar_dev_raw(problem, rw["alpha"], warm)
+            warm = (lp.basis, lp.vstate)
+            assert sol.deviation == pytest.approx(rw["cvar_dev_opt"], rel=1e-9, abs=0.0)
+        if long_only:
+            se = optimize_se_dev(problem, 0.0)
+            assert np.min(se.weights) <= 1e-12
+
+    def test_crossover_crash_reads_the_se_optimum(self, rng):
+        r = random_returns(rng, n=400, m=4)
+        problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
+        x = 0.003
+        se, _ = optimize_se_dev_raw(problem, x)
+        above, basic = crossover_crash(problem, se.losses, x)
+        threshold = x + se.losses.mean()
+        atoms = se.losses.atoms
+        assert np.array_equal(above, atoms > threshold + 1e-9)
+        # Both free multipliers, then the tied scenarios, then the nearest
+        # scenarios above the threshold: one column per tail-dual row.
+        assert basic.size == problem.m + 1
+        assert list(basic[:2]) == [problem.n, problem.n + 1]
+        tied = np.flatnonzero(np.abs(atoms - threshold) <= 1e-9)
+        assert 0 < tied.size <= problem.m - 1
+        assert list(basic[2:2 + tied.size]) == list(tied)
+        rest = basic[2 + tied.size:]
+        assert np.all(above[rest])
+        assert np.array_equal(atoms[rest], np.sort(atoms[above])[:rest.size])
+        # At alpha(x) the tail at the cap already sums to one.
+        alpha = se.alpha_interval[1]
+        assert above.sum() / problem.n == pytest.approx(1.0 - alpha, abs=1e-15)
+        sol, lp = optimize_cvar_dev_raw(problem, alpha, crash=(above, basic))
+        assert lp.warm_used
+        cold = optimize_cvar_dev(problem, alpha)
+        assert sol.deviation == pytest.approx(cold.deviation, rel=1e-9, abs=0.0)
 
     def test_alpha_interval_brackets_mean_threshold_at_zero_bias(self, rng):
         r = random_returns(rng, n=200)

@@ -364,6 +364,32 @@ class TestStackedOracle:
                 loop = [solver.objective(c) for c in itertools.combinations(range(7), k)]
                 assert np.array_equal(_mse_objectives(data, k), np.array(loop))
 
+    def test_constant_column_scores_like_lstsq(self):
+        # A constant column duplicates the intercept, so every block holding
+        # it is singular up to rounding in the Gram sums; solving through
+        # that rounding used to score such supports far below their error.
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((100, 10))
+        x[:, 0] = 2.5
+        data = Dataset(x, x[:, 1] - x[:, 2] + x[:, 3] + rng.standard_normal(100))
+        full = np.column_stack((np.ones(100), x))
+        combos = list(itertools.combinations(range(10), 3))
+        solver = _GramSolver(data)
+        lstsq = []
+        for combo in combos:
+            cols = full[:, [0, *(j + 1 for j in combo)]]
+            beta = np.linalg.lstsq(cols, data.response, rcond=None)[0]
+            lstsq.append(np.mean((data.response - cols @ beta) ** 2))
+            # the search branches on these: the minimum-norm solution
+            assert np.allclose(solver.coefficients(combo), beta, rtol=0.0, atol=1e-12)
+        values = _mse_objectives(data, 3)
+        assert np.allclose(values, lstsq, rtol=1e-12, atol=0.0)
+        oracle = brute_force_subset(data, 3, "mse")
+        search = fit_sparse_mse(SparseProblem(data, 3, "mse"))
+        assert oracle.objective == pytest.approx(min(lstsq), rel=1e-12)
+        assert search.support == oracle.support == combos[int(np.argmin(lstsq))]
+        assert search.objective == pytest.approx(oracle.objective, rel=1e-12)
+
     def test_iteration_cap_names_the_support(self, rng, monkeypatch):
         data, _ = planted_instance(rng, d=6, k=2, noise=1.0)
         monkeypatch.setattr(stacked, "ITERATIONS_PER_VARIABLE", 0)
