@@ -211,19 +211,23 @@ class _GramSolver:
         self.n = data.n
         self.d = data.d
 
-    def _system(self, support):
-        """Gram block and right-hand side over the intercept plus ``support``."""
-        idx = np.array((-1, *support)) + 1
-        return self.gram[idx[:, None], idx], self.rhs[idx]
+    def _blocks(self, supports):
+        """Gram blocks and right-hand sides over the intercept plus each row of ``supports``."""
+        supports = np.asarray(supports, dtype=np.intp)
+        idx = np.zeros((supports.shape[0], supports.shape[1] + 1), dtype=np.intp)
+        np.add(supports, 1, out=idx[:, 1:])
+        return self.gram[idx[:, :, None], idx[:, None, :]], self.rhs[idx]
+
+    def objectives(self, supports) -> np.ndarray:
+        """Least-squares error of each row of the (m, size) array ``supports``, in one batch."""
+        _, _, explained = _gram_fits(*self._blocks(supports), self.n)
+        return (self.yty - explained) / self.n
 
     def objective(self, support, node=None) -> float:
-        g, h = self._system(support)
-        _, _, explained = _gram_fits(g[None], h[None], self.n)
-        return float((self.yty - explained[0]) / self.n)
+        return float(self.objectives([support])[0])
 
     def coefficients(self, support):
-        g, h = self._system(support)
-        v, coords, _ = _gram_fits(g[None], h[None], self.n)
+        v, coords, _ = _gram_fits(*self._blocks([support]), self.n)
         return v[0] @ coords[0]
 
     def relax(self, included, free, parent):
@@ -254,29 +258,26 @@ def _gram_fits(g, h, n: int):
 def _mse_objectives(data: Dataset, k: int) -> np.ndarray:
     """Least-squares error of every size-k support, in combinations order.
 
-    Each chunk's Gram blocks go through one ``_gram_fits`` call, the code
-    ``_GramSolver.objective`` runs on a single block, so the values are the
-    same.
+    Each chunk of supports is one ``_GramSolver.objectives`` batch, the
+    code that also scores single supports, so the values are the same.
     """
     solver = _GramSolver(data)
-    out = []
     # per support: its Gram block and eigenvectors plus six length-(k+1) arrays
-    for chunk in _combination_chunks(data.d, k, 8 * (k + 1) * (2 * k + 8)):
-        idx = np.column_stack((np.zeros(len(chunk), dtype=np.intp), chunk + 1))
-        g = solver.gram[idx[:, :, None], idx[:, None, :]]
-        _, _, explained = _gram_fits(g, solver.rhs[idx], solver.n)
-        out.append((solver.yty - explained) / solver.n)
-    return np.concatenate(out)
+    return np.concatenate([solver.objectives(chunk) for chunk in
+                           _combination_chunks(data.d, k, 8 * (k + 1) * (2 * k + 8))])
 
 
 def _greedy_forward(solver: _GramSolver, k: int):
-    """Forward selection under squared error: k steps, each adding the best column."""
+    """Forward selection under squared error: k steps, each adding the best column.
+
+    Each step scores all remaining candidates in one batch.
+    """
     chosen: list[int] = []
     remaining = list(range(solver.d))
     while len(chosen) < k and remaining:
+        scores = solver.objectives([chosen + [j] for j in remaining])
         best_j, best_obj = None, np.inf
-        for j in remaining:
-            obj = solver.objective(chosen + [j])
+        for j, obj in zip(remaining, scores.tolist()):
             if obj < best_obj - 1e-15:
                 best_j, best_obj = j, obj
         chosen.append(best_j)
