@@ -327,7 +327,9 @@ def run_fig1_sweep(config: ExperimentConfig) -> ReportTable:
     Each grid point passes when both relative cross-gaps stay within 1e-5.
     The metadata ``diagnostics`` count the tail-average simplex iterations
     and the points where that solve kept the part-balancing weights (there
-    ``rel_gap_se`` is zero up to rounding by construction and checks nothing).
+    ``rel_gap_se`` is zero up to rounding by construction and checks nothing),
+    then the iterations of every solve of the sweep by phase (dual, phase 1,
+    phase 2) and their bound flips.
     """
     started = time.perf_counter()
     n = config.sample_sizes[0]
@@ -360,6 +362,10 @@ def run_fig1_sweep(config: ExperimentConfig) -> ReportTable:
     meta["diagnostics"] = {
         "cvar_iterations": sum(rw["cvar_iterations"] for rw in rows_raw),
         "cvar_kept_se_weights_points": sum(rw["cvar_kept_se_weights"] for rw in rows_raw)}
+    for phase, count in zip(("dual", "phase1", "phase2"),
+                            np.sum([rw["lp_phase_iterations"] for rw in rows_raw], axis=0)):
+        meta["diagnostics"][f"lp_{phase}_iterations"] = int(count)
+    meta["diagnostics"]["lp_bound_flips"] = sum(rw["lp_bound_flips"] for rw in rows_raw)
     return ReportTable(name="fig1_sweep", columns=columns, rows=rows, metadata=meta)
 
 

@@ -8,8 +8,13 @@ the basis inverse is kept dense.
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
 with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
-(bound guesses for the boxed columns), and check the answer with
-``certify_objective`` against the primal objective recomputed from it.
+(bound guesses for the boxed columns, and basic columns read off a fit),
+and check the answer with ``certify_objective`` against the primal
+objective recomputed from it.  A start that is primal infeasible with only
+boxed, fixed, or zero-cost free nonbasics first goes through a dual phase
+whose bound-flipping ratio test crosses many breakpoints per iteration; a
+regression dual at n = 10,000 then takes a few iterations instead of tens.
+``LpSolution.phase_iterations`` and ``bound_flips`` say what a solve did.
 
 Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
 nothing (unbounded slack, zero dual).  The best-subset search keeps one

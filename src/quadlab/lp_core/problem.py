@@ -204,6 +204,9 @@ class LpSolution:
     is True when the solve started from the offered warm basis, and False
     when none was offered or it was rejected (wrong size, a repeated index
     or a singular basis) in favour of the cold start.
+    ``phase_iterations`` splits ``iterations`` into (dual phase, phase 1,
+    phase 2); ``bound_flips`` counts nonbasic variables moved from one
+    bound to the other, whether by a long dual step or a primal flip.
     """
 
     status: str
@@ -216,6 +219,8 @@ class LpSolution:
     vstate: np.ndarray | None = None
     message: str = ""
     warm_used: bool = False
+    phase_iterations: tuple[int, int, int] = (0, 0, 0)
+    bound_flips: int = 0
 
 
 @dataclass

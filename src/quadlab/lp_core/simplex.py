@@ -24,6 +24,21 @@ the leaving row, and its step, clamped at zero, the new best; a row within
 basic variable index (under Bland's rule on the lower index alone).  A row
 tying the bound flip never blocks it.
 
+A dual phase runs first when the start is primal infeasible and every
+nonbasic variable is boxed, fixed, or free with a zero reduced cost, as the
+box duals of the regression and tail-average fits are from their crash
+starts.  Each boxed nonbasic snaps to the bound its reduced-cost sign
+prefers, which makes the start dual feasible, and a dual simplex with a
+bound-flipping (long-step) ratio test restores primal feasibility: the
+leaving row is the largest bound violation (lowest row on ties), and one
+iteration crosses every breakpoint the dual slope allows, flipping those
+columns between their bounds in a single update of the basic values.
+Phases 1 and 2 then run as from any start, so phase 2's pricing still
+certifies optimality; when the dual phase stalls (no eligible column for a
+violated row, a vanishing pivot, or a watchdog on steps that do not move
+the duals) it restores the caller's start and phase 1 takes over.
+Primal-feasible starts skip it and keep their pivot sequences.
+
 Pivot selection is fully deterministic: ties break toward the lowest
 variable index, so identical problems replay identical pivot sequences.
 """
@@ -41,6 +56,7 @@ ROW_TOL = 1e-8        # accepted row residual at reported optimum
 DUAL_TOL = 1e-9       # reduced-cost threshold
 PIVOT_TOL = 1e-9      # smallest direction entry that can block the ratio test
 REFACTOR_EVERY = 128
+DUAL_WINDOW = 64      # breakpoints sorted first in a dual ratio test; grows 4x
 
 
 def _slack_bounds(relation: str):
@@ -63,19 +79,23 @@ def crash_basis(problem: LpProblem, at_upper, basic=()):
     """Warm-start pair (basis, vstate) for ``solve_lp`` from bound guesses.
 
     Every row's slack is basic, except that the columns listed in ``basic``
-    take the places of the first rows' slacks.  Columns flagged in the
-    boolean ``at_upper`` (over the leading columns) start at their upper
-    bound; every other nonbasic variable, slacks included, starts at its
-    finite lower bound, else at its finite upper bound, else free at zero.
+    take the places of the first rows' slacks (a slack listed there keeps
+    its own place, and the next unlisted slack gives way instead).  Columns
+    flagged in the boolean ``at_upper`` (over the leading columns) start at
+    their upper bound; every other nonbasic variable, slacks included,
+    starts at its finite lower bound, else at its finite upper bound, else
+    free at zero.
     """
     n, m = problem.num_vars, problem.num_rows
     slack = np.array([_slack_bounds(rel) for rel in problem.relations]).reshape(m, 2)
     vstate = _bound_states(np.concatenate((problem.lower, slack[:, 0])),
                            np.concatenate((problem.upper, slack[:, 1])))
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
-    basis = np.arange(n, n + m, dtype=np.intp)
     basic = np.asarray(basic, dtype=np.intp)
-    basis[:basic.size] = basic
+    unlisted = np.ones(m, dtype=bool)
+    unlisted[basic[basic >= n] - n] = False
+    rest = np.flatnonzero(unlisted) + n
+    basis = np.concatenate((basic, rest[rest.size - (m - basic.size):]))
     vstate[basis] = BASIC
     return basis, vstate
 
@@ -114,6 +134,7 @@ class _Simplex:
             self.lo[n + r], self.hi[n + r] = _slack_bounds(rel)
         self.fixed = self.lo == self.hi
         self.iterations = 0
+        self.bound_flips = 0
         self.pivots_since_refactor = 0
         self.bland = False
         self.stall = 0
@@ -162,12 +183,8 @@ class _Simplex:
         self._recompute_basics()
 
     def _nonbasic_values(self) -> np.ndarray:
-        v = np.zeros(self.N)
-        at_lo = self.vstate == AT_LOWER
-        at_up = self.vstate == AT_UPPER
-        v[at_lo] = self.lo[at_lo]
-        v[at_up] = self.hi[at_up]
-        return v
+        vs = self.vstate
+        return np.where(vs == AT_LOWER, self.lo, np.where(vs == AT_UPPER, self.hi, 0.0))
 
     def _recompute_basics(self):
         v = self._nonbasic_values()
@@ -294,6 +311,7 @@ class _Simplex:
         if leave_row < 0:
             self.vstate[j] = flip = AT_UPPER if sigma == 1 else AT_LOWER
             self.price_sign[j] = _PRICE_SIGN[flip]
+            self.bound_flips += 1
             return False
         out = self.basis[leave_row]
         self.vstate[out] = leave_state
@@ -332,6 +350,131 @@ class _Simplex:
         f += float((self.lo_b[below] - self.xb[below]).sum())
         f += float((self.xb[above] - self.hi_b[above]).sum())
         return f
+
+    def dual_phase(self, max_iterations) -> str:
+        """Bound-flipping dual simplex from a dual-feasible start.
+
+        Runs only when the installed start is primal infeasible and every
+        nonbasic variable is boxed, fixed, or free with zero reduced cost;
+        returns "skipped" otherwise.  Each boxed nonbasic first snaps to the
+        bound its reduced-cost sign prefers, which makes the basis dual
+        feasible.  Returns "feasible" once no basic variable violates its
+        bounds, "iteration_limit", or "stalled" after restoring the start
+        when a violated row has no eligible column, the pivot vanishes, or
+        the watchdog sees too many steps that leave the duals in place.
+        """
+        if self._infeasibility(self._violations()) <= FEAS_TOL * max(1.0, self.m):
+            return "skipped"
+        start = (self.basis.copy(), self.vstate.copy(), self.binv.copy(),
+                 self.pivots_since_refactor)
+        if not self._snap_to_dual_feasible():
+            return "skipped"
+        watchdog = max(200, 4 * self.m)
+        stuck = 0
+        while True:
+            excess = np.maximum(self.lo_b - self.xb, self.xb - self.hi_b)
+            r = int(np.argmax(excess))
+            if not excess[r] > FEAS_TOL:
+                return "feasible"
+            if self.iterations >= max_iterations:
+                return "iteration_limit"
+            t = self._dual_step(r, float(excess[r]))
+            if t is None or stuck > watchdog:
+                self.basis, self.vstate, self.binv, self.pivots_since_refactor = start
+                self._sync_states()
+                return "stalled"
+            stuck = stuck + 1 if t <= TIE_TOL else 0
+            self.iterations += 1
+
+    def _snap_to_dual_feasible(self) -> bool:
+        """Move each boxed nonbasic to the bound its reduced cost prefers.
+
+        Returns False, changing nothing, unless every nonbasic variable is
+        boxed, fixed, or free with a reduced cost within ``dual_tol``.
+        """
+        d = self._price(self.c)
+        vs = self.vstate
+        boxed = np.isfinite(self.lo) & np.isfinite(self.hi)
+        if not np.all(boxed | (vs == BASIC) | ((vs == FREE_ZERO) & (np.abs(d) <= self.dual_tol))):
+            return False
+        movable = boxed & (vs != BASIC) & ~self.fixed
+        vs[movable & (d > self.dual_tol)] = AT_LOWER
+        vs[movable & (d < -self.dual_tol)] = AT_UPPER
+        self._sync_states()
+        return True
+
+    def _dual_step(self, r, slope):
+        """One long step with leaving row r; returns the dual step, None on a stall."""
+        below = bool(self.xb[r] < self.lo_b[r])
+        choice = self._dual_ratio_test(r, below, slope)
+        if choice is None:
+            return None
+        j, flips, t = choice
+        if flips.size:
+            rising = self.vstate[flips] == AT_LOWER
+            span = self.hi[flips] - self.lo[flips]
+            self.xb -= self.binv @ (self.A[:, flips] @ np.where(rising, span, -span))
+            self.vstate[flips] = np.where(rising, AT_UPPER, AT_LOWER)
+            self.price_sign[flips] = -self.price_sign[flips]
+            self.bound_flips += flips.size
+        w = self.binv @ self.A[:, j]
+        if not abs(w[r]) > PIVOT_TOL:
+            return None
+        theta = (self.xb[r] - (self.lo_b[r] if below else self.hi_b[r])) / w[r]
+        sigma = 1 if theta >= 0 else -1
+        self._apply_step(j, sigma, abs(theta), r, AT_LOWER if below else AT_UPPER,
+                         w, -sigma * w)
+        return t
+
+    def _dual_ratio_test(self, r, below, slope):
+        """Bound-flipping ratio test for leaving row r: (entering j, flips, t) or None.
+
+        The basic variable of row r lies ``slope`` below its lower bound
+        (``below``) or above its upper bound, and leaves at that bound.
+        Moving the duals by t along row r's direction moves each eligible
+        nonbasic reduced cost toward zero, which it reaches at the
+        breakpoint |d_j| / |alpha_rj|.  Walking the breakpoints in (ratio,
+        column) order, each crossed one flips its column to the other bound
+        and lowers the slope by |alpha_rj| * (u_j - l_j); the walk stops at
+        the first breakpoint that leaves the slope nonpositive (a free
+        column, with an infinite range, always stops it).  Among the
+        breakpoints within TIE_TOL of that one, the entering column has the
+        largest |alpha_rj|, then the lowest index; the columns crossed
+        before the stop, except the entering one, flip.  None means no
+        eligible column or a slope that never turns: the dual is unbounded.
+        """
+        alpha = self.binv[r] @ self.A
+        pull = alpha * self.price_sign
+        eligible = (pull > PIVOT_TOL) if below else (pull < -PIVOT_TOL)
+        if self.free_nonbasic:
+            eligible |= (self.vstate == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)
+        cand = np.flatnonzero(eligible)
+        if cand.size == 0:
+            return None
+        size = np.abs(alpha[cand])
+        del alpha, pull, eligible  # keeps the peak memory of a long row down
+        ratio = np.abs(self._price(self.c)[cand]) / size
+        weight = size * (self.hi[cand] - self.lo[cand])
+        # Sort only the smallest ratios, widening the window until it holds
+        # the stop; ties at the window's edge all fall inside it.
+        window = min(cand.size, DUAL_WINDOW)
+        while True:
+            if window < cand.size:
+                near = np.flatnonzero(ratio <= np.partition(ratio, window - 1)[window - 1])
+            else:
+                near = np.arange(cand.size)
+            walk = near[np.lexsort((cand[near], ratio[near]))]
+            stops = np.flatnonzero(np.cumsum(weight[walk]) >= slope)
+            if stops.size:
+                break
+            if window == cand.size:
+                return None
+            window = min(cand.size, 4 * window)
+        stop = int(stops[0])
+        tied = np.flatnonzero(np.abs(ratio - ratio[walk[stop]]) <= TIE_TOL)
+        enter = int(tied[np.argmax(size[tied])])
+        crossed = walk[:stop]
+        return int(cand[enter]), cand[crossed[crossed != enter]], float(ratio[enter])
 
     def phase1(self, max_iterations) -> str:
         watchdog = max(200, 4 * self.m)
@@ -453,7 +596,10 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
         started = s.warm_start(basis, vstate)
     if not started:
         s.cold_start()
+    s.dual_phase(max_iterations)
+    dual = s.iterations
     status = s.phase1(max_iterations)
+    primal = s.iterations
     if status == "feasible":
         status = s.phase2(max_iterations)
     if status == "infeasible":
@@ -467,6 +613,8 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
         if status == "iteration_limit":
             sol.message = f"stopped after {s.iterations} iterations"
     sol.warm_used = started
+    sol.phase_iterations = (dual, primal - dual, s.iterations - primal)
+    sol.bound_flips = s.bound_flips
     return sol
 
 

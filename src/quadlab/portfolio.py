@@ -188,7 +188,7 @@ def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None, crash=Non
                              deviation=deviation, alpha_interval=interval), sol
 
 
-def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x):
+def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x, weights=None):
     """Tail-average dual start read off a part-balancing optimum at bias x.
 
     By the equivalence of the two objectives, the loss sample ``losses``
@@ -197,8 +197,10 @@ def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x):
     names that dual's optimal basis.  The scenarios above the threshold
     x + E[X] sit at their cap; the basic columns are the free budget and
     mean multipliers, then the scenarios tied at the threshold (within the
-    ``map_x_to_alpha`` band), then, while row slots remain, the
-    lowest-loss scenarios above it.  Returns the (at-cap mask, basic
+    ``map_x_to_alpha`` band), then, under the long-only policy, the slacks
+    of the asset rows whose ``weights`` (that optimum's) are idle, within
+    ``BUDGET_TOL`` of zero, then, while row slots remain, the lowest-loss
+    scenarios above the threshold.  Returns the (at-cap mask, basic
     columns) pair ``optimize_cvar_dev_raw`` takes as ``crash``.
     """
     atoms = losses.atoms
@@ -206,11 +208,15 @@ def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x):
     atol = _tie_band(losses)
     above = atoms > threshold + atol
     tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
+    idle = np.zeros(0, dtype=np.intp)
+    if problem.long_only and weights is not None:
+        # asset j's row is row 1 + j of the tail dual, after sum-to-one
+        idle = problem.n + 3 + np.flatnonzero(np.asarray(weights) <= BUDGET_TOL)
     slots = problem.m + 1  # the tail dual's rows: sum-to-one, then one per asset
-    spare = max(0, slots - 2 - tied.size)
+    spare = max(0, slots - 2 - tied.size - idle.size)
     tail = np.flatnonzero(above)
     nearest = tail[np.argsort(atoms[tail], kind="stable")[:spare]]
-    basic = np.concatenate(([problem.n, problem.n + 1], tied, nearest))[:slots]
+    basic = np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))[:slots]
     return above, basic
 
 
@@ -245,7 +251,9 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     ``cvar_iterations``, whether it started from that basis
     (``cvar_warm_used``), and whether it returned the part-balancing weights
     to within ``BUDGET_TOL`` (``cvar_kept_se_weights``), where the
-    part-balancing cross-gap compares a portfolio with itself.
+    part-balancing cross-gap compares a portfolio with itself.  The
+    point's two solves add up their ``LpSolution.phase_iterations`` in
+    ``lp_phase_iterations`` and their ``bound_flips`` in ``lp_bound_flips``.
     """
     x_grid = list(x_grid)
     if not x_grid:
@@ -258,16 +266,19 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
                "se_dev_opt": np.nan, "cvar_dev_at_se_opt": np.nan,
                "cvar_dev_opt": np.nan, "se_dev_at_cvar_opt": np.nan,
                "cvar_iterations": 0, "cvar_warm_used": False,
-               "cvar_kept_se_weights": False, "error": ""}
+               "cvar_kept_se_weights": False, "lp_phase_iterations": (0, 0, 0),
+               "lp_bound_flips": 0, "error": ""}
         try:
             se_sol, se_lp = optimize_se_dev_raw(problem, x, warm_se)
+            _add_lp_counts(row, se_lp)
             warm_se = (se_lp.basis, se_lp.vstate)
             alpha = se_sol.alpha_interval[1]
             row["se_dev_opt"] = se_sol.deviation
             row["alpha"] = alpha
             row["cvar_dev_at_se_opt"] = cvar_deviation_of(se_sol.losses, alpha)
             cvar_sol, cvar_lp = optimize_cvar_dev_raw(
-                problem, alpha, crash=crossover_crash(problem, se_sol.losses, x))
+                problem, alpha, crash=crossover_crash(problem, se_sol.losses, x, se_sol.weights))
+            _add_lp_counts(row, cvar_lp)
             row["cvar_iterations"] = cvar_lp.iterations
             row["cvar_warm_used"] = cvar_lp.warm_used
             row["cvar_kept_se_weights"] = bool(
@@ -278,6 +289,12 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
             row["error"] = str(exc)
         rows.append(row)
     return rows
+
+
+def _add_lp_counts(row: dict, sol) -> None:
+    row["lp_phase_iterations"] = tuple(
+        a + b for a, b in zip(row["lp_phase_iterations"], sol.phase_iterations))
+    row["lp_bound_flips"] += sol.bound_flips
 
 
 # -- direct scenario-row formulations, used as test oracles -------------------

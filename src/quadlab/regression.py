@@ -25,6 +25,8 @@ from .functionals import BiasParam, _bias_of, _alpha_open
 from .lp_core import LpError, LpProblem, certify_objective, crash_basis, solve_lp
 
 ZERO_RESIDUAL_RTOL = 1e-11
+CRASH_POOL = 8            # observations considered per basic slot of a dual crash
+CRASH_PIVOT_SHARE = 0.1   # smallest accepted pivot, relative to the row's largest
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,17 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
     (row 1 + j belongs to column j); the row duals are the negated fit
     coefficients.
 
-    The crash start assigns each multiplier to the bound its residual sign
-    would dictate at an OLS fit split at ``split_level``; that leaves only a
-    small imbalance for phase 1 and keeps iteration counts near the number
-    of misclassified observations rather than n.  Returns (problem, warm).
+    The crash start is read off the OLS fit, split at ``split_level`` (or,
+    with the mean row, at the mean residual shifted by ``mean_rhs_shift``):
+    its basic columns are d + 1 observations whose residuals lie nearest
+    that threshold (``_nearest_basic``; a dependent row keeps its slack
+    instead), so the row duals start near a fit through those points, and
+    every other observation's multiplier starts at the bound its residual
+    sign dictates.
+    That start is primal infeasible with every nonbasic boxed, so
+    ``solve_lp`` runs its bound-flipping dual phase from it: at
+    n = 10,000 a fit takes a few long steps that flip a few dozen
+    multipliers.  Returns (problem, warm).
     """
     n = data.n
     with_mean = mean_bound is not None
@@ -202,10 +211,40 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
         threshold = float(np.mean(z)) + mean_rhs_shift
     else:
         threshold = float(np.quantile(z, split_level))
-    # The mean-row multiplier absorbs the sign imbalance in one step if it
-    # starts basic in place of the first row's slack.
-    warm = crash_basis(problem, z > threshold, basic=[n] if with_mean else ())
+    picked, dependent = _nearest_basic(rows[:, :n], np.abs(z - threshold))
+    warm = crash_basis(problem, z > threshold,
+                       basic=np.concatenate((picked, problem.num_vars + dependent)))
     return problem, warm
+
+
+def _nearest_basic(block: np.ndarray, gap: np.ndarray):
+    """Observations with the smallest ``gap`` that span the rows of ``block``.
+
+    The CRASH_POOL * rows nearest observations, ordered by (gap, index),
+    are reduced by Gaussian elimination one row at a time; row r takes the
+    first remaining observation whose entry is at least CRASH_PIVOT_SHARE
+    of the largest.  A row left with no usable entry depends on the rows
+    before it and keeps its slack basic instead.  Returns (observation
+    columns, dependent rows); together they make a nonsingular basis.
+    """
+    m, n = block.shape
+    size = min(n, CRASH_POOL * m)
+    pool = np.argpartition(gap, size - 1)[:size] if size < n else np.arange(n)
+    pool = pool[np.lexsort((pool, gap[pool]))]
+    work = block[:, pool].copy()
+    scale = np.abs(work).max(axis=1)
+    picked, dependent = [], []
+    for r in range(m):
+        mag = np.abs(work[r])
+        mag[picked] = 0.0
+        best = mag.max()
+        if not best > 1e-9 * max(1.0, scale[r]):
+            dependent.append(r)
+            continue
+        j = int(np.argmax(mag >= CRASH_PIVOT_SHARE * best))
+        picked.append(j)
+        work[r + 1:] -= np.outer(work[r + 1:, j] / work[r, j], work[r])
+    return pool[picked], np.array(dependent, dtype=np.intp)
 
 
 def _solve_dual(problem: LpProblem, warm, n: int):

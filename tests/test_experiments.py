@@ -263,6 +263,11 @@ class TestCli:
         assert f"fig1_sweep.cvar_iterations: {diagnostics['cvar_iterations']}\n" in out
         assert ("fig1_sweep.cvar_kept_se_weights_points: "
                 f"{diagnostics['cvar_kept_se_weights_points']}\n") in out
+        for key in ("lp_dual_iterations", "lp_phase1_iterations", "lp_phase2_iterations",
+                    "lp_bound_flips"):
+            assert f"fig1_sweep.{key}: {diagnostics[key]}\n" in out
+        # the tail-average crossover starts are primal infeasible box duals
+        assert diagnostics["lp_dual_iterations"] > 0
 
     def test_bad_input_reports_error(self, tmp_path):
         missing = tmp_path / "nope.csv"

@@ -24,6 +24,7 @@ from quadlab.lp_core.simplex import (
     FREE_ZERO,
     PIVOT_TOL,
     REFACTOR_EVERY,
+    TIE_TOL,
     _Simplex,
 )
 
@@ -68,7 +69,7 @@ def dual_certificate_value(problem, solution):
 
 
 def _box_walk_problem():
-    """Five equality rows over 300 [0, 1] columns; phase 2 needs 600 pivots."""
+    """Five equality rows over 300 [0, 1] columns; phase 2 from phase 1 needs 600 pivots."""
     rng = np.random.default_rng(2)
     m, n = 5, 300
     p = LpProblem(n)
@@ -80,14 +81,18 @@ def _box_walk_problem():
     return p
 
 
-def _highs_objective(problem):
+def _highs(problem):
     a = problem.dense_matrix()
     rel = np.array(problem.relations)
     rhs = np.array(problem.rhs)
-    res = linprog(problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
-                  b_ub=np.concatenate((rhs[rel == "<="], -rhs[rel == ">="])),
-                  A_eq=a[rel == "="], b_eq=rhs[rel == "="],
-                  bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    return linprog(problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
+                   b_ub=np.concatenate((rhs[rel == "<="], -rhs[rel == ">="])),
+                   A_eq=a[rel == "="], b_eq=rhs[rel == "="],
+                   bounds=list(zip(problem.lower, problem.upper)), method="highs")
+
+
+def _highs_objective(problem):
+    res = _highs(problem)
     assert res.status == 0
     return res.fun
 
@@ -415,6 +420,19 @@ class TestStartStates:
             expected[i] = BASIC
         assert s.vstate.tolist() == expected
 
+    def test_nonbasic_values_match_loop(self, rng):
+        p = self._all_bound_kinds(rng)
+        s = _Simplex(p)
+        vstate = rng.choice([AT_LOWER, AT_UPPER, FREE_ZERO], s.N).astype(np.int8)
+        assert s.warm_start(np.arange(p.num_vars, s.N), vstate)
+        expected = np.zeros(s.N)
+        for j, state in enumerate(s.vstate):
+            if state == AT_LOWER:
+                expected[j] = s.lo[j]
+            elif state == AT_UPPER:
+                expected[j] = s.hi[j]
+        assert np.array_equal(s._nonbasic_values(), expected)
+
 
 def _loop_choose_entering(s, d):
     """Per-mask reference for the entering choice: (j, sigma), j = -1 if none."""
@@ -635,6 +653,205 @@ class TestIterationKernels:
             t, row, state, _, _ = s._ratio_test(j, sigma)
             assert (t, row, state) == _loop_ratio_test(s, j, sigma)
         assert s._ratio_test(0, 1)[:2] == (np.inf, -1)
+
+
+def _loop_dual_ratio_test(s, r, below, slope):
+    """Full-sort reference for the bound-flipping ratio test: (j, flips, t) or None."""
+    alpha = s.binv[r] @ s.A
+    d = s._price(s.c)
+    breakpoints = []
+    for j in range(s.N):
+        state = s.vstate[j]
+        if state == BASIC or s.fixed[j]:
+            continue
+        if state == FREE_ZERO:
+            eligible = abs(alpha[j]) > PIVOT_TOL
+        else:
+            toward_zero = alpha[j] if (state == AT_UPPER) == below else -alpha[j]
+            eligible = toward_zero > PIVOT_TOL
+        if eligible:
+            breakpoints.append((abs(d[j]) / abs(alpha[j]), j))
+    breakpoints.sort()
+    total = 0.0
+    for pos, (t, j) in enumerate(breakpoints):
+        total += abs(alpha[j]) * (s.hi[j] - s.lo[j])
+        if total >= slope:
+            tied = [(-abs(alpha[k]), k, tk) for tk, k in breakpoints if abs(tk - t) <= TIE_TOL]
+            _, enter, t_enter = min(tied)
+            return enter, [k for _, k in breakpoints[:pos] if k != enter], t_enter
+    return None
+
+
+def _box_lp(rng, kind):
+    """Few rows over many boxed columns, with the structure ``kind`` names.
+
+    The rows are equalities met by a point inside the box, except under
+    ``mixed`` (inequalities met with slack too) and ``infeasible`` (row 0
+    asks for more than the box can reach).
+    """
+    m, n = int(rng.integers(2, 5)), int(rng.integers(20, 300))
+    a = rng.standard_normal((m, n))
+    c = rng.standard_normal(n)
+    lo, hi = -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    if kind == "tied":
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        lo, hi = -np.ones(n), np.ones(n)
+    elif kind == "duplicated":
+        # the second half repeats the first: same column, cost and box
+        half = n // 2
+        for v in (c, lo, hi):
+            v[half:2 * half] = v[:half]
+        a[:, half:2 * half] = a[:, :half]
+    elif kind == "collinear":
+        # scaled copies of columns, and a row that repeats a multiple of row 0
+        half = n // 2
+        a[:, half:2 * half] = -2.0 * a[:, :half]
+        a[-1] = 3.0 * a[0]
+    elif kind == "constant":
+        # a constant design column beside the intercept: two rows of ones
+        a[0], a[1] = 1.0, 2.5
+    elif kind == "zero_rows":
+        a[1:][rng.random(m - 1) < 0.5] = 0.0
+        a[-1] = 0.0
+    rhs = a @ rng.uniform(lo, hi)
+    relations = ["="] * m
+    if kind == "mixed":
+        which = rng.integers(0, 3, m)
+        relations = [("<=", "=", ">=")[i] for i in which]
+        rhs += 0.5 * (1 - which)  # slack 0.5 on either side of the inequalities
+    elif kind == "infeasible":
+        rhs[0] = np.abs(a[0]) @ (hi - lo) + 1.0  # lo <= 0 <= hi, so out of reach
+    p = LpProblem(n)
+    p.set_objective(c)
+    p.set_bounds(slice(0, n), lo, hi)
+    for r in range(m):
+        p.add_row(a[r], relations[r], float(rhs[r]))
+    return p
+
+
+BOX_KINDS = ["random", "tied", "duplicated", "collinear", "constant", "zero_rows", "mixed",
+             "infeasible"]
+
+
+class TestDualPhase:
+    """Bound-flipping dual phase: HiGHS agreement, replay, entry rule, fallback."""
+
+    @pytest.mark.parametrize("window", [1, 3, simplex.DUAL_WINDOW])
+    def test_ratio_test_matches_full_sort(self, rng, monkeypatch, window):
+        monkeypatch.setattr(simplex, "DUAL_WINDOW", window)
+        checked = 0
+        for kind in ("random", "tied", "duplicated"):
+            for _ in range(6):
+                p = _box_lp(rng, kind)
+                p.set_bounds(np.arange(0, p.num_vars, 7), None, None)  # some free columns
+                p.set_bounds(np.arange(3, p.num_vars, 11), 0.0, 0.0)   # and some fixed
+                s = _Simplex(p)
+                vstate = rng.choice([AT_LOWER, AT_UPPER], s.N).astype(np.int8)
+                if not s.warm_start(rng.choice(s.N, s.m, replace=False), vstate):
+                    continue
+                for r in range(s.m):
+                    for below in (True, False):
+                        slope = float(rng.choice([1e-3, 0.3, 3.0, 1e6]))
+                        got = s._dual_ratio_test(r, below, slope)
+                        ref = _loop_dual_ratio_test(s, r, below, slope)
+                        if ref is None:
+                            assert got is None
+                            continue
+                        assert (got[0], got[1].tolist(), got[2]) == (ref[0], ref[1], ref[2])
+                        checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("kind", BOX_KINDS)
+    def test_matches_highs(self, rng, kind):
+        ran = 0
+        for _ in range(12):
+            p = _box_lp(rng, kind)
+            sol = solve_lp(p)
+            res = _highs(p)
+            assert sum(sol.phase_iterations) == sol.iterations
+            ran += sol.phase_iterations[0] > 0
+            if kind == "infeasible":
+                # row 0's violation is the largest and no long step can
+                # repair it (the dual is unbounded): the dual phase stalls
+                # and phase 1 certifies infeasibility
+                assert res.status == 2 and sol.status == "infeasible"
+                assert sol.phase_iterations[0] == 0
+                continue
+            assert res.status == 0 and sol.status == "optimal"
+            assert sol.objective == pytest.approx(res.fun, abs=1e-8 * max(1.0, abs(res.fun)))
+            assert np.max(np.abs(p.dense_matrix() @ sol.x - np.array(p.rhs))
+                          * (np.array(p.relations) == "=")) <= 1e-8
+        # the slack start of an equality box LP is primal infeasible with
+        # every nonbasic boxed, so the dual phase runs
+        assert ran >= 10 or kind == "infeasible"
+
+    def test_replays_identically(self, rng):
+        for kind in ("tied", "duplicated", "collinear"):
+            p = _box_lp(rng, kind)
+            first, second = solve_lp(p), solve_lp(p)
+            assert first.phase_iterations[0] > 0
+            assert np.array_equal(first.basis, second.basis)
+            assert np.array_equal(first.x, second.x)
+            assert (first.iterations, first.phase_iterations, first.bound_flips) == \
+                (second.iterations, second.phase_iterations, second.bound_flips)
+
+    def test_long_steps_cut_iterations(self):
+        p = _box_walk_problem()
+        sol = solve_lp(p)
+        assert sol.phase_iterations == (sol.iterations, 0, 0)
+        assert sol.iterations <= 20 and sol.bound_flips > sol.iterations
+        assert sol.objective == pytest.approx(_highs_objective(p), abs=1e-9)
+
+    def test_primal_feasible_start_skips(self, rng, monkeypatch):
+        for _ in range(10):
+            p = _box_lp(rng, "random")
+            first = solve_lp(p)
+            p.set_objective(p.objective + 0.3 * rng.standard_normal(p.num_vars))
+            warm = solve_lp(p, warm=(first.basis, first.vstate))
+            assert warm.warm_used and warm.phase_iterations[:2] == (0, 0)
+            monkeypatch.setattr(_Simplex, "dual_phase", lambda self, limit: "skipped")
+            plain = solve_lp(p, warm=(first.basis, first.vstate))
+            monkeypatch.undo()
+            assert np.array_equal(warm.basis, plain.basis) and warm.iterations == plain.iterations
+
+    def test_unsettled_nonbasic_skips(self, rng):
+        # a nonbasic column bounded on one side only keeps the old path
+        p = _box_lp(rng, "random")
+        p.set_bounds(0, 0.0, None)
+        s = _Simplex(p)
+        s.cold_start()
+        assert s.dual_phase(10**6) == "skipped" and s.iterations == 0
+        # so does a free nonbasic column with a nonzero reduced cost
+        q = _box_lp(rng, "random")
+        q.set_bounds(0, None, None)
+        q.set_objective(np.concatenate(([1.0], q.objective[1:])))
+        s = _Simplex(q)
+        s.cold_start()
+        assert s.dual_phase(10**6) == "skipped"
+
+    def test_forced_stall_falls_back_to_phase1(self, rng, monkeypatch):
+        ratio_test = _Simplex._dual_ratio_test
+        calls = []
+
+        def stall_second(self, r, below, slope):
+            calls.append(r)
+            return ratio_test(self, r, below, slope) if len(calls) == 1 else None
+
+        for kind in ("random", "duplicated", "constant"):
+            p = _box_lp(rng, kind)
+            calls.clear()
+            monkeypatch.setattr(_Simplex, "_dual_ratio_test", stall_second)
+            sol = solve_lp(p)
+            monkeypatch.setattr(_Simplex, "dual_phase", lambda self, limit: "skipped")
+            plain = solve_lp(p)
+            monkeypatch.undo()
+            assert len(calls) == 2 and sol.phase_iterations[0] == 1
+            # the restart replays the path that never entered the dual phase
+            assert sol.phase_iterations[1:] == plain.phase_iterations[1:]
+            assert np.array_equal(sol.basis, plain.basis)
+            assert sol.status == "optimal"
+            assert sol.objective == pytest.approx(_highs(p).fun, abs=1e-8)
 
 
 class TestCertifyObjective:

@@ -4,6 +4,7 @@ import pytest
 from quadlab.distributions import make_sample
 from quadlab.functionals import cvar
 from quadlab.lp_core import solve_lp
+from quadlab.lp_core.simplex import _Simplex
 from quadlab.portfolio import (
     InfeasibleTarget,
     PortfolioProblem,
@@ -183,6 +184,49 @@ class TestSweep:
         assert lp.warm_used
         cold = optimize_cvar_dev(problem, alpha)
         assert sol.deviation == pytest.approx(cold.deviation, rel=1e-9, abs=0.0)
+
+    def test_long_only_crossover_keeps_idle_slacks_basic(self, rng):
+        # An asset the part-balancing optimum leaves idle has a slack asset
+        # row in the tail-average optimum; starting with that slack basic
+        # saves the pivots that would bring it back in.
+        before = after = idle_points = 0
+        for _ in range(20):
+            r = random_returns(rng, n=300, m=5)
+            problem = PortfolioProblem(r, float(np.sort(r.mean(axis=0))[-2]), long_only=True)
+            for x in (0.0, 0.004, 0.01):
+                se = optimize_se_dev(problem, x)
+                alpha = se.alpha_interval[1]
+                idle = np.flatnonzero(se.weights <= 1e-8)
+                _, basic = crossover_crash(problem, se.losses, x, se.weights)
+                assert set((problem.n + 3 + idle).tolist()) <= set(basic.tolist())
+                idle_points += idle.size > 0
+                old, old_lp = optimize_cvar_dev_raw(
+                    problem, alpha, crash=crossover_crash(problem, se.losses, x))
+                new, new_lp = optimize_cvar_dev_raw(
+                    problem, alpha, crash=crossover_crash(problem, se.losses, x, se.weights))
+                assert old_lp.warm_used and new_lp.warm_used
+                assert new.deviation == pytest.approx(old.deviation, rel=0.0, abs=1e-12)
+                before += old_lp.iterations
+                after += new_lp.iterations
+        assert idle_points >= 10
+        assert after < 0.85 * before
+
+    def test_se_chain_skips_the_dual_phase(self, rng, monkeypatch):
+        # after the cold first point every part-balancing start is the
+        # previous optimum, primal feasible, so its pivots are unchanged
+        problem = PortfolioProblem(random_returns(rng, n=400, m=4), 0.001)
+        runs = []
+        for skip in (False, True):
+            if skip:
+                monkeypatch.setattr(_Simplex, "dual_phase", lambda self, limit: "skipped")
+            warm, sols = None, []
+            for x in (0.0, 0.002, 0.005, 0.01):
+                _, lp = optimize_se_dev_raw(problem, x, warm)
+                warm = (lp.basis, lp.vstate)
+                sols.append(lp)
+            assert all(lp.phase_iterations[0] == 0 for lp in sols)
+            runs.append([(lp.iterations, lp.basis.tolist()) for lp in sols])
+        assert runs[0] == runs[1]
 
     def test_alpha_interval_brackets_mean_threshold_at_zero_bias(self, rng):
         r = random_returns(rng, n=200)

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from quadlab import regression
 from quadlab.lp_core import solve_lp
+from quadlab.lp_core.simplex import _Simplex
 from quadlab.regression import (
     Dataset,
     NewsvendorSpec,
@@ -317,3 +319,61 @@ class TestSeSubsetOracle:
         bound, node = oracle.relax((), (2, 0, 1), None)
         assert oracle.relax((0,), (1, 2), node) == (bound, node)
         assert oracle.objective((0, 1, 2), node) == bound
+
+
+class TestDualStart:
+    """The regression duals start from d + 1 observations read off the OLS fit."""
+
+    @staticmethod
+    def _duals(data):
+        n = data.n
+        return {"quantile": regression._dual_problem(data, -1.0 / n, 3.0 / n, None,
+                                                     split_level=0.75),
+                "balance": regression._dual_problem(data, -0.5 / n, 0.5 / n, 0.5, 0.01)}
+
+    def test_few_long_steps_at_ten_thousand(self, rng):
+        x = rng.standard_normal(10_000)
+        data = Dataset(x[:, None], x + rng.standard_normal(10_000) ** 2)
+        z = residuals(fit_ols(data), data).z
+        for kind, (problem, warm) in self._duals(data).items():
+            basis, _ = warm
+            assert np.all(basis < data.n)  # observation columns only
+            sol = regression._solve_dual(problem, warm, data.n)
+            assert sol.warm_used and sol.phase_iterations[1] == 0
+            assert sol.phase_iterations[0] <= 10 and sol.iterations <= 12, kind
+            assert 0 < sol.bound_flips < 500, kind
+            threshold = np.quantile(z, 0.75) if kind == "quantile" else z.mean() + 0.01
+            gap = np.abs(z - threshold)
+            assert np.all(gap[basis] <= np.sort(gap)[8 * 2 - 1])
+
+    def test_dependent_rows_keep_their_slack(self, rng):
+        x = rng.standard_normal((80, 4))
+        x[:, 2] = x[:, 0]   # duplicated column
+        x[:, 3] = 1.5       # constant column, parallel to the intercept
+        data = Dataset(x, x[:, 0] - x[:, 1] + rng.standard_normal(80))
+        for problem, warm in self._duals(data).values():
+            basis, _ = warm
+            slacks = basis[basis >= problem.num_vars] - problem.num_vars
+            assert slacks.tolist() == [3, 4]  # rows of columns 2 and 3
+            assert _Simplex(problem).warm_start(*warm)
+            sol = regression._solve_dual(problem, warm, data.n)
+            assert sol.warm_used
+        assert fit_se(data).objective == pytest.approx(
+            fit_se(Dataset(x[:, :2], data.response)).objective, abs=1e-10)
+
+    def test_subset_children_keep_their_pivots(self, rng, monkeypatch):
+        # children warm-start from a primal feasible parent basis, so the
+        # dual phase never runs for them
+        x = rng.standard_normal((120, 5))
+        data = Dataset(x, x @ np.array([1.0, 0.0, -2.0, 0.5, 0.0]) + rng.standard_normal(120))
+        oracle = SeSubsetOracle(data)
+        _, root = oracle.relax((), tuple(range(5)), None)
+        supports = [s for size in (1, 2, 3, 4) for s in itertools.combinations(range(5), size)]
+        counts = []
+        for skip in (False, True):
+            if skip:
+                monkeypatch.setattr(_Simplex, "dual_phase", lambda self, limit: "skipped")
+            nodes = [oracle._node(support, root)[2] for support in supports]
+            counts.append([(sol.iterations, sol.basis.tolist()) for sol in nodes])
+            assert all(sol.phase_iterations[0] == 0 for sol in nodes)
+        assert counts[0] == counts[1]
