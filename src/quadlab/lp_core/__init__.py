@@ -13,8 +13,9 @@ and check the answer with ``certify_objective`` against the primal
 objective recomputed from it.  A start that is primal infeasible with only
 boxed, fixed, or zero-cost free nonbasics first goes through a dual phase
 whose bound-flipping ratio test crosses many breakpoints per iteration; a
-regression dual at n = 10,000 then takes a few iterations instead of tens.
-``LpSolution.phase_iterations`` and ``bound_flips`` say what a solve did.
+regression dual at n = 10,000 then takes a few iterations instead of tens
+to hundreds.  ``LpSolution.phase_iterations`` and ``bound_flips`` say what
+a solve did.
 
 Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
 nothing (unbounded slack, zero dual).  The best-subset search keeps one

@@ -360,8 +360,9 @@ class _Simplex:
         bound its reduced-cost sign prefers, which makes the basis dual
         feasible.  Returns "feasible" once no basic variable violates its
         bounds, "iteration_limit", or "stalled" after restoring the start
-        when a violated row has no eligible column, the pivot vanishes, or
-        the watchdog sees too many steps that leave the duals in place.
+        when a violated row has no eligible column, the pivot vanishes or
+        leaves a singular basis, or the watchdog sees too many steps that
+        leave the duals in place.
         """
         if self._infeasibility(self._violations()) <= FEAS_TOL * max(1.0, self.m):
             return "skipped"
@@ -378,7 +379,10 @@ class _Simplex:
                 return "feasible"
             if self.iterations >= max_iterations:
                 return "iteration_limit"
-            t = self._dual_step(r, float(excess[r]))
+            try:
+                t = self._dual_step(r, float(excess[r]))
+            except SingularBasisError:  # a refactorization after the pivot
+                t = None
             if t is None or stuck > watchdog:
                 self.basis, self.vstate, self.binv, self.pivots_since_refactor = start
                 self._sync_states()

@@ -184,9 +184,8 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
     that threshold (``_nearest_basic``; a dependent row keeps its slack
     instead), so the row duals start near a fit through those points, and
     every other observation's multiplier starts at the bound its residual
-    sign dictates.
-    That start is primal infeasible with every nonbasic boxed, so
-    ``solve_lp`` runs its bound-flipping dual phase from it: at
+    sign dictates.  That start is primal infeasible with every nonbasic
+    boxed, so ``solve_lp`` runs its bound-flipping dual phase from it: at
     n = 10,000 a fit takes a few long steps that flip a few dozen
     multipliers.  Returns (problem, warm).
     """

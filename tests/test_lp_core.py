@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from quadlab.lp_core import (
     LpError,
     LpProblem,
+    SingularBasisError,
     StackLimitError,
     certify_objective,
     crash_basis,
@@ -830,13 +831,18 @@ class TestDualPhase:
         s.cold_start()
         assert s.dual_phase(10**6) == "skipped"
 
-    def test_forced_stall_falls_back_to_phase1(self, rng, monkeypatch):
+    @pytest.mark.parametrize("stall", ["no eligible column", "singular basis"])
+    def test_forced_stall_falls_back_to_phase1(self, rng, monkeypatch, stall):
         ratio_test = _Simplex._dual_ratio_test
         calls = []
 
         def stall_second(self, r, below, slope):
             calls.append(r)
-            return ratio_test(self, r, below, slope) if len(calls) == 1 else None
+            if len(calls) == 1:
+                return ratio_test(self, r, below, slope)
+            if stall == "singular basis":
+                raise SingularBasisError("forced")
+            return None
 
         for kind in ("random", "duplicated", "constant"):
             p = _box_lp(rng, kind)
