@@ -341,6 +341,14 @@ class TestCrashBasis:
         assert vstate.tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,
                                    BASIC, AT_UPPER, BASIC, BASIC]
 
+    def test_listed_slack_keeps_its_place(self):
+        p = self._mixed_problem()
+        # column 5 takes the place of the first unlisted slack (6); the
+        # listed slack 7 stays basic, and so does the unlisted 8
+        basis, vstate = crash_basis(p, np.zeros(6, dtype=bool), basic=[5, 7])
+        assert basis.tolist() == [5, 7, 8]
+        assert vstate[6] != BASIC and np.all(vstate[basis] == BASIC)
+
     def test_slack_basis_by_default(self):
         p = self._mixed_problem()
         basis, vstate = crash_basis(p, np.zeros(6, dtype=bool))
