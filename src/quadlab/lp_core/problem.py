@@ -206,7 +206,8 @@ class LpSolution:
     or a singular basis) in favour of the cold start.
     ``phase_iterations`` splits ``iterations`` into (dual phase, phase 1,
     phase 2); ``bound_flips`` counts nonbasic variables moved from one
-    bound to the other, whether by a long dual step or a primal flip.
+    bound to the other, whether by a long dual step or a primal flip; the
+    flips of a dual phase that stalls, and so is undone, do not count.
     """
 
     status: str

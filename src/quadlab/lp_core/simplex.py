@@ -360,14 +360,15 @@ class _Simplex:
         bound its reduced-cost sign prefers, which makes the basis dual
         feasible.  Returns "feasible" once no basic variable violates its
         bounds, "iteration_limit", or "stalled" after restoring the start
-        when a violated row has no eligible column, the pivot vanishes or
-        leaves a singular basis, or the watchdog sees too many steps that
-        leave the duals in place.
+        (and ``bound_flips``; its iterations stay counted) when a violated
+        row has no eligible column, the pivot vanishes or leaves a singular
+        basis, or the watchdog sees too many steps that leave the duals in
+        place.
         """
         if self._infeasibility(self._violations()) <= FEAS_TOL * max(1.0, self.m):
             return "skipped"
         start = (self.basis.copy(), self.vstate.copy(), self.binv.copy(),
-                 self.pivots_since_refactor)
+                 self.pivots_since_refactor, self.bound_flips)
         if not self._snap_to_dual_feasible():
             return "skipped"
         watchdog = max(200, 4 * self.m)
@@ -384,7 +385,8 @@ class _Simplex:
             except SingularBasisError:  # a refactorization after the pivot
                 t = None
             if t is None or stuck > watchdog:
-                self.basis, self.vstate, self.binv, self.pivots_since_refactor = start
+                (self.basis, self.vstate, self.binv, self.pivots_since_refactor,
+                 self.bound_flips) = start
                 self._sync_states()
                 return "stalled"
             stuck = stuck + 1 if t <= TIE_TOL else 0

@@ -188,20 +188,20 @@ def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None, crash=Non
                              deviation=deviation, alpha_interval=interval), sol
 
 
-def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x, weights=None):
+def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x, weights):
     """Tail-average dual start read off a part-balancing optimum at bias x.
 
     By the equivalence of the two objectives, the loss sample ``losses``
-    that minimizes the part-balancing deviation at x also minimizes the
-    tail-average deviation at the level ``map_x_to_alpha`` gives, so it
-    names that dual's optimal basis.  The scenarios above the threshold
-    x + E[X] sit at their cap; the basic columns are the free budget and
-    mean multipliers, then the scenarios tied at the threshold (within the
-    ``map_x_to_alpha`` band), then, under the long-only policy, the slacks
-    of the asset rows whose ``weights`` (that optimum's) are idle, within
-    ``BUDGET_TOL`` of zero, then, while row slots remain, the lowest-loss
-    scenarios above the threshold.  Returns the (at-cap mask, basic
-    columns) pair ``optimize_cvar_dev_raw`` takes as ``crash``.
+    that minimizes the part-balancing deviation at x, with asset
+    ``weights``, also minimizes the tail-average deviation at the level
+    ``map_x_to_alpha`` gives, so it names that dual's optimal basis.  The
+    scenarios above the threshold x + E[X] sit at their cap; the basic
+    columns are the free budget and mean multipliers, then the scenarios
+    tied at the threshold (within the ``map_x_to_alpha`` band), then,
+    under the long-only policy, the slacks of the asset rows whose weights
+    are idle, within ``BUDGET_TOL`` of zero, then, while row slots remain,
+    the lowest-loss scenarios above the threshold.  Returns the (at-cap
+    mask, basic columns) pair ``optimize_cvar_dev_raw`` takes as ``crash``.
     """
     atoms = losses.atoms
     threshold = _bias_of(x).x + losses.mean()
@@ -209,7 +209,7 @@ def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x, weigh
     above = atoms > threshold + atol
     tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
     idle = np.zeros(0, dtype=np.intp)
-    if problem.long_only and weights is not None:
+    if problem.long_only:
         # asset j's row is row 1 + j of the tail dual, after sum-to-one
         idle = problem.n + 3 + np.flatnonzero(np.asarray(weights) <= BUDGET_TOL)
     slots = problem.m + 1  # the tail dual's rows: sum-to-one, then one per asset

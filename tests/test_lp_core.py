@@ -842,12 +842,14 @@ class TestDualPhase:
     @pytest.mark.parametrize("stall", ["no eligible column", "singular basis"])
     def test_forced_stall_falls_back_to_phase1(self, rng, monkeypatch, stall):
         ratio_test = _Simplex._dual_ratio_test
-        calls = []
+        calls, undone = [], []
 
         def stall_second(self, r, below, slope):
             calls.append(r)
             if len(calls) == 1:
-                return ratio_test(self, r, below, slope)
+                choice = ratio_test(self, r, below, slope)
+                undone.append(choice[1].size)
+                return choice
             if stall == "singular basis":
                 raise SingularBasisError("forced")
             return None
@@ -863,9 +865,12 @@ class TestDualPhase:
             assert len(calls) == 2 and sol.phase_iterations[0] == 1
             # the restart replays the path that never entered the dual phase
             assert sol.phase_iterations[1:] == plain.phase_iterations[1:]
+            # the stall undoes the first step's flips, so they do not count
+            assert sol.bound_flips == plain.bound_flips
             assert np.array_equal(sol.basis, plain.basis)
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(_highs(p).fun, abs=1e-8)
+        assert sum(undone) > 0
 
 
 class TestCertifyObjective:

@@ -163,7 +163,7 @@ class TestSweep:
         problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
         x = 0.003
         se, _ = optimize_se_dev_raw(problem, x)
-        above, basic = crossover_crash(problem, se.losses, x)
+        above, basic = crossover_crash(problem, se.losses, x, se.weights)
         threshold = x + se.losses.mean()
         atoms = se.losses.atoms
         assert np.array_equal(above, atoms > threshold + 1e-9)
@@ -200,8 +200,10 @@ class TestSweep:
                 _, basic = crossover_crash(problem, se.losses, x, se.weights)
                 assert set((problem.n + 3 + idle).tolist()) <= set(basic.tolist())
                 idle_points += idle.size > 0
+                # with no asset idle the crash keeps no slack basic
+                busy = np.ones(problem.m)
                 old, old_lp = optimize_cvar_dev_raw(
-                    problem, alpha, crash=crossover_crash(problem, se.losses, x))
+                    problem, alpha, crash=crossover_crash(problem, se.losses, x, busy))
                 new, new_lp = optimize_cvar_dev_raw(
                     problem, alpha, crash=crossover_crash(problem, se.losses, x, se.weights))
                 assert old_lp.warm_used and new_lp.warm_used
