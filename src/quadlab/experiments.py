@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -109,8 +109,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
+        """Read a config from a JSON object of field values.
+
+        A non-object, an unknown or missing key, or a non-list
+        ``sample_sizes`` or ``x_grid`` raises ``ValueError``.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if "experiment" not in raw:
+            raise ValueError("config needs an 'experiment' key")
+        for name in ("sample_sizes", "x_grid"):
+            if not isinstance(raw.get(name, []), list):
+                raise ValueError(f"config field {name!r} must be a list")
         return cls(**raw)
 
 
@@ -166,26 +181,6 @@ def emit_report(table: ReportTable, path: str, fmt: str = "csv") -> None:
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def load_report_csv(path: str, name: str = "") -> ReportTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = list(csv.reader(fh))
-    if not reader:
-        raise CsvFormatError("empty report file")
-    head = reader[0]
-    labeled = head and head[0] == "label"
-    columns = head[1:] if labeled else head
-    rows, labels = [], []
-    for r, cells in enumerate(reader[1:], start=2):
-        if len(cells) != len(head):
-            raise CsvFormatError(f"ragged row {r}: {len(cells)} cells, expected {len(head)}")
-        if labeled:
-            labels.append(cells[0])
-            cells = cells[1:]
-        rows.append([float(c) for c in cells])
-    return ReportTable(name=name or os.path.basename(path), columns=list(columns),
-                       rows=rows, row_labels=labels)
 
 
 def load_csv(path: str, target_column: str | None = None):

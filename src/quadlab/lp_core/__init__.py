@@ -22,9 +22,9 @@ nothing (unbounded slack, zero dual).  The best-subset search keeps one
 such dual and frees the rows of excluded columns with
 ``LpProblem.set_relation``; an optimal basis stays primal feasible when
 rows are freed, so each child solve warm-starts straight into phase 2.
-The literal epigraph LPs add their one-row-per-observation blocks with
-``LpProblem.add_rows``, which takes each row's entries instead of a dense
-row.
+The literal zero-bias epigraph LP (``regression.se_lp_problem``) and the
+big-M MILP built on it add their row blocks with ``LpProblem.add_rows``,
+which takes each row's entries instead of a dense row.
 
 ``solve_box_stack`` is the same bounded simplex written over a stack of
 same-shape LPs, min c.u s.t. A_l u = 0, lo <= u <= hi with c, lo and hi

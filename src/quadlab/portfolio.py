@@ -295,64 +295,3 @@ def _add_lp_counts(row: dict, sol) -> None:
     row["lp_phase_iterations"] = tuple(
         a + b for a, b in zip(row["lp_phase_iterations"], sol.phase_iterations))
     row["lp_bound_flips"] += sol.bound_flips
-
-
-# -- direct scenario-row formulations, used as test oracles -------------------
-
-def _scenario_index(n: int, width: int):
-    """Entry indices of scenario rows: the first ``width`` columns, then v_i = width + i."""
-    index = np.empty((n, width + 1), dtype=np.intp)
-    index[:, :width] = np.arange(width)
-    index[:, width] = width + np.arange(n)
-    return index
-
-
-def se_dev_primal_lp(problem: PortfolioProblem, x):
-    """One-row-per-scenario LP for the part-balancing objective."""
-    b = _bias_of(x)
-    r = problem.returns
-    n, m = problem.n, problem.m
-    centered = r - r.mean(axis=0)
-    lp = LpProblem(m + n)
-    obj = np.zeros(m + n)
-    obj[m:] = 1.0 / n
-    lp.set_objective(obj)
-    lp.set_bounds(slice(m, m + n), 0.0, None)
-    if problem.long_only:
-        lp.set_bounds(slice(0, m), 0.0, None)
-    # centered_i . w + v_i >= -x, one row per scenario
-    lp.add_rows(_scenario_index(n, m), np.column_stack((centered, np.ones(n))), ">=", -b.x)
-    budget = np.zeros(m + n)
-    budget[:m] = 1.0
-    lp.add_row(budget, "=", 1.0)
-    mean_row = np.zeros(m + n)
-    mean_row[:m] = r.mean(axis=0)
-    lp.add_row(mean_row, "=", problem.target_mean)
-    return lp
-
-
-def cvar_dev_primal_lp(problem: PortfolioProblem, alpha):
-    """One-row-per-scenario LP for the tail-average objective."""
-    a = _alpha_open(alpha)
-    r = problem.returns
-    n, m = problem.n, problem.m
-    kappa = 1.0 / (1.0 - a)
-    # variables: w(m), zeta, v(n)
-    lp = LpProblem(m + 1 + n)
-    obj = np.zeros(m + 1 + n)
-    obj[:m] = r.mean(axis=0)
-    obj[m] = 1.0
-    obj[m + 1:] = kappa / n
-    lp.set_objective(obj)
-    lp.set_bounds(slice(m + 1, m + 1 + n), 0.0, None)
-    if problem.long_only:
-        lp.set_bounds(slice(0, m), 0.0, None)
-    # r_i . w + zeta + v_i >= 0, one row per scenario
-    lp.add_rows(_scenario_index(n, m + 1), np.column_stack((r, np.ones((n, 2)))), ">=", 0.0)
-    budget = np.zeros(m + 1 + n)
-    budget[:m] = 1.0
-    lp.add_row(budget, "=", 1.0)
-    mean_row = np.zeros(m + 1 + n)
-    mean_row[:m] = r.mean(axis=0)
-    lp.add_row(mean_row, "=", problem.target_mean)
-    return lp

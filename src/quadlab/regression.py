@@ -6,10 +6,9 @@ equivalent bounded-column dual, whose basis stays (d+1)-sized, and read the
 coefficients off the row multipliers; optimality of the stated primal is
 certified by recomputing the objective from the residuals and matching the
 LP value.  ``SeSubsetOracle`` keeps one zero-bias dual for the best-subset
-search and fits column subsets on it by freeing rows.  The literal primal
-formulations with auxiliary part variables are also provided: the sparse
-module's MILP cross-check embeds them, and the test suite cross-checks the
-two routes.
+search and fits column subsets on it by freeing rows.  ``se_lp_problem``
+is the literal zero-bias primal with one part variable per observation;
+the sparse module's big-M MILP embeds it.
 
 Identity used throughout for the biased-mean error with bias x:
 max{E[Z_-] - x_+, E[Z_+] - x_-} = (E|Z| - |x|)/2 + |E[Z] + x|/2.
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import BiasParam, _bias_of, _alpha_open
+from .functionals import _bias_of, _alpha_open
 from .lp_core import LpError, LpProblem, certify_objective, crash_basis, solve_lp
 
 ZERO_RESIDUAL_RTOL = 1e-11
@@ -326,27 +325,19 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj)
 
 
-def fit_biased_mean(data: Dataset, x, formulation: str = "compact") -> LinearModel:
+def fit_biased_mean(data: Dataset, x) -> LinearModel:
     """Part-balancing fit: minimize max{E[z_-] - x_+, E[z_+] - x_-}.
 
-    ``compact`` solves the bounded dual of the equivalent problem
-    min 0.5*E|z| + 0.5*|mean(z) + x| - |x|/2; ``aux`` solves the literal
-    epigraph LP with per-observation part variables.  Either way the
-    intercept is recentred so the residual mean equals -x exactly: for any
-    slope vector the optimal intercept slice contains that point, so the
-    shift never degrades the objective.
+    Solves the bounded dual of the equivalent problem
+    min 0.5*E|z| + 0.5*|mean(z) + x| - |x|/2, then recentres the intercept
+    so the residual mean equals -x exactly: for any slope vector the optimal
+    intercept slice contains that point, so the shift never degrades the
+    objective.
     """
     b = _bias_of(x)
-    equiv_alpha = None
-    if formulation == "compact":
-        half_n = 0.5 / data.n
-        c0, coeffs, lp_value, _, nu = _fit_by_dual(data, -half_n, half_n, 0.5, b.x)
-        lp_value -= 0.5 * abs(b.x)
-        equiv_alpha = min(max(0.5 + nu, 0.0), 1.0)
-    elif formulation == "aux":
-        c0, coeffs, lp_value = _solve_bmr_aux(data, b)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+    half_n = 0.5 / data.n
+    c0, coeffs, lp_value, _, nu = _fit_by_dual(data, -half_n, half_n, 0.5, b.x)
+    lp_value -= 0.5 * abs(b.x)
     z = data.response - c0 - data.design @ coeffs
     c0 += float(np.mean(z)) + b.x
     z = data.response - c0 - data.design @ coeffs
@@ -356,7 +347,7 @@ def fit_biased_mean(data: Dataset, x, formulation: str = "compact") -> LinearMod
     if mean_gap > 1e-7:
         raise LpError(f"residual mean misses -x by {mean_gap}")
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj,
-                       equiv_alpha=equiv_alpha)
+                       equiv_alpha=min(max(0.5 + nu, 0.0), 1.0))
 
 
 def fit_se(data: Dataset) -> LinearModel:
@@ -368,22 +359,7 @@ def fit_se(data: Dataset) -> LinearModel:
     return fit_biased_mean(data, 0.0)
 
 
-# -- literal primal formulations ---------------------------------------------
-
-def _observation_index(n: int, idx_c0: int, idx_c, idx_part):
-    """Entry indices of the rows sign * (c0 + c . x_i) + part_i, one per observation."""
-    index = np.empty((n, idx_c.size + 2), dtype=np.intp)
-    index[:, 0] = idx_c0
-    index[:, 1:-1] = idx_c
-    index[:, -1] = idx_part
-    return index
-
-
-def _observation_value(design: np.ndarray, sign: float):
-    """Entry values matching ``_observation_index``: sign, sign * x_i, then 1."""
-    n = design.shape[0]
-    return np.column_stack((np.full(n, sign), sign * design, np.ones(n)))
-
+# -- literal primal formulation -----------------------------------------------
 
 def se_lp_problem(data: Dataset):
     """Epigraph LP for the zero-bias fit with one part variable per row.
@@ -413,65 +389,11 @@ def se_lp_problem(data: Dataset):
         row[idx_c] = -data.design.mean(axis=0)
     problem.add_row(row, ">=", -float(data.response.mean()))
     # u_i + c0 + c . x_i >= y_i, one row per observation
-    problem.add_rows(_observation_index(n, idx_c0, idx_c, idx_u),
-                     _observation_value(data.design, 1.0), ">=", data.response)
+    entries = np.column_stack((np.full(n, idx_c0), np.tile(idx_c, (n, 1)), idx_u))
+    value = np.column_stack((np.ones(n), data.design, np.ones(n)))
+    problem.add_rows(entries, value, ">=", data.response)
     index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "u": idx_u}
     return problem, index
-
-
-def bmr_aux_lp_problem(data: Dataset, x):
-    """Epigraph LP for the biased fit with split part variables p, q.
-
-    Variables [c0, c, t, p(1..n), q(1..n)]: minimize t subject to
-    t >= mean(q) - x_+, t >= mean(p) - x_-, p_i >= z_i, q_i >= -z_i,
-    p, q >= 0.
-    """
-    b = _bias_of(x)
-    n, d = data.n, data.d
-    num = d + 2 + 2 * n
-    idx_c0, idx_c, idx_t = 0, np.arange(1, d + 1), d + 1
-    idx_p = np.arange(d + 2, d + 2 + n)
-    idx_q = np.arange(d + 2 + n, num)
-    problem = LpProblem(num)
-    obj = np.zeros(num)
-    obj[idx_t] = 1.0
-    problem.set_objective(obj)
-    problem.set_bounds(slice(d + 2, num), 0.0, None)
-
-    inv_n = 1.0 / n
-    row = np.zeros(num)
-    row[idx_t] = 1.0
-    row[idx_q] = -inv_n
-    problem.add_row(row, ">=", -b.x_plus)
-    row = np.zeros(num)
-    row[idx_t] = 1.0
-    row[idx_p] = -inv_n
-    problem.add_row(row, ">=", -b.x_minus)
-    # p_i + c0 + c . x_i >= y_i and q_i - c0 - c . x_i >= -y_i, interleaved
-    entries = np.empty((2 * n, d + 2), dtype=np.intp)
-    entries[0::2] = _observation_index(n, idx_c0, idx_c, idx_p)
-    entries[1::2] = _observation_index(n, idx_c0, idx_c, idx_q)
-    value = np.empty((2 * n, d + 2))
-    value[0::2] = _observation_value(data.design, 1.0)
-    value[1::2] = _observation_value(data.design, -1.0)
-    problem.add_rows(entries, value, ">=", np.column_stack((data.response, -data.response)).ravel())
-    index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "p": idx_p, "q": idx_q}
-    return problem, index
-
-
-def _solve_bmr_aux(data: Dataset, b: BiasParam):
-    problem, index = bmr_aux_lp_problem(data, b)
-    sol = solve_lp(problem)
-    if sol.status != "optimal":
-        raise LpError(f"regression LP ended with status {sol.status}")
-    p = sol.x[index["p"]]
-    q = sol.x[index["q"]]
-    worst = float(np.max(p * q, initial=0.0))
-    if worst > 1e-8:
-        raise LpError(f"part variables overlap: max p*q = {worst}")
-    c0 = float(sol.x[index["c0"]])
-    coeffs = sol.x[index["c"]].copy()
-    return c0, coeffs, float(sol.objective)
 
 
 # -- applications -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -13,7 +14,6 @@ from quadlab.experiments import (
     ReportTable,
     emit_report,
     load_csv,
-    load_report_csv,
     run_fig1_sweep,
     run_sparse_recovery,
     run_table2_pattern,
@@ -55,11 +55,11 @@ class TestCsvIo:
                             row_labels=["r1", "r2", "r3", "r4"])
         path = tmp_path / "t.csv"
         emit_report(table, str(path), "csv")
-        back = load_report_csv(str(path))
-        assert back.columns == table.columns
-        assert back.row_labels == table.row_labels
-        for r1, r2 in zip(back.rows, table.rows):
-            assert r1 == r2  # bit-exact
+        with open(path, newline="", encoding="utf-8") as fh:
+            head, *body = list(csv.reader(fh))
+        assert head == ["label"] + table.columns
+        assert [cells[0] for cells in body] == table.row_labels
+        assert [[float(c) for c in cells[1:]] for cells in body] == table.rows  # bit-exact
 
     def test_matrix_round_trip(self, tmp_path, rng):
         m = rng.standard_normal((5, 2))
@@ -268,6 +268,21 @@ class TestCli:
             assert f"fig1_sweep.{key}: {diagnostics[key]}\n" in out
         # the tail-average crossover starts are primal infeasible box duals
         assert diagnostics["lp_dual_iterations"] > 0
+
+    @pytest.mark.parametrize("config, message", [
+        ({"experiment": "fig1_sweep", "sedd": 3}, "unknown config keys: sedd"),
+        ([1, 2], "JSON object"),
+        ({"experiment": "fig1_sweep", "sample_sizes": 5}, "'sample_sizes' must be a list"),
+        ({"seed": 3}, "needs an 'experiment' key"),
+    ], ids=["unknown_key", "array", "non_list_sample_sizes", "no_experiment"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["experiment", "--config", str(cfg), "--output-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_bad_input_reports_error(self, tmp_path):
         missing = tmp_path / "nope.csv"

@@ -29,6 +29,8 @@ from quadlab.lp_core.simplex import (
     _Simplex,
 )
 
+from conftest import highs_objective
+
 
 def _random_bounded_feasible(rng):
     """LP with a known interior point, finite bounds, mixed relations."""
@@ -82,20 +84,22 @@ def _box_walk_problem():
     return p
 
 
-def _highs(problem):
+def _highs_arrays(problem):
     a = problem.dense_matrix()
     rel = np.array(problem.relations)
     rhs = np.array(problem.rhs)
-    return linprog(problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
-                   b_ub=np.concatenate((rhs[rel == "<="], -rhs[rel == ">="])),
-                   A_eq=a[rel == "="], b_eq=rhs[rel == "="],
-                   bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    return dict(c=problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
+                b_ub=np.concatenate((rhs[rel == "<="], -rhs[rel == ">="])),
+                A_eq=a[rel == "="], b_eq=rhs[rel == "="],
+                bounds=list(zip(problem.lower, problem.upper)))
+
+
+def _highs(problem):
+    return linprog(**_highs_arrays(problem), method="highs")
 
 
 def _highs_objective(problem):
-    res = _highs(problem)
-    assert res.status == 0
-    return res.fun
+    return highs_objective(**_highs_arrays(problem))
 
 
 class TestSolveLp:
@@ -869,7 +873,7 @@ class TestDualPhase:
             assert sol.bound_flips == plain.bound_flips
             assert np.array_equal(sol.basis, plain.basis)
             assert sol.status == "optimal"
-            assert sol.objective == pytest.approx(_highs(p).fun, abs=1e-8)
+            assert sol.objective == pytest.approx(_highs_objective(p), abs=1e-8)
         assert sum(undone) > 0
 
 
@@ -1073,10 +1077,9 @@ class TestBoxStack:
             c, lo, hi, a = _random_stack(rng, kind)
             sol = solve_box_stack(c, lo, hi, a)
             for l in range(a.shape[0]):
-                res = linprog(c, A_eq=a[l], b_eq=np.zeros(a.shape[1]),
-                              bounds=list(zip(lo, hi)), method="highs")
-                assert res.status == 0
-                assert sol.objective[l] == pytest.approx(res.fun, abs=1e-9)
+                ref = highs_objective(c, A_eq=a[l], b_eq=np.zeros(a.shape[1]),
+                                      bounds=list(zip(lo, hi)))
+                assert sol.objective[l] == pytest.approx(ref, abs=1e-9)
                 # the row duals attain the Lagrangian dual bound of the box LP
                 reduced = c - sol.duals[l] @ a[l]
                 bound = np.minimum(lo * reduced, hi * reduced).sum()

@@ -3,13 +3,11 @@ import pytest
 
 from quadlab.distributions import make_sample
 from quadlab.functionals import cvar
-from quadlab.lp_core import solve_lp
 from quadlab.lp_core.simplex import _Simplex
 from quadlab.portfolio import (
     InfeasibleTarget,
     PortfolioProblem,
     cvar_deviation_of,
-    cvar_dev_primal_lp,
     crossover_crash,
     equivalence_sweep,
     map_x_to_alpha,
@@ -18,7 +16,6 @@ from quadlab.portfolio import (
     optimize_se_dev,
     optimize_se_dev_raw,
     se_deviation_of,
-    se_dev_primal_lp,
 )
 
 
@@ -62,28 +59,11 @@ class TestSolutions:
                 assert sol.weights.sum() == pytest.approx(1.0, abs=1e-8)
                 assert -sol.losses.mean() == pytest.approx(mu, abs=1e-7)
 
-    def test_matches_scenario_row_formulation(self, rng):
-        for _ in range(5):
-            r = random_returns(rng, n=60)
-            mu = float(r.mean(axis=0).mean())
-            prob = PortfolioProblem(r, mu)
-            x = float(rng.uniform(-0.001, 0.01))
-            ref = solve_lp(se_dev_primal_lp(prob, x))
-            got = optimize_se_dev(prob, x)
-            x_minus = max(0.0, -x)
-            assert got.deviation == pytest.approx(ref.objective - x_minus, abs=1e-9)
-            alpha = float(rng.uniform(0.3, 0.95))
-            ref = solve_lp(cvar_dev_primal_lp(prob, alpha))
-            got = optimize_cvar_dev(prob, alpha)
-            assert got.deviation == pytest.approx(ref.objective, abs=1e-9)
-
     def test_long_only_flag(self, rng):
         r = random_returns(rng)
         mu = float(r.mean(axis=0).mean())
         sol = optimize_se_dev(PortfolioProblem(r, mu, long_only=True), 0.0)
         assert np.min(sol.weights) >= -1e-8
-        ref = solve_lp(se_dev_primal_lp(PortfolioProblem(r, mu, long_only=True), 0.0))
-        assert sol.deviation == pytest.approx(ref.objective, abs=1e-9)
 
     def test_infeasible_target(self, rng):
         r = np.full((40, 2), 0.001) + 1e-5 * rng.standard_normal((40, 2))

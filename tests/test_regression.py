@@ -11,7 +11,6 @@ from quadlab.regression import (
     NewsvendorSpec,
     Residuals,
     SeSubsetOracle,
-    bmr_aux_lp_problem,
     fit_biased_mean,
     fit_ols,
     fit_quantile,
@@ -86,43 +85,9 @@ class TestFitQuantile:
         assert m.objective == pytest.approx(0.0, abs=1e-9)
         assert m.intercept == pytest.approx(1.5, abs=1e-7)
 
-    def test_objective_matches_split_lp(self, rng):
-        # split-residual formulation solved directly as the oracle
-        for _ in range(5):
-            data = random_dataset(rng, max_n=60, max_d=3)
-            alpha = float(rng.uniform(0.1, 0.9))
-            m = fit_quantile(data, alpha)
-            n, d = data.n, data.d
-            p_idx = d + 1
-            lp = _split_residual_lp(data, alpha)
-            ref = solve_lp(lp)
-            assert ref.status == "optimal"
-            assert m.objective == pytest.approx(ref.objective, abs=1e-9)
-
     def test_rejects_endpoints(self):
         with pytest.raises(ValueError):
             fit_quantile(INTERCEPT_ONLY, 1.0)
-
-
-def _split_residual_lp(data, alpha):
-    from quadlab.lp_core import LpProblem
-
-    n, d = data.n, data.d
-    lp = LpProblem(d + 1 + 2 * n)
-    obj = np.zeros(d + 1 + 2 * n)
-    obj[d + 1:d + 1 + n] = alpha / (1 - alpha) / n
-    obj[d + 1 + n:] = 1.0 / n
-    lp.set_objective(obj)
-    for i in range(n):
-        lp.set_bounds(d + 1 + i, 0, None)
-        lp.set_bounds(d + 1 + n + i, 0, None)
-        row = np.zeros(d + 1 + 2 * n)
-        row[0] = 1.0
-        row[1:d + 1] = data.design[i]
-        row[d + 1 + i] = 1.0
-        row[d + 1 + n + i] = -1.0
-        lp.add_row(row, "=", float(data.response[i]))
-    return lp
 
 
 class TestFitBiasedMean:
@@ -144,14 +109,6 @@ class TestFitBiasedMean:
             m = fit_biased_mean(data, x)
             z = residuals(m, data).z
             assert np.mean(z) == pytest.approx(-x, abs=1e-7)
-
-    def test_formulations_agree(self, rng):
-        for _ in range(10):
-            data = random_dataset(rng, max_n=80)
-            x = float(rng.uniform(-0.5, 0.5))
-            a = fit_biased_mean(data, x, formulation="compact")
-            b = fit_biased_mean(data, x, formulation="aux")
-            assert a.objective == pytest.approx(b.objective, abs=1e-9)
 
     def test_equiv_alpha_is_exact_quantile_level(self, rng):
         for _ in range(8):
@@ -271,16 +228,6 @@ class TestNewsvendor:
     def test_rejects_nonpositive_cost(self):
         with pytest.raises(ValueError):
             newsvendor_price(INTERCEPT_ONLY, 0.0, gamma=0.0)
-
-
-class TestAuxFormulationGuards:
-    def test_part_variables_disjoint(self, rng):
-        data = random_dataset(rng, max_n=50)
-        lp, index = bmr_aux_lp_problem(data, 0.1)
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        p, q = sol.x[index["p"]], sol.x[index["q"]]
-        assert float(np.max(p * q, initial=0.0)) <= 1e-8
 
 
 class TestSeSubsetOracle:
