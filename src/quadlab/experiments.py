@@ -70,21 +70,43 @@ class CsvFormatError(ValueError):
     """Malformed CSV input; the message pinpoints row and column."""
 
 
+# Accepted values of the config fields annotated with each type name; a
+# ``list[...]`` field holds a list of such values.
+_FIELD_KINDS = {"int": ((int, np.integer), "an integer"),
+                "float": ((int, float, np.integer, np.floating), "a number"),
+                "bool": ((bool, np.bool_), "true or false")}
+
+
+def _check_field(name: str, value, annotation: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` fits its annotation."""
+    kind, values = annotation, [value]
+    if annotation.startswith("list["):
+        if not isinstance(value, list):
+            raise ValueError(f"config field {name!r} must be a list")
+        kind, values = annotation[5:-1], value
+    if kind not in _FIELD_KINDS:
+        return
+    types, what = _FIELD_KINDS[kind]
+    for v in values:
+        if not isinstance(v, types) or (kind != "bool" and isinstance(v, (bool, np.bool_))):
+            where = " element" if values is value else ""
+            raise ValueError(f"config field {name!r}{where} must be {what}, got {v!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for one experiment run; unset fields take desk-scale defaults."""
 
     experiment: str
     seed: int = 20240
-    sample_sizes: list = field(default_factory=list)
+    sample_sizes: list[int] = field(default_factory=list)
     replications: int = 0
     shape: float = 10.0
     x_bias: float = 0.005
-    x_grid: list = field(default_factory=list)
+    x_grid: list[float] = field(default_factory=list)
     rho: float = 0.9
     dimension: int = 30
     k_star: int = 3
-    alpha: float | None = None
     max_nodes: int = 1500
     time_limit_s: float = 300.0
     oracle_check: bool = True
@@ -92,6 +114,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name), f.type)
         if not self.sample_sizes:
             defaults = {"tables345": [100, 1000, 10000],
                         "fig1_sweep": [10000],
@@ -111,8 +135,8 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         """Read a config from a JSON object of field values.
 
-        A non-object, an unknown or missing key, or a non-list
-        ``sample_sizes`` or ``x_grid`` raises ``ValueError``.
+        A non-object, an unknown or missing key, or a field value of the
+        wrong type (checked on construction) raises ``ValueError``.
         """
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -123,9 +147,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "experiment" not in raw:
             raise ValueError("config needs an 'experiment' key")
-        for name in ("sample_sizes", "x_grid"):
-            if not isinstance(raw.get(name, []), list):
-                raise ValueError(f"config field {name!r} must be a list")
         return cls(**raw)
 
 

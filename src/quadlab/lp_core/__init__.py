@@ -3,7 +3,8 @@
 ``solve_lp`` runs a revised simplex with two-sided variable bounds and a
 deterministic pivot rule; ``solve_mip`` wraps it in best-first branch and
 bound over binary variables.  Problems are small to mid-sized by design:
-the basis inverse is kept dense.
+the basis inverse is kept dense.  A solve without a usable warm basis
+starts from the all-slack ``crash_basis(problem, ())``.
 
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
@@ -29,7 +30,8 @@ which takes each row's entries instead of a dense row.
 ``solve_box_stack`` is the same bounded simplex written over a stack of
 same-shape LPs, min c.u s.t. A_l u = 0, lo <= u <= hi with c, lo and hi
 shared: each numpy step advances every unfinished LP by one pivot or bound
-flip.  It exists for the exhaustive best-subset oracle, whose C(d, k)
+flip, and its ratio test breaks ties with ``simplex.leaving_row``, as
+``solve_lp``'s does.  It exists for the exhaustive best-subset oracle, whose C(d, k)
 centred-LAD duals (one per support) have exactly that shape.
 """
 
@@ -41,7 +43,6 @@ from .problem import (
     LpError,
     SingularBasisError,
     certify_objective,
-    dump_problem,
 )
 from .simplex import crash_basis, solve_lp
 from .branch_bound import solve_mip
@@ -58,7 +59,6 @@ __all__ = [
     "StackSolution",
     "certify_objective",
     "crash_basis",
-    "dump_problem",
     "solve_box_stack",
     "solve_lp",
     "solve_mip",

@@ -48,7 +48,6 @@ def solve_mip(
     gap_tol: float = 1e-9,
     max_nodes: int | None = None,
     incumbent_hint=None,
-    max_lp_iterations: int | None = None,
 ) -> MipSolution:
     """Minimize a mixed-binary LP; requires at least one binary flag.
 
@@ -57,6 +56,8 @@ def solve_mip(
     ``optimal`` once the gap closes below ``gap_tol``, ``time_limit`` on the
     clock, ``feasible`` on the node budget with an incumbent, and
     ``infeasible`` when the root relaxation (hence the program) is empty.
+    ``incumbent_hint`` holds one value per binary, in index order; it is
+    rounded, fixed and polished into a first incumbent.
     """
     problem.validate()
     binary_idx = np.nonzero(problem.is_binary)[0]
@@ -65,7 +66,7 @@ def solve_mip(
     start = time.monotonic()
     relaxed = _relaxation(problem)
 
-    root = solve_lp(relaxed, max_iterations=max_lp_iterations)
+    root = solve_lp(relaxed)
     if root.status == "infeasible":
         return MipSolution(status="infeasible", nodes=1, iterations=root.iterations)
     if root.status not in ("optimal",):
@@ -86,7 +87,7 @@ def solve_mip(
         trial = _relaxation(problem)
         fixed = np.round(binary_values)
         trial.set_bounds(binary_idx, fixed, fixed)
-        sol = solve_lp(trial, max_iterations=max_lp_iterations)
+        sol = solve_lp(trial)
         total_iters += sol.iterations
         if sol.status == "optimal":
             return sol.x, sol.objective
@@ -94,10 +95,8 @@ def solve_mip(
 
     if incumbent_hint is not None:
         hint = np.asarray(incumbent_hint, dtype=float)
-        if hint.size == problem.num_vars:
-            hint = hint[binary_idx]
         if hint.size != binary_idx.size:
-            raise LpError("incumbent hint must cover every variable or every binary")
+            raise LpError("incumbent hint must hold one value per binary")
         polished = fix_and_polish(hint)
         if polished is not None:
             try_incumbent(polished)
@@ -137,7 +136,7 @@ def solve_mip(
             continue
         node_problem = _relaxation(problem)
         node_problem.set_bounds(binary_idx, blo, bup)
-        sol = solve_lp(node_problem, warm=warm, max_iterations=max_lp_iterations)
+        sol = solve_lp(node_problem, warm=warm)
         nodes += 1
         total_iters += sol.iterations
         if sol.status == "infeasible":

@@ -176,25 +176,6 @@ class LpProblem:
         return out
 
 
-def dump_problem(problem: LpProblem) -> str:
-    """Plain-text dump for diffing: objective, bounds, then one row per line.
-
-    Row lines read ``j:coeff ... REL rhs`` with variable indices ascending;
-    bound lines read ``bound j lo hi``.  Floats use repr so the dump is
-    lossless.
-    """
-    lines = ["min " + " ".join(f"{j}:{c!r}" for j, c in enumerate(problem.objective) if c != 0.0)]
-    for j in range(problem.num_vars):
-        lo, hi = problem.lower[j], problem.upper[j]
-        tag = " binary" if problem.is_binary[j] else ""
-        if np.isfinite(lo) or np.isfinite(hi) or tag:
-            lines.append(f"bound {j} {lo!r} {hi!r}{tag}")
-    for idx, val, rel, rhs in zip(problem.row_index, problem.row_value, problem.relations, problem.rhs):
-        body = " ".join(f"{j}:{v!r}" for j, v in zip(idx, val))
-        lines.append(f"{body} {rel} {rhs!r}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class LpSolution:
     """Simplex output; ``duals`` holds one multiplier per input row.
@@ -203,7 +184,7 @@ class LpSolution:
     variable vector and can be fed back in as a warm start.  ``warm_used``
     is True when the solve started from the offered warm basis, and False
     when none was offered or it was rejected (wrong size, a repeated index
-    or a singular basis) in favour of the cold start.
+    or a singular basis) in favour of the all-slack crash start.
     ``phase_iterations`` splits ``iterations`` into (dual phase, phase 1,
     phase 2); ``bound_flips`` counts nonbasic variables moved from one
     bound to the other, whether by a long dual step or a primal flip; the

@@ -16,13 +16,13 @@ recomputed from the variable values only when the basis is refactorized
 in the tracked value never outlives a refactor.
 
 One iteration is a handful of whole-array operations.  The ratio test
-computes every row's blocking step at once, then resolves them as a scan
-in row order would.  The best step starts as the entering variable's own
-bound flip.  A row whose step beats the best by more than 1e-12 becomes
-the leaving row, and its step, clamped at zero, the new best; a row within
-1e-12 of the best wins the tie on the larger |pivot|, then on the lower
-basic variable index (under Bland's rule on the lower index alone).  A row
-tying the bound flip never blocks it.
+computes every row's blocking step at once.  The entering variable's own
+bound flip wins unless some row's step is more than TIE_TOL below it, so
+a row tying the bound flip never blocks it.  Otherwise the step is the
+smallest row step, clamped at zero, and ``leaving_row`` picks among the
+rows within TIE_TOL of it: the largest |pivot| (within 1e-15, and not
+under Bland's rule), then the lowest basic variable index.  The rule does
+not depend on row order, and ``solve_box_stack`` uses it too.
 
 A dual phase runs first when the start is primal infeasible and every
 nonbasic variable is boxed, fixed, or free with a zero reduced cost, as the
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import LpError, LpProblem, LpSolution, SingularBasisError
+from .problem import RELATIONS, LpError, LpProblem, LpSolution, SingularBasisError
 
 BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
 
@@ -59,14 +59,17 @@ REFACTOR_EVERY = 128
 DUAL_WINDOW = 64      # breakpoints sorted first in a dual ratio test; grows 4x
 
 
-def _slack_bounds(relation: str):
-    if relation == "<=":
-        return 0.0, np.inf
-    if relation == ">=":
-        return -np.inf, 0.0
-    if relation == "free":
-        return -np.inf, np.inf
-    return 0.0, 0.0
+# Slack bounds by relation, in the order of RELATIONS: "<=" [0, inf), "=" 0,
+# ">=" (-inf, 0], "free" unbounded.
+_RELATION_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
+_SLACK_LO = np.array([0.0, 0.0, -np.inf, -np.inf])
+_SLACK_HI = np.array([np.inf, 0.0, 0.0, np.inf])
+
+
+def _slack_bounds(relations):
+    """Per-row slack bounds (lo, hi)."""
+    code = np.fromiter(map(_RELATION_CODE.__getitem__, relations), np.intp, len(relations))
+    return _SLACK_LO[code], _SLACK_HI[code]
 
 
 def _bound_states(lo, hi) -> np.ndarray:
@@ -87,9 +90,9 @@ def crash_basis(problem: LpProblem, at_upper, basic=()):
     free at zero.
     """
     n, m = problem.num_vars, problem.num_rows
-    slack = np.array([_slack_bounds(rel) for rel in problem.relations]).reshape(m, 2)
-    vstate = _bound_states(np.concatenate((problem.lower, slack[:, 0])),
-                           np.concatenate((problem.upper, slack[:, 1])))
+    slack_lo, slack_hi = _slack_bounds(problem.relations)
+    vstate = _bound_states(np.concatenate((problem.lower, slack_lo)),
+                           np.concatenate((problem.upper, slack_hi)))
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
     basic = np.asarray(basic, dtype=np.intp)
     unlisted = np.ones(m, dtype=bool)
@@ -105,14 +108,23 @@ def crash_basis(problem: LpProblem, at_upper, basic=()):
 # nonbasic column (free columns take |d| instead).
 _PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 TIE_TOL = 1e-12       # steps this close count as tied in the ratio test
+_NOT_TIED = np.iinfo(np.intp).max  # above every basic index
 
 
-def _tie_reach(t):
-    """Largest step that can tie with or beat a best step near ``t`` >= 0.
+def leaving_row(t, step, delta, basis, bland):
+    """Leaving row of a primal ratio test, along the last axis of ``t``.
 
-    Covers the best step's own TIE_TOL slack, the tie window and rounding.
+    ``t`` holds each row's blocking step, ``step`` the step taken (the
+    smallest one, clamped at zero), ``delta`` each basic variable's rate
+    of change and ``basis`` its index; with a leading stack axis, ``step``
+    and ``bland`` hold one value per LP.  Rows within TIE_TOL of ``step``
+    tie.  The largest |delta| wins, within 1e-15 and not under Bland's
+    rule; then the lowest basic index.
     """
-    return t + (4 * TIE_TOL + 1e-15 * t)
+    tied = t <= np.asarray(step)[..., None] + TIE_TOL
+    size = np.where(tied & ~np.asarray(bland)[..., None], np.abs(delta), 0.0)
+    tied &= size >= size.max(axis=-1, keepdims=True) - 1e-15
+    return np.where(tied, basis, _NOT_TIED).argmin(axis=-1)
 
 
 class _Simplex:
@@ -128,10 +140,9 @@ class _Simplex:
         self.A[:, n:] = np.eye(m)
         self.b = np.asarray(problem.rhs, dtype=float)
         self.c = np.concatenate((problem.objective, np.zeros(m)))
-        self.lo = np.concatenate((problem.lower, np.zeros(m)))
-        self.hi = np.concatenate((problem.upper, np.zeros(m)))
-        for r, rel in enumerate(problem.relations):
-            self.lo[n + r], self.hi[n + r] = _slack_bounds(rel)
+        slack_lo, slack_hi = _slack_bounds(problem.relations)
+        self.lo = np.concatenate((problem.lower, slack_lo))
+        self.hi = np.concatenate((problem.upper, slack_hi))
         self.fixed = self.lo == self.hi
         self.iterations = 0
         self.bound_flips = 0
@@ -141,16 +152,6 @@ class _Simplex:
         self._steps = np.empty(m)  # ratio-test buffer, one step per row
 
     # -- basis management ---------------------------------------------------
-
-    def cold_start(self):
-        self.basis = np.arange(self.n, self.N, dtype=np.intp)
-        self.vstate = np.full(self.N, BASIC, dtype=np.int8)
-        lo, hi = self.lo[:self.n], self.hi[:self.n]
-        # Start at the bound nearer zero, ties to the lower one.
-        far_lower = np.abs(lo) > np.abs(hi)
-        self.vstate[:self.n] = _bound_states(np.where(far_lower, np.nan, lo), hi)
-        self.binv = np.eye(self.m)
-        self._sync_states()
 
     def warm_start(self, basis, vstate):
         basis = np.asarray(basis, dtype=np.intp)
@@ -262,46 +263,15 @@ class _Simplex:
         if not t_min < flip_t - TIE_TOL:
             return flip_t, -1, AT_UPPER if sigma == 1 else AT_LOWER, w, delta
         best_t = max(t_min, 0.0)
-        if np.count_nonzero(t <= _tie_reach(best_t)) == 1:
+        if np.count_nonzero(t <= best_t + TIE_TOL) == 1:
             leave_row = r
         else:
-            best_t, leave_row = self._scan_rows(t, flip_t, delta)
+            leave_row = int(leaving_row(t, best_t, delta, self.basis, self.bland))
         if phase1_viol is not None and phase1_viol[leave_row]:
             leave_state = AT_LOWER if phase1_viol[leave_row] < 0 else AT_UPPER
         else:
             leave_state = AT_UPPER if rising[leave_row] else AT_LOWER
         return best_t, leave_row, leave_state, w, delta
-
-    def _scan_rows(self, t, flip_t, delta):
-        """(step, leaving row) as a scan over the rows in order picks them.
-
-        The scan keeps a best step, initially the entering bound flip
-        ``flip_t``; a row more than TIE_TOL below it takes over (its step
-        clamped at zero becomes the best), and a row within TIE_TOL of it
-        contests the current leaving row.  The best step before row i lies
-        within TIE_TOL above the clamped minimum of ``flip_t`` and the steps
-        before i, so only rows within ``_tie_reach`` of that minimum can
-        take over or contest, and the scan visits just those.
-        """
-        before = np.empty_like(t)
-        before[0] = flip_t
-        np.minimum(np.minimum.accumulate(t[:-1]), flip_t, out=before[1:])
-        np.maximum(before, 0.0, out=before)
-        rows = np.flatnonzero((t <= _tie_reach(before)) & (t < np.inf))
-        best, leave = flip_t, -1
-        for i, ti in zip(rows.tolist(), t[rows].tolist()):
-            if ti < best - TIE_TOL:
-                best, leave = max(ti, 0.0), i
-            elif leave >= 0 and abs(ti - best) <= TIE_TOL and self._wins_tie(i, leave, delta):
-                leave = i
-        return best, leave
-
-    def _wins_tie(self, i, k, delta):
-        """Whether row i displaces row k as the leaving row at a tied step."""
-        if self.bland:
-            return self.basis[i] < self.basis[k]
-        di, dk = abs(delta[i]), abs(delta[k])
-        return di > dk + 1e-15 or (di >= dk - 1e-15 and self.basis[i] < self.basis[k])
 
     def _apply_step(self, j, sigma, t, leave_row, leave_state, w, delta) -> bool:
         """Move along the step; returns True when it refactorized the basis."""
@@ -582,8 +552,10 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     ``warm`` is an optional (basis, vstate) pair from a previous solution of
     a problem with the same rows (bounds and relations may differ: a
     nonbasic state that no longer fits its bounds snaps to a finite bound,
-    or to free at zero); an unusable warm basis falls back to the cold
-    start, and ``LpSolution.warm_used`` reports which start ran.
+    or to free at zero).  Without a usable warm basis the solve starts from
+    ``crash_basis(problem, ())``: every slack basic, every other variable
+    at its finite lower bound, else its finite upper bound, else free at
+    zero.  ``LpSolution.warm_used`` reports which start ran.
     Integrality flags are ignored here and must be absent.  ``dual_tol`` is
     the reduced-cost threshold: callers with many bounded columns tighten
     it, since the worst-case objective slack at optimality scales like
@@ -596,12 +568,9 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     s = _Simplex(problem, dual_tol=dual_tol)
     if max_iterations is None:
         max_iterations = 50_000 + 100 * s.m
-    started = False
-    if warm is not None:
-        basis, vstate = warm
-        started = s.warm_start(basis, vstate)
+    started = warm is not None and s.warm_start(*warm)
     if not started:
-        s.cold_start()
+        s.warm_start(*crash_basis(problem, ()))
     s.dual_phase(max_iterations)
     dual = s.iterations
     status = s.phase1(max_iterations)

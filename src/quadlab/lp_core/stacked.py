@@ -22,9 +22,9 @@ The method is ``solve_lp``'s, written over the stack:
   minimizes the basic variables' total bound violation from there;
 * Dantzig pricing takes the lowest index among tied columns, and each LP
   has its own degeneracy watchdog that switches it to Bland's rule;
-* the ratio test takes the smallest step; among rows tied within TIE_TOL
-  it prefers the larger |pivot|, then the lower basic index (under Bland's
-  rule the lower index alone); a row tying the bound flip never blocks it.
+* the ratio test takes the smallest step, and ``leaving_row``, the same
+  function ``solve_lp`` calls, picks the leaving row among the rows tied
+  with it; a row tying the bound flip never blocks it.
 
 u = 0 is feasible and every column is boxed, so each LP ends optimal
 unless it reaches ITERATIONS_PER_VARIABLE * (n + k) steps, which raises
@@ -40,12 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .problem import LpError, SingularBasisError
-from .simplex import (AT_LOWER, AT_UPPER, BASIC, DUAL_TOL, FEAS_TOL, PIVOT_TOL,
-                      REFACTOR_EVERY, TIE_TOL)
+from .simplex import (_PRICE_SIGN, AT_LOWER, AT_UPPER, BASIC, DUAL_TOL, FEAS_TOL, PIVOT_TOL,
+                      REFACTOR_EVERY, TIE_TOL, leaving_row)
 
 ITERATIONS_PER_VARIABLE = 100   # iteration cap of one LP, per variable (columns plus slacks)
-
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0])  # by state BASIC, AT_LOWER, AT_UPPER
 
 # Per-LP arrays of the working set, compacted together as LPs finish.
 _WORKING = ("pos", "a", "state", "basis", "binv", "xb", "feasible", "bland", "stall",
@@ -228,10 +226,7 @@ class _Stack:
             flip_t = self.hi[j] - self.lo[j]
             flip = ~(t_min < flip_t - TIE_TOL)
             step_t = np.where(flip, flip_t, np.maximum(t_min, 0.0))
-            tied = t <= (step_t + TIE_TOL)[:, None]
-            size = np.where(tied & ~self.bland[:, None], np.abs(delta), 0.0)
-            tied &= size >= size.max(axis=1, keepdims=True) - 1e-15
-            r = np.where(tied, self.basis, self.n + self.k).argmin(axis=1)
+            r = leaving_row(t, step_t, delta, self.basis, self.bland)
             v_r = viol[rows, r]
             leave_state = np.where(v_r < 0, AT_LOWER, np.where(
                 v_r > 0, AT_UPPER, np.where(rising[rows, r], AT_UPPER, AT_LOWER)))

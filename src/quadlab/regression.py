@@ -125,15 +125,15 @@ def se_error(z: np.ndarray, x=0.0) -> float:
                float(np.mean(np.maximum(z, 0.0))) - b.x_minus)
 
 
-def induced_alpha(res: Residuals, zero_rtol: float = ZERO_RESIDUAL_RTOL):
+def induced_alpha(res: Residuals):
     """[P(z < 0), P(z <= 0)] as exact empirical fractions.
 
-    Residuals within ``zero_rtol * max(1, |z|_inf)`` of zero count as zero:
-    LP vertices interpolate observations exactly in exact arithmetic but
-    carry float dust in practice.
+    Residuals within ``ZERO_RESIDUAL_RTOL * max(1, |z|_inf)`` of zero count
+    as zero: LP vertices interpolate observations exactly in exact
+    arithmetic but carry float dust in practice.
     """
     z = res.z
-    atol = zero_rtol * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    atol = ZERO_RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(z), initial=0.0)))
     below = float(np.mean(z < -atol))
     at_or_below = float(np.mean(z <= atol))
     return below, at_or_below

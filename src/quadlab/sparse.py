@@ -90,14 +90,13 @@ class RecoveryReport:
     k_star: int
 
 
-def support_accuracy(estimated: LinearModel, true_coeffs, k_star: int,
-                     zero_tol: float = ZERO_COEFF_TOL) -> RecoveryReport:
-    """Fraction of the true support carrying a nonzero estimated coefficient."""
+def support_accuracy(estimated: LinearModel, true_coeffs, k_star: int) -> RecoveryReport:
+    """Fraction of the true support carrying an estimated coefficient above ZERO_COEFF_TOL."""
     if k_star < 1:
         raise ValueError("k_star must be >= 1")
     true_coeffs = np.asarray(true_coeffs, dtype=float)
     est = np.asarray(estimated.coefficients, dtype=float)
-    hits = int(np.sum((np.abs(est) > zero_tol) & (true_coeffs != 0.0)))
+    hits = int(np.sum((np.abs(est) > ZERO_COEFF_TOL) & (true_coeffs != 0.0)))
     return RecoveryReport(accuracy=hits / k_star, k_star=k_star)
 
 

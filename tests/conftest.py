@@ -15,16 +15,32 @@ def random_sample(rng, max_n: int = 50) -> EmpiricalSample:
     return make_sample(atoms)
 
 
+def highs_solve(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """(status, objective, x) of min c.x under the given rows and bounds, by HiGHS.
+
+    The status reads as ``solve_lp`` names it: "optimal", "infeasible" or
+    "unbounded"; the objective and x are None unless optimal.  HiGHS runs
+    without presolve, which can leave "infeasible or unbounded" undecided.
+    Any other outcome fails the calling test.
+    """
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options={"presolve": False})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    assert status is not None, res.message
+    if status != "optimal":
+        return status, None, None
+    return status, float(res.fun), res.x
+
+
 def highs_objective(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None) -> float:
     """Optimal value of min c.x under the given rows and bounds, solved by HiGHS.
 
     Asserts that HiGHS reached optimality, so a failed solve cannot pass a
     comparison as a NaN or None.
     """
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun)
+    status, value, _ = highs_solve(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    assert status == "optimal", status
+    return value
 
 
 @pytest.fixture

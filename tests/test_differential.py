@@ -1,20 +1,27 @@
-"""The fitters against HiGHS on the literal primal LPs.
+"""The fitters and the LP/MIP layer against HiGHS.
 
-The library solves each fit as a compact bounded-column dual.  Each test
-here builds the textbook primal LP of the same fit as plain arrays, solves
-it with HiGHS (``scipy.optimize.linprog``), and requires the fitter's
+The library solves each fit as a compact bounded-column dual.  The fitter
+tests build the textbook primal LP of the same fit as plain arrays, solve
+it with HiGHS (``scipy.optimize.linprog``), and require the fitter's
 certified objective to match the HiGHS optimal value.  Instances are seeded
 and include tied, duplicated-atom and collinear data.
+
+The generated tests draw a fixed count of small integer-grid LPs (feasible,
+infeasible and unbounded by construction) and binary MIPs from fixed seeds,
+and require ``solve_lp`` and ``solve_mip`` to agree with HiGHS on status,
+objective and feasibility.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
+from quadlab.lp_core import LpProblem, simplex, solve_lp, solve_mip
 from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
 from quadlab.regression import Dataset, fit_biased_mean, fit_quantile, fit_se
 
-from conftest import highs_objective
+from conftest import highs_objective, highs_solve
 
 ABS_TOL = 1e-9
 KINDS = ("random", "tied", "duplicated", "collinear")
@@ -183,3 +190,148 @@ def test_fig1_sweep_miss_point_matches_highs():
     cvar = optimize_cvar_dev(problem, alpha)
     assert cvar.deviation == pytest.approx(highs_objective(**cvar_primal(problem, alpha)),
                                            abs=ABS_TOL)
+
+
+# -- generated solve_lp and solve_mip instances -------------------------------
+
+LP_COUNT = 120         # generated LPs per family
+MIP_COUNT = 60         # generated binary MIPs
+RELATIONS = np.array(["<=", "=", ">=", "free"])
+BOXED, LOWER, UPPER, FREE_COLUMN, FIXED = range(5)
+
+
+def _as_arrays(a, relations, rhs, lo, hi):
+    """linprog's (A_ub, b_ub, A_eq, b_eq, bounds) for rows of the given relations."""
+    le, ge, eq = relations == "<=", relations == ">=", relations == "="
+    return dict(A_ub=np.vstack((a[le], -a[ge])), b_ub=np.concatenate((rhs[le], -rhs[ge])),
+                A_eq=a[eq], b_eq=rhs[eq], bounds=list(zip(lo, hi)))
+
+
+def generated_lp(rng, family):
+    """(c, a, relations, rhs, lo, hi) of a small LP on an integer grid.
+
+    Rows and bounds are drawn around an integer point x0, many of them
+    tight there, so exact ties and degenerate vertices are common.  Every
+    row relation and every bound kind (boxed, lower only, upper only, free,
+    fixed) occurs.  ``feasible`` keeps x0 feasible.  ``infeasible`` then
+    breaks a row: it asks for more than the box reaches, or contradicts an
+    earlier row.  ``unbounded`` makes column l the negative of column k,
+    both bounded below only, with c_k + c_l = -1: e_k + e_l is a ray.
+    """
+    m, n = int(rng.integers(1, 7)), int(rng.integers(2 if family == "unbounded" else 1, 9))
+    a = rng.integers(-2, 3, (m, n)).astype(float)
+    a[rng.random((m, n)) < 0.3] = 0.0
+    c = rng.integers(-3, 4, n).astype(float)
+    x0 = rng.integers(-2, 3, n).astype(float)
+    kind = rng.integers(0, 5, n)
+    if family == "unbounded":
+        k, l = rng.choice(n, 2, replace=False)
+        a[:, l] = -a[:, k]
+        c[l] = -c[k] - 1.0
+        kind[[k, l]] = LOWER
+    lo = np.where(np.isin(kind, (BOXED, LOWER)), x0 - rng.integers(0, 3, n), -np.inf)
+    hi = np.where(np.isin(kind, (BOXED, UPPER)), x0 + rng.integers(0, 3, n), np.inf)
+    lo[kind == FIXED] = hi[kind == FIXED] = x0[kind == FIXED]
+    relations = rng.choice(RELATIONS, m)
+    slack = rng.integers(0, 3, m).astype(float)
+    rhs = a @ x0 + np.select([relations == "<=", relations == ">=", relations == "free"],
+                             [slack, -slack, rng.integers(-3, 4, m)], 0.0)
+    if family == "infeasible":
+        if m > 1 and rng.random() < 0.5:
+            # the last row asks a.x >= b + 1 of an earlier row a.x <= b
+            r = int(rng.integers(m - 1))
+            relations[r], relations[-1] = "<=", ">="
+            a[-1], rhs[-1] = a[r], rhs[r] + 1.0
+        else:
+            # row 0 asks for more than its columns reach inside their boxes
+            used = a[0] != 0.0
+            lo[used & ~np.isfinite(lo)] = x0[used & ~np.isfinite(lo)] - 1.0
+            hi[used & ~np.isfinite(hi)] = x0[used & ~np.isfinite(hi)] + 1.0
+            relations[0] = rng.choice(["=", ">="])
+            rhs[0] = np.maximum(a[0, used] * lo[used], a[0, used] * hi[used]).sum() + 1.0
+    return c, a, relations, rhs, lo, hi
+
+
+def _lp_problem(c, a, relations, rhs, lo, hi):
+    p = LpProblem(c.size)
+    p.set_objective(c)
+    p.set_bounds(slice(None), lo, hi)
+    for r in range(a.shape[0]):
+        p.add_row(a[r], str(relations[r]), float(rhs[r]))
+    return p
+
+
+def _assert_feasible(x, a, relations, rhs, lo, hi, tol=1e-8):
+    """x within tol of every bound and every row."""
+    assert np.all(x >= lo - tol) and np.all(x <= hi + tol)
+    lhs = a @ x
+    assert np.all(lhs[relations == "<="] <= rhs[relations == "<="] + tol)
+    assert np.all(lhs[relations == ">="] >= rhs[relations == ">="] - tol)
+    assert np.all(np.abs(lhs - rhs)[relations == "="] <= tol)
+
+
+@pytest.fixture
+def tie_calls(monkeypatch):
+    """Counts ``solve_lp`` ratio tests that reach the multi-row tie rule."""
+    calls = []
+    rule = simplex.leaving_row
+
+    def counted(*args):
+        calls.append(1)
+        return rule(*args)
+
+    monkeypatch.setattr(simplex, "leaving_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["feasible", "infeasible", "unbounded"])
+def test_generated_lps_match_highs(family, tie_calls):
+    rng = np.random.default_rng({"feasible": 11, "infeasible": 12, "unbounded": 13}[family])
+    statuses = []
+    for _ in range(LP_COUNT):
+        c, a, relations, rhs, lo, hi = generated_lp(rng, family)
+        sol = solve_lp(_lp_problem(c, a, relations, rhs, lo, hi))
+        status, value, _ = highs_solve(c, **_as_arrays(a, relations, rhs, lo, hi))
+        assert sol.status == status
+        if family != "feasible":
+            assert status == family
+        if status == "optimal":
+            assert abs(sol.objective - value) <= 1e-7 * max(1.0, abs(value))
+            _assert_feasible(sol.x, a, relations, rhs, lo, hi)
+        statuses.append(status)
+    if family == "feasible":
+        assert statuses.count("optimal") >= LP_COUNT // 3
+    # integer data ties rows in the ratio test often enough to reach the rule
+    assert len(tie_calls) > 0
+
+
+def test_generated_mips_match_highs(tie_calls):
+    rng = np.random.default_rng(14)
+    statuses = []
+    for _ in range(MIP_COUNT):
+        nb, nc, m = int(rng.integers(1, 7)), int(rng.integers(0, 3)), int(rng.integers(1, 5))
+        n = nb + nc
+        a = rng.integers(-3, 4, (m, n)).astype(float)
+        c = rng.integers(-4, 5, n).astype(float)
+        lo = np.concatenate((np.zeros(nb), -rng.integers(0, 3, nc)))
+        hi = np.concatenate((np.ones(nb), rng.integers(0, 3, nc)))
+        x0 = np.concatenate((rng.integers(0, 2, nb), rng.integers(lo[nb:], hi[nb:] + 1)))
+        relations = rng.choice(RELATIONS[:3], m)
+        # a negative slack can make a row infeasible for every binary choice
+        slack = rng.integers(-1, 3, m).astype(float)
+        rhs = a @ x0 + np.select([relations == "<=", relations == ">="], [slack, -slack], 0.0)
+        p = _lp_problem(c, a, relations, rhs, lo, hi)
+        p.mark_binary(np.arange(nb))
+        sol = solve_mip(p, gap_tol=0.0)
+        ref = milp(c, constraints=LinearConstraint(
+            a, np.where(relations == "<=", -np.inf, rhs), np.where(relations == ">=", np.inf, rhs)),
+            integrality=np.arange(n) < nb, bounds=Bounds(lo, hi))
+        status = {0: "optimal", 2: "infeasible"}.get(ref.status)
+        assert status is not None, ref.message
+        assert sol.status == status
+        if status == "optimal":
+            assert abs(sol.objective - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+            _assert_feasible(sol.x, a, relations, rhs, lo, hi)
+            assert np.all(np.abs(sol.x[:nb] - np.round(sol.x[:nb])) <= 1e-6)
+        statuses.append(status)
+    assert statuses.count("optimal") >= MIP_COUNT // 2 and "infeasible" in statuses

@@ -274,7 +274,12 @@ class TestCli:
         ([1, 2], "JSON object"),
         ({"experiment": "fig1_sweep", "sample_sizes": 5}, "'sample_sizes' must be a list"),
         ({"seed": 3}, "needs an 'experiment' key"),
-    ], ids=["unknown_key", "array", "non_list_sample_sizes", "no_experiment"])
+        ({"experiment": "fig1_sweep", "replications": "a"}, "'replications' must be an integer"),
+        ({"experiment": "tables345", "sample_sizes": ["a"]},
+         "'sample_sizes' element must be an integer"),
+        ({"experiment": "fig1_sweep", "seed": "x"}, "'seed' must be an integer"),
+    ], ids=["unknown_key", "array", "non_list_sample_sizes", "no_experiment",
+            "string_replications", "string_sample_size", "string_seed"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
