@@ -73,7 +73,7 @@ class CsvFormatError(ValueError):
 # Accepted values of the config fields annotated with each type name; a
 # ``list[...]`` field holds a list of such values.
 _FIELD_KINDS = {"int": ((int, np.integer), "an integer"),
-                "float": ((int, float, np.integer, np.floating), "a number"),
+                "float": ((int, float, np.integer, np.floating), "a finite number"),
                 "bool": ((bool, np.bool_), "true or false")}
 
 
@@ -88,7 +88,8 @@ def _check_field(name: str, value, annotation: str) -> None:
         return
     types, what = _FIELD_KINDS[kind]
     for v in values:
-        if not isinstance(v, types) or (kind != "bool" and isinstance(v, (bool, np.bool_))):
+        if (not isinstance(v, types) or (kind != "bool" and isinstance(v, (bool, np.bool_)))
+                or (kind == "float" and not np.isfinite(v))):
             where = " element" if values is value else ""
             raise ValueError(f"config field {name!r}{where} must be {what}, got {v!r}")
 
@@ -130,6 +131,9 @@ class ExperimentConfig:
                            for k in range(PAPER_GRID_POINTS)]
         if any(s < 1 for s in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
+        if not (1 <= self.k_star <= self.dimension and self.max_nodes >= 1
+                and self.time_limit_s > 0):
+            raise ValueError("need 1 <= k_star <= dimension, max_nodes >= 1, time_limit_s > 0")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

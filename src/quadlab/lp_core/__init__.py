@@ -11,9 +11,9 @@ few rows and one boxed column per observation or scenario.  They build it
 with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
 (bound guesses for the boxed columns, and basic columns read off a fit),
 and check the answer with ``certify_objective`` against the primal
-objective recomputed from it.  A start that is primal infeasible with only
-boxed, fixed, or zero-cost free nonbasics first goes through a dual phase
-whose bound-flipping ratio test crosses many breakpoints per iteration; a
+objective recomputed from it.  A primal infeasible start whose nonbasics
+are boxed or dual feasible already first goes through a dual phase whose
+bound-flipping ratio test crosses many breakpoints per iteration; a
 regression dual at n = 10,000 then takes a few iterations instead of tens
 to hundreds.  ``LpSolution.phase_iterations`` and ``bound_flips`` say what
 a solve did.

@@ -25,10 +25,11 @@ under Bland's rule), then the lowest basic variable index.  The rule does
 not depend on row order, and ``solve_box_stack`` uses it too.
 
 A dual phase runs first when the start is primal infeasible and every
-nonbasic variable is boxed, fixed, or free with a zero reduced cost, as the
-box duals of the regression and tail-average fits are from their crash
-starts.  Each boxed nonbasic snaps to the bound its reduced-cost sign
-prefers, which makes the start dual feasible, and a dual simplex with a
+nonbasic variable is boxed, or dual feasible already (fixed, one-sided at
+the bound its reduced cost prefers, or free with a zero reduced cost), as
+the crash starts of the regression and portfolio duals are.  Each boxed
+nonbasic snaps to the bound its reduced-cost sign prefers, which makes the
+start dual feasible, and a dual simplex with a
 bound-flipping (long-step) ratio test restores primal feasibility: the
 leaving row is the largest bound violation (lowest row on ties), and one
 iteration crosses every breakpoint the dual slope allows, flipping those
@@ -158,9 +159,13 @@ class _Simplex:
         vstate = np.asarray(vstate, dtype=np.int8).copy()
         if basis.size != self.m or np.unique(basis).size != self.m:
             return False
+        matrix = self.A[:, basis]
         try:
-            self.binv = np.linalg.inv(self.A[:, basis])
+            self.binv = np.linalg.inv(matrix)
         except np.linalg.LinAlgError:
+            return False
+        # a numerically singular basis can invert without an error, into noise
+        if np.abs(matrix).sum(1).max() * np.abs(self.binv).sum(1).max() > 1e12:
             return False
         self.basis = basis.copy()
         self.vstate = vstate
@@ -325,8 +330,8 @@ class _Simplex:
         """Bound-flipping dual simplex from a dual-feasible start.
 
         Runs only when the installed start is primal infeasible and every
-        nonbasic variable is boxed, fixed, or free with zero reduced cost;
-        returns "skipped" otherwise.  Each boxed nonbasic first snaps to the
+        nonbasic variable is boxed or dual feasible already; returns
+        "skipped" otherwise.  Each boxed nonbasic first snaps to the
         bound its reduced-cost sign prefers, which makes the basis dual
         feasible.  Returns "feasible" once no basic variable violates its
         bounds, "iteration_limit", or "stalled" after restoring the start
@@ -365,13 +370,15 @@ class _Simplex:
     def _snap_to_dual_feasible(self) -> bool:
         """Move each boxed nonbasic to the bound its reduced cost prefers.
 
-        Returns False, changing nothing, unless every nonbasic variable is
-        boxed, fixed, or free with a reduced cost within ``dual_tol``.
+        Returns False, changing nothing, unless every nonbasic that is not
+        boxed (one-sided or free) has a reduced cost that prefers where it sits.
         """
         d = self._price(self.c)
         vs = self.vstate
         boxed = np.isfinite(self.lo) & np.isfinite(self.hi)
-        if not np.all(boxed | (vs == BASIC) | ((vs == FREE_ZERO) & (np.abs(d) <= self.dual_tol))):
+        j = np.flatnonzero(~boxed)
+        score = np.where(vs[j] == FREE_ZERO, np.abs(d[j]), d[j] * self.price_sign[j])
+        if np.any(score > self.dual_tol):
             return False
         movable = boxed & (vs != BASIC) & ~self.fixed
         vs[movable & (d > self.dual_tol)] = AT_LOWER
@@ -412,8 +419,8 @@ class _Simplex:
         breakpoint |d_j| / |alpha_rj|.  Walking the breakpoints in (ratio,
         column) order, each crossed one flips its column to the other bound
         and lowers the slope by |alpha_rj| * (u_j - l_j); the walk stops at
-        the first breakpoint that leaves the slope nonpositive (a free
-        column, with an infinite range, always stops it).  Among the
+        the first breakpoint that leaves the slope nonpositive (a free or
+        one-sided column, with an infinite range, always stops it).  Among the
         breakpoints within TIE_TOL of that one, the entering column has the
         largest |alpha_rj|, then the lowest index; the columns crossed
         before the stop, except the entering one, flip.  None means no
@@ -552,10 +559,10 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     ``warm`` is an optional (basis, vstate) pair from a previous solution of
     a problem with the same rows (bounds and relations may differ: a
     nonbasic state that no longer fits its bounds snaps to a finite bound,
-    or to free at zero).  Without a usable warm basis the solve starts from
-    ``crash_basis(problem, ())``: every slack basic, every other variable
-    at its finite lower bound, else its finite upper bound, else free at
-    zero.  ``LpSolution.warm_used`` reports which start ran.
+    or to free at zero).  Without a usable, well-conditioned warm basis the
+    solve starts from ``crash_basis(problem, ())``: every slack basic, every
+    other variable at its finite lower bound, else its finite upper bound,
+    else free at zero.  ``LpSolution.warm_used`` reports which start ran.
     Integrality flags are ignored here and must be absent.  ``dual_tol`` is
     the reduced-cost threshold: callers with many bounded columns tighten
     it, since the worst-case objective slack at optimality scales like

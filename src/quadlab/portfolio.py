@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import EmpiricalSample, make_sample
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
-from .lp_core import LpError, LpProblem, certify_objective, crash_basis, solve_lp
+from .lp_core import LpError, LpProblem, LpSolution, certify_objective, crash_basis, solve_lp
 
 BUDGET_TOL = 1e-8
 MEAN_TOL = 1e-7
@@ -61,6 +61,7 @@ class PortfolioSolution:
     losses: EmpiricalSample
     deviation: float
     alpha_interval: tuple[float, float]
+    lp: LpSolution
 
 
 def _loss_sample(returns: np.ndarray, weights: np.ndarray) -> EmpiricalSample:
@@ -87,19 +88,55 @@ def cvar_deviation_of(losses: EmpiricalSample, alpha) -> float:
     return cvar(losses, alpha) - losses.mean()
 
 
+def default_start(problem: PortfolioProblem) -> np.ndarray:
+    """Weights of the lowest- and highest-mean assets alone that meet the
+    budget and the target mean; equal means put all weight on asset 0."""
+    rbar = problem.returns.mean(axis=0)
+    lo, hi = int(np.argmin(rbar)), int(np.argmax(rbar))
+    share = (problem.target_mean - rbar[lo]) / (rbar[hi] - rbar[lo]) if lo != hi else 0.0
+    weights = np.zeros(problem.m)
+    weights[hi] += share
+    weights[lo] += 1.0 - share
+    return weights
+
+
+def scenario_crash(problem: PortfolioProblem, weights, threshold: float,
+                   sum_to_one: bool = False):
+    """Scenario-dual start (at-cap mask, basic columns) read off a portfolio guess.
+
+    On the losses of the guess ``weights``, the scenarios above
+    ``threshold`` start at their cap.  The basic columns are the free budget
+    and mean multipliers, the scenarios tied at the threshold (within the
+    ``map_x_to_alpha`` band), the slacks of the asset rows whose weights are
+    idle (|w| <= ``BUDGET_TOL``), then, while row slots remain, the
+    lowest-loss scenarios above the threshold.  ``sum_to_one`` marks the
+    tail-average dual, whose sum-to-one row precedes the asset rows.
+    """
+    atoms = -(problem.returns @ weights)
+    atol = _tie_band(atoms)
+    above = atoms > threshold + atol
+    tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
+    idle = problem.n + 2 + sum_to_one + np.flatnonzero(np.abs(weights) <= BUDGET_TOL)
+    slots = problem.m + sum_to_one
+    spare = max(0, slots - 2 - tied.size - idle.size)
+    tail = np.flatnonzero(above)
+    nearest = tail[np.argsort(atoms[tail], kind="stable")[:spare]]
+    basic = np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))[:slots]
+    return above, basic
+
+
 def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols,
-                         asset_rhs, crash, warm, sum_to_one: bool = False):
+                         asset_rhs, start, threshold: float, sum_to_one: bool = False):
     """Solve the bounded-column dual both objectives share.
 
     Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
     then the free budget-row and target-mean-row multipliers (columns n and
     n + 1).  Each asset contributes a row (its ``asset_cols`` column, 1, its
     mean return), an inequality under the long-only policy; ``sum_to_one``
-    prepends a row making the scenario multipliers sum to one.  Without
-    ``warm``, the start is ``crash_basis(lp, *crash)``: ``crash`` is the
-    pair (scenarios at their cap, basic columns) read off a loss guess.
-    Returns the LP solution, the weights read off the asset-row
-    multipliers, and the validated loss sample.
+    prepends a row making the scenario multipliers sum to one.  The start
+    is ``scenario_crash(problem, start, threshold, sum_to_one)``.  Returns
+    the LP solution, the weights read off the asset-row multipliers, and
+    the validated loss sample.
     """
     r = problem.returns
     n, m = problem.n, problem.m
@@ -113,9 +150,8 @@ def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols
     for j in range(m):
         lp.add_row(np.concatenate((asset_cols[:, j], [1.0, rbar[j]])), relation,
                    float(asset_rhs[j]))
-    if warm is None:
-        warm = crash_basis(lp, *crash)
-    sol = solve_lp(lp, warm=warm, dual_tol=1e-12)
+    crash = crash_basis(lp, *scenario_crash(problem, start, threshold, sum_to_one))
+    sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":
         raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
     if sol.status != "optimal":
@@ -126,98 +162,50 @@ def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols
     return sol, weights, losses
 
 
-def optimize_se_dev(problem: PortfolioProblem, x, warm=None):
+def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSolution:
     """Minimize the part-balancing deviation of the loss at bias x.
 
     Dual variables are one multiplier per scenario in [0, 1/n] constrained
     orthogonal (against centered returns) to each asset column; weights come
-    off the asset-row multipliers.  ``warm`` chains a basis from a nearby
-    solve (the sweep uses it); the extended solution for such chaining is
-    available through ``optimize_se_dev_raw``.
+    off the asset-row multipliers.  The solve starts from the crash of the
+    guess ``start`` (else ``default_start``) at the threshold x + E[X].
     """
-    sol, _ = optimize_se_dev_raw(problem, x, warm)
-    return sol
-
-
-def optimize_se_dev_raw(problem: PortfolioProblem, x, warm=None):
     b = _bias_of(x)
     r = problem.returns
-    guess = -r.mean(axis=1)  # equal-weight losses
+    rbar = r.mean(axis=0)
+    start = default_start(problem) if start is None else start
     sol, weights, losses = _solve_scenario_dual(
-        problem, np.full(problem.n, b.x), 1.0 / problem.n, r - r.mean(axis=0),
-        np.zeros(problem.m), (guess > guess.mean() + b.x, ()), warm)
+        problem, np.full(problem.n, b.x), 1.0 / problem.n, r - rbar, np.zeros(problem.m),
+        start, b.x - float(rbar @ start))
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
-    interval = map_x_to_alpha(losses, b)
-    return PortfolioSolution(weights=weights, losses=losses,
-                             deviation=deviation, alpha_interval=interval), sol
+    return PortfolioSolution(weights, losses, deviation, map_x_to_alpha(losses, b), sol)
 
 
-def optimize_cvar_dev(problem: PortfolioProblem, alpha, warm=None):
+def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> PortfolioSolution:
     """Minimize the tail-average deviation of the loss at level alpha.
 
     Same dual pattern with multipliers in [0, 1/((1-alpha) n)] summing to 1;
-    an extra free multiplier pins the tail threshold row.
+    an extra free multiplier pins the tail threshold row.  The solve starts
+    from the crash of the guess ``start`` (else ``default_start``) at the
+    threshold VaR-_alpha of its losses.
     """
-    sol, _ = optimize_cvar_dev_raw(problem, alpha, warm)
-    return sol
+    start = default_start(problem) if start is None else start
+    return _optimize_cvar(problem, alpha, start, _loss_sample(problem.returns, start))
 
 
-def optimize_cvar_dev_raw(problem: PortfolioProblem, alpha, warm=None, crash=None):
-    """``optimize_cvar_dev`` that also returns the LP solution.
-
-    Without ``warm``, the solve starts from ``crash`` (an (at-cap mask,
-    basic columns) pair such as ``crossover_crash`` returns), else from the
-    scenarios whose equal-weight loss exceeds its alpha-quantile at the cap.
-    """
+def _optimize_cvar(problem: PortfolioProblem, alpha, start, start_losses: EmpiricalSample):
     a = _alpha_open(alpha)
     r = problem.returns
-    kappa = 1.0 / (1.0 - a)
-    if crash is None:
-        guess = -r.mean(axis=1)  # equal-weight losses
-        crash = (guess > np.quantile(guess, a), ())
     sol, weights, losses = _solve_scenario_dual(
-        problem, np.zeros(problem.n), kappa / problem.n, r, r.mean(axis=0),
-        crash, warm, sum_to_one=True)
+        problem, np.zeros(problem.n), 1.0 / ((1.0 - a) * problem.n), r, r.mean(axis=0),
+        start, var(start_losses, a).lower, sum_to_one=True)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
     # CDF jump interval at the loss quantile; it brackets alpha.
     quantile = var(losses, a).lower
-    interval = probability_interval_at(losses, quantile, atol=_tie_band(losses))
-    return PortfolioSolution(weights=weights, losses=losses,
-                             deviation=deviation, alpha_interval=interval), sol
-
-
-def crossover_crash(problem: PortfolioProblem, losses: EmpiricalSample, x, weights):
-    """Tail-average dual start read off a part-balancing optimum at bias x.
-
-    By the equivalence of the two objectives, the loss sample ``losses``
-    that minimizes the part-balancing deviation at x, with asset
-    ``weights``, also minimizes the tail-average deviation at the level
-    ``map_x_to_alpha`` gives, so it names that dual's optimal basis.  The
-    scenarios above the threshold x + E[X] sit at their cap; the basic
-    columns are the free budget and mean multipliers, then the scenarios
-    tied at the threshold (within the ``map_x_to_alpha`` band), then,
-    under the long-only policy, the slacks of the asset rows whose weights
-    are idle, within ``BUDGET_TOL`` of zero, then, while row slots remain,
-    the lowest-loss scenarios above the threshold.  Returns the (at-cap
-    mask, basic columns) pair ``optimize_cvar_dev_raw`` takes as ``crash``.
-    """
-    atoms = losses.atoms
-    threshold = _bias_of(x).x + losses.mean()
-    atol = _tie_band(losses)
-    above = atoms > threshold + atol
-    tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
-    idle = np.zeros(0, dtype=np.intp)
-    if problem.long_only:
-        # asset j's row is row 1 + j of the tail dual, after sum-to-one
-        idle = problem.n + 3 + np.flatnonzero(np.asarray(weights) <= BUDGET_TOL)
-    slots = problem.m + 1  # the tail dual's rows: sum-to-one, then one per asset
-    spare = max(0, slots - 2 - tied.size - idle.size)
-    tail = np.flatnonzero(above)
-    nearest = tail[np.argsort(atoms[tail], kind="stable")[:spare]]
-    basic = np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))[:slots]
-    return above, basic
+    interval = probability_interval_at(losses, quantile, atol=_tie_band(losses.atoms))
+    return PortfolioSolution(weights, losses, deviation, interval, sol)
 
 
 def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
@@ -227,12 +215,12 @@ def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
     which keeps solver-active scenarios inside the interval.
     """
     threshold = _bias_of(x).x + losses.mean()
-    return probability_interval_at(losses, threshold, atol=_tie_band(losses))
+    return probability_interval_at(losses, threshold, atol=_tie_band(losses.atoms))
 
 
-def _tie_band(losses: EmpiricalSample) -> float:
+def _tie_band(atoms: np.ndarray) -> float:
     """Half-width of the band within which a loss counts as tied with a threshold."""
-    return THRESHOLD_RTOL * max(1.0, float(np.max(np.abs(losses.atoms))))
+    return THRESHOLD_RTOL * max(1.0, float(np.max(np.abs(atoms))))
 
 
 def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = False):
@@ -243,12 +231,12 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     problem there, and evaluate each objective at the other optimum.  Solver
     failures are recorded per point and the sweep continues.
 
-    Each part-balancing solve starts from the previous point's basis.  Each
-    tail-average solve starts from ``crossover_crash`` of that point's
-    part-balancing optimum, the basis the equivalence of the two objectives
-    names, so it takes a few pivots; no tail-average basis is chained from
-    point to point.  Each row also reports the tail-average solve's
-    ``cvar_iterations``, whether it started from that basis
+    No basis crosses solves.  Each part-balancing solve starts from the
+    previous point's optimal weights; each tail-average solve from its own
+    point's part-balancing weights, which by the equivalence of the two
+    objectives are tail-average optimal at the mapped level, so it takes a
+    few pivots.  Each row also reports the tail-average solve's
+    ``cvar_iterations``, whether it started from its crash
     (``cvar_warm_used``), and whether it returned the part-balancing weights
     to within ``BUDGET_TOL`` (``cvar_kept_se_weights``), where the
     part-balancing cross-gap compares a portfolio with itself.  The
@@ -260,7 +248,7 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
         raise ValueError("x grid must be nonempty")
     problem = PortfolioProblem(np.asarray(returns, dtype=float), target_mean, long_only)
     rows = []
-    warm_se = None
+    start = None
     for x in x_grid:
         row = {"x": float(x), "alpha": np.nan,
                "se_dev_opt": np.nan, "cvar_dev_at_se_opt": np.nan,
@@ -269,18 +257,18 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
                "cvar_kept_se_weights": False, "lp_phase_iterations": (0, 0, 0),
                "lp_bound_flips": 0, "error": ""}
         try:
-            se_sol, se_lp = optimize_se_dev_raw(problem, x, warm_se)
-            _add_lp_counts(row, se_lp)
-            warm_se = (se_lp.basis, se_lp.vstate)
+            se_sol = optimize_se_dev(problem, x, start)
+            _add_lp_counts(row, se_sol.lp)
+            start = se_sol.weights
             alpha = se_sol.alpha_interval[1]
             row["se_dev_opt"] = se_sol.deviation
             row["alpha"] = alpha
             row["cvar_dev_at_se_opt"] = cvar_deviation_of(se_sol.losses, alpha)
-            cvar_sol, cvar_lp = optimize_cvar_dev_raw(
-                problem, alpha, crash=crossover_crash(problem, se_sol.losses, x, se_sol.weights))
-            _add_lp_counts(row, cvar_lp)
-            row["cvar_iterations"] = cvar_lp.iterations
-            row["cvar_warm_used"] = cvar_lp.warm_used
+            # the part-balancing loss sample's sorted view is already built
+            cvar_sol = _optimize_cvar(problem, alpha, se_sol.weights, se_sol.losses)
+            _add_lp_counts(row, cvar_sol.lp)
+            row["cvar_iterations"] = cvar_sol.lp.iterations
+            row["cvar_warm_used"] = cvar_sol.lp.warm_used
             row["cvar_kept_se_weights"] = bool(
                 np.max(np.abs(cvar_sol.weights - se_sol.weights)) <= BUDGET_TOL)
             row["cvar_dev_opt"] = cvar_sol.deviation

@@ -167,14 +167,19 @@ def test_portfolio_objectives_match_highs(rng, kind, long_only):
     for _ in range(4):
         problem = portfolio_problem(rng, kind, long_only)
         x = float(rng.uniform(-0.001, 0.01))
-        se = optimize_se_dev(problem, x)
-        if long_only:
-            assert np.min(se.weights) >= -1e-8
-        ref = highs_objective(**se_primal(problem, x)) - max(-x, 0.0)
-        assert se.deviation == pytest.approx(ref, abs=ABS_TOL)
         alpha = float(rng.uniform(0.3, 0.95))
-        ref = highs_objective(**cvar_primal(problem, alpha))
-        assert optimize_cvar_dev(problem, alpha).deviation == pytest.approx(ref, abs=ABS_TOL)
+        se_ref = highs_objective(**se_primal(problem, x)) - max(-x, 0.0)
+        cvar_ref = highs_objective(**cvar_primal(problem, alpha))
+        # from the default guess, then from a random budget-feasible one
+        guess = rng.standard_normal(problem.m)
+        guess += (1.0 - guess.sum()) / problem.m
+        for start in (None, guess):
+            se = optimize_se_dev(problem, x, start)
+            if long_only:
+                assert np.min(se.weights) >= -1e-8
+            assert se.deviation == pytest.approx(se_ref, abs=ABS_TOL)
+            assert optimize_cvar_dev(problem, alpha, start).deviation == pytest.approx(
+                cvar_ref, abs=ABS_TOL)
 
 
 def test_fig1_sweep_miss_point_matches_highs():

@@ -278,8 +278,21 @@ class TestCli:
         ({"experiment": "tables345", "sample_sizes": ["a"]},
          "'sample_sizes' element must be an integer"),
         ({"experiment": "fig1_sweep", "seed": "x"}, "'seed' must be an integer"),
+        ({"experiment": "sparse_recovery", "k_star": 0}, "need 1 <= k_star <= dimension"),
+        ({"experiment": "sparse_recovery", "k_star": 5, "dimension": 4},
+         "need 1 <= k_star <= dimension"),
+        ({"experiment": "sparse_recovery", "max_nodes": 0},
+         "max_nodes >= 1, time_limit_s > 0"),
+        ({"experiment": "sparse_recovery", "time_limit_s": 0.0},
+         "max_nodes >= 1, time_limit_s > 0"),
+        ({"experiment": "fig1_sweep", "x_grid": [float("nan")]},
+         "'x_grid' element must be a finite number, got nan"),
+        ({"experiment": "tables345", "shape": float("inf")},
+         "'shape' must be a finite number, got inf"),
     ], ids=["unknown_key", "array", "non_list_sample_sizes", "no_experiment",
-            "string_replications", "string_sample_size", "string_seed"])
+            "string_replications", "string_sample_size", "string_seed", "zero_k_star",
+            "k_star_above_dimension", "zero_max_nodes", "zero_time_limit", "nan_x_grid",
+            "infinite_shape"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))

@@ -723,7 +723,13 @@ def _box_lp(rng, kind):
     elif kind == "zero_rows":
         a[1:][rng.random(m - 1) < 0.5] = 0.0
         a[-1] = 0.0
-    rhs = a @ rng.uniform(lo, hi)
+    point = rng.uniform(lo, hi)
+    if kind == "one_sided":
+        # every third column loses one bound, and its cost prefers the other
+        lower_only, upper_only = np.arange(0, n, 6), np.arange(3, n, 6)
+        hi[lower_only], c[lower_only] = np.inf, np.abs(c[lower_only])
+        lo[upper_only], c[upper_only] = -np.inf, -np.abs(c[upper_only])
+    rhs = a @ point
     relations = ["="] * m
     if kind == "mixed":
         which = rng.integers(0, 3, m)
@@ -740,7 +746,7 @@ def _box_lp(rng, kind):
 
 
 BOX_KINDS = ["random", "tied", "duplicated", "collinear", "constant", "zero_rows", "mixed",
-             "infeasible"]
+             "infeasible", "one_sided"]
 
 
 class TestDualPhase:
@@ -755,6 +761,8 @@ class TestDualPhase:
                 p = _box_lp(rng, kind)
                 p.set_bounds(np.arange(0, p.num_vars, 7), None, None)  # some free columns
                 p.set_bounds(np.arange(3, p.num_vars, 11), 0.0, 0.0)   # and some fixed
+                p.set_bounds(np.arange(5, p.num_vars, 13), 0.0, None)  # and one-sided ones
+                p.set_bounds(np.arange(6, p.num_vars, 13), None, 0.0)
                 s = _Simplex(p)
                 vstate = rng.choice([AT_LOWER, AT_UPPER], s.N).astype(np.int8)
                 if not s.warm_start(rng.choice(s.N, s.m, replace=False), vstate):
@@ -792,7 +800,8 @@ class TestDualPhase:
             assert np.max(np.abs(p.dense_matrix() @ sol.x - np.array(p.rhs))
                           * (np.array(p.relations) == "=")) <= 1e-8
         # the slack start of an equality box LP is primal infeasible with
-        # every nonbasic boxed, so the dual phase runs
+        # every nonbasic boxed, or one-sided at the bound its cost prefers,
+        # so the dual phase runs
         assert ran >= 10 or kind == "infeasible"
 
     def test_replays_identically(self, rng):
@@ -824,20 +833,44 @@ class TestDualPhase:
             monkeypatch.undo()
             assert np.array_equal(warm.basis, plain.basis) and warm.iterations == plain.iterations
 
-    def test_unsettled_nonbasic_skips(self, rng):
-        # a nonbasic column bounded on one side only keeps the old path
-        p = _box_lp(rng, "random")
-        p.set_bounds(0, 0.0, None)
+    @staticmethod
+    def _slack_start(p):
         s = _Simplex(p)
         assert s.warm_start(*crash_basis(p, ()))
+        return s
+
+    def test_unsettled_nonbasic_skips(self, rng):
+        # a column bounded below only, whose cost pulls it up off its bound,
+        # keeps the old path
+        p = _box_lp(rng, "random")
+        p.set_bounds(0, 0.0, None)
+        p.set_objective(np.concatenate(([-1.0], p.objective[1:])))
+        s = self._slack_start(p)
         assert s.dual_phase(10**6) == "skipped" and s.iterations == 0
-        # so does a free nonbasic column with a nonzero reduced cost
+
+    def test_free_nonbasic_with_reduced_cost_skips(self, rng):
         q = _box_lp(rng, "random")
         q.set_bounds(0, None, None)
         q.set_objective(np.concatenate(([1.0], q.objective[1:])))
-        s = _Simplex(q)
-        assert s.warm_start(*crash_basis(q, ()))
-        assert s.dual_phase(10**6) == "skipped"
+        s = self._slack_start(q)
+        assert s.dual_phase(10**6) == "skipped" and s.iterations == 0
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_one_sided_nonbasic_at_preferred_bound_runs(self, rng, side):
+        # the slack start prices each column at its cost: a column bounded
+        # on one side whose cost prefers that bound is already dual feasible
+        p = _box_lp(rng, "random")
+        if side == "lower":
+            p.set_bounds(0, 0.0, None)
+            p.set_objective(np.concatenate(([1.0], p.objective[1:])))
+        else:
+            p.set_bounds(0, None, 0.0)
+            p.set_objective(np.concatenate(([-1.0], p.objective[1:])))
+        s = self._slack_start(p)
+        assert s.dual_phase(10**6) == "feasible" and s.iterations > 0
+        sol = solve_lp(p)
+        assert sol.phase_iterations[0] > 0 and sol.status == "optimal"
+        assert sol.objective == pytest.approx(_highs_objective(p), abs=1e-8)
 
     @pytest.mark.parametrize("stall", ["no eligible column", "singular basis"])
     def test_forced_stall_falls_back_to_phase1(self, rng, monkeypatch, stall):
@@ -1019,6 +1052,21 @@ class TestWarmUsed:
         assert not sol.warm_used
         assert (sol.status, sol.iterations, sol.objective) == \
             (cold.status, cold.iterations, cold.objective)
+
+    def test_numerically_singular_basis_is_rejected(self):
+        # column 2 is a combination of columns 0 and 1 up to rounding, so the
+        # basis inverts without an error, into noise
+        a, b = np.array([0.1, 0.2, 0.3]), np.array([0.7, 0.11, 0.13])
+        p = LpProblem(4)
+        p.set_objective([-1.0, -1.0, -1.0, 1.0])
+        p.set_bounds(slice(None), 0.0, 1.0)
+        for row in np.column_stack((a, b, 0.3 * a + 0.7 * b, np.ones(3))):
+            p.add_row(row, "<=", 1.0)
+        basis, vstate = np.arange(3), np.full(7, AT_LOWER, dtype=np.int8)
+        assert not _Simplex(p).warm_start(basis, vstate)
+        sol = solve_lp(p, warm=(basis, vstate))
+        assert not sol.warm_used and sol.status == "optimal"
+        assert sol.objective == pytest.approx(_highs_objective(p), abs=1e-12)
 
     def test_reported_on_every_status(self):
         p = LpProblem(1)

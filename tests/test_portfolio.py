@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
+from quadlab import portfolio
 from quadlab.distributions import make_sample
-from quadlab.functionals import cvar
-from quadlab.lp_core.simplex import _Simplex
+from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns
+from quadlab.functionals import cvar, var
+from quadlab.lp_core import crash_basis
 from quadlab.portfolio import (
     InfeasibleTarget,
     PortfolioProblem,
     cvar_deviation_of,
-    crossover_crash,
+    default_start,
     equivalence_sweep,
     map_x_to_alpha,
     optimize_cvar_dev,
-    optimize_cvar_dev_raw,
     optimize_se_dev,
-    optimize_se_dev_raw,
+    scenario_crash,
     se_deviation_of,
 )
 
@@ -117,9 +118,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("long_only", [False, True])
     def test_crossover_start_matches_independent_chain(self, rng, long_only):
-        # Each sweep CVaR solve starts at its point's SE optimum; an
-        # independent chain started cold at the first level and warm-started
-        # from each previous CVaR basis must reach the same optimum.
+        # Each sweep CVaR solve starts at its point's SE optimum; a solve
+        # started from the default guess must reach the same optimum.
         r = random_returns(rng, n=300, m=5)
         means = np.sort(r.mean(axis=0))
         # Long-only, a target near the top asset mean leaves some weights at
@@ -127,25 +127,36 @@ class TestSweep:
         mu = float(means[-2]) if long_only else float(means.mean())
         problem = PortfolioProblem(r, mu, long_only=long_only)
         rows = equivalence_sweep(r, mu, [0.0, 0.002, 0.005, 0.01], long_only=long_only)
-        warm = None
         for rw in rows:
             assert rw["error"] == ""
             assert rw["cvar_warm_used"]
-            sol, lp = optimize_cvar_dev_raw(problem, rw["alpha"], warm)
-            warm = (lp.basis, lp.vstate)
+            sol = optimize_cvar_dev(problem, rw["alpha"])
+            assert sol.lp.warm_used
             assert sol.deviation == pytest.approx(rw["cvar_dev_opt"], rel=1e-9, abs=0.0)
         if long_only:
             se = optimize_se_dev(problem, 0.0)
             assert np.min(se.weights) <= 1e-12
 
-    def test_crossover_crash_reads_the_se_optimum(self, rng):
+    def test_default_start_meets_budget_and_target(self, rng):
+        r = random_returns(rng, m=5)
+        mu = float(r.mean(axis=0).mean())
+        w = default_start(PortfolioProblem(r, mu))
+        rbar = r.mean(axis=0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert rbar @ w == pytest.approx(mu, abs=1e-15)
+        assert set(np.flatnonzero(w).tolist()) == {int(np.argmin(rbar)), int(np.argmax(rbar))}
+
+    def test_scenario_crash_reads_the_se_optimum(self, rng):
         r = random_returns(rng, n=400, m=4)
         problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
         x = 0.003
-        se, _ = optimize_se_dev_raw(problem, x)
-        above, basic = crossover_crash(problem, se.losses, x, se.weights)
-        threshold = x + se.losses.mean()
+        se = optimize_se_dev(problem, x)
+        alpha = se.alpha_interval[1]
+        threshold = var(se.losses, alpha).lower
+        above, basic = scenario_crash(problem, se.weights, threshold, sum_to_one=True)
         atoms = se.losses.atoms
+        # VaR-_alpha(x) is the atom tied at x + E[X]
+        assert threshold == pytest.approx(x + se.losses.mean(), abs=1e-9)
         assert np.array_equal(above, atoms > threshold + 1e-9)
         # Both free multipliers, then the tied scenarios, then the nearest
         # scenarios above the threshold: one column per tail-dual row.
@@ -158,57 +169,100 @@ class TestSweep:
         assert np.all(above[rest])
         assert np.array_equal(atoms[rest], np.sort(atoms[above])[:rest.size])
         # At alpha(x) the tail at the cap already sums to one.
-        alpha = se.alpha_interval[1]
         assert above.sum() / problem.n == pytest.approx(1.0 - alpha, abs=1e-15)
-        sol, lp = optimize_cvar_dev_raw(problem, alpha, crash=(above, basic))
-        assert lp.warm_used
+        sol = optimize_cvar_dev(problem, alpha, start=se.weights)
+        assert sol.lp.warm_used
         cold = optimize_cvar_dev(problem, alpha)
         assert sol.deviation == pytest.approx(cold.deviation, rel=1e-9, abs=0.0)
+        # the part-balancing dual has no sum-to-one row: one slot fewer
+        above_se, basic_se = scenario_crash(problem, se.weights, x + se.losses.mean())
+        assert basic_se.size == problem.m and list(basic_se[:2]) == [problem.n, problem.n + 1]
+        assert np.array_equal(above_se, above)
 
-    def test_long_only_crossover_keeps_idle_slacks_basic(self, rng):
+    def test_default_crash_keeps_idle_slacks_basic(self, rng):
+        # the default guess leaves all but two assets idle: both free
+        # multipliers and the idle assets' slacks fill the part-balancing
+        # dual's rows, and the tail-average dual's last slot takes the
+        # lowest-loss scenario above the threshold
+        r = random_returns(rng, n=200, m=5)
+        problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
+        w = default_start(problem)
+        idle = np.flatnonzero(w == 0.0)
+        n = problem.n
+        _, basic = scenario_crash(problem, w, 0.0)
+        assert basic.tolist() == [n, n + 1, *(n + 2 + idle).tolist()]
+        above, basic = scenario_crash(problem, w, 0.0, sum_to_one=True)
+        assert basic[:-1].tolist() == [n, n + 1, *(n + 3 + idle).tolist()]
+        assert above[basic[-1]]
+
+    def test_long_only_crossover_keeps_idle_slacks_basic(self, rng, monkeypatch):
         # An asset the part-balancing optimum leaves idle has a slack asset
         # row in the tail-average optimum; starting with that slack basic
         # saves the pivots that would bring it back in.
+        solves = []
+        real = portfolio.solve_lp
+
+        def recorded(lp, warm, **kw):
+            solves.append((lp, kw))
+            return real(lp, warm=warm, **kw)
+
+        monkeypatch.setattr(portfolio, "solve_lp", recorded)
         before = after = idle_points = 0
         for _ in range(20):
             r = random_returns(rng, n=300, m=5)
             problem = PortfolioProblem(r, float(np.sort(r.mean(axis=0))[-2]), long_only=True)
+            n = problem.n
             for x in (0.0, 0.004, 0.01):
                 se = optimize_se_dev(problem, x)
                 alpha = se.alpha_interval[1]
                 idle = np.flatnonzero(se.weights <= 1e-8)
-                _, basic = crossover_crash(problem, se.losses, x, se.weights)
-                assert set((problem.n + 3 + idle).tolist()) <= set(basic.tolist())
+                above, basic = scenario_crash(problem, se.weights, var(se.losses, alpha).lower,
+                                              sum_to_one=True)
+                assert set((n + 3 + idle).tolist()) <= set(basic.tolist())
                 idle_points += idle.size > 0
-                # with no asset idle the crash keeps no slack basic
-                busy = np.ones(problem.m)
-                old, old_lp = optimize_cvar_dev_raw(
-                    problem, alpha, crash=crossover_crash(problem, se.losses, x, busy))
-                new, new_lp = optimize_cvar_dev_raw(
-                    problem, alpha, crash=crossover_crash(problem, se.losses, x, se.weights))
-                assert old_lp.warm_used and new_lp.warm_used
-                assert new.deviation == pytest.approx(old.deviation, rel=0.0, abs=1e-12)
-                before += old_lp.iterations
-                after += new_lp.iterations
+                new = optimize_cvar_dev(problem, alpha, start=se.weights)
+                # the same crash with the idle slacks' slots given to the
+                # next lowest-loss scenarios above the threshold
+                lp, kw = solves[-1]
+                slack = basic >= n + 2
+                tail = np.flatnonzero(above)
+                tail = tail[np.argsort(se.losses.atoms[tail], kind="stable")]
+                refill = tail[~np.isin(tail, basic)][:np.count_nonzero(slack)]
+                old = real(lp, warm=crash_basis(lp, above, np.concatenate((basic[~slack], refill))),
+                           **kw)
+                assert old.warm_used and new.lp.warm_used
+                assert old.status == "optimal"
+                assert old.objective == pytest.approx(new.lp.objective, rel=0.0, abs=1e-12)
+                before += old.iterations
+                after += new.lp.iterations
         assert idle_points >= 10
         assert after < 0.85 * before
 
-    def test_se_chain_skips_the_dual_phase(self, rng, monkeypatch):
-        # after the cold first point every part-balancing start is the
-        # previous optimum, primal feasible, so its pivots are unchanged
-        problem = PortfolioProblem(random_returns(rng, n=400, m=4), 0.001)
-        runs = []
-        for skip in (False, True):
-            if skip:
-                monkeypatch.setattr(_Simplex, "dual_phase", lambda self, limit: "skipped")
-            warm, sols = None, []
-            for x in (0.0, 0.002, 0.005, 0.01):
-                _, lp = optimize_se_dev_raw(problem, x, warm)
-                warm = (lp.basis, lp.vstate)
-                sols.append(lp)
-            assert all(lp.phase_iterations[0] == 0 for lp in sols)
-            runs.append([(lp.iterations, lp.basis.tolist()) for lp in sols])
-        assert runs[0] == runs[1]
+    @pytest.mark.parametrize("long_only", [False, True])
+    def test_sweep_solves_run_the_dual_phase(self, monkeypatch, long_only):
+        # every solve of a sweep starts from its crash, and over the paper's
+        # grid the dual phase does most of the work under both policies (a
+        # primal-feasible crash, or an entry rule that fails, leaves a few
+        # pivots to phases 1 and 2)
+        solves = []
+        real = portfolio.solve_lp
+
+        def recorded(lp, warm, **kw):
+            solves.append(real(lp, warm=warm, **kw))
+            return solves[-1]
+
+        monkeypatch.setattr(portfolio, "solve_lp", recorded)
+        grid = ExperimentConfig(experiment="fig1_sweep").x_grid
+        phases = np.zeros(3, dtype=int)
+        for seed in (1, 2, 3):
+            r = four_asset_returns(2000, seed)
+            mu = float(np.sort(r.mean(axis=0))[-2]) if long_only else FOUR_ASSET_TARGET_MEAN
+            rows = equivalence_sweep(r, mu, grid, long_only=long_only)
+            assert all(rw["error"] == "" for rw in rows)
+            phases += np.sum([rw["lp_phase_iterations"] for rw in rows], axis=0)
+        assert len(solves) == 3 * 2 * len(grid)
+        assert all(sol.warm_used for sol in solves)
+        assert phases[0] >= 0.8 * phases.sum()
 
     def test_alpha_interval_brackets_mean_threshold_at_zero_bias(self, rng):
         r = random_returns(rng, n=200)
