@@ -149,6 +149,8 @@ def _cmd_portfolio(args) -> int:
             raise ValueError("--sweep wants x0:x1:step") from exc
         if not (np.all(np.isfinite([x0, x1, step])) and step > 0):
             raise ValueError("--sweep wants finite x0:x1:step with step > 0")
+        if (x1 - x0) / step > 10_000:  # the paper's grid takes 24 steps
+            raise ValueError("--sweep takes more than 10,000 steps")
         as_json = args.format == "json" or (args.output or "").endswith(".json")
         if not as_json and not args.output:
             raise ValueError("--output is required for CSV sweeps")

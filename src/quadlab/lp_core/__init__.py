@@ -9,7 +9,7 @@ starts from the all-slack ``crash_basis(problem, ())``.
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
 with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
-(bound guesses for the boxed columns, and basic columns read off a fit),
+(bound guesses, and candidate basic columns ranked by the caller),
 and check the answer with ``certify_objective`` against the primal
 objective recomputed from it.  A primal infeasible start whose nonbasics
 are boxed or dual feasible already first goes through a dual phase whose
@@ -44,7 +44,7 @@ from .problem import (
     SingularBasisError,
     certify_objective,
 )
-from .simplex import crash_basis, solve_lp
+from .simplex import crash_basis, crash_pool, solve_lp
 from .branch_bound import solve_mip
 from .stacked import StackLimitError, StackSolution, solve_box_stack
 
@@ -59,6 +59,7 @@ __all__ = [
     "StackSolution",
     "certify_objective",
     "crash_basis",
+    "crash_pool",
     "solve_box_stack",
     "solve_lp",
     "solve_mip",

@@ -57,6 +57,7 @@ class LpProblem:
         self.row_value: list[np.ndarray] = []
         self.relations: list[str] = []
         self.rhs: list[float] = []
+        self._extended: np.ndarray | None = None  # [A | I], kept by the simplex
 
     @property
     def num_rows(self) -> int:
@@ -100,15 +101,15 @@ class LpProblem:
             val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
             order = np.argsort(idx)
             idx, val = idx[order], val[order]
+            if idx.size and (idx[0] < 0 or idx[-1] >= self.num_vars):
+                raise LpError("row references unknown variable")
         else:
             dense = np.asarray(coeffs, dtype=float)
             if dense.shape != (self.num_vars,):
                 raise LpError("row length mismatch")
             idx = np.nonzero(dense)[0]
             val = dense[idx]
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
-            raise LpError("row references unknown variable")
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise LpError("row coefficients must be finite")
         if not np.isfinite(rhs):
             raise LpError("rhs must be finite")

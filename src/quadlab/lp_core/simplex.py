@@ -47,6 +47,7 @@ variable index, so identical problems replay identical pivot sequences.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf
 
 from .problem import RELATIONS, LpError, LpProblem, LpSolution, SingularBasisError
 
@@ -58,6 +59,8 @@ DUAL_TOL = 1e-9       # reduced-cost threshold
 PIVOT_TOL = 1e-9      # smallest direction entry that can block the ratio test
 REFACTOR_EVERY = 128
 DUAL_WINDOW = 64      # breakpoints sorted first in a dual ratio test; grows 4x
+CRASH_POOL = 8        # candidate columns a crash reduces per row
+CRASH_PIVOT_SHARE = 0.1  # smallest entry a crash candidate enters on, over its largest
 
 
 # Slack bounds by relation, in the order of RELATIONS: "<=" [0, inf), "=" 0,
@@ -79,29 +82,56 @@ def _bound_states(lo, hi) -> np.ndarray:
                     np.where(np.isfinite(hi), AT_UPPER, FREE_ZERO)).astype(np.int8)
 
 
-def crash_basis(problem: LpProblem, at_upper, basic=()):
+def crash_pool(key, rows: int) -> np.ndarray:
+    """Indices of the CRASH_POOL * rows smallest ``key`` entries by (key, index): all a crash reads."""
+    count = min(key.size, CRASH_POOL * rows)
+    near = np.flatnonzero(key <= (np.partition(key, count - 1)[count - 1] if count else -np.inf))
+    return near[np.argsort(key[near], kind="stable")[:count]]
+
+
+def crash_basis(problem: LpProblem, at_upper, order=()):
     """Warm-start pair (basis, vstate) for ``solve_lp`` from bound guesses.
 
-    Every row's slack is basic, except that the columns listed in ``basic``
-    take the places of the first rows' slacks (a slack listed there keeps
-    its own place, and the next unlisted slack gives way instead).  Columns
-    flagged in the boolean ``at_upper`` (over the leading columns) start at
-    their upper bound; every other nonbasic variable, slacks included,
-    starts at its finite lower bound, else at its finite upper bound, else
-    free at zero.
+    ``order`` ranks candidate basic columns of the slack-extended variable
+    vector.  Gaussian elimination takes its first CRASH_POOL * rows in turn
+    until every row is held: each enters on the open row of its largest
+    reduced entry if that entry is at least CRASH_PIVOT_SHARE of the
+    column's largest, and is skipped as dependent otherwise; other rows
+    keep their slacks.  Columns flagged in ``at_upper`` start at their
+    upper bound, other nonbasics at their finite lower bound, else their
+    finite upper bound, else free at zero.
     """
     n, m = problem.num_vars, problem.num_rows
     slack_lo, slack_hi = _slack_bounds(problem.relations)
     vstate = _bound_states(np.concatenate((problem.lower, slack_lo)),
                            np.concatenate((problem.upper, slack_hi)))
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
-    basic = np.asarray(basic, dtype=np.intp)
-    unlisted = np.ones(m, dtype=bool)
-    unlisted[basic[basic >= n] - n] = False
-    rest = np.flatnonzero(unlisted) + n
-    basis = np.concatenate((basic, rest[rest.size - (m - basic.size):]))
+    order = np.asarray(order, dtype=np.intp)[:CRASH_POOL * m]
+    block = _extended_rows(problem)[:, order]
+    floor = (CRASH_PIVOT_SHARE * np.abs(block).max(axis=0, initial=0.0)).tolist()
+    rows = list(range(m))  # the rows in LU's order: the k-th pick holds rows[k]
+    while order.size:  # LU with partial pivoting; refactor without a low pivot
+        lu, piv, _ = dgetrf(block)
+        low = [i for i, p in enumerate(np.abs(lu.diagonal()).tolist()) if not p >= floor[i] > 0]
+        if not low:
+            for i, p in enumerate(piv[:m].tolist()):
+                rows[i], rows[p] = rows[p], rows[i]
+            break
+        block, order = np.delete(block, low[0], axis=1), np.delete(order, low[0])
+        del floor[low[0]]
+    basis = np.arange(n, n + m)
+    basis[rows[:order.size]] = order[:m]
     vstate[basis] = BASIC
     return basis, vstate
+
+
+def _extended_rows(problem: LpProblem) -> np.ndarray:
+    """[A | I], read-only; a problem's crash and solves share it until rows are added."""
+    ext = problem._extended
+    if ext is None or ext.shape[0] != problem.num_rows:
+        ext = problem._extended = np.hstack((problem.dense_matrix(), np.eye(problem.num_rows)))
+        ext.flags.writeable = False  # the simplex reads it in place
+    return ext
 
 
 # Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced
@@ -136,9 +166,7 @@ class _Simplex:
         n = problem.num_vars
         self.m, self.n = m, n
         self.N = n + m
-        self.A = np.zeros((m, self.N))
-        self.A[:, :n] = problem.dense_matrix()
-        self.A[:, n:] = np.eye(m)
+        self.A = _extended_rows(problem)
         self.b = np.asarray(problem.rhs, dtype=float)
         self.c = np.concatenate((problem.objective, np.zeros(m)))
         slack_lo, slack_hi = _slack_bounds(problem.relations)
@@ -157,7 +185,7 @@ class _Simplex:
     def warm_start(self, basis, vstate):
         basis = np.asarray(basis, dtype=np.intp)
         vstate = np.asarray(vstate, dtype=np.int8).copy()
-        if basis.size != self.m or np.unique(basis).size != self.m:
+        if basis.size != self.m or len(set(basis.tolist())) != self.m:
             return False
         matrix = self.A[:, basis]
         try:
@@ -176,7 +204,8 @@ class _Simplex:
         fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
         stale = (((vs == AT_LOWER) & ~fin_lo) | ((vs == AT_UPPER) & ~fin_hi)
                  | ((vs == FREE_ZERO) & (fin_lo | fin_hi)))
-        vs[stale] = _bound_states(self.lo[stale], self.hi[stale])
+        if stale.any():
+            vs[stale] = _bound_states(self.lo[stale], self.hi[stale])
         self._sync_states()
         return True
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import EmpiricalSample, make_sample
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
-from .lp_core import LpError, LpProblem, LpSolution, certify_objective, crash_basis, solve_lp
+from .lp_core import LpError, LpProblem, LpSolution, certify_objective, crash_basis, crash_pool, solve_lp
 
 BUDGET_TOL = 1e-8
 MEAN_TOL = 1e-7
@@ -102,13 +102,13 @@ def default_start(problem: PortfolioProblem) -> np.ndarray:
 
 def scenario_crash(problem: PortfolioProblem, weights, threshold: float,
                    sum_to_one: bool = False):
-    """Scenario-dual start (at-cap mask, basic columns) read off a portfolio guess.
+    """Scenario-dual start (at-cap mask, crash order) read off a portfolio guess.
 
     On the losses of the guess ``weights``, the scenarios above
-    ``threshold`` start at their cap.  The basic columns are the free budget
-    and mean multipliers, the scenarios tied at the threshold (within the
-    ``map_x_to_alpha`` band), the slacks of the asset rows whose weights are
-    idle (|w| <= ``BUDGET_TOL``), then, while row slots remain, the
+    ``threshold`` start at their cap.  The crash order for ``crash_basis``
+    lists the free budget and mean multipliers, the scenarios tied at the
+    threshold (within the ``map_x_to_alpha`` band), the slacks of the asset
+    rows whose weights are idle (|w| <= ``BUDGET_TOL``), then the
     lowest-loss scenarios above the threshold.  ``sum_to_one`` marks the
     tail-average dual, whose sum-to-one row precedes the asset rows.
     """
@@ -117,12 +117,9 @@ def scenario_crash(problem: PortfolioProblem, weights, threshold: float,
     above = atoms > threshold + atol
     tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
     idle = problem.n + 2 + sum_to_one + np.flatnonzero(np.abs(weights) <= BUDGET_TOL)
-    slots = problem.m + sum_to_one
-    spare = max(0, slots - 2 - tied.size - idle.size)
     tail = np.flatnonzero(above)
-    nearest = tail[np.argsort(atoms[tail], kind="stable")[:spare]]
-    basic = np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))[:slots]
-    return above, basic
+    nearest = tail[crash_pool(atoms[tail], problem.m + sum_to_one)]
+    return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
 
 
 def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols,

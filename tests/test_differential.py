@@ -178,8 +178,10 @@ def test_portfolio_objectives_match_highs(rng, kind, long_only):
             if long_only:
                 assert np.min(se.weights) >= -1e-8
             assert se.deviation == pytest.approx(se_ref, abs=ABS_TOL)
-            assert optimize_cvar_dev(problem, alpha, start).deviation == pytest.approx(
-                cvar_ref, abs=ABS_TOL)
+            cvar = optimize_cvar_dev(problem, alpha, start)
+            assert cvar.deviation == pytest.approx(cvar_ref, abs=ABS_TOL)
+            # the crash start holds on tied, duplicated and collinear data too
+            assert se.lp.warm_used and cvar.lp.warm_used
 
 
 def test_fig1_sweep_miss_point_matches_highs():

@@ -345,6 +345,8 @@ class TestCli:
           "--milp"], "--error se"),
         (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
           "--milp", "--oracle"], "not both"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:1:1e-15"],
+         "10,000 steps"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",

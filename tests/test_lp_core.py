@@ -352,19 +352,63 @@ class TestCrashBasis:
     def test_states(self):
         p = self._mixed_problem()
         at_upper = np.array([False, False, False, False, True])
-        basis, vstate = crash_basis(p, at_upper, basic=[5])
-        # column 5 takes the place of row 0's slack (variable 6)
-        assert basis.tolist() == [5, 7, 8]
+        basis, vstate = crash_basis(p, at_upper, [5])
+        # column 5 holds one row; the other rows keep their slacks (6-8)
+        assert set(basis.tolist()) == {5, 7, 8}
         assert vstate.tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,
                                    BASIC, AT_UPPER, BASIC, BASIC]
 
-    def test_listed_slack_keeps_its_place(self):
+    def test_dependent_candidates_are_skipped(self):
         p = self._mixed_problem()
-        # column 5 takes the place of the first unlisted slack (6); the
-        # listed slack 7 stays basic, and so does the unlisted 8
-        basis, vstate = crash_basis(p, np.zeros(6, dtype=bool), basic=[5, 7])
-        assert basis.tolist() == [5, 7, 8]
-        assert vstate[6] != BASIC and np.all(vstate[basis] == BASIC)
+        # columns 0, 4 and 5 are equal: only the first listed enters, and
+        # row 2, which no later candidate can hold, keeps its slack
+        basis, _ = crash_basis(p, (), [5, 4, 0, 2])
+        assert set(basis.tolist()) == {5, 2, 8}
+        # a listed slack holds its own row while that row is open
+        basis, _ = crash_basis(p, (), [7, 5, 3])
+        assert set(basis.tolist()) == {7, 5, 3}
+        # candidates past the first CRASH_POOL * rows are not read
+        basis, _ = crash_basis(p, (), [4] * (simplex.CRASH_POOL * 3) + [2, 3])
+        assert set(basis.tolist()) == {4, 7, 8}
+
+    def test_matches_elimination_in_priority_order(self, rng):
+        # the rule written out as a column walk: each candidate is reduced
+        # against the earlier picks, enters on its largest entry on an open
+        # row when that entry is at least CRASH_PIVOT_SHARE of its own
+        # largest, and is skipped otherwise
+        for _ in range(40):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 12))
+            a = rng.standard_normal((m, n))
+            a[:, rng.random(n) < 0.2] = 0.0                     # empty columns
+            a[:, -1] = a[:, 0] * (1.0 + 1e-3 * rng.random())    # a dependent one
+            p = LpProblem(n)
+            for row in a:
+                p.add_row(row, "=", 0.0)
+            order = rng.permutation(n + m)[: int(rng.integers(0, n + m + 1))]
+            work = np.hstack((a, np.eye(m)))[:, order]
+            expected = list(range(n, n + m))
+            open_rows = np.ones(m, dtype=bool)
+            for k, j in enumerate(order[: simplex.CRASH_POOL * m]):
+                mag = np.where(open_rows, np.abs(work[:, k]), 0.0)
+                r = int(np.argmax(mag))
+                if not mag[r] > 0 or mag[r] < simplex.CRASH_PIVOT_SHARE * np.abs(
+                        np.hstack((a, np.eye(m)))[:, j]).max():
+                    continue
+                expected[r] = j
+                open_rows[r] = False
+                work[:, k + 1:] -= np.outer(work[:, k] / work[r, k], work[r, k + 1:])
+            basis, vstate = crash_basis(p, (), order)
+            assert basis.tolist() == expected
+            assert np.flatnonzero(vstate == BASIC).tolist() == sorted(expected)
+            assert _Simplex(p).warm_start(basis, vstate)
+
+    def test_pool_is_the_smallest_keys_by_key_then_index(self):
+        key = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0])
+        assert simplex.crash_pool(key, 0).tolist() == []
+        # 8 per row: the cut falls among the nine keys equal to 1.0, and
+        # the lowest indices among them make it
+        assert simplex.crash_pool(np.tile(key, 3), 1).tolist() == [4, 11, 18, 1, 3, 6, 8, 10]
+        assert simplex.crash_pool(key, 1).tolist() == [4, 1, 3, 6, 2, 5, 0]
 
     def test_slack_basis_by_default(self):
         p = self._mixed_problem()

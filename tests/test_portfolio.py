@@ -6,6 +6,7 @@ from quadlab.distributions import make_sample
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns
 from quadlab.functionals import cvar, var
 from quadlab.lp_core import crash_basis
+from quadlab.lp_core.simplex import CRASH_POOL
 from quadlab.portfolio import (
     InfeasibleTarget,
     PortfolioProblem,
@@ -18,6 +19,19 @@ from quadlab.portfolio import (
     scenario_crash,
     se_deviation_of,
 )
+
+
+def _record_starts(monkeypatch):
+    """Record the (LP, start, options) of every portfolio solve from here on."""
+    starts = []
+    real = portfolio.solve_lp
+
+    def recorded(lp, warm, **kw):
+        starts.append((lp, warm, kw))
+        return real(lp, warm=warm, **kw)
+
+    monkeypatch.setattr(portfolio, "solve_lp", recorded)
+    return starts
 
 
 def random_returns(rng, n=80, m=4):
@@ -146,68 +160,76 @@ class TestSweep:
         assert rbar @ w == pytest.approx(mu, abs=1e-15)
         assert set(np.flatnonzero(w).tolist()) == {int(np.argmin(rbar)), int(np.argmax(rbar))}
 
-    def test_scenario_crash_reads_the_se_optimum(self, rng):
+    def test_scenario_crash_reads_the_se_optimum(self, rng, monkeypatch):
         r = random_returns(rng, n=400, m=4)
         problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
+        n = problem.n
         x = 0.003
         se = optimize_se_dev(problem, x)
         alpha = se.alpha_interval[1]
         threshold = var(se.losses, alpha).lower
-        above, basic = scenario_crash(problem, se.weights, threshold, sum_to_one=True)
+        above, order = scenario_crash(problem, se.weights, threshold, sum_to_one=True)
         atoms = se.losses.atoms
         # VaR-_alpha(x) is the atom tied at x + E[X]
         assert threshold == pytest.approx(x + se.losses.mean(), abs=1e-9)
         assert np.array_equal(above, atoms > threshold + 1e-9)
-        # Both free multipliers, then the tied scenarios, then the nearest
-        # scenarios above the threshold: one column per tail-dual row.
-        assert basic.size == problem.m + 1
-        assert list(basic[:2]) == [problem.n, problem.n + 1]
+        # Both free multipliers, then the tied scenarios, then as many of
+        # the lowest-loss scenarios above the threshold as a crash reads.
         tied = np.flatnonzero(np.abs(atoms - threshold) <= 1e-9)
         assert 0 < tied.size <= problem.m - 1
-        assert list(basic[2:2 + tied.size]) == list(tied)
-        rest = basic[2 + tied.size:]
+        assert order[:2 + tied.size].tolist() == [n, n + 1, *tied.tolist()]
+        rest = order[2 + tied.size:]
+        assert rest.size == min(CRASH_POOL * (problem.m + 1), above.sum())
         assert np.all(above[rest])
         assert np.array_equal(atoms[rest], np.sort(atoms[above])[:rest.size])
         # At alpha(x) the tail at the cap already sums to one.
         assert above.sum() / problem.n == pytest.approx(1.0 - alpha, abs=1e-15)
+        # The part-balancing dual, which has no sum-to-one row, reads the
+        # same order off the same losses; its crash is the SE optimum's
+        # basis: the free multipliers and the tied scenarios.
+        above_se, order_se = scenario_crash(problem, se.weights, x + se.losses.mean())
+        assert np.array_equal(above_se, above)
+        assert np.array_equal(order_se, order[:order_se.size])
+        starts = _record_starts(monkeypatch)
+        assert optimize_se_dev(problem, x, start=se.weights).lp.warm_used
+        assert set(starts[-1][1][0].tolist()) == {n, n + 1, *tied.tolist()}
+        # In the tail-average dual the first tied scenario holds the
+        # sum-to-one row.  What the next one keeps off that row, its asset
+        # entries, is under a tenth of its entry 1 there, so the crash skips
+        # it and the asset rows keep their slacks.
         sol = optimize_cvar_dev(problem, alpha, start=se.weights)
         assert sol.lp.warm_used
+        assert {n, n + 1, tied[0]} <= set(starts[-1][1][0].tolist())
         cold = optimize_cvar_dev(problem, alpha)
         assert sol.deviation == pytest.approx(cold.deviation, rel=1e-9, abs=0.0)
-        # the part-balancing dual has no sum-to-one row: one slot fewer
-        above_se, basic_se = scenario_crash(problem, se.weights, x + se.losses.mean())
-        assert basic_se.size == problem.m and list(basic_se[:2]) == [problem.n, problem.n + 1]
-        assert np.array_equal(above_se, above)
 
-    def test_default_crash_keeps_idle_slacks_basic(self, rng):
+    def test_default_crash_keeps_idle_slacks_basic(self, rng, monkeypatch):
         # the default guess leaves all but two assets idle: both free
-        # multipliers and the idle assets' slacks fill the part-balancing
-        # dual's rows, and the tail-average dual's last slot takes the
-        # lowest-loss scenario above the threshold
+        # multipliers and the idle assets' slacks start basic in both duals;
+        # they fill the part-balancing dual's rows, and the tail-average
+        # dual's last row takes one scenario
         r = random_returns(rng, n=200, m=5)
         problem = PortfolioProblem(r, float(r.mean(axis=0).mean()))
         w = default_start(problem)
         idle = np.flatnonzero(w == 0.0)
         n = problem.n
-        _, basic = scenario_crash(problem, w, 0.0)
-        assert basic.tolist() == [n, n + 1, *(n + 2 + idle).tolist()]
-        above, basic = scenario_crash(problem, w, 0.0, sum_to_one=True)
-        assert basic[:-1].tolist() == [n, n + 1, *(n + 3 + idle).tolist()]
-        assert above[basic[-1]]
+        _, order = scenario_crash(problem, w, 0.0)
+        assert order[:2 + idle.size].tolist() == [n, n + 1, *(n + 2 + idle).tolist()]
+        starts = _record_starts(monkeypatch)
+        assert optimize_se_dev(problem, 0.0).lp.warm_used
+        assert optimize_cvar_dev(problem, 0.7).lp.warm_used
+        (_, (se_basis, _), _), (_, (cvar_basis, _), _) = starts
+        assert set(se_basis.tolist()) == {n, n + 1, *(n + 2 + idle).tolist()}
+        assert {n, n + 1, *(n + 3 + idle).tolist()} <= set(cvar_basis.tolist())
+        assert np.count_nonzero(cvar_basis < n) == 1
 
     def test_long_only_crossover_keeps_idle_slacks_basic(self, rng, monkeypatch):
         # An asset the part-balancing optimum leaves idle has a slack asset
         # row in the tail-average optimum; starting with that slack basic
         # saves the pivots that would bring it back in.
-        solves = []
         real = portfolio.solve_lp
-
-        def recorded(lp, warm, **kw):
-            solves.append((lp, kw))
-            return real(lp, warm=warm, **kw)
-
-        monkeypatch.setattr(portfolio, "solve_lp", recorded)
-        before = after = idle_points = 0
+        starts = _record_starts(monkeypatch)
+        before = after = idle_points = moved = 0
         for _ in range(20):
             r = random_returns(rng, n=300, m=5)
             problem = PortfolioProblem(r, float(np.sort(r.mean(axis=0))[-2]), long_only=True)
@@ -216,26 +238,24 @@ class TestSweep:
                 se = optimize_se_dev(problem, x)
                 alpha = se.alpha_interval[1]
                 idle = np.flatnonzero(se.weights <= 1e-8)
-                above, basic = scenario_crash(problem, se.weights, var(se.losses, alpha).lower,
-                                              sum_to_one=True)
-                assert set((n + 3 + idle).tolist()) <= set(basic.tolist())
                 idle_points += idle.size > 0
                 new = optimize_cvar_dev(problem, alpha, start=se.weights)
-                # the same crash with the idle slacks' slots given to the
-                # next lowest-loss scenarios above the threshold
-                lp, kw = solves[-1]
-                slack = basic >= n + 2
-                tail = np.flatnonzero(above)
-                tail = tail[np.argsort(se.losses.atoms[tail], kind="stable")]
-                refill = tail[~np.isin(tail, basic)][:np.count_nonzero(slack)]
-                old = real(lp, warm=crash_basis(lp, above, np.concatenate((basic[~slack], refill))),
-                           **kw)
+                lp, (basis, _), kw = starts[-1]
+                assert set((n + 3 + idle).tolist()) <= set(basis.tolist())
+                # the crash of the same order without the idle slacks; where
+                # it still keeps them basic, the two starts are one
+                above, order = scenario_crash(problem, se.weights,
+                                              var(se.losses, alpha).lower, sum_to_one=True)
+                other = crash_basis(lp, above, order[order < n + 2])
+                old = real(lp, warm=other, **kw)
                 assert old.warm_used and new.lp.warm_used
                 assert old.status == "optimal"
                 assert old.objective == pytest.approx(new.lp.objective, rel=0.0, abs=1e-12)
-                before += old.iterations
-                after += new.lp.iterations
-        assert idle_points >= 10
+                if set(other[0].tolist()) != set(basis.tolist()):
+                    moved += 1
+                    before += old.iterations
+                    after += new.lp.iterations
+        assert idle_points >= 10 and moved >= 5
         assert after < 0.85 * before
 
     @pytest.mark.parametrize("long_only", [False, True])
