@@ -242,11 +242,8 @@ def load_csv(path: str, target_column: str | None = None):
 
 
 def write_csv(path: str, header, matrix) -> None:
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write a numeric matrix under a header row, as ``emit_report`` writes a table."""
+    emit_report(ReportTable("", list(header), np.asarray(matrix, dtype=float).tolist()), path)
 
 
 def _worker_count() -> int:

@@ -2,9 +2,10 @@
 
 ``solve_lp`` runs a revised simplex with two-sided variable bounds and a
 deterministic pivot rule; ``solve_mip`` wraps it in best-first branch and
-bound over binary variables.  Problems are small to mid-sized by design:
-the basis inverse is kept dense.  A solve without a usable warm basis
-starts from the all-slack ``crash_basis(problem, ())``.
+bound over binary variables on one relaxed copy of the problem.  Problems
+are small to mid-sized by design: the basis inverse is kept dense.  A
+solve without a usable warm basis starts from the all-slack
+``crash_basis(problem, ())``.
 
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
@@ -22,7 +23,7 @@ Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
 nothing (unbounded slack, zero dual).  The best-subset search keeps one
 such dual and frees the rows of excluded columns with
 ``LpProblem.set_relation``; an optimal basis stays primal feasible when
-rows are freed, so each child solve warm-starts straight into phase 2.
+rows are freed, so each child relaxation warm-starts into phase 2.
 The literal zero-bias epigraph LP (``regression.se_lp_problem``) and the
 big-M MILP built on it add their row blocks with ``LpProblem.add_rows``,
 which takes each row's entries instead of a dense row.

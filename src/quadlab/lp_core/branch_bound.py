@@ -1,10 +1,12 @@
 """Best-first branch and bound over binary variables.
 
-Nodes enter a heap keyed by the LP bound of their parent (a valid lower
-bound for the subtree) and are solved on pop, warm-started from the parent
-basis.  Branching picks the most fractional binary, ties toward the lowest
-index.  A nearest-integer rounding heuristic at the root, or a caller
-supplied assignment, seeds the incumbent.
+A node is its binary bounds and its parent's basis.  Nodes enter a heap
+keyed by the LP bound of their parent (a valid lower bound for the
+subtree) and are solved on pop: the bounds go onto the one relaxed copy
+of the problem, which every solve shares, and the solve warm-starts from
+the parent basis.  Branching picks the most fractional binary, ties toward
+the lowest index.  A nearest-integer rounding heuristic at the root, or a
+caller supplied assignment, seeds the incumbent.
 
 Wall-clock limits make results timing-dependent, so a deterministic
 ``max_nodes`` budget is offered as the primary stopping rule for
@@ -23,17 +25,6 @@ from .simplex import solve_lp
 
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-10
-
-
-def _relaxation(problem: LpProblem) -> LpProblem:
-    relaxed = problem.copy()
-    relaxed.is_binary[:] = False
-    return relaxed
-
-
-def _fractional(values, binary_idx):
-    frac = np.abs(values[binary_idx] - np.round(values[binary_idx]))
-    return frac
 
 
 def _gap(incumbent, bound):
@@ -64,7 +55,8 @@ def solve_mip(
     if binary_idx.size == 0:
         raise LpError("solve_mip needs at least one binary variable")
     start = time.monotonic()
-    relaxed = _relaxation(problem)
+    relaxed = problem.copy()
+    relaxed.is_binary[:] = False
 
     root = solve_lp(relaxed)
     if root.status == "infeasible":
@@ -84,10 +76,9 @@ def solve_mip(
 
     def fix_and_polish(binary_values) -> tuple | None:
         nonlocal total_iters
-        trial = _relaxation(problem)
         fixed = np.round(binary_values)
-        trial.set_bounds(binary_idx, fixed, fixed)
-        sol = solve_lp(trial)
+        relaxed.set_bounds(binary_idx, fixed, fixed)
+        sol = solve_lp(relaxed)
         total_iters += sol.iterations
         if sol.status == "optimal":
             return sol.x, sol.objective
@@ -108,8 +99,8 @@ def solve_mip(
     # A parent's LP value is a valid lower bound for its children, so the heap
     # minimum (capped by the incumbent) is a valid global lower bound.
     counter = 0
-    heap = [(root.objective, counter, problem.lower[binary_idx].copy(),
-             problem.upper[binary_idx].copy(), (root.basis, root.vstate))]
+    heap = [(root.objective, counter, problem.lower[binary_idx],
+             problem.upper[binary_idx], (root.basis, root.vstate))]
     nodes = 0
     reported_bound = root.objective
     bound_history = [reported_bound]
@@ -134,9 +125,8 @@ def solve_mip(
         parent_bound, _, blo, bup, warm = heapq.heappop(heap)
         if incumbent_obj is not None and parent_bound >= incumbent_obj - PRUNE_TOL:
             continue
-        node_problem = _relaxation(problem)
-        node_problem.set_bounds(binary_idx, blo, bup)
-        sol = solve_lp(node_problem, warm=warm)
+        relaxed.set_bounds(binary_idx, blo, bup)
+        sol = solve_lp(relaxed, warm=warm)
         nodes += 1
         total_iters += sol.iterations
         if sol.status == "infeasible":
@@ -145,11 +135,11 @@ def solve_mip(
             raise LpError(f"node relaxation ended with status {sol.status}")
         if incumbent_obj is not None and sol.objective >= incumbent_obj - PRUNE_TOL:
             continue
-        frac = _fractional(sol.x, binary_idx)
+        frac = np.minimum(sol.x[binary_idx], 1.0 - sol.x[binary_idx])
         if np.max(frac) <= INT_TOL:
             try_incumbent((sol.x, sol.objective))
             continue
-        branch_pos = int(np.argmax(np.minimum(sol.x[binary_idx], 1.0 - sol.x[binary_idx])))
+        branch_pos = int(np.argmax(frac))
         for fixed_value in (0.0, 1.0):
             clo, cup = blo.copy(), bup.copy()
             clo[branch_pos] = cup[branch_pos] = fixed_value

@@ -557,8 +557,6 @@ class _Simplex:
         return float(self.c @ self._values())
 
     def solution(self, status: str, problem: LpProblem) -> LpSolution:
-        if status in ("infeasible",):
-            return LpSolution(status=status, iterations=self.iterations)
         v = self._values()
         resid = self.A @ v - self.b
         if status == "optimal" and np.max(np.abs(resid), initial=0.0) > ROW_TOL:

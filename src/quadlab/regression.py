@@ -229,7 +229,7 @@ def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
     c0 = -float(sol.duals[0])
     coeffs = -sol.duals[1:]
     nu = float(sol.x[data.n]) if mean_bound is not None else None
-    return c0, coeffs, -float(sol.objective), sol, nu
+    return c0, coeffs, -float(sol.objective), nu
 
 
 class SeSubsetOracle:
@@ -242,17 +242,18 @@ class SeSubsetOracle:
     so the optimal basis of a column set stays primal feasible for any
     subset of it, and a fit warm-started from it goes straight to phase 2.
 
-    A node is (sorted columns, error, dual solution).  ``relax`` and
-    ``objective`` fit a column set warm-started from the given parent node,
-    or from the OLS crash of ``fit_se`` without one, and return the parent
-    itself for its own column set; ``branch_values`` reads the fitted
-    coefficients of the free columns off the node's row duals.
+    A node is (sorted columns, error, dual solution).  ``relax`` fits a
+    column set warm-started from the given parent node, or from the OLS
+    crash of ``fit_se`` without one, and returns the parent itself for its
+    own column set; ``branch_values`` reads the fitted coefficients of the
+    free columns off the node's row duals.  ``objective`` is ``fit_se`` on
+    the leaf's columns: from a parent of up to d columns it would cost more.
     """
 
     def __init__(self, data: Dataset):
         half_n = 0.5 / data.n
         self.problem, self.crash = _dual_problem(data, -half_n, half_n, 0.5)
-        self.n = data.n
+        self.data = data
 
     def _node(self, columns, parent):
         key = tuple(sorted(columns))
@@ -261,7 +262,7 @@ class SeSubsetOracle:
         self.problem.set_relation(slice(1, None), "free")
         self.problem.set_relation(1 + np.asarray(key, dtype=np.intp), "=")
         start = self.crash if parent is None else (parent[2].basis, parent[2].vstate)
-        sol = _solve_dual(self.problem, start, self.n)
+        sol = _solve_dual(self.problem, start, self.data.n)
         return key, -float(sol.objective), sol
 
     def relax(self, included, free, parent):
@@ -271,8 +272,8 @@ class SeSubsetOracle:
     def branch_values(self, included, free, node):
         return -node[2].duals[1 + np.asarray(free, dtype=np.intp)]
 
-    def objective(self, support, node) -> float:
-        return self._node(support, node)[1]
+    def objective(self, support) -> float:
+        return fit_se(Dataset(self.data.design[:, list(support)], self.data.response)).objective
 
 
 def fit_quantile(data: Dataset, alpha) -> LinearModel:
@@ -284,8 +285,8 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
     """
     a = _alpha_open(alpha)
     ratio = a / (1.0 - a)
-    c0, coeffs, lp_value, _, _ = _fit_by_dual(data, -1.0 / data.n, ratio / data.n, None,
-                                              split_level=a)
+    c0, coeffs, lp_value, _ = _fit_by_dual(data, -1.0 / data.n, ratio / data.n, None,
+                                           split_level=a)
     z = data.response - c0 - data.design @ coeffs
     obj = kb_error(z, a)
     certify_objective(obj, lp_value, "pinball objective")
@@ -303,7 +304,7 @@ def fit_biased_mean(data: Dataset, x) -> LinearModel:
     """
     b = _bias_of(x)
     half_n = 0.5 / data.n
-    c0, coeffs, lp_value, _, nu = _fit_by_dual(data, -half_n, half_n, 0.5, b.x)
+    c0, coeffs, lp_value, nu = _fit_by_dual(data, -half_n, half_n, 0.5, b.x)
     lp_value -= 0.5 * abs(b.x)
     z = data.response - c0 - data.design @ coeffs
     c0 += float(np.mean(z)) + b.x

@@ -8,8 +8,9 @@ One search, one cross-check and one oracle:
   (valid because adding exclusions can only raise the minimum).  The
   squared error reads it from one Gram matrix; the part-balancing error
   from the compact dual of ``fit_se`` with the excluded columns' rows
-  freed, each node warm-started from its parent's basis.  Greedy forward
-  selection under squared error seeds the incumbent of both;
+  freed, each node warm-started from its parent's basis; leaves are scored
+  alone.  Greedy forward selection under squared error seeds the
+  incumbent of both;
 * ``fit_sparse_se_milp``: the paper's big-M mixed-binary LP for the
   part-balancing error, handed to the branch-and-bound layer with automatic
   big-M escalation when a coefficient presses against the box;
@@ -65,6 +66,12 @@ class SparseProblem:
             raise ValueError("cardinality bound must satisfy 1 <= k <= d")
         if self.big_m is not None and self.big_m <= 0:
             raise ValueError("big-M must be positive when given")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValueError("node budget must be None or >= 1")
+        if not self.time_limit_s > 0:
+            raise ValueError("time limit must be positive")
+        if not 0 <= self.gap_tol < np.inf:
+            raise ValueError("gap tolerance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -222,7 +229,7 @@ class _GramSolver:
         _, _, explained = _gram_fits(*self._blocks(supports), self.n)
         return (self.yty - explained) / self.n
 
-    def objective(self, support, node=None) -> float:
+    def objective(self, support) -> float:
         return float(self.objectives([support])[0])
 
     def coefficients(self, support):
@@ -289,19 +296,27 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
 
     A node fixes some columns in and leaves others free (the rest are out);
     ``oracle.relax`` gives its bound, the minimum error over in-plus-free,
-    which exclusions can only raise.  Branching picks the free column with
-    the largest |coefficient| in ``oracle.branch_values``; the include child
+    which exclusions can only raise, and the state its children's ``relax``
+    calls warm-start from.  Branching picks the free column with the
+    largest |coefficient| in ``oracle.branch_values``; the include child
     keeps the parent's column set, the exclude child drops the column.  A
-    node with k columns in, or at most k columns in reach, is a leaf scored
-    by ``oracle.objective``.  ``seed`` is the starting incumbent support.
-    Oracle calls below a node receive that node's state, for warm starts.
+    child with k columns in, or a node with at most k columns in reach, is
+    a leaf scored by ``oracle.objective`` from its support alone, as in
+    leaps and bounds.  ``seed`` is the starting incumbent support.
     """
     data, k = problem.data, problem.k
     start = time.perf_counter()
+    incumbent_support, incumbent_obj = None, np.inf
+
+    def score(leaf):
+        nonlocal incumbent_support, incumbent_obj
+        obj = oracle.objective(leaf)
+        if obj < incumbent_obj - 1e-15:
+            incumbent_support, incumbent_obj = leaf, obj
+
     root_candidates = tuple(range(data.d))
     root_bound, root = oracle.relax((), root_candidates, None)
-    incumbent_support = seed
-    incumbent_obj = oracle.objective(seed, root)
+    score(seed)
 
     counter = 0
     heap = [(root_bound, 0, (), root_candidates, root)]
@@ -324,11 +339,8 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
         if bound >= incumbent_obj - 1e-12:
             continue
         nodes += 1
-        if len(included) == k or len(included) + len(free) <= k:
-            leaf = tuple(sorted(included if len(included) == k else included + free))
-            obj = oracle.objective(leaf, node)
-            if obj < incumbent_obj - 1e-15:
-                incumbent_support, incumbent_obj = leaf, obj
+        if len(included) + len(free) <= k:
+            score(tuple(sorted(included + free)))
             continue
         branch_pos = int(np.argmax(np.abs(oracle.branch_values(included, free, node))))
         j = free[branch_pos]
@@ -337,9 +349,7 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
             if len(child_in) + len(child_free) < k:
                 continue
             if len(child_in) == k:
-                obj = oracle.objective(tuple(sorted(child_in)), node)
-                if obj < incumbent_obj - 1e-15:
-                    incumbent_support, incumbent_obj = tuple(sorted(child_in)), obj
+                score(tuple(sorted(child_in)))
                 continue
             child_bound, child = oracle.relax(child_in, child_free, node)
             if child_bound >= incumbent_obj - 1e-12:
@@ -376,10 +386,10 @@ def fit_sparse_se(problem: SparseProblem) -> SparseSolution:
 
     Node bounds are fits on the compact dual of ``fit_se`` with the rows of
     excluded columns freed, each warm-started from its parent's basis, and
-    the branching coefficients are the negated row duals.  The squared-error
-    greedy support, scored under the part-balancing error, seeds the
-    incumbent.  ``fit_sparse_se_milp`` solves the same problem as the
-    paper's big-M program; ``big_m`` applies only there.
+    the branching coefficients are the negated row duals.  Leaves, and the
+    squared-error greedy support that seeds the incumbent, are scored by
+    ``fit_se`` on their columns.  ``fit_sparse_se_milp`` solves the same
+    problem as the paper's big-M program; ``big_m`` applies only there.
     """
     if problem.error_kind != "se":
         raise ValueError("fit_sparse_se expects error kind 'se'")

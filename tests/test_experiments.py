@@ -347,6 +347,14 @@ class TestCli:
           "--milp", "--oracle"], "not both"),
         (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0:1:1e-15"],
          "10,000 steps"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--max-nodes", "-3"], "node budget"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--time-limit", "-1"], "time limit"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--time-limit", "nan"], "time limit"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--gap", "nan"], "gap tolerance"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",

@@ -1294,3 +1294,23 @@ class TestSolveMip:
         assert solve_mip(p, incumbent_hint=[1.0, 0.0, 0.0]).objective == pytest.approx(1.0)
         with pytest.raises(LpError, match="hint"):
             solve_mip(p, incumbent_hint=[1.0, 0.0])
+
+    def test_one_copy_and_one_matrix_per_solve(self, rng, monkeypatch):
+        # the root, the polishes and every node share one relaxed copy
+        calls = {"copy": 0, "dense_matrix": 0}
+        for name in calls:
+            def counted(self, _original=getattr(LpProblem, name), _name=name):
+                calls[_name] += 1
+                return _original(self)
+            monkeypatch.setattr(LpProblem, name, counted)
+        nodes = []
+        for _ in range(5):
+            nb = int(rng.integers(6, 10))
+            p = LpProblem(nb)
+            p.set_objective(-rng.uniform(0.5, 1.5, nb))
+            p.mark_binary(slice(None))
+            p.add_row(rng.uniform(0.5, 1.5, nb), "<=", nb / 3)
+            calls.update(copy=0, dense_matrix=0)
+            nodes.append(solve_mip(p, gap_tol=0.0, incumbent_hint=np.ones(nb)).nodes)
+            assert calls == {"copy": 1, "dense_matrix": 1}
+        assert min(nodes) > 1 and max(nodes) >= 10

@@ -251,21 +251,22 @@ class TestSeSubsetOracle:
         _, root = oracle.relax((), tuple(range(5)), None)
         for size in (1, 2, 3, 4):
             for support in itertools.combinations(range(5), size):
-                _, node = oracle.relax(support[:1], support[1:], root)
+                bound, node = oracle.relax(support[:1], support[1:], root)
                 refit = fit_se(Dataset(x[:, list(support)], data.response))
-                assert oracle.objective(support, root) == pytest.approx(refit.objective,
-                                                                        abs=1e-10)
+                assert oracle.objective(support) == refit.objective
+                assert bound == pytest.approx(refit.objective, abs=1e-10)
                 coeffs = oracle.branch_values((), support, node)
                 z = data.response - x[:, list(support)] @ coeffs
                 z -= z.mean()
                 assert 0.5 * np.mean(np.abs(z)) == pytest.approx(refit.objective, abs=1e-10)
 
-    def test_own_columns_reuse_the_node(self, rng):
+    def test_own_columns_reuse_the_node(self, rng, monkeypatch):
         x = rng.standard_normal((30, 4))
         oracle = SeSubsetOracle(Dataset(x, x[:, 0] + rng.standard_normal(30)))
         bound, node = oracle.relax((), (2, 0, 1), None)
+        monkeypatch.setattr(regression, "solve_lp", None)  # a reused node solves nothing
         assert oracle.relax((0,), (1, 2), node) == (bound, node)
-        assert oracle.objective((0, 1, 2), node) == bound
+        assert oracle.relax((1, 2, 0), (), node)[1] is node
 
 
 class TestDualStart:
