@@ -123,7 +123,9 @@ class ExperimentConfig:
                         "table2_pattern": [1264],
                         "sparse_recovery": [100]}
             self.sample_sizes = defaults[self.experiment]
-        if self.replications < 1:
+        if self.replications < 0:
+            raise ValueError("replications must be >= 0 (0 takes the default)")
+        if self.replications == 0:
             self.replications = {"tables345": 20, "fig1_sweep": 1,
                                  "table2_pattern": 1, "sparse_recovery": 10}[self.experiment]
         if not self.x_grid:

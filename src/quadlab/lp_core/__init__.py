@@ -7,9 +7,14 @@ are small to mid-sized by design: the basis inverse is kept dense.  A
 solve without a usable warm basis starts from the all-slack
 ``crash_basis(problem, ())``.
 
+An ``LpProblem`` keeps its rows as the simplex reads them, one dense
+matrix, and every builder appends them in dense blocks with
+``LpProblem.add_rows``.
+
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
-with array ``LpProblem.set_bounds`` calls, start it from ``crash_basis``
+with array ``LpProblem.set_bounds`` calls and one ``add_rows`` block per
+row group, start it from ``crash_basis``
 (bound guesses, and candidate basic columns ranked by the caller),
 and check the answer with ``certify_objective`` against the primal
 objective recomputed from it.  A primal infeasible start whose nonbasics
@@ -24,9 +29,6 @@ nothing (unbounded slack, zero dual).  The best-subset search keeps one
 such dual and frees the rows of excluded columns with
 ``LpProblem.set_relation``; an optimal basis stays primal feasible when
 rows are freed, so each child relaxation warm-starts into phase 2.
-The literal zero-bias epigraph LP (``regression.se_lp_problem``) and the
-big-M MILP built on it add their row blocks with ``LpProblem.add_rows``,
-which takes each row's entries instead of a dense row.
 
 ``solve_box_stack`` is the same bounded simplex written over a stack of
 same-shape LPs, min c.u s.t. A_l u = 0, lo <= u <= hi with c, lo and hi

@@ -45,8 +45,9 @@ def solve_mip(
     Returns the incumbent with the best proven bound, the relative gap
     |incumbent - bound| / max(1, |incumbent|), and the node count.  Status is
     ``optimal`` once the gap closes below ``gap_tol``, ``time_limit`` on the
-    clock, ``feasible`` on the node budget with an incumbent, and
-    ``infeasible`` when the root relaxation (hence the program) is empty.
+    clock, ``feasible`` on the node budget with an incumbent, ``node_limit``
+    on the node budget without one, and ``infeasible`` when the root
+    relaxation (hence the program) is empty.
     ``incumbent_hint`` holds one value per binary, in index order; it is
     rounded, fixed and polished into a first incumbent.
     """
@@ -116,7 +117,7 @@ def solve_mip(
             status = "optimal"
             break
         if max_nodes is not None and nodes >= max_nodes:
-            status = "feasible" if incumbent_obj is not None else "time_limit"
+            status = "feasible" if incumbent_obj is not None else "node_limit"
             break
         if time.monotonic() - start > time_limit_s:
             status = "time_limit"

@@ -32,9 +32,13 @@ def _check_relation(relation: str) -> None:
 class LpProblem:
     """Linear program in minimize form with per-variable bounds.
 
-    Rows are stored sparsely as (indices, values, relation, rhs).  Variables
-    default to free; ``set_bounds`` takes ``None`` for an infinite end.
-    Binary variables are continuous [0, 1] columns flagged for the MIP layer.
+    Constraints are stored as the simplex reads them: a dense float
+    ``matrix`` of shape (rows, num_vars) holding no ``-0.0``, a float
+    ``rhs`` array and the ``relations`` list.  ``add_rows`` appends a dense
+    block and is the one way rows come in; ``add_row`` appends one row.
+    Variables default to free; ``set_bounds`` takes ``None`` for an
+    infinite end.  Binary variables are continuous [0, 1] columns flagged
+    for the MIP layer.
 
     A row's relation is ``<=``, ``=``, ``>=`` or ``free``.  A free row
     constrains nothing: its slack is unbounded and its dual is zero at an
@@ -53,15 +57,24 @@ class LpProblem:
         self.lower = np.full(num_vars, -np.inf)
         self.upper = np.full(num_vars, np.inf)
         self.is_binary = np.zeros(num_vars, dtype=bool)
-        self.row_index: list[np.ndarray] = []
-        self.row_value: list[np.ndarray] = []
+        self.matrix = np.zeros((0, num_vars))
         self.relations: list[str] = []
-        self.rhs: list[float] = []
+        self.rhs = np.zeros(0)
         self._extended: np.ndarray | None = None  # [A | I], kept by the simplex
 
     @property
     def num_rows(self) -> int:
-        return len(self.rhs)
+        return self.matrix.shape[0]
+
+    @property
+    def row_index(self) -> list[np.ndarray]:
+        """Each row's nonzero columns, ascending; read off ``matrix``."""
+        return [np.flatnonzero(row) for row in self.matrix]
+
+    @property
+    def row_value(self) -> list[np.ndarray]:
+        """Each row's nonzero entries, in ``row_index`` order; read off ``matrix``."""
+        return [row[row != 0.0] for row in self.matrix]
 
     def set_objective(self, coeffs) -> None:
         c = np.asarray(coeffs, dtype=float)
@@ -73,13 +86,14 @@ class LpProblem:
         """Bound variable ``j``: an int, a slice or an index array.
 
         The ends are scalars or arrays matching ``j``; ``None`` is infinite.
+        A NaN end is refused like an empty interval.
         """
         self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
         self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
-        empty = np.flatnonzero(self.lower[j] > self.upper[j])
+        empty = np.flatnonzero(~(self.lower[j] <= self.upper[j]))
         if empty.size:
             first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
-            raise LpError(f"empty bound interval for variable {first}")
+            raise LpError(f"empty or NaN bound interval for variable {first}")
 
     def mark_binary(self, j) -> None:
         """Flag variable ``j`` (an int, a slice or an index array) binary."""
@@ -95,61 +109,41 @@ class LpProblem:
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
         """Append a constraint; ``coeffs`` is a dict {index: value} or a dense vector."""
-        _check_relation(relation)
         if isinstance(coeffs, dict):
             idx = np.fromiter(coeffs.keys(), dtype=np.intp, count=len(coeffs))
-            val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-            order = np.argsort(idx)
-            idx, val = idx[order], val[order]
-            if idx.size and (idx[0] < 0 or idx[-1] >= self.num_vars):
+            if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
                 raise LpError("row references unknown variable")
-        else:
-            dense = np.asarray(coeffs, dtype=float)
-            if dense.shape != (self.num_vars,):
-                raise LpError("row length mismatch")
-            idx = np.nonzero(dense)[0]
-            val = dense[idx]
-        if not np.isfinite(val).all():
-            raise LpError("row coefficients must be finite")
-        if not np.isfinite(rhs):
-            raise LpError("rhs must be finite")
-        self.row_index.append(idx)
-        self.row_value.append(val)
-        self.relations.append(relation)
-        self.rhs.append(float(rhs))
+            row = np.zeros(self.num_vars)
+            row[idx] = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+            coeffs = row
+        self.add_rows(np.asarray(coeffs, dtype=float)[None], relation, rhs)
 
-    def add_rows(self, index, value, relation: str, rhs) -> None:
-        """Append a block of rows given by their entries.
+    def add_rows(self, block, relation, rhs) -> None:
+        """Append the rows of the dense (rows, num_vars) array ``block``.
 
-        ``index`` and ``value`` are (rows, width) arrays: row r holds
-        ``value[r, i]`` on variable ``index[r, i]``, and no row may name a
-        variable twice.  Zero entries are dropped and each row is stored with
-        its indices ascending, exactly as ``add_row`` stores the same row
-        given densely.  ``rhs`` is a scalar or one value per row.
+        ``relation`` and ``rhs`` are each a scalar or one value per row.  A
+        refused block appends nothing.
         """
-        _check_relation(relation)
-        idx = np.asarray(index, dtype=np.intp)
-        val = np.asarray(value, dtype=float)
-        if idx.ndim != 2 or val.shape != idx.shape:
-            raise LpError("row block index and value shapes differ")
-        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), idx.shape[:1])
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
-            raise LpError("row references unknown variable")
-        if not np.all(np.isfinite(val)):
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.num_vars:
+            raise LpError("row length mismatch")
+        rows = block.shape[0]
+        relations = [relation] * rows if isinstance(relation, str) else list(relation)
+        if len(relations) != rows:
+            raise LpError("need one relation per row")
+        for rel in relations:
+            _check_relation(rel)
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape not in ((), (rows,)):
+            raise LpError("need one rhs per row")
+        if not np.isfinite(block).all():
             raise LpError("row coefficients must be finite")
-        if not np.all(np.isfinite(rhs)):
+        if not np.isfinite(rhs).all():
             raise LpError("rhs must be finite")
-        order = np.argsort(idx, axis=1, kind="stable")
-        idx = np.take_along_axis(idx, order, axis=1)
-        val = np.take_along_axis(val, order, axis=1)
-        if np.any(idx[:, 1:] == idx[:, :-1]):
-            raise LpError("row names a variable twice")
-        keep = val != 0.0
-        for r in range(idx.shape[0]):
-            self.row_index.append(idx[r, keep[r]])
-            self.row_value.append(val[r, keep[r]])
-        self.relations.extend([relation] * idx.shape[0])
-        self.rhs.extend(rhs.tolist())
+        self.matrix = np.vstack((self.matrix, block + 0.0))  # + 0.0 turns -0.0 into 0.0
+        self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
+        self.relations.extend(relations)
+        self._extended = None
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.objective)):
@@ -158,22 +152,15 @@ class LpProblem:
         if np.any(bad):
             raise LpError("binary variables must have bounds within [0, 1]")
 
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.num_rows, self.num_vars))
-        for r, (idx, val) in enumerate(zip(self.row_index, self.row_value)):
-            a[r, idx] = val
-        return a
-
     def copy(self) -> "LpProblem":
         out = LpProblem(self.num_vars)
         out.objective = self.objective.copy()
         out.lower = self.lower.copy()
         out.upper = self.upper.copy()
         out.is_binary = self.is_binary.copy()
-        out.row_index = [x.copy() for x in self.row_index]
-        out.row_value = [x.copy() for x in self.row_value]
+        out.matrix = self.matrix.copy()
         out.relations = list(self.relations)
-        out.rhs = list(self.rhs)
+        out.rhs = self.rhs.copy()
         return out
 
 
@@ -211,7 +198,10 @@ class MipSolution:
     """Branch-and-bound output for binary programs (minimization).
 
     ``gap`` is |incumbent - bound| / max(1, |incumbent|); ``bound`` is the
-    best proven lower bound over the open search tree.
+    best proven lower bound over the open search tree.  ``status`` is
+    ``optimal``, ``feasible`` (node budget spent with an incumbent),
+    ``node_limit`` (node budget spent without one), ``time_limit`` or
+    ``infeasible``; ``x`` and ``objective`` are None without an incumbent.
     """
 
     status: str

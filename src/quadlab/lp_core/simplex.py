@@ -127,11 +127,10 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
 
 def _extended_rows(problem: LpProblem) -> np.ndarray:
     """[A | I], read-only; a problem's crash and solves share it until rows are added."""
-    ext = problem._extended
-    if ext is None or ext.shape[0] != problem.num_rows:
-        ext = problem._extended = np.hstack((problem.dense_matrix(), np.eye(problem.num_rows)))
-        ext.flags.writeable = False  # the simplex reads it in place
-    return ext
+    if problem._extended is None:
+        problem._extended = np.hstack((problem.matrix, np.eye(problem.num_rows)))
+        problem._extended.flags.writeable = False  # the simplex reads it in place
+    return problem._extended
 
 
 # Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced

@@ -143,10 +143,8 @@ def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols
     lp.set_bounds(slice(0, n), 0.0, cap)
     if sum_to_one:
         lp.add_row(np.concatenate((np.ones(n), [0.0, 0.0])), "=", 1.0)
-    relation = "<=" if problem.long_only else "="
-    for j in range(m):
-        lp.add_row(np.concatenate((asset_cols[:, j], [1.0, rbar[j]])), relation,
-                   float(asset_rhs[j]))
+    lp.add_rows(np.column_stack((asset_cols.T, np.ones(m), rbar)),
+                "<=" if problem.long_only else "=", asset_rhs)
     crash = crash_basis(lp, *scenario_crash(problem, start, threshold, sum_to_one))
     sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":

@@ -200,8 +200,7 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
     problem.set_bounds(slice(0, n), lam_lo, lam_hi)
     if with_mean:
         problem.set_bounds(n, -mean_bound, mean_bound)
-    for row in rows:
-        problem.add_row(row, "=", 0.0)
+    problem.add_rows(rows, "=", 0.0)
 
     z = residuals(fit_ols(data), data).z
     if with_mean:
@@ -346,20 +345,18 @@ def se_lp_problem(data: Dataset):
     problem.set_objective(obj)
     problem.set_bounds(idx_u, 0.0, None)
 
-    inv_n = 1.0 / n
-    row = np.zeros(num)
-    row[idx_t] = 1.0
-    row[idx_u] = -inv_n
-    problem.add_row(row.copy(), ">=", 0.0)
+    rows = np.zeros((n + 2, num))
+    rows[:2, idx_t] = 1.0
+    rows[:2, idx_u] = -1.0 / n
     # t - mean(u) + mean(z) >= 0 with mean(z) = ybar - c0 - c . xbar
-    row[idx_c0] = -1.0
-    if d:
-        row[idx_c] = -data.design.mean(axis=0)
-    problem.add_row(row, ">=", -float(data.response.mean()))
+    rows[1, idx_c0] = -1.0
+    rows[1, idx_c] = -data.design.mean(axis=0)
     # u_i + c0 + c . x_i >= y_i, one row per observation
-    entries = np.column_stack((np.full(n, idx_c0), np.tile(idx_c, (n, 1)), idx_u))
-    value = np.column_stack((np.ones(n), data.design, np.ones(n)))
-    problem.add_rows(entries, value, ">=", data.response)
+    rows[2:, idx_c0] = 1.0
+    rows[2:, idx_c] = data.design
+    rows[2:, idx_u] = np.eye(n)
+    problem.add_rows(rows, ">=", np.concatenate(([0.0, -float(data.response.mean())],
+                                                 data.response)))
     index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "u": idx_u}
     return problem, index
 

@@ -45,10 +45,11 @@ _EPS = float(np.finfo(float).eps)
 class SparseProblem:
     """Best-subset instance: data, cardinality bound, error kind, budgets.
 
-    ``big_m`` is the box of the big-M program (``fit_sparse_se_milp`` only);
-    None requests the automatic bound 2*max(1, |c_ols|_inf).  ``max_nodes``
-    is the deterministic search budget; the wall-clock limit stays as a
-    backstop (timing-dependent results are possible once it binds).
+    ``big_m`` is the box of the big-M program (``fit_sparse_se_milp`` only),
+    finite and positive; None requests the automatic bound
+    2*max(1, |c_ols|_inf).  ``max_nodes`` is the deterministic search
+    budget; the wall-clock limit stays as a backstop (timing-dependent
+    results are possible once it binds).
     """
 
     data: Dataset
@@ -64,8 +65,8 @@ class SparseProblem:
             raise ValueError("error kind must be 'mse' or 'se'")
         if not 1 <= self.k <= self.data.d:
             raise ValueError("cardinality bound must satisfy 1 <= k <= d")
-        if self.big_m is not None and self.big_m <= 0:
-            raise ValueError("big-M must be positive when given")
+        if self.big_m is not None and not 0 < self.big_m < np.inf:
+            raise ValueError("big-M must be finite and positive when given")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("node budget must be None or >= 1")
         if not self.time_limit_s > 0:
@@ -451,24 +452,20 @@ def _solve_se_milp(problem: SparseProblem, big_m: float, hint):
     lp, index = se_lp_problem(data)
     base = lp.num_vars
     d = data.d
-    # append one indicator per coefficient
-    grown = type(lp)(base + d)
-    grown.objective[:base] = lp.objective
-    grown.lower[:base] = lp.lower
-    grown.upper[:base] = lp.upper
-    grown.row_index = lp.row_index
-    grown.row_value = lp.row_value
-    grown.relations = lp.relations
-    grown.rhs = lp.rhs
     binaries = base + np.arange(d)
+    # the epigraph LP with one indicator per coefficient appended
+    grown = type(lp)(base + d)
+    grown.set_objective(np.concatenate((lp.objective, np.zeros(d))))
+    grown.set_bounds(slice(0, base), lp.lower, lp.upper)
     grown.mark_binary(binaries)
-    # c_j - M z_j <= 0 and -c_j - M z_j <= 0, interleaved by j
-    linking = np.empty((2 * d, 2), dtype=np.intp)
-    linking[:, 0] = np.repeat(index["c"], 2)
-    linking[:, 1] = np.repeat(binaries, 2)
-    signs = np.tile([1.0, -1.0], d)
-    grown.add_rows(linking, np.column_stack((signs, np.full(2 * d, -big_m))), "<=", 0.0)
-    grown.add_rows(binaries[None, :], np.ones((1, d)), "<=", float(k))
+    grown.add_rows(np.pad(lp.matrix, ((0, 0), (0, d))), lp.relations, lp.rhs)
+    # c_j - M z_j <= 0 and -c_j - M z_j <= 0, interleaved by j, then sum(z) <= k
+    rows = np.zeros((2 * d + 1, base + d))
+    linking = np.arange(2 * d)
+    rows[linking, np.repeat(index["c"], 2)] = np.tile([1.0, -1.0], d)
+    rows[linking, np.repeat(binaries, 2)] = -big_m
+    rows[-1, binaries] = 1.0
+    grown.add_rows(rows, "<=", np.append(np.zeros(2 * d), k))
     return solve_mip(grown, time_limit_s=problem.time_limit_s,
                      gap_tol=problem.gap_tol, max_nodes=problem.max_nodes,
                      incumbent_hint=hint)

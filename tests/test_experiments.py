@@ -289,10 +289,11 @@ class TestCli:
          "'x_grid' element must be a finite number, got nan"),
         ({"experiment": "tables345", "shape": float("inf")},
          "'shape' must be a finite number, got inf"),
+        ({"experiment": "fig1_sweep", "replications": -3}, "replications must be >= 0"),
     ], ids=["unknown_key", "array", "non_list_sample_sizes", "no_experiment",
             "string_replications", "string_sample_size", "string_seed", "zero_k_star",
             "k_star_above_dimension", "zero_max_nodes", "zero_time_limit", "nan_x_grid",
-            "infinite_shape"])
+            "infinite_shape", "negative_replications"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -355,6 +356,10 @@ class TestCli:
           "--time-limit", "nan"], "time limit"),
         (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
           "--gap", "nan"], "gap tolerance"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--milp", "--big-m", "nan"], "big-M must be finite and positive"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
+          "--milp", "--big-m", "inf"], "big-M must be finite and positive"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",

@@ -84,7 +84,7 @@ def _box_walk_problem():
 
 
 def _highs_arrays(problem):
-    a = problem.dense_matrix()
+    a = problem.matrix
     rel = np.array(problem.relations)
     rhs = np.array(problem.rhs)
     return dict(c=problem.objective, A_ub=np.vstack((a[rel == "<="], -a[rel == ">="])),
@@ -99,12 +99,9 @@ def _assert_same_problem(p, q):
         a, b = np.asarray(a), np.asarray(b)
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    for name in ("objective", "lower", "upper", "is_binary", "rhs"):
+    for name in ("objective", "lower", "upper", "is_binary", "matrix", "rhs"):
         assert same(getattr(p, name), getattr(q, name)), name
     assert p.relations == q.relations
-    assert len(p.row_index) == len(q.row_index)
-    for rows in zip(p.row_index, q.row_index, p.row_value, q.row_value):
-        assert same(rows[0], rows[1]) and same(rows[2], rows[3])
 
 
 def _highs(problem):
@@ -229,7 +226,7 @@ class TestSolveLp:
             p = _random_bounded_feasible(rng)
             s = solve_lp(p)
             assert s.status == "optimal"
-            a = p.dense_matrix()
+            a = p.matrix
             for r, rel in enumerate(p.relations):
                 lhs = float(a[r] @ s.x)
                 if rel == "<=":
@@ -333,6 +330,16 @@ class TestSetBounds:
             LpProblem(8).set_bounds(slice(1, 7), lo, hi)
         with pytest.raises(LpError, match="variable 2"):
             LpProblem(3).set_bounds(2, 1.0, 0.0)
+
+    def test_nan_end_raises(self):
+        # a NaN end passes a lower > upper test, and the solve then used it
+        p = LpProblem(2)
+        p.set_objective([1.0, 1.0])
+        p.add_row({0: 1.0, 1: 1.0}, ">=", 0.5)
+        with pytest.raises(LpError, match="NaN bound interval for variable 0"):
+            p.set_bounds(0, np.nan, 1.0)
+        with pytest.raises(LpError, match="variable 1"):
+            p.set_bounds(slice(None), [0.0, 0.0], [1.0, np.nan])
 
 
 class TestCrashBasis:
@@ -841,7 +848,7 @@ class TestDualPhase:
                 continue
             assert res.status == 0 and sol.status == "optimal"
             assert sol.objective == pytest.approx(res.fun, abs=1e-8 * max(1.0, abs(res.fun)))
-            assert np.max(np.abs(p.dense_matrix() @ sol.x - np.array(p.rhs))
+            assert np.max(np.abs(p.matrix @ sol.x - np.array(p.rhs))
                           * (np.array(p.relations) == "=")) <= 1e-8
         # the slack start of an equality box LP is primal infeasible with
         # every nonbasic boxed, or one-sided at the bound its cost prefers,
@@ -959,41 +966,68 @@ class TestCertifyObjective:
 
 class TestRowBlocks:
     def test_add_rows_matches_dense_add_row(self, rng):
-        n, width = 30, 4
-        index = np.array([rng.choice(n, width, replace=False) for _ in range(12)])
-        value = rng.standard_normal((12, width))
-        value[rng.random((12, width)) < 0.3] = 0.0
-        value[0, 0] = -0.0
+        n = 30
+        block = rng.standard_normal((12, n))
+        block[rng.random((12, n)) < 0.3] = 0.0
+        block[:2, 0] = -0.0  # one dense row, one dict row
         rhs = rng.standard_normal(12)
-        block, rows = LpProblem(n), LpProblem(n)
-        block.add_rows(index, value, ">=", rhs)
+        relations = [("<=", ">=", "=")[r % 3] for r in range(12)]
+        one, rows = LpProblem(n), LpProblem(n)
+        one.add_rows(block, relations, rhs)
         for r in range(12):
-            dense = np.zeros(n)
-            dense[index[r]] = value[r]
-            rows.add_row(dense, ">=", float(rhs[r]))
-        _assert_same_problem(block, rows)
-        assert np.array_equal(block.dense_matrix(), rows.dense_matrix())
+            coeffs = block[r] if r % 2 == 0 else {j: block[r, j] for j in range(n)}
+            rows.add_row(coeffs, relations[r], float(rhs[r]))
+        _assert_same_problem(one, rows)
+        assert np.array_equal(one.matrix, block) and not np.signbit(one.matrix[block == 0.0]).any()
+        for r in range(12):
+            assert np.array_equal(one.row_index[r], np.flatnonzero(block[r]))
+            assert np.array_equal(one.row_value[r], block[r][block[r] != 0.0])
 
     def test_add_rows_scalar_rhs_and_empty_block(self):
         p = LpProblem(3)
-        p.add_rows(np.zeros((0, 2), dtype=int), np.zeros((0, 2)), "<=", 1.0)
+        p.add_rows(np.zeros((0, 3)), "<=", 1.0)
         assert p.num_rows == 0
-        p.add_rows([[2, 0]], [[1.0, 3.0]], "=", 4.0)
+        p.add_rows([[3.0, 0.0, 1.0]], "=", 4.0)
         assert p.row_index[0].tolist() == [0, 2] and p.row_value[0].tolist() == [3.0, 1.0]
-        assert p.relations == ["="] and p.rhs == [4.0]
+        assert p.relations == ["="] and p.rhs.tolist() == [4.0]
+        with pytest.raises(AttributeError):
+            p.row_index = []
 
-    @pytest.mark.parametrize("index, value, relation, rhs, message", [
-        ([[0, 0]], [[1.0, 2.0]], "<=", 0.0, "twice"),
-        ([[0, 3]], [[1.0, 2.0]], "<=", 0.0, "unknown variable"),
-        ([[0, 1]], [[1.0]], "<=", 0.0, "shapes"),
-        ([[0, 1]], [[1.0, np.nan]], "<=", 0.0, "finite"),
-        ([[0, 1]], [[1.0, 2.0]], "<=", np.inf, "rhs"),
-        ([[0, 1]], [[1.0, 2.0]], "<", 0.0, "relation"),
-    ])
-    def test_add_rows_rejects(self, index, value, relation, rhs, message):
+    @pytest.mark.parametrize("block, relation, rhs, message", [
+        ([[1.0, 2.0]], "<=", 0.0, "length"),
+        ([1.0, 2.0, 3.0], "<=", 0.0, "length"),
+        ([[1.0, np.nan, 0.0]], "<=", 0.0, "finite"),
+        ([[1.0, 2.0, 0.0]], "<=", np.inf, "rhs must be finite"),
+        ([[1.0, 2.0, 0.0]], "<", 0.0, "relation"),
+        ([[1.0, 2.0, 0.0]], ["<=", "="], 0.0, "one relation per row"),
+        ([[1.0, 2.0, 0.0]], "<=", [0.0, 1.0], "one rhs per row"),
+    ], ids=["short_row", "one_dimensional", "nan_entry", "infinite_rhs", "unknown_relation",
+            "relation_count", "rhs_count"])
+    def test_add_rows_rejects(self, block, relation, rhs, message):
         p = LpProblem(3)
+        p.add_row({0: 1.0}, "<=", 1.0)
         with pytest.raises(LpError, match=message):
-            p.add_rows(index, value, relation, rhs)
+            p.add_rows(block, relation, rhs)
+        assert p.matrix.tolist() == [[1.0, 0.0, 0.0]]
+        assert p.relations == ["<="] and p.rhs.tolist() == [1.0]
+
+    def test_rows_added_after_a_solve_bind(self):
+        # the [A | I] a solve caches must not outlive the rows it was built from
+        p = LpProblem(2)
+        p.set_objective([-1.0, -2.0])
+        p.set_bounds(slice(None), 0.0, 1.0)
+        p.add_row({0: 1.0}, "<=", 1.0)
+        assert solve_lp(p).objective == pytest.approx(-3.0, abs=1e-12)
+        p.add_rows([[1.0, 1.0], [0.0, 2.0]], "<=", [1.5, 1.0])
+        sol = solve_lp(p)
+        assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+        assert sol.x.tolist() == pytest.approx([1.0, 0.5], abs=1e-12)
+
+    def test_add_row_rejects_unknown_variable(self):
+        p = LpProblem(3)
+        for coeffs in ({3: 1.0}, {-1: 1.0}):
+            with pytest.raises(LpError, match="unknown variable"):
+                p.add_row(coeffs, "<=", 0.0)
         assert p.num_rows == 0
 
     def test_mark_binary_index_array(self):
@@ -1029,7 +1063,7 @@ class TestFreeRows:
             kept.set_objective(p.objective)
             kept.set_bounds(slice(None), p.lower, p.upper)
             for r in np.flatnonzero(~free):
-                kept.add_row(p.dense_matrix()[r], p.relations[r], p.rhs[r])
+                kept.add_row(p.matrix[r], p.relations[r], p.rhs[r])
             assert sol.objective == pytest.approx(solve_lp(kept).objective, abs=1e-9)
             assert np.all(np.abs(sol.duals[free]) <= simplex.DUAL_TOL)
 
@@ -1051,7 +1085,7 @@ class TestFreeRows:
             p = LpProblem(n)
             p.set_objective(rng.standard_normal(n))
             p.set_bounds(slice(None), -2.0, 2.0)
-            p.add_rows(np.tile(np.arange(n), (m, 1)), a, "=", a @ x0)
+            p.add_rows(a, "=", a @ x0)
             rows = rng.choice(m, size=max(1, m // 2), replace=False)
             first = solve_lp(p)
             assert first.status == "optimal"
@@ -1213,6 +1247,16 @@ class TestSolveMip:
         assert s.status == "optimal"
         assert s.objective == pytest.approx(-2.0, abs=1e-9)
 
+    def test_node_budget_without_incumbent(self):
+        # x0 = x1 = 1/2 at the root and rounding finds no incumbent
+        p = LpProblem(2)
+        p.mark_binary(slice(None))
+        p.add_row({0: 1.0, 1: 1.0}, "=", 1.0)
+        p.add_row({0: 1.0, 1: -1.0}, "=", 0.0)
+        s = solve_mip(p, max_nodes=1)
+        assert (s.status, s.x, s.nodes) == ("node_limit", None, 1)
+        assert solve_mip(p).status == "infeasible"
+
     def test_requires_binary(self):
         p = LpProblem(1)
         p.set_objective([1.0])
@@ -1296,13 +1340,12 @@ class TestSolveMip:
             solve_mip(p, incumbent_hint=[1.0, 0.0])
 
     def test_one_copy_and_one_matrix_per_solve(self, rng, monkeypatch):
-        # the root, the polishes and every node share one relaxed copy
-        calls = {"copy": 0, "dense_matrix": 0}
-        for name in calls:
-            def counted(self, _original=getattr(LpProblem, name), _name=name):
-                calls[_name] += 1
-                return _original(self)
-            monkeypatch.setattr(LpProblem, name, counted)
+        # the root, the polishes and every node share one relaxed copy and its [A | I]
+        copies, served = [], []
+        copy, extended_rows = LpProblem.copy, simplex._extended_rows
+        monkeypatch.setattr(LpProblem, "copy", lambda self: copies.append(copy(self)) or copies[-1])
+        monkeypatch.setattr(simplex, "_extended_rows",
+                            lambda problem: served.append(extended_rows(problem)) or served[-1])
         nodes = []
         for _ in range(5):
             nb = int(rng.integers(6, 10))
@@ -1310,7 +1353,8 @@ class TestSolveMip:
             p.set_objective(-rng.uniform(0.5, 1.5, nb))
             p.mark_binary(slice(None))
             p.add_row(rng.uniform(0.5, 1.5, nb), "<=", nb / 3)
-            calls.update(copy=0, dense_matrix=0)
+            copies.clear()
+            served.clear()
             nodes.append(solve_mip(p, gap_tol=0.0, incumbent_hint=np.ones(nb)).nodes)
-            assert calls == {"copy": 1, "dense_matrix": 1}
+            assert len(copies) == 1 and len(served) > 1 and len({id(a) for a in served}) == 1
         assert min(nodes) > 1 and max(nodes) >= 10
