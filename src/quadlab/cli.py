@@ -124,6 +124,8 @@ def _cmd_simulate(args) -> int:
         x = sample_correlated_design(DesignSpec(args.d, args.rho), args.n, args.seed)
         write_csv(args.output, [f"x{j + 1}" for j in range(args.d)], x)
     elif args.kind == "regression":
+        if args.n < 1:
+            raise ValueError("n must be >= 1")
         ss = np.random.SeedSequence(args.seed)
         s_x, s_eps = ss.spawn(2)
         x = np.random.default_rng(s_x).standard_normal(args.n)

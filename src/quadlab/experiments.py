@@ -332,6 +332,8 @@ def run_tables345(config: ExperimentConfig):
 
 def four_asset_returns(n: int, seed) -> np.ndarray:
     """Documented stand-in scenario set: one common factor plus idiosyncratic noise."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     factor = rng.standard_normal((n, 1))
     idio = rng.standard_normal((n, len(FOUR_ASSET_MEANS)))

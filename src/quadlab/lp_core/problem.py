@@ -8,6 +8,7 @@ import numpy as np
 
 RELATIONS = ("<=", "=", ">=", "free")
 OBJ_MATCH_TOL = 1e-8  # relative gap allowed by ``certify_objective``
+_SCALAR_END = (type(None), int, float, np.number)  # ends an int ``set_bounds`` checks first
 
 
 class LpError(RuntimeError):
@@ -86,14 +87,28 @@ class LpProblem:
         """Bound variable ``j``: an int, a slice or an index array.
 
         The ends are scalars or arrays matching ``j``; ``None`` is infinite.
-        A NaN end is refused like an empty interval.
+        A NaN end is refused like an empty interval, and a refused call
+        changes nothing.
         """
-        self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
-        self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
-        empty = np.flatnonzero(~(self.lower[j] <= self.upper[j]))
-        if empty.size:
-            first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
-            raise LpError(f"empty or NaN bound interval for variable {first}")
+        if (isinstance(j, (int, np.integer)) and isinstance(lo, _SCALAR_END)
+                and isinstance(hi, _SCALAR_END)):
+            lo = -np.inf if lo is None else float(lo)
+            hi = np.inf if hi is None else float(hi)
+            if lo <= hi:  # else the saved-ends path below refuses the call
+                self.lower[j] = lo
+                self.upper[j] = hi
+                return
+        saved = self.lower[j].copy(), self.upper[j].copy()
+        try:
+            self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
+            self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
+            empty = np.flatnonzero(~(self.lower[j] <= self.upper[j]))
+            if empty.size:
+                first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
+                raise LpError(f"empty or NaN bound interval for variable {first}")
+        except (LpError, ValueError):
+            self.lower[j], self.upper[j] = saved
+            raise
 
     def mark_binary(self, j) -> None:
         """Flag variable ``j`` (an int, a slice or an index array) binary."""

@@ -9,7 +9,9 @@ the dual of an intercept-free L1 fit on k columns (Barrodale & Roberts,
 SIAM J. Numer. Anal. 10, 1973), which the exhaustive best-subset oracle
 solves for every support at once.  Each step advances every unfinished LP
 by one pivot or bound flip, so Python overhead is paid per step, not per
-LP; finished LPs leave the working set.
+LP; finished LPs leave the working set, and their final bases wait for one
+batched refactor after the loop.  The phase-1 violation sums and watchdog
+run only while some LP of the working set is still in phase 1.
 
 The method is ``solve_lp``'s, written over the stack:
 
@@ -30,7 +32,8 @@ u = 0 is feasible and every column is boxed, so each LP ends optimal
 unless it reaches ITERATIONS_PER_VARIABLE * (n + k) steps, which raises
 ``StackLimitError``.  Identical stacks replay identical steps.  The
 returned objectives and row duals come from a fresh inverse of each final
-basis, so they carry no product-form drift.
+basis, so they carry no product-form drift; inverses and row products are
+taken LP by LP, so each LP's values do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -95,11 +98,13 @@ class _Stack:
         self.hi_ext = np.concatenate((hi, zeros))
         self.cap = ITERATIONS_PER_VARIABLE * (n + k)
         self.watchdog = max(200, 4 * k)
-        self.out = StackSolution(np.zeros(size), np.zeros((size, k)),
-                                 np.zeros(size, dtype=np.int64))
+        # each finished LP's basis, states and steps, at its stack position
+        self.final_basis = np.empty((size, k), dtype=np.intp)
+        self.final_state = np.empty((size, n), dtype=np.int8)
+        self.iterations = np.zeros(size, dtype=np.int64)
 
         self.pos = np.arange(size)
-        self.a = a
+        self.stack = self.a = a
         y0 = np.linalg.pinv(a @ a.swapaxes(1, 2), hermitian=True) @ (a @ c[:, None])
         reduced = c - (y0.swapaxes(1, 2) @ a)[:, 0, :]
         self.state = np.where(reduced < 0, AT_UPPER, AT_LOWER).astype(np.int8)
@@ -130,35 +135,61 @@ class _Stack:
         """c . u for the LPs ``sel``, as row products (the same bits at any stack size)."""
         return (self._values(sel)[:, None, :] @ self.c[:, None])[:, 0, 0]
 
-    def _refactor(self, sel):
-        """Fresh basis inverse and basic values for the LPs ``sel``."""
-        basis = self.basis[sel]
-        cols = np.take_along_axis(self.a[sel], np.minimum(basis, self.n - 1)[:, None, :], axis=2)
+    def _refactor(self):
+        """Fresh basis inverses and basic values of the working set."""
+        basis = self.basis
+        cols = np.take_along_axis(self.a, np.minimum(basis, self.n - 1)[:, None, :], axis=2)
         units = np.eye(self.k)[:, np.maximum(basis - self.n, 0)].transpose(1, 0, 2)
         try:
-            binv = np.linalg.inv(np.where(basis[:, None, :] >= self.n, units, cols))
+            self.binv = np.linalg.inv(np.where(basis[:, None, :] >= self.n, units, cols))
         except np.linalg.LinAlgError as exc:
             raise SingularBasisError("singular basis in the LP stack") from exc
-        self.binv[sel] = binv
-        rhs = self.a[sel] @ self._nonbasic_values(self.state[sel])[..., None]
-        self.xb[sel] = -(binv @ rhs)[..., 0]
+        rhs = self.a @ self._nonbasic_values(self.state)[..., None]
+        self.xb = -(self.binv @ rhs)[..., 0]
 
     def _enter_phase2(self, sel):
         self.feasible[sel] = True
         self.stall[sel] = 0
         self.obj[sel] = self.last[sel] = self._objective(sel)
 
+    def _phase1_step(self, lo_b, hi_b):
+        """Phase-1 bookkeeping of one step; returns the basic variables' violations.
+
+        LPs that reach feasibility enter phase 2, and the others update their
+        watchdog.  A violation is -1 below the bound, +1 above it, else 0.
+        """
+        phase1 = ~self.feasible
+        below = phase1[:, None] & (self.xb < lo_b - FEAS_TOL)
+        above = phase1[:, None] & (self.xb > hi_b + FEAS_TOL)
+        infeas = (np.where(below, lo_b - self.xb, 0.0)
+                  + np.where(above, self.xb - hi_b, 0.0)).sum(axis=1)
+        reached = phase1 & (infeas <= FEAS_TOL * max(1, self.k))
+        if reached.any():
+            self._enter_phase2(np.flatnonzero(reached))
+            phase1 &= ~reached
+        progress = infeas < self.last - 1e-13
+        self.last = np.where(phase1 & progress, infeas, self.last)
+        self.stall += phase1 & ~progress
+        self.stall[phase1 & progress] = 0
+        self.bland |= self.stall > self.watchdog
+        return above.astype(float) - below
+
     def _finish(self, done, step):
-        """Record the LPs flagged ``done`` and drop them from the working set."""
-        sel = np.flatnonzero(done)
-        self._refactor(sel)
-        at = self.pos[sel]
-        self.out.objective[at] = self._objective(sel)
-        self.out.duals[at] = (self.c_ext[self.basis[sel]][:, None, :] @ self.binv[sel])[:, 0, :]
-        self.out.iterations[at] = step
+        """Record the final bases of the LPs flagged ``done``; drop them from the working set."""
+        at = self.pos[done]
+        self.final_basis[at] = self.basis[done]
+        self.final_state[at] = self.state[done]
+        self.iterations[at] = step
         keep = ~done
         for name in _WORKING:
             setattr(self, name, getattr(self, name)[keep])
+
+    def _report(self) -> StackSolution:
+        """Objectives and row duals of every final basis, from one batched refactor."""
+        self.a, self.basis, self.state = self.stack, self.final_basis, self.final_state
+        self._refactor()
+        duals = (self.c_ext[self.basis][:, None, :] @ self.binv)[:, 0, :]
+        return StackSolution(self._objective(slice(None)), duals, self.iterations)
 
     # -- the stacked iteration ------------------------------------------------
 
@@ -166,29 +197,18 @@ class _Stack:
         step = 0
         while self.pos.size:
             if step and step % REFACTOR_EVERY == 0:
-                everything = slice(None)
-                self._refactor(everything)
-                self.obj = np.where(self.feasible, self._objective(everything), self.obj)
+                self._refactor()
+                self.obj = np.where(self.feasible, self._objective(slice(None)), self.obj)
             lo_b, hi_b = self.lo_ext[self.basis], self.hi_ext[self.basis]
+            if self.feasible.all():  # no LP leaves phase 2, so nothing is violated
+                viol = np.zeros(self.basis.shape)
+            else:
+                viol = self._phase1_step(lo_b, hi_b)
             phase1 = ~self.feasible
-            below = phase1[:, None] & (self.xb < lo_b - FEAS_TOL)
-            above = phase1[:, None] & (self.xb > hi_b + FEAS_TOL)
-            infeas = (np.where(below, lo_b - self.xb, 0.0)
-                      + np.where(above, self.xb - hi_b, 0.0)).sum(axis=1)
-            reached = phase1 & (infeas <= FEAS_TOL * max(1, self.k))
-            if reached.any():
-                self._enter_phase2(np.flatnonzero(reached))
-                phase1 &= ~reached
-            progress = infeas < self.last - 1e-13
-            self.last = np.where(phase1 & progress, infeas, self.last)
-            self.stall += phase1 & ~progress
-            self.stall[phase1 & progress] = 0
-            self.bland |= self.stall > self.watchdog
             if step >= self.cap:
                 raise StackLimitError(int(self.pos[0]), self.cap)
 
             # Pricing: phase 1 prices the violations of the basic variables.
-            viol = above.astype(float) - below
             cost_b = np.where(self.feasible[:, None], self.c_ext[self.basis], viol)
             y = cost_b[:, None, :] @ self.binv
             d = np.where(self.feasible[:, None], self.c, 0.0) - (y @ self.a)[:, 0, :]
@@ -259,4 +279,4 @@ class _Stack:
             self.stall[feasible & progress] = 0
             self.bland |= self.stall > self.watchdog
             step += 1
-        return self.out
+        return self._report()

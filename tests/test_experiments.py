@@ -360,10 +360,13 @@ class TestCli:
           "--milp", "--big-m", "nan"], "big-M must be finite and positive"),
         (["sparse", "--error", "se", "--k", "1", "--input", "{reg}", "--target", "y",
           "--milp", "--big-m", "inf"], "big-M must be finite and positive"),
+        *((["simulate", "--kind", kind, "--n", n, "--output", "{out}"], "n must be >= 1")
+          for kind in ("skewnormal", "design", "regression", "returns", "factors")
+          for n in ("0", "-3")),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",
-                 "cfg": tmp_path / "cfg.json"}
+                 "cfg": tmp_path / "cfg.json", "out": tmp_path / "out.csv"}
         write_csv(str(paths["reg"]), ["x", "y"], np.array([[0.0, 1.0], [1.0, 2.5], [2.0, 2.9]]))
         write_csv(str(paths["rets"]), ["a", "b"], np.array([[0.01, 0.0], [-0.01, 0.02]]))
         paths["cfg"].write_text(json.dumps({"experiment": "table2_pattern", "seed": 1}))

@@ -341,6 +341,19 @@ class TestSetBounds:
         with pytest.raises(LpError, match="variable 1"):
             p.set_bounds(slice(None), [0.0, 0.0], [1.0, np.nan])
 
+    @pytest.mark.parametrize("j, lo, hi", [
+        (1, np.nan, 1.0), (-1, 3.0, 2.5), (np.int64(2), 1.0, 0.0),
+        (slice(1, 4), 0.0, [1.0, np.nan, 1.0]), (np.array([3, 0]), [0.0, 5.0], 1.0),
+        ([0, 2], None, [1.0, np.nan]),
+    ], ids=["int NaN", "negative int", "numpy int", "slice", "index array", "list"])
+    def test_refused_call_changes_nothing(self, j, lo, hi):
+        p = LpProblem(4)
+        p.set_bounds(slice(None), [-1.0, 0.0, 0.5, -2.0], [1.0, 3.0, 0.5, 2.0])
+        before = p.lower.copy(), p.upper.copy()
+        with pytest.raises(LpError, match="empty or NaN"):
+            p.set_bounds(j, lo, hi)
+        assert np.array_equal(p.lower, before[0]) and np.array_equal(p.upper, before[1])
+
 
 class TestCrashBasis:
     @staticmethod
@@ -1202,6 +1215,33 @@ class TestBoxStack:
         first, second = solve_box_stack(c, lo, hi, a), solve_box_stack(c, lo, hi, a)
         for x, y in zip(first, second):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "degenerate"])
+    def test_stack_matches_lps_alone(self, rng, kind):
+        # an LP's objective, duals and iterations do not depend on its stack
+        for _ in range(4):
+            c, lo, hi, a = _random_stack(rng, kind)
+            whole = solve_box_stack(c, lo, hi, a)
+            for l in range(a.shape[0]):
+                alone = solve_box_stack(c, lo, hi, a[l:l + 1])
+                for field, x, y in zip(stacked.StackSolution._fields, whole, alone):
+                    assert np.array_equal(x[l:l + 1], y), (field, l)
+
+    def test_refactors_once_when_steps_stay_short(self, rng, monkeypatch):
+        # the final bases are refactored together, however many finish events
+        calls = []
+        refactor = stacked._Stack._refactor
+
+        def counted(stack):
+            calls.append(stack.pos.size)
+            refactor(stack)
+
+        monkeypatch.setattr(stacked._Stack, "_refactor", counted)
+        c, lo, hi, a = _random_stack(rng, "random")
+        sol = solve_box_stack(c, lo, hi, a)
+        assert sol.iterations.max() < stacked.REFACTOR_EVERY
+        assert np.unique(sol.iterations).size > 1  # LPs finish at different steps
+        assert calls == [0]  # one refactor, after every LP left the working set
 
     def test_iteration_cap_raises(self, rng, monkeypatch):
         c, lo, hi, a = _random_stack(rng, "random")
