@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -234,8 +235,9 @@ def _cmd_experiment(args) -> int:
         if not args.id:
             raise ValueError("give --id or --config")
         config = ExperimentConfig(experiment=args.id, seed=args.seed)
-    tables = run_experiment(config)
     out_dir = args.output_dir or "."
+    os.makedirs(out_dir, exist_ok=True)  # before the study, so a bad path costs no work
+    tables = run_experiment(config)
     for table in tables:
         base = f"{out_dir.rstrip('/')}/{table.name}"
         emit_report(table, base + ".csv", "csv")

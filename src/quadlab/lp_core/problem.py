@@ -102,19 +102,29 @@ class LpProblem:
         try:
             self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
             self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
-            empty = np.flatnonzero(~(self.lower[j] <= self.upper[j]))
-            if empty.size:
-                first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
-                raise LpError(f"empty or NaN bound interval for variable {first}")
+            self._refuse_empty(j, self.lower[j], self.upper[j])
         except (LpError, ValueError):
             self.lower[j], self.upper[j] = saved
             raise
 
+    def _refuse_empty(self, j, lo, hi) -> None:
+        """Raise ``LpError`` naming the first variable of ``j`` whose [lo, hi] is empty or NaN."""
+        empty = np.flatnonzero(~(lo <= hi))
+        if empty.size:
+            first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
+            raise LpError(f"empty or NaN bound interval for variable {first}")
+
     def mark_binary(self, j) -> None:
-        """Flag variable ``j`` (an int, a slice or an index array) binary."""
+        """Flag variable ``j`` (an int, a slice or an index array) binary.
+
+        Its bounds are clipped to [0, 1]; a clip that leaves an empty
+        interval is refused and changes nothing.
+        """
+        lo, hi = np.maximum(self.lower[j], 0.0), np.minimum(self.upper[j], 1.0)
+        self._refuse_empty(j, lo, hi)
         self.is_binary[j] = True
-        self.lower[j] = np.maximum(self.lower[j], 0.0)
-        self.upper[j] = np.minimum(self.upper[j], 1.0)
+        self.lower[j] = lo
+        self.upper[j] = hi
 
     def set_relation(self, rows, relation: str) -> None:
         """Give every row listed in ``rows`` the relation ``relation``."""
@@ -163,6 +173,7 @@ class LpProblem:
     def validate(self) -> None:
         if not np.all(np.isfinite(self.objective)):
             raise LpError("objective has non-finite entries")
+        self._refuse_empty(slice(None), self.lower, self.upper)
         bad = self.is_binary & ((self.lower < -1e-12) | (self.upper > 1.0 + 1e-12))
         if np.any(bad):
             raise LpError("binary variables must have bounds within [0, 1]")

@@ -9,6 +9,12 @@ warm-start basis is primally infeasible.  Phase 2 prices with Dantzig's rule
 and falls back to Bland's rule once a degeneracy watchdog trips.  The basis
 inverse is dense, updated in product form and refactorized periodically.
 
+The state is the ``basis``, each variable's bound state ``vstate``, the
+inverse ``binv`` and one value vector ``x`` over all n + m variables.  A
+nonbasic entry of ``x`` holds its exact bound (0 when free) and is written
+whenever its state changes; the basic entries move with each step and are
+recomputed from b - A x at each refactorization.
+
 The watchdog reads the phase-2 objective, which is tracked incrementally: a
 step of length t on entering column j moves it by d_j * sigma * t.  It is
 recomputed from the variable values only when the basis is refactorized
@@ -209,22 +215,17 @@ class _Simplex:
         return True
 
     def _sync_states(self):
-        """Derive the per-state caches from (basis, vstate), then the basics."""
-        self.lo_b = self.lo[self.basis]
-        self.hi_b = self.hi[self.basis]
-        self.price_sign = np.where(self.fixed, 0.0, _PRICE_SIGN[self.vstate])
-        self.free_nonbasic = int(np.count_nonzero(self.vstate == FREE_ZERO))
+        """Derive the nonbasic values and pricing caches from (basis, vstate), then the basics."""
+        vs = self.vstate
+        self.x = np.where(vs == AT_LOWER, self.lo, np.where(vs == AT_UPPER, self.hi, 0.0))
+        self.price_sign = np.where(self.fixed, 0.0, _PRICE_SIGN[vs])
+        self.free_nonbasic = int(np.count_nonzero(vs == FREE_ZERO))
         self._recompute_basics()
 
-    def _nonbasic_values(self) -> np.ndarray:
-        vs = self.vstate
-        return np.where(vs == AT_LOWER, self.lo, np.where(vs == AT_UPPER, self.hi, 0.0))
-
     def _recompute_basics(self):
-        v = self._nonbasic_values()
-        v[self.basis] = 0.0
-        rhs = self.b - self.A @ v
-        self.xb = self.binv @ rhs
+        x = self.x
+        x[self.basis] = 0.0
+        x[self.basis] = self.binv @ (self.b - self.A @ x)
 
     def _refactor(self):
         try:
@@ -275,18 +276,18 @@ class _Simplex:
         delta = -sigma * w
         span = self.hi[j] - self.lo[j]
         flip_t = float(span) if np.isfinite(span) else np.inf
-        floor, ceil = self.lo_b, self.hi_b
+        floor, ceil = self.lo[self.basis], self.hi[self.basis]
         if phase1_viol is not None:
             # A violated row blocks only while moving back to the bound it
             # violates: below its lower bound it acts as (-inf, lo], above
             # its upper bound as [hi, inf).
             below, above = phase1_viol < 0, phase1_viol > 0
-            floor = np.where(below, -np.inf, np.where(above, self.hi_b, self.lo_b))
-            ceil = np.where(below, self.lo_b, np.where(above, np.inf, self.hi_b))
+            floor, ceil = (np.where(below, -np.inf, np.where(above, ceil, floor)),
+                           np.where(below, floor, np.where(above, np.inf, ceil)))
         rising = delta > 0
         t = self._steps
         t.fill(np.inf)
-        np.divide(np.where(rising, ceil, floor) - self.xb, delta, out=t,
+        np.divide(np.where(rising, ceil, floor) - self.x[self.basis], delta, out=t,
                   where=np.abs(delta) > PIVOT_TOL)
         r = int(t.argmin())
         if t[r] < -FEAS_TOL:
@@ -296,7 +297,7 @@ class _Simplex:
         if not t_min < flip_t - TIE_TOL:
             return flip_t, -1, AT_UPPER if sigma == 1 else AT_LOWER, w, delta
         best_t = max(t_min, 0.0)
-        if np.count_nonzero(t <= best_t + TIE_TOL) == 1:
+        if np.count_nonzero(t <= best_t + TIE_TOL) == 1:  # leaving_row: r, at ~10x the cost
             leave_row = r
         else:
             leave_row = int(leaving_row(t, best_t, delta, self.basis, self.bland))
@@ -308,24 +309,24 @@ class _Simplex:
 
     def _apply_step(self, j, sigma, t, leave_row, leave_state, w, delta) -> bool:
         """Move along the step; returns True when it refactorized the basis."""
-        state = self.vstate[j]
-        start = self.lo[j] if state == AT_LOWER else self.hi[j] if state == AT_UPPER else 0.0
-        self.xb += t * delta
+        x, state = self.x, self.vstate[j]
+        x[self.basis] += t * delta
         if leave_row < 0:
+            x[j] = self.hi[j] if sigma == 1 else self.lo[j]
             self.vstate[j] = flip = AT_UPPER if sigma == 1 else AT_LOWER
             self.price_sign[j] = _PRICE_SIGN[flip]
             self.bound_flips += 1
             return False
         out = self.basis[leave_row]
+        x[out] = self.lo[out] if leave_state == AT_LOWER else self.hi[out]
         self.vstate[out] = leave_state
         self.price_sign[out] = 0.0 if self.fixed[out] else _PRICE_SIGN[leave_state]
         self.basis[leave_row] = j
-        self.lo_b[leave_row], self.hi_b[leave_row] = self.lo[j], self.hi[j]
+        x[j] += sigma * t
         self.vstate[j] = BASIC
         self.price_sign[j] = 0.0
         if state == FREE_ZERO:
             self.free_nonbasic -= 1
-        self.xb[leave_row] = start + sigma * t
         piv = w[leave_row]
         if abs(piv) < 1e-12:
             raise SingularBasisError(f"vanishing pivot on row {leave_row}")
@@ -341,18 +342,13 @@ class _Simplex:
     # -- phases -------------------------------------------------------------
 
     def _violations(self):
+        """Each basic variable's violation sign (-1 below, 1 above) and the total violation."""
+        xb, lo_b, hi_b = self.x[self.basis], self.lo[self.basis], self.hi[self.basis]
+        below, above = xb < lo_b - FEAS_TOL, xb > hi_b + FEAS_TOL
         viol = np.zeros(self.m, dtype=np.int8)
-        viol[self.xb < self.lo_b - FEAS_TOL] = -1
-        viol[self.xb > self.hi_b + FEAS_TOL] = 1
-        return viol
-
-    def _infeasibility(self, viol):
-        f = 0.0
-        below = viol == -1
-        above = viol == 1
-        f += float((self.lo_b[below] - self.xb[below]).sum())
-        f += float((self.xb[above] - self.hi_b[above]).sum())
-        return f
+        viol[below] = -1
+        viol[above] = 1
+        return viol, float((lo_b[below] - xb[below]).sum()) + float((xb[above] - hi_b[above]).sum())
 
     def dual_phase(self, max_iterations) -> str:
         """Bound-flipping dual simplex from a dual-feasible start.
@@ -368,7 +364,7 @@ class _Simplex:
         basis, or the watchdog sees too many steps that leave the duals in
         place.
         """
-        if self._infeasibility(self._violations()) <= FEAS_TOL * max(1.0, self.m):
+        if self._violations()[1] <= FEAS_TOL * max(1.0, self.m):
             return "skipped"
         start = (self.basis.copy(), self.vstate.copy(), self.binv.copy(),
                  self.pivots_since_refactor, self.bound_flips)
@@ -377,7 +373,8 @@ class _Simplex:
         watchdog = max(200, 4 * self.m)
         stuck = 0
         while True:
-            excess = np.maximum(self.lo_b - self.xb, self.xb - self.hi_b)
+            xb = self.x[self.basis]
+            excess = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
             r = int(np.argmax(excess))
             if not excess[r] > FEAS_TOL:
                 return "feasible"
@@ -416,7 +413,8 @@ class _Simplex:
 
     def _dual_step(self, r, slope):
         """One long step with leaving row r; returns the dual step, None on a stall."""
-        below = bool(self.xb[r] < self.lo_b[r])
+        i = self.basis[r]
+        below = bool(self.x[i] < self.lo[i])
         choice = self._dual_ratio_test(r, below, slope)
         if choice is None:
             return None
@@ -424,14 +422,15 @@ class _Simplex:
         if flips.size:
             rising = self.vstate[flips] == AT_LOWER
             span = self.hi[flips] - self.lo[flips]
-            self.xb -= self.binv @ (self.A[:, flips] @ np.where(rising, span, -span))
+            self.x[self.basis] -= self.binv @ (self.A[:, flips] @ np.where(rising, span, -span))
+            self.x[flips] = np.where(rising, self.hi[flips], self.lo[flips])
             self.vstate[flips] = np.where(rising, AT_UPPER, AT_LOWER)
             self.price_sign[flips] = -self.price_sign[flips]
             self.bound_flips += flips.size
         w = self.binv @ self.A[:, j]
         if not abs(w[r]) > PIVOT_TOL:
             return None
-        theta = (self.xb[r] - (self.lo_b[r] if below else self.hi_b[r])) / w[r]
+        theta = (self.x[i] - (self.lo[i] if below else self.hi[i])) / w[r]
         sigma = 1 if theta >= 0 else -1
         self._apply_step(j, sigma, abs(theta), r, AT_LOWER if below else AT_UPPER,
                          w, -sigma * w)
@@ -492,8 +491,7 @@ class _Simplex:
         last_f = np.inf
         costs = np.zeros(self.N)
         while True:
-            viol = self._violations()
-            f = self._infeasibility(viol)
+            viol, f = self._violations()
             if f <= FEAS_TOL * max(1.0, self.m):
                 return "feasible"
             if self.iterations >= max_iterations:
@@ -547,29 +545,22 @@ class _Simplex:
 
     # -- reporting ----------------------------------------------------------
 
-    def _values(self) -> np.ndarray:
-        v = self._nonbasic_values()
-        v[self.basis] = self.xb
-        return v
-
     def _objective(self) -> float:
-        return float(self.c @ self._values())
+        return float(self.c @ self.x)
 
     def solution(self, status: str, problem: LpProblem) -> LpSolution:
-        v = self._values()
-        resid = self.A @ v - self.b
+        resid = self.A @ self.x - self.b
         if status == "optimal" and np.max(np.abs(resid), initial=0.0) > ROW_TOL:
             self._refactor()
-            v = self._values()
-            resid = self.A @ v - self.b
+            resid = self.A @ self.x - self.b
             if np.max(np.abs(resid), initial=0.0) > ROW_TOL:
                 raise SingularBasisError("row residuals exceed tolerance after refactorization")
         y = self.c[self.basis] @ self.binv
         reduced = problem.objective - y @ self.A[:, : self.n]
         return LpSolution(
             status=status,
-            x=v[: self.n].copy(),
-            objective=float(problem.objective @ v[: self.n]),
+            x=self.x[: self.n].copy(),
+            objective=float(problem.objective @ self.x[: self.n]),
             iterations=self.iterations,
             duals=y.copy(),
             reduced_costs=reduced,

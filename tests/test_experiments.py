@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from quadlab import experiments
+from quadlab import cli, experiments
 from quadlab.cli import main
 from quadlab.distributions import QuadratureError
 from quadlab.experiments import (
@@ -251,6 +251,23 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "table2_pattern.csv").exists()
         assert (tmp_path / "table2_pattern.json").exists()
+
+    def test_experiment_creates_missing_output_dir(self, tmp_path):
+        out = tmp_path / "missing" / "nested"
+        assert main(["experiment", "--id", "table2_pattern", "--output-dir", str(out)]) == 0
+        assert (out / "table2_pattern.csv").exists() and (out / "table2_pattern.json").exists()
+
+    def test_unmakeable_output_dir_exits_2_before_the_study(self, tmp_path, capsys, monkeypatch):
+        def never(config):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        (tmp_path / "file").write_text("")
+        rc = main(["experiment", "--id", "sparse_recovery",
+                   "--output-dir", str(tmp_path / "file" / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sweep_experiment_prints_cvar_diagnostics(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

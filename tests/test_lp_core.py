@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
 from quadlab.lp_core import (
     LpError,
     LpProblem,
@@ -27,6 +28,8 @@ from quadlab.lp_core.simplex import (
     TIE_TOL,
     _Simplex,
 )
+from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
+from quadlab.regression import Dataset, fit_quantile
 
 from conftest import highs_objective
 
@@ -354,6 +357,37 @@ class TestSetBounds:
             p.set_bounds(j, lo, hi)
         assert np.array_equal(p.lower, before[0]) and np.array_equal(p.upper, before[1])
 
+    @staticmethod
+    def _two_var_problem():
+        p = LpProblem(2)
+        p.set_objective([1.0, 1.0])
+        p.add_row({0: 1.0, 1: 1.0}, "<=", 5.0)
+        return p
+
+    @pytest.mark.parametrize("j", [0, slice(0, 2), np.array([1, 0])],
+                             ids=["int", "slice", "index array"])
+    def test_mark_binary_refuses_an_empty_clip(self, j):
+        # clipping [2, 3] to [0, 1] leaves [2, 1], and solve_mip then
+        # returned "optimal" with the binary at 2
+        p = self._two_var_problem()
+        p.set_bounds(0, 2.0, 3.0)
+        p.set_bounds(1, -1.0, 0.5)
+        before = p.lower.copy(), p.upper.copy(), p.is_binary.copy()
+        with pytest.raises(LpError, match="empty or NaN bound interval for variable 0"):
+            p.mark_binary(j)
+        for kept, old in zip((p.lower, p.upper, p.is_binary), before):
+            assert np.array_equal(kept, old)
+
+    @pytest.mark.parametrize("lo, hi", [(3.0, 1.0), (np.nan, 1.0), (0.0, np.nan)],
+                             ids=["empty", "NaN lower", "NaN upper"])
+    def test_validate_refuses_bounds_written_directly(self, lo, hi):
+        # solve_lp returned "optimal" at x0 = 3 for [3, 1] and at x0 = 1 for [NaN, 1]
+        p = self._two_var_problem()
+        p.lower[0], p.upper[0] = lo, hi
+        for solve in (solve_lp, solve_mip):
+            with pytest.raises(LpError, match="empty or NaN bound interval for variable 0"):
+                solve(p)
+
 
 class TestCrashBasis:
     @staticmethod
@@ -502,7 +536,53 @@ class TestStartStates:
                 expected[j] = s.lo[j]
             elif state == AT_UPPER:
                 expected[j] = s.hi[j]
-        assert np.array_equal(s._nonbasic_values(), expected)
+        nonbasic = s.vstate != BASIC
+        assert np.array_equal(s.x[nonbasic], expected[nonbasic])
+
+
+class TestValueVector:
+    """``x`` is the only record of variable values, so it must stay exact."""
+
+    @staticmethod
+    def _check_after_steps(monkeypatch):
+        """Check ``x`` after every primal and dual step; returns the step counts."""
+        counts = {"_apply_step": 0, "_dual_step": 0, "flip": 0}
+
+        def checked(name):
+            step = getattr(_Simplex, name)
+
+            def run(s, *args):
+                out = step(s, *args)
+                nonbasic = s.vstate != BASIC
+                bound = np.where(s.vstate == AT_LOWER, s.lo,
+                                 np.where(s.vstate == AT_UPPER, s.hi, 0.0))
+                assert s.x[nonbasic].tobytes() == bound[nonbasic].tobytes(), name
+                assert np.max(np.abs(s.A @ s.x - s.b)) <= simplex.ROW_TOL, name
+                counts[name] += 1
+                counts["flip"] += name == "_apply_step" and args[3] < 0
+                return out
+            monkeypatch.setattr(_Simplex, name, run)
+
+        checked("_apply_step")
+        checked("_dual_step")
+        return counts
+
+    def test_nonbasic_at_bounds_and_rows_hold_after_every_step(self, rng, monkeypatch):
+        counts = self._check_after_steps(monkeypatch)
+        for _ in range(30):
+            assert solve_lp(_random_bounded_feasible(rng)).status == "optimal"
+        # primal phases only: hundreds of pivots and bound flips, refactors between
+        p = _box_walk_problem()
+        s = _Simplex(p)
+        assert s.warm_start(*crash_basis(p, ()))
+        assert s.phase1(10**6) == "feasible" and s.phase2(10**6) == "optimal"
+        x = rng.standard_normal((2000, 3))
+        fit_quantile(Dataset(x, x @ [1.0, -0.5, 0.25] + rng.standard_normal(2000)), 0.7)
+        problem = PortfolioProblem(four_asset_returns(2000, 5), FOUR_ASSET_TARGET_MEAN)
+        optimize_se_dev(problem, 0.002)
+        optimize_cvar_dev(problem, 0.9)
+        assert counts["_apply_step"] > 2 * REFACTOR_EVERY
+        assert counts["_dual_step"] > 0 and counts["flip"] > 0
 
 
 def _loop_choose_entering(s, d):
@@ -535,7 +615,7 @@ def _loop_ratio_test(s, j, sigma, phase1_viol=None):
     delta = -sigma * (s.binv @ s.A[:, j])
     span = s.hi[j] - s.lo[j]
     flip_t = span if np.isfinite(span) else np.inf
-    lo_b, hi_b, xb = s.lo[s.basis], s.hi[s.basis], s.xb
+    lo_b, hi_b, xb = s.lo[s.basis], s.hi[s.basis], s.x[s.basis]
     steps = []
     for i in range(s.m):
         di = delta[i]
@@ -650,7 +730,8 @@ class TestIterationKernels:
             basis = np.sort(rng.choice(s.N, s.m, replace=False))
             if not s.warm_start(basis, vstate):
                 continue
-            viol = s._violations()
+            viol, total = s._violations()
+            assert (total > 0) == bool(np.any(viol))
             seen_violations += int(np.count_nonzero(viol))
             _assert_ratio_tests_match(s, viol)
             _assert_ratio_tests_match(s)
@@ -693,7 +774,7 @@ class TestIterationKernels:
                 steps[rng.random(s.m) < 0.1] = -5e-10
                 steps[rng.random(s.m) < 0.1] = -1e-8
             target = np.where(delta > 0, s.hi[s.basis], s.lo[s.basis])
-            s.xb = target - steps * delta
+            s.x[s.basis] = target - steps * delta
             for bland in (False, True):
                 s.bland = bland
                 got = s._ratio_test(j, sigma)[:3]
