@@ -8,7 +8,7 @@ import numpy as np
 
 RELATIONS = ("<=", "=", ">=", "free")
 OBJ_MATCH_TOL = 1e-8  # relative gap allowed by ``certify_objective``
-_SCALAR_END = (type(None), int, float, np.number)  # ends an int ``set_bounds`` checks first
+_SCALAR_END = (type(None), int, float, np.number)  # ends ``set_bounds`` checks before writing
 
 
 class LpError(RuntimeError):
@@ -90,8 +90,7 @@ class LpProblem:
         A NaN end is refused like an empty interval, and a refused call
         changes nothing.
         """
-        if (isinstance(j, (int, np.integer)) and isinstance(lo, _SCALAR_END)
-                and isinstance(hi, _SCALAR_END)):
+        if isinstance(lo, _SCALAR_END) and isinstance(hi, _SCALAR_END):
             lo = -np.inf if lo is None else float(lo)
             hi = np.inf if hi is None else float(hi)
             if lo <= hi:  # else the saved-ends path below refuses the call
@@ -165,17 +164,21 @@ class LpProblem:
             raise LpError("row coefficients must be finite")
         if not np.isfinite(rhs).all():
             raise LpError("rhs must be finite")
-        self.matrix = np.vstack((self.matrix, block + 0.0))  # + 0.0 turns -0.0 into 0.0
+        matrix = np.empty((self.num_rows + rows, self.num_vars))
+        matrix[:self.num_rows] = self.matrix
+        np.add(block, 0.0, out=matrix[self.num_rows:])  # + 0.0 turns -0.0 into 0.0
+        self.matrix = matrix
         self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
         self.relations.extend(relations)
         self._extended = None
 
     def validate(self) -> None:
-        if not np.all(np.isfinite(self.objective)):
+        if not np.isfinite(self.objective).all():
             raise LpError("objective has non-finite entries")
-        self._refuse_empty(slice(None), self.lower, self.upper)
-        bad = self.is_binary & ((self.lower < -1e-12) | (self.upper > 1.0 + 1e-12))
-        if np.any(bad):
+        if not (self.lower <= self.upper).all():
+            self._refuse_empty(slice(None), self.lower, self.upper)
+        if self.is_binary.any() and np.any(
+                self.is_binary & ((self.lower < -1e-12) | (self.upper > 1.0 + 1e-12))):
             raise LpError("binary variables must have bounds within [0, 1]")
 
     def copy(self) -> "LpProblem":
@@ -197,8 +200,14 @@ class LpSolution:
     ``basis``/``vstate`` describe the final basis over the slack-extended
     variable vector and can be fed back in as a warm start.  ``warm_used``
     is True when the solve started from the offered warm basis, and False
-    when none was offered or it was rejected (wrong size, a repeated index
-    or a singular basis) in favour of the all-slack crash start.
+    when none was offered or it was rejected in favour of the all-slack
+    crash start.  A pair is rejected when the basis has the wrong length,
+    an index outside [0, n + m) or a repeated one, or is singular or
+    numerically singular, or when ``vstate`` has the wrong length, is not
+    an integer array, holds a code outside BASIC, AT_LOWER, AT_UPPER and
+    FREE_ZERO, or flags BASIC a column outside the basis.  A nonbasic state
+    that does not fit its column's bounds is not a rejection: it snaps to
+    the finite lower bound, else the finite upper one, else free at zero.
     ``phase_iterations`` splits ``iterations`` into (dual phase, phase 1,
     phase 2); ``bound_flips`` counts nonbasic variables moved from one
     bound to the other, whether by a long dual step or a primal flip; the

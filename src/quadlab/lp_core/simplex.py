@@ -15,6 +15,19 @@ nonbasic entry of ``x`` holds its exact bound (0 when free) and is written
 whenever its state changes; the basic entries move with each step and are
 recomputed from b - A x at each refactorization.
 
+Each solve classifies its columns once, when it is set up: which ends of
+the bound interval are finite, boxed (both), fixed (equal ends) and the
+span (hi - lo, infinite unless boxed).  The start, the dual phase's snap,
+bound flips and both ratio tests read these classes instead of testing
+the bounds again.  A start is synced once: ``warm_start`` checks the
+offered pair and settles every nonbasic state in one table lookup on
+(state, finite ends), then derives ``x``, the pricing signs and the
+basics.  After that only the entries whose state changes are rewritten:
+the snap and the long steps flip columns in place, and the basics follow
+by b - A x (the snap) or by one update (a long step).  The phase-2 reduced
+costs are priced once per basis: a bound flip keeps them, a pivot or a
+refactorization drops them, so the first dual step reuses the snap's.
+
 The watchdog reads the phase-2 objective, which is tracked incrementally: a
 step of length t on entering column j moves it by d_j * sigma * t.  It is
 recomputed from the variable values only when the basis is refactorized
@@ -82,10 +95,29 @@ def _slack_bounds(relations):
     return _SLACK_LO[code], _SLACK_HI[code]
 
 
-def _bound_states(lo, hi) -> np.ndarray:
-    """Nonbasic state at the finite lower bound, else the finite upper, else free."""
-    return np.where(np.isfinite(lo), AT_LOWER,
-                    np.where(np.isfinite(hi), AT_UPPER, FREE_ZERO)).astype(np.int8)
+def _finite_ends(lo, hi) -> np.ndarray:
+    """Each column's finite ends as a code: 0 neither, 1 lower, 2 upper, 3 both."""
+    ends = 2 * np.isfinite(hi).astype(np.int8)
+    ends += np.isfinite(lo)
+    return ends
+
+
+# A column's default nonbasic state by finite ends: at its finite lower
+# bound, else its finite upper bound, else free at zero.
+_DEFAULT_STATE = np.array([FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER], dtype=np.int8)
+_NOT_A_STATE = FREE_ZERO + 1
+# _WARM_STATE[4 * state + ends] is the state a warm start installs: the
+# offered one if it fits the finite ends, else the default.  BASIC is valid
+# only on the basis, which is written afterwards; the last entry stands for
+# every code past FREE_ZERO and the first for every negative one (``take``
+# clips to them).
+_WARM_STATE = np.array([
+    # ends: neither  lower      upper      both
+    _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE,  # BASIC
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,                  # AT_LOWER
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,                  # AT_UPPER
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,                  # FREE_ZERO
+    _NOT_A_STATE], dtype=np.int8)
 
 
 def crash_pool(key, rows: int) -> np.ndarray:
@@ -109,8 +141,8 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     """
     n, m = problem.num_vars, problem.num_rows
     slack_lo, slack_hi = _slack_bounds(problem.relations)
-    vstate = _bound_states(np.concatenate((problem.lower, slack_lo)),
-                           np.concatenate((problem.upper, slack_hi)))
+    vstate = _DEFAULT_STATE.take(_finite_ends(np.concatenate((problem.lower, slack_lo)),
+                                              np.concatenate((problem.upper, slack_hi))))
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
     order = np.asarray(order, dtype=np.intp)[:CRASH_POOL * m]
     block = _extended_rows(problem)[:, order]
@@ -177,49 +209,62 @@ class _Simplex:
         slack_lo, slack_hi = _slack_bounds(problem.relations)
         self.lo = np.concatenate((problem.lower, slack_lo))
         self.hi = np.concatenate((problem.upper, slack_hi))
+        # per-solve column classes, read by every start, flip and ratio test
+        self.ends = _finite_ends(self.lo, self.hi)
+        self.boxed = self.ends == 3
         self.fixed = self.lo == self.hi
+        self.span = np.where(self.boxed, self.hi - self.lo, np.inf)
         self.iterations = 0
         self.bound_flips = 0
         self.pivots_since_refactor = 0
         self.bland = False
         self.stall = 0
         self._steps = np.empty(m)  # ratio-test buffer, one step per row
+        self._d = None  # phase-2 reduced costs of the current basis, once priced
 
     # -- basis management ---------------------------------------------------
 
-    def warm_start(self, basis, vstate):
+    def warm_start(self, basis, vstate) -> bool:
+        """Install the start (basis, vstate); False, keeping nothing, when it is unusable.
+
+        A nonbasic state that does not fit its column's finite ends (fixed
+        binaries, changed bounds) falls back to the column's default state.
+        Unusable: a basis of the wrong size, with an index outside [0, N)
+        or a repeated one, singular or numerically singular; a vstate of
+        the wrong length or not integer, with a code outside the four
+        states, or flagging BASIC a column outside the basis.
+        """
         basis = np.asarray(basis, dtype=np.intp)
-        vstate = np.asarray(vstate, dtype=np.int8).copy()
-        if basis.size != self.m or len(set(basis.tolist())) != self.m:
+        vstate = np.asarray(vstate)
+        if (basis.shape != (self.m,) or vstate.shape != (self.N,) or vstate.dtype.kind not in "iu"
+                or np.any((basis < 0) | (basis >= self.N)) or len(set(basis.tolist())) != self.m):
+            return False
+        states = _WARM_STATE.take(np.multiply(vstate, 4, dtype=np.intp, casting="unsafe")
+                                  + self.ends, mode="clip")
+        states[basis] = BASIC
+        if states.max() > FREE_ZERO:
             return False
         matrix = self.A[:, basis]
         try:
-            self.binv = np.linalg.inv(matrix)
+            binv = np.linalg.inv(matrix)
         except np.linalg.LinAlgError:
             return False
         # a numerically singular basis can invert without an error, into noise
-        if np.abs(matrix).sum(1).max() * np.abs(self.binv).sum(1).max() > 1e12:
+        if np.abs(matrix).sum(1).max() * np.abs(binv).sum(1).max() > 1e12:
             return False
-        self.basis = basis.copy()
-        self.vstate = vstate
-        self.vstate[basis] = BASIC
-        # Nonbasic states may disagree with updated bounds (fixed binaries):
-        # snap anything inconsistent to a finite bound.
-        vs = self.vstate
-        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
-        stale = (((vs == AT_LOWER) & ~fin_lo) | ((vs == AT_UPPER) & ~fin_hi)
-                 | ((vs == FREE_ZERO) & (fin_lo | fin_hi)))
-        if stale.any():
-            vs[stale] = _bound_states(self.lo[stale], self.hi[stale])
+        self.basis, self.vstate, self.binv = basis.copy(), states, binv
         self._sync_states()
         return True
 
     def _sync_states(self):
-        """Derive the nonbasic values and pricing caches from (basis, vstate), then the basics."""
+        """Derive x, the pricing caches and then the basics from (basis, vstate) and binv."""
         vs = self.vstate
-        self.x = np.where(vs == AT_LOWER, self.lo, np.where(vs == AT_UPPER, self.hi, 0.0))
-        self.price_sign = np.where(self.fixed, 0.0, _PRICE_SIGN[vs])
+        self.x = np.where(vs == AT_LOWER, self.lo, self.hi)  # basics follow below
+        self.price_sign = _PRICE_SIGN.take(vs) * ~self.fixed
         self.free_nonbasic = int(np.count_nonzero(vs == FREE_ZERO))
+        if self.free_nonbasic:
+            self.x[vs == FREE_ZERO] = 0.0
+        self._d = None
         self._recompute_basics()
 
     def _recompute_basics(self):
@@ -232,14 +277,29 @@ class _Simplex:
             self.binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SingularBasisError(f"singular basis {sorted(self.basis.tolist())}") from exc
+        self._d = None
         self._recompute_basics()
         self.pivots_since_refactor = 0
+
+    def _flip(self, flips) -> np.ndarray:
+        """Move the nonbasic boxed columns ``flips`` to their other bound; returns which rose."""
+        rising = self.vstate[flips] == AT_LOWER
+        self.x[flips] = np.where(rising, self.hi[flips], self.lo[flips])
+        self.vstate[flips] = np.where(rising, AT_UPPER, AT_LOWER)
+        self.price_sign[flips] = -self.price_sign[flips]
+        return rising
 
     # -- pivoting -----------------------------------------------------------
 
     def _price(self, costs) -> np.ndarray:
         y = costs[self.basis] @ self.binv
         return costs - y @ self.A
+
+    def _reduced_costs(self) -> np.ndarray:
+        """Phase-2 reduced costs, priced once per basis: flips keep them, pivots drop them."""
+        if self._d is None:
+            self._d = self._price(self.c)
+        return self._d
 
     def _choose_entering(self, d):
         """Entering column and direction (j, sigma); j = -1 when none improves.
@@ -274,8 +334,7 @@ class _Simplex:
         """
         w = self.binv @ self.A[:, j]
         delta = -sigma * w
-        span = self.hi[j] - self.lo[j]
-        flip_t = float(span) if np.isfinite(span) else np.inf
+        flip_t = float(self.span[j])
         floor, ceil = self.lo[self.basis], self.hi[self.basis]
         if phase1_viol is not None:
             # A violated row blocks only while moving back to the bound it
@@ -322,6 +381,7 @@ class _Simplex:
         self.vstate[out] = leave_state
         self.price_sign[out] = 0.0 if self.fixed[out] else _PRICE_SIGN[leave_state]
         self.basis[leave_row] = j
+        self._d = None
         x[j] += sigma * t
         self.vstate[j] = BASIC
         self.price_sign[j] = 0.0
@@ -396,19 +456,19 @@ class _Simplex:
         """Move each boxed nonbasic to the bound its reduced cost prefers.
 
         Returns False, changing nothing, unless every nonbasic that is not
-        boxed (one-sided or free) has a reduced cost that prefers where it sits.
+        boxed (one-sided or free) has a reduced cost that prefers where it
+        sits.  Only the snapped columns are rewritten; the basics are then
+        recomputed, and the first dual step reuses this pricing.
         """
-        d = self._price(self.c)
-        vs = self.vstate
-        boxed = np.isfinite(self.lo) & np.isfinite(self.hi)
-        j = np.flatnonzero(~boxed)
-        score = np.where(vs[j] == FREE_ZERO, np.abs(d[j]), d[j] * self.price_sign[j])
-        if np.any(score > self.dual_tol):
+        d = self._reduced_costs()
+        snap = np.flatnonzero(d * self.price_sign > self.dual_tol)
+        if not self.boxed[snap].all():
             return False
-        movable = boxed & (vs != BASIC) & ~self.fixed
-        vs[movable & (d > self.dual_tol)] = AT_LOWER
-        vs[movable & (d < -self.dual_tol)] = AT_UPPER
-        self._sync_states()
+        if self.free_nonbasic and np.any(np.abs(d[self.vstate == FREE_ZERO]) > self.dual_tol):
+            return False
+        if snap.size:
+            self._flip(snap)
+            self._recompute_basics()
         return True
 
     def _dual_step(self, r, slope):
@@ -420,12 +480,9 @@ class _Simplex:
             return None
         j, flips, t = choice
         if flips.size:
-            rising = self.vstate[flips] == AT_LOWER
-            span = self.hi[flips] - self.lo[flips]
+            span = self.span[flips]
+            rising = self._flip(flips)
             self.x[self.basis] -= self.binv @ (self.A[:, flips] @ np.where(rising, span, -span))
-            self.x[flips] = np.where(rising, self.hi[flips], self.lo[flips])
-            self.vstate[flips] = np.where(rising, AT_UPPER, AT_LOWER)
-            self.price_sign[flips] = -self.price_sign[flips]
             self.bound_flips += flips.size
         w = self.binv @ self.A[:, j]
         if not abs(w[r]) > PIVOT_TOL:
@@ -458,31 +515,37 @@ class _Simplex:
         eligible = (pull > PIVOT_TOL) if below else (pull < -PIVOT_TOL)
         if self.free_nonbasic:
             eligible |= (self.vstate == FREE_ZERO) & (np.abs(alpha) > PIVOT_TOL)
-        cand = np.flatnonzero(eligible)
+        cand = eligible.nonzero()[0]
         if cand.size == 0:
             return None
-        size = np.abs(alpha[cand])
+        size = np.abs(alpha.take(cand))
         del alpha, pull, eligible  # keeps the peak memory of a long row down
-        ratio = np.abs(self._price(self.c)[cand]) / size
-        weight = size * (self.hi[cand] - self.lo[cand])
+        ratio = np.abs(self._reduced_costs().take(cand)) / size
         # Sort only the smallest ratios, widening the window until it holds
         # the stop; ties at the window's edge all fall inside it.
         window = min(cand.size, DUAL_WINDOW)
         while True:
             if window < cand.size:
-                near = np.flatnonzero(ratio <= np.partition(ratio, window - 1)[window - 1])
+                edge = np.partition(ratio, window - 1)[window - 1]
+                near = (ratio <= edge).nonzero()[0]
             else:
-                near = np.arange(cand.size)
-            walk = near[np.lexsort((cand[near], ratio[near]))]
-            stops = np.flatnonzero(np.cumsum(weight[walk]) >= slope)
-            if stops.size:
+                edge, near = np.inf, np.arange(cand.size)
+            walk = near[np.argsort(ratio[near], kind="stable")]  # (ratio, column) order
+            # the slope falls by each crossed column's weight; the weights
+            # are nonnegative, so their running sum is sorted
+            fall = np.cumsum(size[walk] * self.span.take(cand[walk]))
+            stop = int(fall.searchsorted(slope))
+            if stop < walk.size:
                 break
             if window == cand.size:
                 return None
             window = min(cand.size, 4 * window)
-        stop = int(stops[0])
-        tied = np.flatnonzero(np.abs(ratio - ratio[walk[stop]]) <= TIE_TOL)
-        enter = int(tied[np.argmax(size[tied])])
+        at = ratio[walk[stop]]
+        # every ratio outside the window is at least ``edge``, so when the
+        # edge is not tied with the stop neither is anything beyond it
+        pool = near if edge - at > TIE_TOL else np.arange(cand.size)
+        tied = pool[np.abs(ratio[pool] - at) <= TIE_TOL]
+        enter = int(tied[size[tied].argmax()])
         crossed = walk[:stop]
         return int(cand[enter]), cand[crossed[crossed != enter]], float(ratio[enter])
 
@@ -524,7 +587,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iterations:
                 return "iteration_limit"
-            d = self._price(self.c)
+            d = self._reduced_costs()
             j, sigma = self._choose_entering(d)
             if j < 0:
                 return "optimal"
@@ -579,7 +642,8 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     or to free at zero).  Without a usable, well-conditioned warm basis the
     solve starts from ``crash_basis(problem, ())``: every slack basic, every
     other variable at its finite lower bound, else its finite upper bound,
-    else free at zero.  ``LpSolution.warm_used`` reports which start ran.
+    else free at zero.  ``LpSolution.warm_used`` reports which start ran;
+    its docstring lists the pairs that are refused.
     Integrality flags are ignored here and must be absent.  ``dual_tol`` is
     the reduced-cost threshold: callers with many bounded columns tighten
     it, since the worst-case objective slack at optimality scales like
@@ -593,8 +657,8 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     if max_iterations is None:
         max_iterations = 50_000 + 100 * s.m
     started = warm is not None and s.warm_start(*warm)
-    if not started:
-        s.warm_start(*crash_basis(problem, ()))
+    if not started:  # every state snaps to its column's default: crash_basis(problem, ())
+        s.warm_start(np.arange(s.n, s.N), np.full(s.N, FREE_ZERO, dtype=np.int8))
     s.dual_phase(max_iterations)
     dual = s.iterations
     status = s.phase1(max_iterations)

@@ -145,21 +145,24 @@ def fit_ols(data: Dataset) -> LinearModel:
     The fallback adds 1e-10 * trace(G)/dim to the Gram diagonal and flags
     the model as regularized instead of failing.
     """
+    full, beta, regularized = _ols_coefficients(data)
+    z = data.response - full @ beta
+    return LinearModel(intercept=float(beta[0]), coefficients=beta[1:],
+                       regularized=regularized, objective=float(np.mean(z * z)))
+
+
+def _ols_coefficients(data: Dataset):
+    """([1 | X], [intercept, coefficients], regularized) of ``fit_ols``."""
     ones = np.ones((data.n, 1))
     full = np.hstack((ones, data.design))
     gram = full.T @ full
     rhs = full.T @ data.response
-    regularized = False
     try:
         chol = np.linalg.cholesky(gram)
-        beta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        return full, np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)), False
     except np.linalg.LinAlgError:
-        regularized = True
         bump = 1e-10 * np.trace(gram) / gram.shape[0]
-        beta = np.linalg.solve(gram + bump * np.eye(gram.shape[0]), rhs)
-    z = data.response - full @ beta
-    return LinearModel(intercept=float(beta[0]), coefficients=beta[1:],
-                       regularized=regularized, objective=float(np.mean(z * z)))
+        return full, np.linalg.solve(gram + bump * np.eye(gram.shape[0]), rhs), True
 
 
 # -- compact dual LPs for the piecewise-linear fits ---------------------------
@@ -189,7 +192,9 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
     """
     n = data.n
     with_mean = mean_bound is not None
-    rows = np.vstack((np.ones(n), data.design.T))
+    full, beta, _ = _ols_coefficients(data)
+    z = data.response - (float(beta[0]) + data.design @ beta[1:])  # the OLS residuals
+    rows = full.T  # the intercept's row, then one row per design column
     obj = -data.response
     if with_mean:
         # the mean-row multiplier's column holds the row averages
@@ -202,13 +207,30 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
         problem.set_bounds(n, -mean_bound, mean_bound)
     problem.add_rows(rows, "=", 0.0)
 
-    z = residuals(fit_ols(data), data).z
     if with_mean:
         threshold = float(np.mean(z)) + mean_rhs_shift
     else:
-        threshold = float(np.quantile(z, split_level))
+        threshold = _split_threshold(z, split_level)
     return problem, crash_basis(problem, z > threshold,
                                 crash_pool(np.abs(z - threshold), problem.num_rows))
+
+
+def _split_threshold(z: np.ndarray, level: float) -> float:
+    """``np.quantile(z, level)`` bit for bit, by one partition of z.
+
+    The default (linear) quantile sits at position (n - 1) * level of the
+    sorted sample and interpolates between its two neighbours as numpy's
+    ``_lerp`` does: from the lower one below the midpoint, from the upper
+    one at or above it.
+    """
+    position = (z.size - 1) * level
+    low = int(position)
+    if low >= z.size - 1:
+        return float(z.max())
+    a, b = np.partition(z, (low, low + 1))[low:low + 2].tolist()
+    t = position - low
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _solve_dual(problem: LpProblem, warm, n: int):

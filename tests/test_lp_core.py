@@ -544,27 +544,48 @@ class TestValueVector:
     """``x`` is the only record of variable values, so it must stay exact."""
 
     @staticmethod
-    def _check_after_steps(monkeypatch):
-        """Check ``x`` after every primal and dual step; returns the step counts."""
-        counts = {"_apply_step": 0, "_dual_step": 0, "flip": 0}
+    def _check_state(s, name):
+        """The solver state against a from-scratch derivation from (basis, vstate, lo, hi)."""
+        nonbasic = s.vstate != BASIC
+        bound = np.where(s.vstate == AT_LOWER, s.lo, np.where(s.vstate == AT_UPPER, s.hi, 0.0))
+        assert s.x[nonbasic].tobytes() == bound[nonbasic].tobytes(), name
+        assert np.max(np.abs(s.A @ s.x - s.b)) <= simplex.ROW_TOL, name
+        assert np.array_equal(np.flatnonzero(~nonbasic), np.sort(s.basis)), name
+        fin_lo, fin_hi = np.isfinite(s.lo), np.isfinite(s.hi)
+        fixed = s.lo == s.hi
+        assert np.array_equal(s.fixed, fixed), name
+        assert np.array_equal(s.ends, fin_lo + 2 * fin_hi), name
+        assert np.array_equal(s.boxed, fin_lo & fin_hi), name
+        span = np.array([hi - lo if np.isfinite(hi - lo) else np.inf for lo, hi in zip(s.lo, s.hi)])
+        assert s.span.tobytes() == span.tobytes(), name
+        assert np.array_equal(s.price_sign,
+                              np.where(fixed, 0.0, simplex._PRICE_SIGN[s.vstate])), name
+        assert s.free_nonbasic == np.count_nonzero(s.vstate == FREE_ZERO), name
+        if s._d is not None:  # the cached reduced costs of the current basis
+            assert s._d.tobytes() == s._price(s.c).tobytes(), name
+
+    @classmethod
+    def _check_after_steps(cls, monkeypatch):
+        """Check the state after every start, snap, primal and dual step; returns the counts."""
+        counts = {"warm_start": 0, "_snap_to_dual_feasible": 0, "_apply_step": 0,
+                  "_dual_step": 0, "flip": 0}
+
+        refusable = ("warm_start", "_snap_to_dual_feasible")
 
         def checked(name):
             step = getattr(_Simplex, name)
 
             def run(s, *args):
                 out = step(s, *args)
-                nonbasic = s.vstate != BASIC
-                bound = np.where(s.vstate == AT_LOWER, s.lo,
-                                 np.where(s.vstate == AT_UPPER, s.hi, 0.0))
-                assert s.x[nonbasic].tobytes() == bound[nonbasic].tobytes(), name
-                assert np.max(np.abs(s.A @ s.x - s.b)) <= simplex.ROW_TOL, name
-                counts[name] += 1
+                if out is not False or name not in refusable:  # a refusal changes nothing
+                    cls._check_state(s, name)
+                    counts[name] += 1
                 counts["flip"] += name == "_apply_step" and args[3] < 0
                 return out
             monkeypatch.setattr(_Simplex, name, run)
 
-        checked("_apply_step")
-        checked("_dual_step")
+        for name in ("warm_start", "_snap_to_dual_feasible", "_apply_step", "_dual_step"):
+            checked(name)
         return counts
 
     def test_nonbasic_at_bounds_and_rows_hold_after_every_step(self, rng, monkeypatch):
@@ -583,6 +604,7 @@ class TestValueVector:
         optimize_cvar_dev(problem, 0.9)
         assert counts["_apply_step"] > 2 * REFACTOR_EVERY
         assert counts["_dual_step"] > 0 and counts["flip"] > 0
+        assert counts["warm_start"] > 30 and counts["_snap_to_dual_feasible"] > 0
 
 
 def _loop_choose_entering(s, d):
@@ -1215,15 +1237,47 @@ class TestWarmUsed:
         assert warm.warm_used and warm.iterations == 0
         assert warm.objective == cold.objective
 
-    @pytest.mark.parametrize("basis", [[6, 7], [6, 7, 8, 0], [6, 6, 8], [4, 5, 7]],
-                             ids=["short", "long", "repeated index", "singular"])
-    def test_rejected_basis_falls_back_to_cold(self, basis):
+    # (basis, vstate edit): the slack basis is 6-8 and vstate has 9 entries
+    _MALFORMED = {
+        "short": ([6, 7], None),
+        "long": ([6, 7, 8, 0], None),
+        "repeated index": ([6, 6, 8], None),
+        "singular": ([4, 5, 7], None),
+        "index past N": ([6, 7, 9], None),
+        "negative index": ([6, 7, -1], None),  # would wrap to the valid slack 8
+        "short vstate": ([6, 7, 8], lambda v: v[:-1]),
+        "long vstate": ([6, 7, 8], lambda v: np.append(v, AT_LOWER)),
+        "unknown state": ([6, 7, 8], lambda v: np.where(np.arange(v.size) == 0, 4, v)),
+        "negative state": ([6, 7, 8], lambda v: np.where(np.arange(v.size) == 0, -1, v)),
+        "basic off the basis": ([6, 7, 8], lambda v: np.where(np.arange(v.size) == 0, BASIC, v)),
+        "float vstate": ([6, 7, 8], lambda v: v.astype(float)),
+    }
+
+    @pytest.mark.parametrize("case", list(_MALFORMED), ids=list(_MALFORMED))
+    def test_rejected_basis_falls_back_to_cold(self, case):
+        basis, edit = self._MALFORMED[case]
         p, cold = self._problem()
         vstate = np.full(p.num_vars + p.num_rows, AT_LOWER, dtype=np.int8)
+        if edit is not None:
+            vstate = edit(vstate)
         sol = solve_lp(p, warm=(np.array(basis), vstate))
         assert not sol.warm_used
         assert (sol.status, sol.iterations, sol.objective) == \
             (cold.status, cold.iterations, cold.objective)
+
+    def test_stale_basic_flag_is_rejected(self):
+        # x1 is basic at the optimum; offered with a slack basis, its stale
+        # BASIC flag would freeze it at 0 and report 2.5 as optimal
+        p = LpProblem(3)
+        p.set_objective([1.0, 2.0, 3.0])
+        p.set_bounds(slice(None), 0.0, 1.0)
+        p.add_row([1.0, 1.0, 1.0], ">=", 1.5)
+        cold = solve_lp(p)
+        assert cold.status == "optimal" and cold.objective == 2.0
+        assert cold.vstate[1] == BASIC and 3 not in cold.basis
+        sol = solve_lp(p, warm=(np.array([3]), cold.vstate))
+        assert not sol.warm_used
+        assert (sol.status, sol.iterations, sol.objective) == ("optimal", cold.iterations, 2.0)
 
     def test_numerically_singular_basis_is_rejected(self):
         # column 2 is a combination of columns 0 and 1 up to rounding, so the

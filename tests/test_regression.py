@@ -294,6 +294,37 @@ class TestDualStart:
             gap = np.abs(z - threshold)
             assert np.all(gap[basis] <= np.sort(gap)[8 * 2 - 1])
 
+    def test_split_threshold_is_numpy_quantile(self, rng):
+        """The quantile split threshold equals ``np.quantile`` bit for bit."""
+        levels = [0.0, 1e-300, 1e-12, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-12,
+                  float(np.nextafter(1.0, 0.0)), 1.0]
+
+        def same(z, level):
+            got = regression._split_threshold(z, level)
+            assert np.float64(got).tobytes() == np.float64(np.quantile(z, level)).tobytes(), \
+                (z, level)
+
+        for _ in range(2000):
+            n = int(rng.integers(1, 40)) if rng.random() < 0.9 else int(rng.integers(40, 3000))
+            kind = rng.integers(3)
+            if kind == 0:
+                z = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+            elif kind == 1:  # ties
+                z = rng.integers(-3, 4, n) * 0.1
+            else:
+                z = np.full(n, rng.standard_normal())
+            same(z, float(rng.choice(levels)) if rng.random() < 0.5 else float(rng.random()))
+        # residuals as ``_dual_problem`` reads them off the OLS fit
+        x = rng.standard_normal((50, 2))
+        for data in (Dataset(np.array([[0.3]]), np.array([1.0])),
+                     Dataset(np.array([[0.0], [1.0]]), np.array([0.0, 5.0])),
+                     Dataset(x, np.full(50, 2.0)),  # a constant response
+                     Dataset(np.repeat(x[:5], 10, axis=0), np.repeat(rng.integers(0, 3, 5), 10)
+                             * 1.0)):  # tied residuals
+            z = residuals(fit_ols(data), data).z
+            for level in levels + rng.random(20).tolist():
+                same(z, level)
+
     def test_dependent_rows_keep_their_slack(self, rng):
         x = rng.standard_normal((80, 4))
         x[:, 2] = x[:, 0]   # duplicated column
