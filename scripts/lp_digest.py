@@ -1,7 +1,8 @@
-"""Print a SHA-256 over every ``LpSolution`` field of a fixed set of solves.
+"""Print a SHA-256 over every field of a fixed set of LP solves and searches.
 
 Run from the repository root, twice, in separate processes; identical
-inputs must give identical output byte for byte:
+inputs must give identical output byte for byte.  Run it on two trees to
+check that a change leaves every solve and search as it was:
 
     PYTHONPATH=src python3 scripts/lp_digest.py > lp_digest_1.out
     PYTHONPATH=src python3 scripts/lp_digest.py > lp_digest_2.out
@@ -11,7 +12,12 @@ The set covers each start ``solve_lp`` takes: regression duals at n = 100
 and 10,000 (pinball at two levels, each from the OLS crash, so through the
 dual phase), the part-balancing and tail-average portfolio duals, a cold
 start that needs phase 1, and a best-subset relaxation with freed rows
-warm-started from its parent.  One line per solve, then the total.
+warm-started from its parent.  The searches hash every ``MipSolution``
+field and every ``SparseSolution`` field except ``time_s``: knapsack MIPs
+that branch, three under a node budget (ending with an incumbent, without
+one, and with one from an incumbent hint), SE and MSE subset searches with
+and without a node budget, and one big-M MILP.
+One line per solve or search, then the total.
 """
 
 from __future__ import annotations
@@ -21,24 +27,35 @@ import hashlib
 
 import numpy as np
 
-from quadlab import regression
+from quadlab import regression, sparse
+from quadlab.distributions import DesignSpec, sample_correlated_design
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
-from quadlab.lp_core import LpProblem, LpSolution, solve_lp
+from quadlab.lp_core import LpProblem, solve_lp, solve_mip
 from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
 
 
-def _digest(sol: LpSolution) -> str:
-    """SHA-256 over every field: dtype, shape and bytes of arrays, exact bytes of floats."""
+def _update(h, value) -> None:
+    """Hash dataclass fields (``time_s`` aside) by name, array bytes, exact floats, lists."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name != "time_s":
+                h.update(f.name.encode())
+                _update(h, getattr(value, f.name))
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
+    elif isinstance(value, float):
+        h.update(np.float64(value).tobytes())
+    elif isinstance(value, list):
+        h.update(f"list {len(value)}".encode())
+        for item in value:
+            _update(h, item)
+    else:
+        h.update(repr(value).encode())
+
+
+def _digest(sol) -> str:
     h = hashlib.sha256()
-    for f in dataclasses.fields(sol):
-        value = getattr(sol, f.name)
-        h.update(f.name.encode())
-        if isinstance(value, np.ndarray):
-            h.update(f"{value.dtype.str}{value.shape}".encode() + value.tobytes())
-        elif isinstance(value, float):
-            h.update(np.float64(value).tobytes())
-        else:
-            h.update(repr(value).encode())
+    _update(h, sol)
     return h.hexdigest()
 
 
@@ -86,13 +103,62 @@ def _subset_relaxation():
     yield "subset child", child[2]
 
 
+def _knapsack(seed, nb=10):
+    """Two-row multi-knapsack: binaries in the objective, and one boxed continuous column."""
+    rng = np.random.default_rng(seed)
+    problem = LpProblem(nb + 1)
+    problem.set_objective(np.append(-rng.uniform(0.5, 1.5, nb), 0.3))
+    problem.mark_binary(slice(0, nb))
+    problem.set_bounds(nb, 0.0, 2.0)
+    problem.add_rows(np.column_stack((rng.uniform(0.2, 1.0, (2, nb)), [-1.0, 0.5])), "<=",
+                     [nb / 4, nb / 3])
+    return problem
+
+
+def _mips():
+    for seed in (1, 2, 3):
+        sol = solve_mip(_knapsack(seed), gap_tol=0.0)
+        if sol.nodes < 2:
+            raise SystemExit(f"knapsack {seed} no longer branches")
+        yield f"mip knapsack {seed}", sol
+    # under a 3-node budget the 14-binary knapsack ends without an incumbent,
+    # unless it is hinted with the optimum
+    hint = solve_mip(_knapsack(5, nb=14), gap_tol=0.0).x[:14]
+    for nb, given, status in ((12, None, "feasible"), (14, None, "node_limit"),
+                              (14, hint, "feasible")):
+        sol = solve_mip(_knapsack(5, nb=nb), gap_tol=0.0, max_nodes=3, incumbent_hint=given)
+        if sol.status != status:
+            raise SystemExit(f"the {nb}-binary knapsack no longer stops on its budget")
+        yield f"mip knapsack 5 nb={nb} max_nodes=3 hinted={given is not None}", sol
+
+
+def _searches():
+    for seed in (1, 2):
+        ss = np.random.SeedSequence(seed)
+        s_x, s_e = ss.spawn(2)
+        x = sample_correlated_design(DesignSpec(8, 0.6), 100, s_x)
+        noise = np.random.default_rng(s_e).standard_normal(100)
+        # a weak signal, so that the searches branch
+        data = regression.Dataset(x, 0.1 * (x[:, 1] - x[:, 5] + 0.5 * x[:, 6]) + noise)
+        for kind, fit in (("se", sparse.fit_sparse_se), ("mse", sparse.fit_sparse_mse)):
+            for max_nodes in (None, 2):
+                problem = sparse.SparseProblem(data, k=3, error_kind=kind, max_nodes=max_nodes)
+                yield f"search {kind} seed={seed} max_nodes={max_nodes}", fit(problem)
+    x = np.random.default_rng(9).standard_normal((60, 5))
+    data = regression.Dataset(x, x[:, 0] - 2.0 * x[:, 3]
+                              + np.random.default_rng(10).standard_normal(60))
+    yield "big-M milp", sparse.fit_sparse_se_milp(sparse.SparseProblem(data, k=2))
+
+
 def main() -> None:
     total = hashlib.sha256()
-    for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation):
+    for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation,
+                   _mips, _searches):
         for name, sol in source():
             digest = _digest(sol)
             total.update(digest.encode())
-            print(f"{name}: {sol.status} {sol.phase_iterations} {digest}")
+            done = getattr(sol, "phase_iterations", None) or f"{sol.nodes} nodes"
+            print(f"{name}: {sol.status} {done} {digest}")
     print(f"total: {total.hexdigest()}")
 
 

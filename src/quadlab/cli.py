@@ -29,6 +29,7 @@ from .distributions import (
     sample_skew_normal,
 )
 from .experiments import (
+    EXPERIMENT_IDS,
     ExperimentConfig,
     emit_report,
     four_asset_returns,
@@ -317,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sparse)
 
     p = sub.add_parser("experiment", help="run a seeded study and emit reports")
-    p.add_argument("--id", choices=["tables345", "fig1_sweep", "table2_pattern",
-                                    "sparse_recovery"])
+    p.add_argument("--id", choices=EXPERIMENT_IDS)
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--output-dir", default=".")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +43,8 @@ from .regression import (
     residuals,
     se_error,
 )
-from .sparse import SparseProblem, brute_force_subset, fit_sparse_mse, fit_sparse_se, support_accuracy
+from .sparse import (BRUTE_FORCE_GUARD, SparseProblem, brute_force_subset, fit_sparse_mse,
+                     fit_sparse_se, support_accuracy)
 
 EXPERIMENT_IDS = ("tables345", "fig1_sweep", "table2_pattern", "sparse_recovery")
 
@@ -496,8 +498,8 @@ def run_sparse_recovery(config: ExperimentConfig) -> ReportTable:
     exhaustive oracle when the enumeration guard allows it.
     """
     started = time.perf_counter()
-    import math as _math
-    oracle_ok = config.oracle_check and _math.comb(config.dimension, config.k_star) <= 10 ** 6
+    oracle_ok = (config.oracle_check
+                 and math.comb(config.dimension, config.k_star) <= BRUTE_FORCE_GUARD)
     columns = ["n", "min_accuracy", "avg_accuracy", "max_accuracy",
                "avg_time_s", "avg_gap", "max_oracle_diff"]
     rows, labels = [], []

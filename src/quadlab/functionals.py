@@ -47,15 +47,6 @@ class VarInterval:
 
 
 @dataclass(frozen=True)
-class ConfidenceLevel:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class BiasParam:
     """Scalar bias x with its positive/negative parts."""
 
@@ -89,8 +80,6 @@ class QuadrangleEval:
 
 
 def _alpha_of(alpha) -> float:
-    if isinstance(alpha, ConfidenceLevel):
-        return alpha.alpha
     a = float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")

@@ -2,7 +2,11 @@
 
 ``solve_lp`` runs a revised simplex with two-sided variable bounds and a
 deterministic pivot rule; ``solve_mip`` wraps it in best-first branch and
-bound over binary variables on one relaxed copy of the problem.  Problems
+bound over binary variables on one relaxed copy of the problem.  Its search
+loop, ``best_first``, owns the heap, the bound, the statuses, pruning and
+the node count, and an ``Incumbent`` holds the best solution offered; the
+caller gives only an ``expand(node)`` step.  The best-subset search in
+``quadlab.sparse`` runs on the same loop.  Problems
 are small to mid-sized by design: the basis inverse is kept dense.  A
 solve without a usable warm basis starts from the all-slack
 ``crash_basis(problem, ())``.
@@ -48,11 +52,12 @@ from .problem import (
     certify_objective,
 )
 from .simplex import crash_basis, crash_pool, solve_lp
-from .branch_bound import solve_mip
+from .branch_bound import Incumbent, best_first, relative_gap, solve_mip
 from .stacked import StackLimitError, StackSolution, solve_box_stack
 
 __all__ = [
     "OBJ_MATCH_TOL",
+    "Incumbent",
     "LpProblem",
     "LpSolution",
     "MipSolution",
@@ -60,9 +65,11 @@ __all__ = [
     "SingularBasisError",
     "StackLimitError",
     "StackSolution",
+    "best_first",
     "certify_objective",
     "crash_basis",
     "crash_pool",
+    "relative_gap",
     "solve_box_stack",
     "solve_lp",
     "solve_mip",

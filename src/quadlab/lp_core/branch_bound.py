@@ -1,16 +1,37 @@
-"""Best-first branch and bound over binary variables.
+"""Best-first search, and branch and bound over binary variables on it.
 
-A node is its binary bounds and its parent's basis.  Nodes enter a heap
-keyed by the LP bound of their parent (a valid lower bound for the
-subtree) and are solved on pop: the bounds go onto the one relaxed copy
-of the problem, which every solve shares, and the solve warm-starts from
-the parent basis.  Branching picks the most fractional binary, ties toward
-the lowest index.  A nearest-integer rounding heuristic at the root, or a
-caller supplied assignment, seeds the incumbent.
+``best_first`` is the one search loop of the library.  Its caller gives a
+root node with its bound, an ``Incumbent`` and an ``expand(node)``
+generator; the loop owns everything else:
 
-Wall-clock limits make results timing-dependent, so a deterministic
-``max_nodes`` budget is offered as the primary stopping rule for
-reproducible experiments; the time limit remains as a backstop.
+* the heap of (bound, counter, node), the counter breaking ties first-in
+  first-out;
+* the reported bound, max(bound so far, min(heap top, incumbent)), and
+  its history;
+* the statuses: ``optimal`` when the gap closes or the tree is exhausted,
+  ``feasible`` (or ``node_limit`` without an incumbent) on the node
+  budget, ``time_limit`` on a deadline taken when the loop starts;
+* pruning and the node count: a popped node, or a yielded child, whose
+  bound reaches the incumbent's value less PRUNE_TOL is dropped, and only
+  the popped nodes that are not dropped are counted.
+
+A child is checked against the incumbent as it is yielded, so a leaf that
+``expand`` offers first prunes the children it yields after it.  An offer
+replaces the incumbent only when it improves on it by more than
+IMPROVE_TOL.  Wall-clock limits make results timing-dependent, so a
+deterministic node budget is the primary stopping rule for reproducible
+runs; the deadline is a backstop.
+
+Two expands run on the loop.  ``solve_mip``'s is here: a node is its
+binary bounds and its parent's basis.  On pop, the bounds go onto the one
+relaxed copy of the problem, which every solve shares, and the solve
+warm-starts from the parent basis.  A node whose LP value reaches the
+incumbent is pruned; an integral point is offered; otherwise the most
+fractional binary (ties toward the lowest index) is fixed to 0 and to 1,
+and both children are yielded keyed by the node's LP value.  A
+nearest-integer rounding at the root, and a caller supplied assignment,
+seed the incumbent.  The other expand is the include/exclude subset
+search in ``quadlab.sparse``.
 """
 
 from __future__ import annotations
@@ -24,13 +45,85 @@ from .problem import LpError, LpProblem, MipSolution
 from .simplex import solve_lp
 
 INT_TOL = 1e-6
-PRUNE_TOL = 1e-10
+PRUNE_TOL = 1e-12
+IMPROVE_TOL = 1e-15
 
 
-def _gap(incumbent, bound):
-    if incumbent is None:
+def relative_gap(value, bound):
+    """|value - bound| / max(1, |value|), the reported gap; inf without a value."""
+    if value == np.inf:
         return np.inf
-    return abs(incumbent - bound) / max(1.0, abs(incumbent))
+    return abs(value - bound) / max(1.0, abs(value))
+
+
+class Incumbent:
+    """The best solution offered so far and its value; inf and None before any."""
+
+    __slots__ = ("value", "solution")
+
+    def __init__(self):
+        self.value = np.inf
+        self.solution = None
+
+    def offer(self, value, solution) -> None:
+        if value < self.value - IMPROVE_TOL:
+            self.value, self.solution = value, solution
+
+    def prunes(self, bound) -> bool:
+        """True when a node with this bound cannot improve on the incumbent."""
+        return bound >= self.value - PRUNE_TOL
+
+
+def best_first(root_bound, root, expand, incumbent: Incumbent, gap_tol: float,
+               max_nodes: int | None, time_limit_s: float) -> MipSolution:
+    """Run the best-first search described in the module docstring.
+
+    ``expand(node)`` yields (bound, child) pairs and may offer leaves to
+    ``incumbent`` on the way.  Returns the status, the incumbent (``x`` is
+    its solution, whatever the caller offered), the bound, the gap, the
+    node count, the bound history and, in ``message``, the open nodes at
+    exit.  An exhausted tree without an incumbent is ``infeasible``.
+    """
+    deadline = time.monotonic() + time_limit_s
+    counter = 0
+    heap = [(root_bound, counter, root)]
+    nodes = 0
+    bound = root_bound
+    history = [bound]
+    status = None
+    while heap:
+        bound = max(bound, min(heap[0][0], incumbent.value))
+        history.append(bound)
+        if relative_gap(incumbent.value, bound) <= gap_tol:
+            status = "optimal"
+            break
+        if max_nodes is not None and nodes >= max_nodes:
+            status = "feasible" if incumbent.solution is not None else "node_limit"
+            break
+        if time.monotonic() >= deadline:
+            status = "time_limit"
+            break
+        key, _, node = heapq.heappop(heap)
+        if incumbent.prunes(key):
+            continue
+        nodes += 1
+        for child_bound, child in expand(node):
+            if not incumbent.prunes(child_bound):
+                counter += 1
+                heapq.heappush(heap, (child_bound, counter, child))
+
+    if status is None:
+        # Search tree exhausted: the incumbent, if any, is optimal.
+        if incumbent.solution is None:
+            return MipSolution(status="infeasible", nodes=nodes, bound_history=history)
+        bound = max(bound, incumbent.value)
+        history.append(bound)
+        status = "optimal"
+    bound = min(bound, incumbent.value)
+    objective = None if incumbent.solution is None else incumbent.value
+    return MipSolution(status=status, x=incumbent.solution, objective=objective,
+                       bound=bound, gap=relative_gap(incumbent.value, bound), nodes=nodes,
+                       bound_history=history, message=f"{len(heap)} open nodes at exit")
 
 
 def solve_mip(
@@ -55,7 +148,6 @@ def solve_mip(
     binary_idx = np.nonzero(problem.is_binary)[0]
     if binary_idx.size == 0:
         raise LpError("solve_mip needs at least one binary variable")
-    start = time.monotonic()
     relaxed = problem.copy()
     relaxed.is_binary[:] = False
 
@@ -65,108 +157,49 @@ def solve_mip(
     if root.status not in ("optimal",):
         raise LpError(f"root relaxation ended with status {root.status}")
 
-    incumbent_x = None
-    incumbent_obj = None
+    incumbent = Incumbent()
     total_iters = root.iterations
 
-    def try_incumbent(x_obj):
-        nonlocal incumbent_x, incumbent_obj
-        x, obj = x_obj
-        if incumbent_obj is None or obj < incumbent_obj - 1e-12:
-            incumbent_x, incumbent_obj = x.copy(), obj
-
-    def fix_and_polish(binary_values) -> tuple | None:
+    def fix_and_polish(binary_values) -> None:
         nonlocal total_iters
         fixed = np.round(binary_values)
         relaxed.set_bounds(binary_idx, fixed, fixed)
         sol = solve_lp(relaxed)
         total_iters += sol.iterations
         if sol.status == "optimal":
-            return sol.x, sol.objective
-        return None
+            incumbent.offer(sol.objective, sol.x)
 
     if incumbent_hint is not None:
         hint = np.asarray(incumbent_hint, dtype=float)
         if hint.size != binary_idx.size:
             raise LpError("incumbent hint must hold one value per binary")
-        polished = fix_and_polish(hint)
-        if polished is not None:
-            try_incumbent(polished)
-    rounded = fix_and_polish(np.round(root.x[binary_idx]))
-    if rounded is not None:
-        try_incumbent(rounded)
+        fix_and_polish(hint)
+    fix_and_polish(np.round(root.x[binary_idx]))
 
-    # Heap entries: (parent bound, tiebreak counter, binary lower/upper, warm basis).
-    # A parent's LP value is a valid lower bound for its children, so the heap
-    # minimum (capped by the incumbent) is a valid global lower bound.
-    counter = 0
-    heap = [(root.objective, counter, problem.lower[binary_idx],
-             problem.upper[binary_idx], (root.basis, root.vstate))]
-    nodes = 0
-    reported_bound = root.objective
-    bound_history = [reported_bound]
-    status = None
-
-    while heap:
-        lb = heap[0][0]
-        if incumbent_obj is not None:
-            lb = min(lb, incumbent_obj)
-        reported_bound = max(reported_bound, lb)
-        bound_history.append(reported_bound)
-        if incumbent_obj is not None and _gap(incumbent_obj, reported_bound) <= gap_tol:
-            status = "optimal"
-            break
-        if max_nodes is not None and nodes >= max_nodes:
-            status = "feasible" if incumbent_obj is not None else "node_limit"
-            break
-        if time.monotonic() - start > time_limit_s:
-            status = "time_limit"
-            break
-
-        parent_bound, _, blo, bup, warm = heapq.heappop(heap)
-        if incumbent_obj is not None and parent_bound >= incumbent_obj - PRUNE_TOL:
-            continue
+    def expand(node):
+        nonlocal total_iters
+        blo, bup, warm = node
         relaxed.set_bounds(binary_idx, blo, bup)
         sol = solve_lp(relaxed, warm=warm)
-        nodes += 1
         total_iters += sol.iterations
         if sol.status == "infeasible":
-            continue
+            return
         if sol.status != "optimal":
             raise LpError(f"node relaxation ended with status {sol.status}")
-        if incumbent_obj is not None and sol.objective >= incumbent_obj - PRUNE_TOL:
-            continue
+        if incumbent.prunes(sol.objective):
+            return
         frac = np.minimum(sol.x[binary_idx], 1.0 - sol.x[binary_idx])
         if np.max(frac) <= INT_TOL:
-            try_incumbent((sol.x, sol.objective))
-            continue
+            incumbent.offer(sol.objective, sol.x)
+            return
         branch_pos = int(np.argmax(frac))
         for fixed_value in (0.0, 1.0):
             clo, cup = blo.copy(), bup.copy()
             clo[branch_pos] = cup[branch_pos] = fixed_value
-            counter += 1
-            heapq.heappush(heap, (sol.objective, counter, clo, cup, (sol.basis, sol.vstate)))
+            yield sol.objective, (clo, cup, (sol.basis, sol.vstate))
 
-    if status is None:
-        # Search tree exhausted: the incumbent, if any, is optimal.
-        if incumbent_obj is None:
-            return MipSolution(status="infeasible", nodes=nodes, iterations=total_iters,
-                               bound_history=bound_history)
-        reported_bound = max(reported_bound, incumbent_obj)
-        bound_history.append(reported_bound)
-        status = "optimal"
-
-    if incumbent_obj is not None:
-        reported_bound = min(reported_bound, incumbent_obj)
-    gap = _gap(incumbent_obj, reported_bound)
-    return MipSolution(
-        status=status,
-        x=incumbent_x,
-        objective=incumbent_obj,
-        bound=reported_bound,
-        gap=gap,
-        nodes=nodes,
-        iterations=total_iters,
-        bound_history=bound_history,
-        message=f"{len(heap)} open nodes at exit",
-    )
+    out = best_first(root.objective, (problem.lower[binary_idx], problem.upper[binary_idx],
+                                      (root.basis, root.vstate)),
+                     expand, incumbent, gap_tol, max_nodes, time_limit_s)
+    out.iterations = total_iters
+    return out

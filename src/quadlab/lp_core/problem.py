@@ -87,13 +87,14 @@ class LpProblem:
         """Bound variable ``j``: an int, a slice or an index array.
 
         The ends are scalars or arrays matching ``j``; ``None`` is infinite.
-        A NaN end is refused like an empty interval, and a refused call
+        A NaN end, or an interval holding no real number ([inf, inf] or
+        [-inf, -inf]), is refused like an empty interval, and a refused call
         changes nothing.
         """
         if isinstance(lo, _SCALAR_END) and isinstance(hi, _SCALAR_END):
             lo = -np.inf if lo is None else float(lo)
             hi = np.inf if hi is None else float(hi)
-            if lo <= hi:  # else the saved-ends path below refuses the call
+            if lo <= hi and lo < np.inf and hi > -np.inf:  # else refused below
                 self.lower[j] = lo
                 self.upper[j] = hi
                 return
@@ -107,8 +108,13 @@ class LpProblem:
             raise
 
     def _refuse_empty(self, j, lo, hi) -> None:
-        """Raise ``LpError`` naming the first variable of ``j`` whose [lo, hi] is empty or NaN."""
-        empty = np.flatnonzero(~(lo <= hi))
+        """Raise ``LpError`` naming the first variable of ``j`` whose [lo, hi] is empty or NaN.
+
+        [inf, inf] and [-inf, -inf] hold no real number, so they are empty too.
+        """
+        if (lo <= hi).all() and lo.max() < np.inf and hi.min() > -np.inf:
+            return
+        empty = np.flatnonzero(~(lo <= hi) | (lo == np.inf) | (hi == -np.inf))
         if empty.size:
             first = np.arange(self.num_vars)[j].reshape(-1)[empty[0]]
             raise LpError(f"empty or NaN bound interval for variable {first}")
@@ -175,8 +181,7 @@ class LpProblem:
     def validate(self) -> None:
         if not np.isfinite(self.objective).all():
             raise LpError("objective has non-finite entries")
-        if not (self.lower <= self.upper).all():
-            self._refuse_empty(slice(None), self.lower, self.upper)
+        self._refuse_empty(slice(None), self.lower, self.upper)
         if self.is_binary.any() and np.any(
                 self.is_binary & ((self.lower < -1e-12) | (self.upper > 1.0 + 1e-12))):
             raise LpError("binary variables must have bounds within [0, 1]")

@@ -73,7 +73,8 @@ def solve_box_stack(c, lo, hi, a) -> StackSolution:
     """Solve min c.u s.t. a[l] u = 0, lo <= u <= hi for every l of the stack.
 
     ``a`` is (L, k, n); ``c``, ``lo`` and ``hi`` are scalars or length-n
-    arrays shared by the stack, with finite lo < hi.
+    arrays shared by the stack, with finite lo < hi and lo <= 0 <= hi, so
+    u = 0 is feasible.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 3 or a.shape[2] < 1:
@@ -82,6 +83,8 @@ def solve_box_stack(c, lo, hi, a) -> StackSolution:
     c, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (c, lo, hi))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
         raise LpError("every column needs a finite box lo < hi")
+    if not (np.all(lo <= 0.0) and np.all(hi >= 0.0)):
+        raise LpError("every column's box must hold 0")
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
         raise LpError("costs and constraint entries must be finite")
     return _Stack(a, c, lo, hi).solve()

@@ -2,15 +2,17 @@
 
 One search, one cross-check and one oracle:
 
-* ``fit_sparse_se`` and ``fit_sparse_mse`` run the same best-first
-  include/exclude branch and bound.  A node's bound is the error minimized
-  over its included-plus-free columns with the excluded ones forced to zero
-  (valid because adding exclusions can only raise the minimum).  The
-  squared error reads it from one Gram matrix; the part-balancing error
-  from the compact dual of ``fit_se`` with the excluded columns' rows
-  freed, each node warm-started from its parent's basis; leaves are scored
-  alone.  Greedy forward selection under squared error seeds the
-  incumbent of both;
+* ``fit_sparse_se`` and ``fit_sparse_mse`` run the same include/exclude
+  branch and bound, an ``expand`` step on ``lp_core.best_first``, which
+  owns the heap, the bound, the statuses and the pruning.  A node's bound
+  is the error minimized over its included-plus-free columns with the
+  excluded ones forced to zero (valid because adding exclusions can only
+  raise the minimum).  The squared error reads it, and the branching
+  coefficients, from one Gram fit per node; the part-balancing error from
+  the compact dual of ``fit_se`` with the excluded columns' rows freed,
+  each node warm-started from its parent's basis; leaves are scored alone.
+  Greedy forward selection under squared error seeds the incumbent of
+  both;
 * ``fit_sparse_se_milp``: the paper's big-M mixed-binary LP for the
   part-balancing error, handed to the branch-and-bound layer with automatic
   big-M escalation when a coefficient presses against the box;
@@ -23,7 +25,6 @@ One search, one cross-check and one oracle:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import (OBJ_MATCH_TOL, LpError, StackLimitError, certify_objective,
-                      solve_box_stack, solve_mip)
+from .lp_core import (OBJ_MATCH_TOL, Incumbent, LpError, StackLimitError, best_first,
+                      certify_objective, relative_gap, solve_box_stack, solve_mip)
 from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_lp_problem
 
 BRUTE_FORCE_GUARD = 10 ** 6
@@ -207,7 +208,9 @@ class _GramSolver:
     """Least-squares objectives on arbitrary supports from one Gram matrix.
 
     It is also the squared-error oracle of the subset search, whose nodes
-    carry nothing: the part-balancing one is ``regression.SeSubsetOracle``.
+    carry their fit (eigenvectors and coordinates), so branching reads the
+    coefficients without refitting: the part-balancing oracle is
+    ``regression.SeSubsetOracle``.
     """
 
     def __init__(self, data: Dataset):
@@ -238,10 +241,13 @@ class _GramSolver:
         return v[0] @ coords[0]
 
     def relax(self, included, free, parent):
-        return self.objective(included + free), None
+        """The fit on in-plus-free: its error, and the fit itself as the node."""
+        v, coords, explained = _gram_fits(*self._blocks([included + free]), self.n)
+        return float(((self.yty - explained) / self.n)[0]), (v[0], coords[0])
 
     def branch_values(self, included, free, node):
-        return self.coefficients(included + free)[1 + len(included):]
+        v, coords = node
+        return (v @ coords)[1 + len(included):]
 
 
 def _gram_fits(g, h, n: int):
@@ -303,47 +309,22 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
     keeps the parent's column set, the exclude child drops the column.  A
     child with k columns in, or a node with at most k columns in reach, is
     a leaf scored by ``oracle.objective`` from its support alone, as in
-    leaps and bounds.  ``seed`` is the starting incumbent support.
+    leaps and bounds.  ``seed`` is the starting incumbent support.  The
+    loop, its statuses and its pruning are ``lp_core.best_first``'s.
     """
     data, k = problem.data, problem.k
     start = time.perf_counter()
-    incumbent_support, incumbent_obj = None, np.inf
+    incumbent = Incumbent()
 
     def score(leaf):
-        nonlocal incumbent_support, incumbent_obj
-        obj = oracle.objective(leaf)
-        if obj < incumbent_obj - 1e-15:
-            incumbent_support, incumbent_obj = leaf, obj
+        incumbent.offer(oracle.objective(leaf), leaf)
 
-    root_candidates = tuple(range(data.d))
-    root_bound, root = oracle.relax((), root_candidates, None)
-    score(seed)
-
-    counter = 0
-    heap = [(root_bound, 0, (), root_candidates, root)]
-    nodes = 0
-    best_bound = root_bound
-    status = None
-    while heap:
-        lb = min(heap[0][0], incumbent_obj)
-        best_bound = max(best_bound, lb)
-        if abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj)) <= problem.gap_tol:
-            status = "optimal"
-            break
-        if problem.max_nodes is not None and nodes >= problem.max_nodes:
-            status = "feasible"
-            break
-        if time.perf_counter() - start > problem.time_limit_s:
-            status = "time_limit"
-            break
-        bound, _, included, free, node = heapq.heappop(heap)
-        if bound >= incumbent_obj - 1e-12:
-            continue
-        nodes += 1
+    def expand(node):
+        included, free, state = node
         if len(included) + len(free) <= k:
             score(tuple(sorted(included + free)))
-            continue
-        branch_pos = int(np.argmax(np.abs(oracle.branch_values(included, free, node))))
+            return
+        branch_pos = int(np.argmax(np.abs(oracle.branch_values(included, free, state))))
         j = free[branch_pos]
         rest = free[:branch_pos] + free[branch_pos + 1:]
         for child_in, child_free in (((*included, j), rest), (included, rest)):
@@ -352,21 +333,20 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
             if len(child_in) == k:
                 score(tuple(sorted(child_in)))
                 continue
-            child_bound, child = oracle.relax(child_in, child_free, node)
-            if child_bound >= incumbent_obj - 1e-12:
-                continue
-            counter += 1
-            heapq.heappush(heap, (child_bound, counter, child_in, child_free, child))
-    if status is None:
-        best_bound = incumbent_obj
-        status = "optimal"
-    best_bound = min(best_bound, incumbent_obj)
+            child_bound, child = oracle.relax(child_in, child_free, state)
+            yield child_bound, (child_in, child_free, child)
 
-    model, support, objective = _sparse_model(data, incumbent_support, problem.error_kind)
-    bound = min(best_bound, objective)
-    gap = abs(objective - bound) / max(1.0, abs(objective))
+    root_candidates = tuple(range(data.d))
+    root_bound, root = oracle.relax((), root_candidates, None)
+    score(seed)
+    out = best_first(root_bound, ((), root_candidates, root), expand, incumbent,
+                     problem.gap_tol, problem.max_nodes, problem.time_limit_s)
+
+    model, support, objective = _sparse_model(data, incumbent.solution, problem.error_kind)
+    bound = min(out.bound, objective)
+    gap = relative_gap(objective, bound)
     return SparseSolution(model=model, support=support, objective=objective,
-                          bound=bound, gap=gap, status=status, nodes=nodes,
+                          bound=bound, gap=gap, status=out.status, nodes=out.nodes,
                           time_s=time.perf_counter() - start)
 
 
@@ -440,7 +420,7 @@ def fit_sparse_se_milp(problem: SparseProblem) -> SparseSolution:
                     if z[j] > 0.5 and abs(coeffs[j]) > ZERO_COEFF_TOL)
     model, support, objective = _sparse_model(data, support, "se")
     bound = min(mip.bound, objective)
-    gap = abs(objective - bound) / max(1.0, abs(objective))
+    gap = relative_gap(objective, bound)
     return SparseSolution(model=model, support=support, objective=objective,
                           bound=bound, gap=gap, status=mip.status,
                           nodes=mip.nodes, time_s=time.perf_counter() - start,

@@ -6,10 +6,12 @@ from scipy.optimize import linprog
 
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
 from quadlab.lp_core import (
+    Incumbent,
     LpError,
     LpProblem,
     SingularBasisError,
     StackLimitError,
+    best_first,
     certify_objective,
     crash_basis,
     solve_box_stack,
@@ -347,8 +349,10 @@ class TestSetBounds:
     @pytest.mark.parametrize("j, lo, hi", [
         (1, np.nan, 1.0), (-1, 3.0, 2.5), (np.int64(2), 1.0, 0.0),
         (slice(1, 4), 0.0, [1.0, np.nan, 1.0]), (np.array([3, 0]), [0.0, 5.0], 1.0),
-        ([0, 2], None, [1.0, np.nan]),
-    ], ids=["int NaN", "negative int", "numpy int", "slice", "index array", "list"])
+        ([0, 2], None, [1.0, np.nan]), (2, np.inf, None), (0, None, -np.inf),
+        (slice(0, 2), [-1.0, np.inf], np.inf), ([3], -np.inf, [-np.inf]),
+    ], ids=["int NaN", "negative int", "numpy int", "slice", "index array", "list",
+            "int +inf only", "int -inf only", "slice +inf only", "list -inf only"])
     def test_refused_call_changes_nothing(self, j, lo, hi):
         p = LpProblem(4)
         p.set_bounds(slice(None), [-1.0, 0.0, 0.5, -2.0], [1.0, 3.0, 0.5, 2.0])
@@ -378,10 +382,12 @@ class TestSetBounds:
         for kept, old in zip((p.lower, p.upper, p.is_binary), before):
             assert np.array_equal(kept, old)
 
-    @pytest.mark.parametrize("lo, hi", [(3.0, 1.0), (np.nan, 1.0), (0.0, np.nan)],
-                             ids=["empty", "NaN lower", "NaN upper"])
+    @pytest.mark.parametrize("lo, hi", [(3.0, 1.0), (np.nan, 1.0), (0.0, np.nan),
+                                        (np.inf, np.inf), (-np.inf, -np.inf)],
+                             ids=["empty", "NaN lower", "NaN upper", "+inf only", "-inf only"])
     def test_validate_refuses_bounds_written_directly(self, lo, hi):
-        # solve_lp returned "optimal" at x0 = 3 for [3, 1] and at x0 = 1 for [NaN, 1]
+        # solve_lp returned "optimal" at x0 = 3 for [3, 1] and at x0 = 1 for [NaN, 1];
+        # [inf, inf] and [-inf, -inf] warned of inf - inf and returned "unbounded"
         p = self._two_var_problem()
         p.lower[0], p.upper[0] = lo, hi
         for solve in (solve_lp, solve_mip):
@@ -1388,6 +1394,104 @@ class TestBoxStack:
     def test_rejects_empty_box(self):
         with pytest.raises(LpError, match="box"):
             solve_box_stack(1.0, 0.5, 0.5, np.ones((2, 1, 3)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-1.0, -0.5), ([-1.0, 0.5, -1.0], 1.0)],
+                             ids=["above 0", "below 0", "one column above 0"])
+    def test_rejects_a_box_without_zero(self, lo, hi):
+        # a row sum of at least 1.5 cannot be 0: phase 1 stalled into a breakdown
+        with pytest.raises(LpError, match="must hold 0"):
+            solve_box_stack(1.0, lo, hi, np.ones((2, 1, 3)))
+
+
+class TestBestFirst:
+    """The search loop on synthetic trees, with no LP involved."""
+
+    # node -> its expansion, in order: ("child", bound, name) is yielded and
+    # ("leaf", value, name) is offered to the incumbent
+    TREE = {"root": [("child", 1.0, "a"), ("child", 2.0, "b")],
+            "a": [("leaf", 3.0, "a1")],
+            "b": [("leaf", 2.5, "b1")]}
+
+    @staticmethod
+    def _search(tree, gap_tol=0.0, max_nodes=None, time_limit_s=60.0):
+        incumbent, expanded = Incumbent(), []
+
+        def expand(node):
+            expanded.append(node)
+            for kind, value, name in tree.get(node, ()):
+                if kind == "leaf":
+                    incumbent.offer(value, name)
+                else:
+                    yield value, name
+
+        out = best_first(0.0, "root", expand, incumbent, gap_tol, max_nodes, time_limit_s)
+        return out, expanded
+
+    def test_tree_exhausted(self):
+        out, expanded = self._search(self.TREE)
+        assert expanded == ["root", "a", "b"]
+        assert (out.status, out.x, out.objective, out.bound, out.gap, out.nodes) == \
+            ("optimal", "b1", 2.5, 2.5, 0.0, 3)
+        assert out.bound_history == [0.0, 0.0, 1.0, 2.0, 2.5]
+        assert out.message == "0 open nodes at exit"
+
+    def test_exhausted_without_incumbent_is_infeasible(self):
+        out, _ = self._search({"root": [("child", 1.0, "a")]})
+        assert (out.status, out.x, out.objective, out.nodes) == ("infeasible", None, None, 2)
+
+    def test_gap_closed(self):
+        # after a, the bound is min(b's 2, incumbent 3) = 2, a gap of 1/3
+        out, expanded = self._search(self.TREE, gap_tol=0.5)
+        assert expanded == ["root", "a"]
+        assert (out.status, out.x, out.bound, out.gap, out.nodes) == \
+            ("optimal", "a1", 2.0, (3.0 - 2.0) / 3.0, 2)
+        assert out.message == "1 open nodes at exit"
+
+    def test_node_budget_with_an_incumbent(self):
+        out, expanded = self._search(self.TREE, max_nodes=2)
+        assert expanded == ["root", "a"]
+        assert (out.status, out.x, out.objective, out.bound, out.nodes) == \
+            ("feasible", "a1", 3.0, 2.0, 2)
+
+    def test_node_budget_without_an_incumbent(self):
+        out, expanded = self._search(self.TREE, max_nodes=1)
+        assert expanded == ["root"]
+        assert (out.status, out.x, out.objective, out.bound, out.gap, out.nodes) == \
+            ("node_limit", None, None, 1.0, np.inf, 1)
+
+    def test_deadline_already_passed(self):
+        out, expanded = self._search(self.TREE, time_limit_s=0.0)
+        assert expanded == []
+        assert (out.status, out.objective, out.bound, out.nodes) == ("time_limit", None, 0.0, 0)
+        assert out.message == "1 open nodes at exit"
+
+    def test_pruned_pop_is_not_counted(self):
+        # b's bound is within the prune tolerance of a1, but not equal, so the
+        # gap stays open and b is popped, pruned and not counted
+        tree = {"root": [("child", 1.0, "a"), ("child", 1.5 - 1e-13, "b")],
+                "a": [("leaf", 1.5, "a1")],
+                "b": [("leaf", 0.0, "b1")]}
+        out, expanded = self._search(tree)
+        assert expanded == ["root", "a"]
+        assert (out.status, out.x, out.nodes) == ("optimal", "a1", 2)
+
+    def test_child_checked_when_yielded(self):
+        # c comes after the leaf that it cannot beat, and is not pushed; d
+        # came before the leaf, so it is pushed and is open at exit
+        tree = {"root": [("child", 1.2, "d"), ("leaf", 1.0, "leaf"), ("child", 1.2, "c")]}
+        out, expanded = self._search(tree)
+        assert expanded == ["root"]
+        assert (out.status, out.x, out.nodes) == ("optimal", "leaf", 1)
+        assert out.message == "1 open nodes at exit"
+
+    def test_offer_needs_a_strict_improvement(self):
+        incumbent = Incumbent()
+        assert (incumbent.value, incumbent.solution) == (np.inf, None)
+        incumbent.offer(1.0, "first")
+        incumbent.offer(1.0 - 1e-16, "tie")
+        assert (incumbent.value, incumbent.solution) == (1.0, "first")
+        incumbent.offer(0.5, "better")
+        assert (incumbent.value, incumbent.solution) == (0.5, "better")
 
 
 class TestSolveMip:
