@@ -16,27 +16,35 @@ warm-started from its parent.  The searches hash every ``MipSolution``
 field and every ``SparseSolution`` field except ``time_s``: knapsack MIPs
 that branch, three under a node budget (ending with an incumbent, without
 one, and with one from an incumbent hint), SE and MSE subset searches with
-and without a node budget, and one big-M MILP.
-One line per solve or search, then the total.
+and without a node budget, and one big-M MILP.  The box-LP stacks hash
+every ``StackSolution`` field: the part-balancing oracle of a d = 8 planted
+instance, a tied and a degenerate random stack, and a stack with no more
+columns than rows.
+One line per solve, search or stack, then the total.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 
 from quadlab import regression, sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
-from quadlab.lp_core import LpProblem, solve_lp, solve_mip
+from quadlab.lp_core import LpProblem, solve_box_stack, solve_lp, solve_mip
 from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
 
 
 def _update(h, value) -> None:
     """Hash dataclass fields (``time_s`` aside) by name, array bytes, exact floats, lists."""
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
+        for name, item in zip(value._fields, value):
+            h.update(name.encode())
+            _update(h, item)
+    elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             if f.name != "time_s":
                 h.update(f.name.encode())
@@ -150,15 +158,41 @@ def _searches():
     yield "big-M milp", sparse.fit_sparse_se_milp(sparse.SparseProblem(data, k=2))
 
 
+def _stacks():
+    ss = np.random.SeedSequence(3)
+    s_x, s_e = ss.spawn(2)
+    x = sample_correlated_design(DesignSpec(8, 0.9), 100, s_x)
+    y = x[:, 1] - x[:, 4] + x[:, 7] + np.random.default_rng(s_e).standard_normal(100)
+    # the oracle's centred-LAD duals of every size-3 support, as in sparse._se_objectives
+    xt = (x - x.mean(axis=0)).T
+    combos = np.array(list(itertools.combinations(range(8), 3)))
+    yield "stack se-oracle d=8 k=3", solve_box_stack(y.mean() - y, -0.005, 0.005, xt[combos])
+    rng = np.random.default_rng(11)
+    a = rng.integers(-1, 2, size=(12, 3, 20)).astype(float)
+    c = rng.integers(-2, 3, size=20).astype(float)
+    yield "stack tied", solve_box_stack(c, -1.0, 1.0, a)
+    a = rng.standard_normal((12, 3, 20))
+    a[:, 2] = a[:, 0]  # a repeated row
+    a[1::2, 1] = 0.0  # and an all-zero row
+    yield "stack degenerate", solve_box_stack(a[0].T @ rng.standard_normal(3), -0.5, 0.5, a)
+    yield "stack n <= k", solve_box_stack(rng.standard_normal(3), -1.0, 1.0,
+                                          rng.standard_normal((6, 4, 3)))
+
+
 def main() -> None:
     total = hashlib.sha256()
     for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation,
-                   _mips, _searches):
+                   _mips, _searches, _stacks):
         for name, sol in source():
             digest = _digest(sol)
             total.update(digest.encode())
-            done = getattr(sol, "phase_iterations", None) or f"{sol.nodes} nodes"
-            print(f"{name}: {sol.status} {done} {digest}")
+            if hasattr(sol, "crashed"):  # a StackSolution
+                done = (f"{sol.iterations.size} LPs, {int(sol.iterations.sum())} steps, "
+                        f"{int(sol.crashed.sum())} crashed")
+            else:
+                steps = getattr(sol, "phase_iterations", None) or f"{sol.nodes} nodes"
+                done = f"{sol.status} {steps}"
+            print(f"{name}: {done} {digest}")
     print(f"total: {total.hexdigest()}")
 
 

@@ -34,12 +34,20 @@ such dual and frees the rows of excluded columns with
 ``LpProblem.set_relation``; an optimal basis stays primal feasible when
 rows are freed, so each child relaxation warm-starts into phase 2.
 
-``solve_box_stack`` is the same bounded simplex written over a stack of
-same-shape LPs, min c.u s.t. A_l u = 0, lo <= u <= hi with c, lo and hi
-shared: each numpy step advances every unfinished LP by one pivot or bound
-flip, and its ratio test breaks ties with ``simplex.leaving_row``, as
-``solve_lp``'s does.  It exists for the exhaustive best-subset oracle, whose C(d, k)
-centred-LAD duals (one per support) have exactly that shape.
+``solve_box_stack`` solves a stack of same-shape LPs, min c.u s.t.
+A_l u = 0, lo <= u <= hi with c, lo and hi shared, by the bound-flipping
+dual of ``solve_lp``'s dual phase written over the stack: each numpy step
+advances every unfinished LP by one long step.  Each LP starts from a
+crash basis of the k columns with the smallest least-squares reduced
+costs (the slack basis where that basis is singular, ill-conditioned or
+impossible), with every nonbasic column at the bound its reduced cost
+prefers, so the start is dual feasible.  Phase-2 pricing certifies each
+LP once it is primal feasible, and primal steps, with ties broken by
+``simplex.leaving_row``, finish any LP that fails it.  A dual step that
+breaks down raises ``StackStallError`` and the iteration cap
+``StackLimitError``, both ``StackError``s naming the LP's stack position.
+It exists for the exhaustive best-subset oracle, whose C(d, k) centred-LAD
+duals (one per support) have exactly that shape.
 """
 
 from .problem import (
@@ -53,7 +61,7 @@ from .problem import (
 )
 from .simplex import crash_basis, crash_pool, solve_lp
 from .branch_bound import Incumbent, best_first, relative_gap, solve_mip
-from .stacked import StackLimitError, StackSolution, solve_box_stack
+from .stacked import StackError, StackLimitError, StackSolution, StackStallError, solve_box_stack
 
 __all__ = [
     "OBJ_MATCH_TOL",
@@ -63,8 +71,10 @@ __all__ = [
     "MipSolution",
     "LpError",
     "SingularBasisError",
+    "StackError",
     "StackLimitError",
     "StackSolution",
+    "StackStallError",
     "best_first",
     "certify_objective",
     "crash_basis",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import (OBJ_MATCH_TOL, Incumbent, LpError, StackLimitError, best_first,
+from .lp_core import (OBJ_MATCH_TOL, Incumbent, LpError, StackError, best_first,
                       certify_objective, relative_gap, solve_box_stack, solve_mip)
 from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_lp_problem
 
@@ -175,20 +175,27 @@ def _se_objectives(data: Dataset, k: int) -> np.ndarray:
     recentres: SE(S) = 1/2 min_c mean|y~ - X~_S c| on centred data y~, X~.
     That intercept-free L1 fit has the dual max y~.u s.t. X~_S^T u = 0,
     |u_i| <= 1/(2n), with k rows whose duals are the negated coefficients.
-    Each chunk of supports is one ``solve_box_stack`` call, and each value
-    is certified: it must equal 1/2 mean|y~ - X~_S beta| with beta read off
-    the support's row duals, within ``OBJ_MATCH_TOL``.
+    Each chunk of supports is one ``solve_box_stack`` call: every dual
+    starts from the basis of the k observations with the smallest
+    least-squares residuals of its support (those a least-absolute-deviation
+    fit tends to interpolate), and a bound-flipping dual simplex takes it
+    from there.  A stack error (a dual step that broke down, or the
+    iteration cap) names the support.  Each value is certified: it must
+    equal 1/2 mean|y~ - X~_S beta| with beta read off the support's row
+    duals, within ``OBJ_MATCH_TOL``.
     """
     y = data.response - data.response.mean()
     xt = (data.design - data.design.mean(axis=0)).T
     half_n = 0.5 / data.n
     out = []
-    # per support: its k x n rows plus about eight length-n work arrays
-    for chunk in _combination_chunks(data.d, k, 8 * data.n * (k + 8)):
+    # per support: its k x n rows, the stack's compacted copy of them and at
+    # most seven length-n work arrays (solve_box_stack peaks at 4.2-6.8 of
+    # them beyond the copy for k = 1, 3 and 6 at n = 1,000 and 10,000)
+    for chunk in _combination_chunks(data.d, k, 8 * data.n * (2 * k + 7)):
         a = xt[chunk]
         try:
             sol = solve_box_stack(-y, -half_n, half_n, a)
-        except StackLimitError as exc:
+        except StackError as exc:
             raise LpError(f"oracle LP of support {tuple(chunk[exc.index].tolist())}: "
                           f"{exc}") from exc
         value = -sol.objective

@@ -11,6 +11,7 @@ from quadlab.lp_core import (
     LpProblem,
     SingularBasisError,
     StackLimitError,
+    StackStallError,
     best_first,
     certify_objective,
     crash_basis,
@@ -1398,9 +1399,128 @@ class TestBoxStack:
     @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (-1.0, -0.5), ([-1.0, 0.5, -1.0], 1.0)],
                              ids=["above 0", "below 0", "one column above 0"])
     def test_rejects_a_box_without_zero(self, lo, hi):
-        # a row sum of at least 1.5 cannot be 0: phase 1 stalled into a breakdown
+        # a row sum of at least 1.5 cannot be 0: the dual's slope would never turn
         with pytest.raises(LpError, match="must hold 0"):
             solve_box_stack(1.0, lo, hi, np.ones((2, 1, 3)))
+
+    @pytest.mark.parametrize("name", ["empty stack", "no rows", "(2, 3, 2)", "(1, 4, 1)",
+                                      "constant design column", "duplicated columns"])
+    def test_edge_shapes_match_highs(self, name):
+        rng = np.random.default_rng(8)
+        shape = {"empty stack": (0, 3, 5), "no rows": (3, 0, 5), "(2, 3, 2)": (2, 3, 2),
+                 "(1, 4, 1)": (1, 4, 1)}.get(name, (6, 3, 14))
+        a = rng.standard_normal(shape)
+        if name == "constant design column":
+            # the oracle's stack of centred supports; column 0 is constant, so
+            # every support holding it has an all-zero row
+            x = rng.standard_normal((14, 4))
+            x[:, 0] = 2.5
+            a = (x - x.mean(axis=0)).T[list(itertools.combinations(range(4), 3))]
+            assert not np.any(a[:3, 0])
+        elif name == "duplicated columns":
+            a[:, :, 7] = a[:, :, 3]
+            a[:, :, 11] = a[:, :, 3]
+        n = a.shape[2]
+        c = rng.standard_normal(n)
+        lo, hi = -rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+        sol = solve_box_stack(c, lo, hi, a)
+        assert sol.objective.shape == (a.shape[0],) and sol.duals.shape == a.shape[:2]
+        for l in range(a.shape[0]):
+            rows = {"A_eq": a[l], "b_eq": np.zeros(a.shape[1])} if a.shape[1] else {}
+            ref = highs_objective(c, bounds=list(zip(lo, hi)), **rows)
+            assert sol.objective[l] == pytest.approx(ref, abs=1e-12)
+            reduced = c - sol.duals[l] @ a[l]
+            bound = np.minimum(lo * reduced, hi * reduced).sum()
+            assert bound == pytest.approx(sol.objective[l], abs=1e-12)
+
+    def test_only_zero_feasible(self, rng):
+        # With independent columns, u = 0 is the only feasible point, and the
+        # dual slope reaches exactly zero at its last breakpoint, up to rounding.
+        for _ in range(40):
+            n = int(rng.integers(1, 3))
+            a = rng.standard_normal((8, 3, n))
+            a[:, 2] = a[:, 0]
+            lo = np.where(rng.random(n) < 0.5, 0.0, -rng.uniform(0.1, 1.0, n))
+            sol = solve_box_stack(rng.standard_normal(n), lo, rng.uniform(0.1, 1.0, n), a)
+            assert np.abs(sol.objective).max() <= 1e-12
+
+    def test_counts_crash_fallbacks_on_a_degenerate_stack(self, rng):
+        # LPs 1 and 2 have dependent rows, so every crash basis of theirs is
+        # singular, and with fewer columns than rows no crash basis exists
+        wide = rng.standard_normal((4, 3, 15))
+        wide[1, 2] = wide[1, 0]
+        wide[2, 1] = 0.0
+        narrow = rng.standard_normal((2, 4, 3))
+        for a, crashed in ((wide, [True, False, False, True]), (narrow, [False, False])):
+            k, n = a.shape[1:]
+            c = rng.standard_normal(n)
+            sol = solve_box_stack(c, -0.5, 0.5, a)
+            assert sol.crashed.tolist() == crashed
+            for l in range(a.shape[0]):
+                ref = highs_objective(c, A_eq=a[l], b_eq=np.zeros(k), bounds=[(-0.5, 0.5)] * n)
+                assert sol.objective[l] == pytest.approx(ref, abs=1e-12)
+
+    def test_phase2_pass_finishes_a_dual_infeasible_lp(self, rng, monkeypatch):
+        # The snap is the only place dual feasibility comes from.  Reverse it,
+        # and the dual phase ends on a primal feasible basis whose reduced
+        # costs are wrong: phase-2 pricing must catch that and pivot on.
+        reduced_costs = stacked._Stack._reduced_costs
+        calls, primal_steps = [], []
+
+        def reversed_snap(stack):
+            d = reduced_costs(stack)
+            calls.append(None)
+            return -d if len(calls) == 1 else d
+
+        primal_step = stacked._Stack._primal_step
+
+        def counted(stack, sel, j, d):
+            primal_steps.append(j.size)
+            primal_step(stack, sel, j, d)
+
+        monkeypatch.setattr(stacked._Stack, "_reduced_costs", reversed_snap)
+        monkeypatch.setattr(stacked._Stack, "_primal_step", counted)
+        a = rng.standard_normal((1, 3, 20))
+        c = rng.standard_normal(20)
+        sol = solve_box_stack(c, -1.0, 1.0, a)
+        assert primal_steps
+        ref = highs_objective(c, A_eq=a[0], b_eq=np.zeros(3), bounds=[(-1.0, 1.0)] * 20)
+        assert sol.objective[0] == pytest.approx(ref, abs=1e-12)
+        reduced = c - sol.duals[0] @ a[0]
+        assert -np.abs(reduced).sum() == pytest.approx(sol.objective[0], abs=1e-12)
+
+    def test_stalls_raise_a_typed_error(self, rng, monkeypatch):
+        a = rng.standard_normal((3, 3, 40))
+        c = rng.standard_normal(40)
+        assert solve_box_stack(c, -1.0, 1.0, a).iterations.min() > 0  # no crash is optimal
+
+        def stalled(match):
+            with pytest.raises(StackStallError, match=match) as info:
+                solve_box_stack(c, -1.0, 1.0, a)
+            assert isinstance(info.value, LpError) and info.value.index == 0
+            monkeypatch.undo()
+
+        monkeypatch.setattr(stacked, "PIVOT_TOL", np.inf)
+        stalled("no column is eligible")
+
+        init = stacked._Stack.__init__
+
+        def shrunk_boxes(stack, *args):
+            init(stack, *args)
+            stack.span = stack.span * 1e-30  # no crossing can turn the slope
+
+        monkeypatch.setattr(stacked._Stack, "__init__", shrunk_boxes)
+        stalled("slope never turns")
+
+        walk = stacked._Stack._ratio_walk
+
+        def lost_inverse(stack, sel, ratio, pull, slope, a, binv, state, xb):
+            enter = walk(stack, sel, ratio, pull, slope, a, binv, state, xb)
+            binv[...] = 0.0
+            return enter
+
+        monkeypatch.setattr(stacked._Stack, "_ratio_walk", lost_inverse)
+        stalled("vanishing pivot")
 
 
 class TestBestFirst:

@@ -6,7 +6,7 @@ import pytest
 
 from quadlab import sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
-from quadlab.lp_core import LpError, stacked
+from quadlab.lp_core import LpError, solve_box_stack, stacked
 from quadlab.regression import Dataset, LinearModel, fit_ols, fit_se
 from quadlab.sparse import (
     SparseProblem,
@@ -343,7 +343,7 @@ class TestStackedOracle:
         for name, data, k in _oracle_instances(rng):
             whole = (_se_objectives(data, k), _mse_objectives(data, k))
             winners = [brute_force_subset(data, k, kind) for kind in ("se", "mse")]
-            for budget in (1, 7 * 8 * data.n * (k + 8)):
+            for budget in (1, 7 * 8 * data.n * (2 * k + 7)):
                 monkeypatch.setattr(sparse, "STACK_BYTES", budget)
                 assert np.array_equal(_se_objectives(data, k), whole[0]), name
                 assert np.array_equal(_mse_objectives(data, k), whole[1]), name
@@ -395,6 +395,23 @@ class TestStackedOracle:
         monkeypatch.setattr(stacked, "ITERATIONS_PER_VARIABLE", 0)
         with pytest.raises(LpError, match=r"support \(0, 1\).*iteration cap"):
             brute_force_subset(data, 2, "se")
+
+    def test_dual_stall_names_the_support(self, rng, monkeypatch):
+        data, _ = planted_instance(rng, d=6, k=2, noise=1.0)
+        monkeypatch.setattr(stacked, "PIVOT_TOL", np.inf)  # no column can enter
+        with pytest.raises(LpError, match=r"support \(0, 1\).*no column is eligible"):
+            brute_force_subset(data, 2, "se")
+
+    def test_crash_cuts_the_slowest_lp(self):
+        # from the slack basis, the slowest LP of these stacks took 26, 29 and 30 steps
+        for seed, slack_start in zip(range(3), (26, 29, 30)):
+            data = _recovery_replication(7100 + seed)
+            y = data.response - data.response.mean()
+            xt = (data.design - data.design.mean(axis=0)).T
+            a = xt[list(itertools.combinations(range(data.d), 3))]
+            sol = solve_box_stack(-y, -0.5 / data.n, 0.5 / data.n, a)
+            assert sol.crashed.all()
+            assert sol.iterations.max() <= slack_start // 3
 
     def test_certificate_miss_raises(self, rng, monkeypatch):
         data, _ = planted_instance(rng, d=6, k=2, noise=1.0)
