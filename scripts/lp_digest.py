@@ -19,8 +19,10 @@ one, and with one from an incumbent hint), SE and MSE subset searches with
 and without a node budget, and one big-M MILP.  The box-LP stacks hash
 every ``StackSolution`` field: the part-balancing oracle of a d = 8 planted
 instance, a tied and a degenerate random stack, and a stack with no more
-columns than rows.
-One line per solve, search or stack, then the total.
+columns than rows.  One equivalence sweep per sign policy hashes every row
+field, phase iterations and bound flips included; each sweep re-solves its
+problem's two cached duals from point to point.
+One line per solve, search, stack or sweep, then the total.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import numpy as np
 
 from quadlab import regression, sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
-from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
+from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns
 from quadlab.lp_core import LpProblem, solve_box_stack, solve_lp, solve_mip
-from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
+from quadlab.portfolio import (PortfolioProblem, equivalence_sweep, optimize_cvar_dev,
+                               optimize_se_dev)
 
 
 def _update(h, value) -> None:
@@ -56,6 +59,10 @@ def _update(h, value) -> None:
     elif isinstance(value, list):
         h.update(f"list {len(value)}".encode())
         for item in value:
+            _update(h, item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            h.update(f"{key}".encode())
             _update(h, item)
     else:
         h.update(repr(value).encode())
@@ -83,6 +90,15 @@ def _portfolio_duals():
     problem = PortfolioProblem(four_asset_returns(2000, 5), FOUR_ASSET_TARGET_MEAN)
     yield "portfolio se x=0.002", optimize_se_dev(problem, 0.002).lp
     yield "portfolio cvar alpha=0.9", optimize_cvar_dev(problem, 0.9).lp
+
+
+def _sweeps():
+    returns = four_asset_returns(2000, 5)
+    grid = ExperimentConfig(experiment="fig1_sweep").x_grid
+    # long-only, a target above all but one asset mean leaves some weights idle
+    for long_only, mu in ((False, FOUR_ASSET_TARGET_MEAN),
+                          (True, float(np.sort(returns.mean(axis=0))[-2]))):
+        yield f"sweep long_only={long_only}", equivalence_sweep(returns, mu, grid, long_only)
 
 
 def _phase1_start():
@@ -182,11 +198,15 @@ def _stacks():
 def main() -> None:
     total = hashlib.sha256()
     for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation,
-                   _mips, _searches, _stacks):
+                   _mips, _searches, _stacks, _sweeps):
         for name, sol in source():
             digest = _digest(sol)
             total.update(digest.encode())
-            if hasattr(sol, "crashed"):  # a StackSolution
+            if isinstance(sol, list):  # equivalence_sweep rows
+                phases = tuple(np.sum([row["lp_phase_iterations"] for row in sol], axis=0).tolist())
+                errors = sum(bool(row["error"]) for row in sol)
+                done = f"{len(sol)} points, {errors} errors, {phases}"
+            elif hasattr(sol, "crashed"):  # a StackSolution
                 done = (f"{sol.iterations.size} LPs, {int(sol.iterations.sum())} steps, "
                         f"{int(sol.crashed.sum())} crashed")
             else:

@@ -53,10 +53,12 @@ bound-flipping (long-step) ratio test restores primal feasibility: the
 leaving row is the largest bound violation (lowest row on ties), and one
 iteration crosses every breakpoint the dual slope allows, flipping those
 columns between their bounds in a single update of the basic values.
-Phases 1 and 2 then run as from any start, so phase 2's pricing still
-certifies optimality; when the dual phase stalls (no eligible column for a
-violated row, a vanishing pivot, or a watchdog on steps that do not move
-the duals) it restores the caller's start and phase 1 takes over.
+Phase 2 then runs as from any start, so its pricing still certifies
+optimality.  Phase 1 runs only when the dual phase did not end feasible:
+after one that did, phase 1's first check would pass.  When the dual phase
+stalls (no eligible column for a violated row, a vanishing pivot, or a
+watchdog on steps that do not move the duals) it restores the caller's
+start and phase 1 takes over.
 Primal-feasible starts skip it and keep their pivot sequences.
 
 Pivot selection is fully deterministic: ties break toward the lowest
@@ -659,9 +661,10 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     started = warm is not None and s.warm_start(*warm)
     if not started:  # every state snaps to its column's default: crash_basis(problem, ())
         s.warm_start(np.arange(s.n, s.N), np.full(s.N, FREE_ZERO, dtype=np.int8))
-    s.dual_phase(max_iterations)
+    status = s.dual_phase(max_iterations)
     dual = s.iterations
-    status = s.phase1(max_iterations)
+    if status != "feasible":  # phase 1 would stop at its first check
+        status = s.phase1(max_iterations)
     primal = s.iterations
     if status == "feasible":
         status = s.phase2(max_iterations)

@@ -12,6 +12,7 @@ re-evaluates the deviation exactly on the induced loss sample as a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,14 +31,22 @@ class InfeasibleTarget(LpError):
 
 @dataclass(frozen=True)
 class PortfolioProblem:
-    """Scenario return matrix (n x m), target mean, and sign policy."""
+    """Scenario return matrix (n x m), target mean, and sign policy.
+
+    The constructor stores a read-only copy of ``returns``, so the caller's
+    array stays writable and later writes to it do not reach the problem.
+    That is what makes the cached ``mean_returns`` and scenario duals safe
+    to reuse.  Each solve rewrites a dual's objective and scenario bounds,
+    so one problem must not be solved from two threads at once.
+    """
 
     returns: np.ndarray
     target_mean: float
     long_only: bool = False
 
     def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
+        r = np.array(self.returns, dtype=float)
+        r.flags.writeable = False
         object.__setattr__(self, "returns", r)
         if r.ndim != 2 or r.shape[0] < 1 or r.shape[1] < 2:
             raise ValueError("returns must be n x m with m >= 2")
@@ -53,6 +62,38 @@ class PortfolioProblem:
     @property
     def m(self) -> int:
         return self.returns.shape[1]
+
+    @cached_property
+    def mean_returns(self) -> np.ndarray:
+        """Each asset's mean return over the scenarios; read-only, built on first use."""
+        rbar = self.returns.mean(axis=0)
+        rbar.flags.writeable = False
+        return rbar
+
+    @cached_property
+    def se_dual(self) -> LpProblem:
+        """Rows of the part-balancing dual (see ``_solve_scenario_dual``), built on first use."""
+        return self._scenario_dual(self.returns - self.mean_returns, np.zeros(self.m))
+
+    @cached_property
+    def cvar_dual(self) -> LpProblem:
+        """Rows of the tail-average dual (see ``_solve_scenario_dual``), built on first use."""
+        return self._scenario_dual(self.returns, self.mean_returns, sum_to_one=True)
+
+    def _scenario_dual(self, asset_cols, asset_rhs, sum_to_one: bool = False) -> LpProblem:
+        """A scenario dual's rows; each solve writes its objective and scenario bounds.
+
+        Each asset contributes a row (its ``asset_cols`` column, 1, its mean
+        return), an inequality under the long-only policy; ``sum_to_one``
+        prepends a row making the scenario multipliers sum to one.
+        """
+        n, m = self.n, self.m
+        lp = LpProblem(n + 2)
+        if sum_to_one:
+            lp.add_row(np.concatenate((np.ones(n), [0.0, 0.0])), "=", 1.0)
+        lp.add_rows(np.column_stack((asset_cols.T, np.ones(m), self.mean_returns)),
+                    "<=" if self.long_only else "=", asset_rhs)
+        return lp
 
 
 @dataclass(frozen=True)
@@ -91,7 +132,7 @@ def cvar_deviation_of(losses: EmpiricalSample, alpha) -> float:
 def default_start(problem: PortfolioProblem) -> np.ndarray:
     """Weights of the lowest- and highest-mean assets alone that meet the
     budget and the target mean; equal means put all weight on asset 0."""
-    rbar = problem.returns.mean(axis=0)
+    rbar = problem.mean_returns
     lo, hi = int(np.argmin(rbar)), int(np.argmax(rbar))
     share = (problem.target_mean - rbar[lo]) / (rbar[hi] - rbar[lo]) if lo != hi else 0.0
     weights = np.zeros(problem.m)
@@ -122,29 +163,23 @@ def scenario_crash(problem: PortfolioProblem, weights, threshold: float,
     return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
 
 
-def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols,
-                         asset_rhs, start, threshold: float, sum_to_one: bool = False):
+def _solve_scenario_dual(problem: PortfolioProblem, cost: float, cap: float, start,
+                         threshold: float, sum_to_one: bool = False):
     """Solve the bounded-column dual both objectives share.
 
     Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
     then the free budget-row and target-mean-row multipliers (columns n and
-    n + 1).  Each asset contributes a row (its ``asset_cols`` column, 1, its
-    mean return), an inequality under the long-only policy; ``sum_to_one``
-    prepends a row making the scenario multipliers sum to one.  The start
-    is ``scenario_crash(problem, start, threshold, sum_to_one)``.  Returns
-    the LP solution, the weights read off the asset-row multipliers, and
-    the validated loss sample.
+    n + 1).  The rows are the problem's cached ``cvar_dual`` when
+    ``sum_to_one``, else its ``se_dual``; every solve rewrites the whole
+    objective and every scenario bound, so nothing carries over from an
+    earlier one.  The start is ``scenario_crash(problem, start, threshold,
+    sum_to_one)``.  Returns the LP solution, the weights read off the
+    asset-row multipliers, and the validated loss sample.
     """
-    r = problem.returns
     n, m = problem.n, problem.m
-    rbar = r.mean(axis=0)
-    lp = LpProblem(n + 2)
-    lp.set_objective(np.concatenate((cost, [-1.0, -problem.target_mean])))
+    lp = problem.cvar_dual if sum_to_one else problem.se_dual
+    lp.set_objective(np.concatenate((np.full(n, cost), [-1.0, -problem.target_mean])))
     lp.set_bounds(slice(0, n), 0.0, cap)
-    if sum_to_one:
-        lp.add_row(np.concatenate((np.ones(n), [0.0, 0.0])), "=", 1.0)
-    lp.add_rows(np.column_stack((asset_cols.T, np.ones(m), rbar)),
-                "<=" if problem.long_only else "=", asset_rhs)
     crash = crash_basis(lp, *scenario_crash(problem, start, threshold, sum_to_one))
     sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":
@@ -152,7 +187,7 @@ def _solve_scenario_dual(problem: PortfolioProblem, cost, cap: float, asset_cols
     if sol.status != "optimal":
         raise LpError(f"portfolio LP ended with status {sol.status}")
     weights = -sol.duals[-m:]
-    losses = _loss_sample(r, weights)
+    losses = _loss_sample(problem.returns, weights)
     _validate(problem, weights, losses)
     return sol, weights, losses
 
@@ -166,12 +201,9 @@ def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSoluti
     guess ``start`` (else ``default_start``) at the threshold x + E[X].
     """
     b = _bias_of(x)
-    r = problem.returns
-    rbar = r.mean(axis=0)
     start = default_start(problem) if start is None else start
     sol, weights, losses = _solve_scenario_dual(
-        problem, np.full(problem.n, b.x), 1.0 / problem.n, r - rbar, np.zeros(problem.m),
-        start, b.x - float(rbar @ start))
+        problem, b.x, 1.0 / problem.n, start, b.x - float(problem.mean_returns @ start))
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
     return PortfolioSolution(weights, losses, deviation, map_x_to_alpha(losses, b), sol)
@@ -191,10 +223,9 @@ def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> Portfolio
 
 def _optimize_cvar(problem: PortfolioProblem, alpha, start, start_losses: EmpiricalSample):
     a = _alpha_open(alpha)
-    r = problem.returns
     sol, weights, losses = _solve_scenario_dual(
-        problem, np.zeros(problem.n), 1.0 / ((1.0 - a) * problem.n), r, r.mean(axis=0),
-        start, var(start_losses, a).lower, sum_to_one=True)
+        problem, 0.0, 1.0 / ((1.0 - a) * problem.n), start, var(start_losses, a).lower,
+        sum_to_one=True)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
     # CDF jump interval at the loss quantile; it brackets alpha.
@@ -234,14 +265,15 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     ``cvar_iterations``, whether it started from its crash
     (``cvar_warm_used``), and whether it returned the part-balancing weights
     to within ``BUDGET_TOL`` (``cvar_kept_se_weights``), where the
-    part-balancing cross-gap compares a portfolio with itself.  The
-    point's two solves add up their ``LpSolution.phase_iterations`` in
-    ``lp_phase_iterations`` and their ``bound_flips`` in ``lp_bound_flips``.
+    part-balancing cross-gap compares a portfolio with itself.  Every point
+    re-solves the problem's two cached duals.  The point's two solves add
+    up their ``LpSolution.phase_iterations`` in ``lp_phase_iterations`` and
+    their ``bound_flips`` in ``lp_bound_flips``.
     """
     x_grid = list(x_grid)
     if not x_grid:
         raise ValueError("x grid must be nonempty")
-    problem = PortfolioProblem(np.asarray(returns, dtype=float), target_mean, long_only)
+    problem = PortfolioProblem(returns, target_mean, long_only)
     rows = []
     start = None
     for x in x_grid:

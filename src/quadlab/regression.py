@@ -269,12 +269,15 @@ class SeSubsetOracle:
     own column set; ``branch_values`` reads the fitted coefficients of the
     free columns off the node's row duals.  ``objective`` is ``fit_se`` on
     the leaf's columns: from a parent of up to d columns it would cost more.
+    ``leaf_fit`` keeps each leaf's fit by its sorted support, so neither a
+    leaf scored twice nor the incumbent's final model costs a second fit.
     """
 
     def __init__(self, data: Dataset):
         half_n = 0.5 / data.n
         self.problem, self.crash = _dual_problem(data, -half_n, half_n, 0.5)
         self.data = data
+        self._leaf_fits: dict[tuple[int, ...], LinearModel] = {}
 
     def _node(self, columns, parent):
         key = tuple(sorted(columns))
@@ -294,7 +297,16 @@ class SeSubsetOracle:
         return -node[2].duals[1 + np.asarray(free, dtype=np.intp)]
 
     def objective(self, support) -> float:
-        return fit_se(Dataset(self.data.design[:, list(support)], self.data.response)).objective
+        return self.leaf_fit(support).objective
+
+    def leaf_fit(self, support) -> LinearModel:
+        """``fit_se`` on the columns of ``support`` in ascending order, fit once per support."""
+        key = tuple(sorted(support))
+        fit = self._leaf_fits.get(key)
+        if fit is None:
+            fit = fit_se(Dataset(self.data.design[:, list(key)], self.data.response))
+            self._leaf_fits[key] = fit
+        return fit
 
 
 def fit_quantile(data: Dataset, alpha) -> LinearModel:

@@ -109,12 +109,17 @@ def support_accuracy(estimated: LinearModel, true_coeffs, k_star: int) -> Recove
     return RecoveryReport(accuracy=hits / k_star, k_star=k_star)
 
 
-def _sparse_model(data: Dataset, support, error_kind: str):
-    """Refit on a fixed support and inflate coefficients back to full width."""
+def _sparse_model(data: Dataset, support, error_kind: str, fitted=None):
+    """Refit on a fixed support and inflate coefficients back to full width.
+
+    ``fitted``, when given, is that fit already made on the support's
+    columns in ascending order, and no refit runs.
+    """
     support = tuple(sorted(int(j) for j in support))
-    sub = Dataset(data.design[:, support] if support else np.zeros((data.n, 0)),
-                  data.response)
-    fitted = fit_ols(sub) if error_kind == "mse" else fit_se(sub)
+    if fitted is None:
+        sub = Dataset(data.design[:, support] if support else np.zeros((data.n, 0)),
+                      data.response)
+        fitted = fit_ols(sub) if error_kind == "mse" else fit_se(sub)
     coeffs = np.zeros(data.d)
     for pos, j in enumerate(support):
         coeffs[j] = fitted.coefficients[pos]
@@ -256,6 +261,10 @@ class _GramSolver:
         v, coords = node
         return (v @ coords)[1 + len(included):]
 
+    def leaf_fit(self, support):
+        """None: scores come from the Gram matrix, so ``_sparse_model`` refits with ``fit_ols``."""
+        return None
+
 
 def _gram_fits(g, h, n: int):
     """Least-squares fits on a stack of Gram blocks g with right-hand sides h.
@@ -317,7 +326,9 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
     child with k columns in, or a node with at most k columns in reach, is
     a leaf scored by ``oracle.objective`` from its support alone, as in
     leaps and bounds.  ``seed`` is the starting incumbent support.  The
-    loop, its statuses and its pruning are ``lp_core.best_first``'s.
+    loop, its statuses and its pruning are ``lp_core.best_first``'s.  The
+    incumbent's model is ``oracle.leaf_fit`` of its support where the oracle
+    keeps one, else a refit.
     """
     data, k = problem.data, problem.k
     start = time.perf_counter()
@@ -349,7 +360,8 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
     out = best_first(root_bound, ((), root_candidates, root), expand, incumbent,
                      problem.gap_tol, problem.max_nodes, problem.time_limit_s)
 
-    model, support, objective = _sparse_model(data, incumbent.solution, problem.error_kind)
+    model, support, objective = _sparse_model(data, incumbent.solution, problem.error_kind,
+                                              oracle.leaf_fit(incumbent.solution))
     bound = min(out.bound, objective)
     gap = relative_gap(objective, bound)
     return SparseSolution(model=model, support=support, objective=objective,

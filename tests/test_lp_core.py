@@ -32,7 +32,7 @@ from quadlab.lp_core.simplex import (
     _Simplex,
 )
 from quadlab.portfolio import PortfolioProblem, optimize_cvar_dev, optimize_se_dev
-from quadlab.regression import Dataset, fit_quantile
+from quadlab.regression import Dataset, _dual_problem, fit_quantile
 
 from conftest import highs_objective
 
@@ -1006,6 +1006,41 @@ class TestDualPhase:
             plain = solve_lp(p, warm=(first.basis, first.vstate))
             monkeypatch.undo()
             assert np.array_equal(warm.basis, plain.basis) and warm.iterations == plain.iterations
+
+    def test_feasible_dual_phase_skips_phase1(self, monkeypatch):
+        # a pinball dual and both portfolio duals, each from its crash, end
+        # the dual phase feasible; phase 1's first check would then pass
+        # without a step, so solve_lp does not call it
+        rng = np.random.default_rng(100)
+        x = rng.standard_normal(100)
+        data = Dataset(x[:, None], x + rng.standard_normal(100) ** 2)
+        pinball, crash = _dual_problem(data, -1.0 / 100, 9.0 / 100, None, split_level=0.9)
+        s = _Simplex(pinball)
+        assert s.warm_start(*crash) and s.dual_phase(10**6) == "feasible"
+        done = s.iterations
+        assert s.phase1(10**6) == "feasible" and s.iterations == done
+        problem = PortfolioProblem(four_asset_returns(2000, 5), FOUR_ASSET_TARGET_MEAN)
+
+        def solves():
+            return [solve_lp(pinball, warm=crash), optimize_se_dev(problem, 0.002).lp,
+                    optimize_cvar_dev(problem, 0.9).lp]
+
+        # the path that calls phase 1 after every dual phase
+        dual_phase = _Simplex.dual_phase
+        monkeypatch.setattr(_Simplex, "dual_phase",
+                            lambda self, limit: f"{dual_phase(self, limit)}, phase 1 forced")
+        forced = solves()
+        monkeypatch.setattr(_Simplex, "dual_phase", dual_phase)
+
+        def refuse(self, limit):
+            raise AssertionError("phase 1 ran after a feasible dual phase")
+
+        monkeypatch.setattr(_Simplex, "phase1", refuse)
+        for got, ref in zip(solves(), forced):
+            assert got.status == "optimal" and got.phase_iterations[0] > 0
+            assert got.phase_iterations == ref.phase_iterations
+            assert (got.iterations, got.bound_flips) == (ref.iterations, ref.bound_flips)
+            assert np.array_equal(got.basis, ref.basis) and np.array_equal(got.x, ref.x)
 
     @staticmethod
     def _slack_start(p):

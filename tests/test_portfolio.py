@@ -294,6 +294,80 @@ class TestSweep:
         assert lo <= hi
 
 
+def _fresh_problem_per_solve(monkeypatch):
+    """From here on, every portfolio solve runs on a new copy of its problem."""
+    def fresh(solve):
+        def call(problem, *args):
+            return solve(PortfolioProblem(problem.returns, problem.target_mean,
+                                          problem.long_only), *args)
+        return call
+
+    monkeypatch.setattr(portfolio, "optimize_se_dev", fresh(portfolio.optimize_se_dev))
+    monkeypatch.setattr(portfolio, "_optimize_cvar", fresh(portfolio._optimize_cvar))
+
+
+def _assert_same_solution(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert (a.deviation, a.alpha_interval) == (b.deviation, b.alpha_interval)
+    for name in ("x", "duals", "reduced_costs", "basis", "vstate"):
+        assert np.array_equal(getattr(a.lp, name), getattr(b.lp, name))
+    assert (a.lp.objective, a.lp.phase_iterations, a.lp.bound_flips, a.lp.warm_used) == \
+        (b.lp.objective, b.lp.phase_iterations, b.lp.bound_flips, b.lp.warm_used)
+
+
+class TestCachedDuals:
+    """Each problem builds its two scenario duals once and re-solves them."""
+
+    @pytest.mark.parametrize("long_only", [False, True])
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_sweep_reuse_changes_nothing(self, monkeypatch, long_only, duplicated):
+        r = four_asset_returns(400, 2)
+        if duplicated:
+            r = np.repeat(r, 2, axis=0)
+        mu = float(np.sort(r.mean(axis=0))[-2]) if long_only else FOUR_ASSET_TARGET_MEAN
+        grid = ExperimentConfig(experiment="fig1_sweep").x_grid
+        starts = _record_starts(monkeypatch)
+        shared = equivalence_sweep(r, mu, grid, long_only=long_only)
+        # one part-balancing and one tail-average dual served every point
+        assert len(starts) == 2 * len(grid) and len({id(lp) for lp, _, _ in starts}) == 2
+        assert all(rw["error"] == "" for rw in shared)
+        _fresh_problem_per_solve(monkeypatch)
+        fresh = equivalence_sweep(r, mu, grid, long_only=long_only)
+        assert len({id(lp) for lp, _, _ in starts}) == 2 + 2 * len(grid)
+        # repr prints each float exactly, and NaN alike
+        assert repr(shared) == repr(fresh)
+
+    def test_alternating_objectives_change_nothing(self, rng):
+        r = random_returns(rng, n=300, m=5)
+        mu = float(r.mean(axis=0).mean())
+        problem = PortfolioProblem(r, mu)
+        first = optimize_se_dev(problem, 0.004)
+        tail = optimize_cvar_dev(problem, 0.8, start=first.weights)
+        again = optimize_se_dev(problem, 0.001, start=tail.weights)
+        _assert_same_solution(first, optimize_se_dev(PortfolioProblem(r, mu), 0.004))
+        _assert_same_solution(tail, optimize_cvar_dev(PortfolioProblem(r, mu), 0.8,
+                                                      start=first.weights))
+        _assert_same_solution(again, optimize_se_dev(PortfolioProblem(r, mu), 0.001,
+                                                     start=tail.weights))
+
+    def test_caller_writes_do_not_reach_the_problem(self, rng):
+        r = random_returns(rng, n=200, m=4)
+        mu = float(r.mean(axis=0).mean())
+        problem = PortfolioProblem(r, mu)
+        before = optimize_se_dev(problem, 0.002), optimize_cvar_dev(problem, 0.7)
+        reference = r.copy()
+        r[:] = rng.standard_normal(r.shape)
+        after = optimize_se_dev(problem, 0.002), optimize_cvar_dev(problem, 0.7)
+        for old, new in zip(before, after):
+            _assert_same_solution(old, new)
+        assert np.array_equal(problem.returns, reference)
+        assert r.flags.writeable
+        with pytest.raises(ValueError):
+            problem.returns[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            problem.mean_returns[0] = 1.0
+
+
 class TestDeviationHelpers:
     def test_cvar_deviation_matches_functionals(self, rng):
         atoms = rng.standard_normal(30)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quadlab import sparse
+from quadlab import regression, sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
 from quadlab.lp_core import LpError, solve_box_stack, stacked
 from quadlab.regression import Dataset, LinearModel, fit_ols, fit_se
@@ -294,6 +294,37 @@ class TestSharedSearch:
             assert milp.objective == pytest.approx(oracle.objective, abs=1e-8), name
             assert search.bound <= search.objective + 1e-9, name
             assert len(search.support) <= k, name
+
+    def test_se_search_fits_each_leaf_once(self, rng, monkeypatch):
+        # leaves scored twice and the incumbent's final model reuse one fit,
+        # and the search ends as it does with a fit per call
+        fitted = []
+        real = regression.fit_se
+
+        def recorded(data):
+            fitted.append(data.design.tobytes())
+            return real(data)
+
+        def refit(oracle, support):
+            return real(Dataset(oracle.data.design[:, sorted(support)], oracle.data.response))
+
+        monkeypatch.setattr(regression, "fit_se", recorded)
+        monkeypatch.setattr(sparse, "fit_se", recorded)
+        leaf_fit = regression.SeSubsetOracle.leaf_fit
+        cases = [*self._adversarial(rng), ("recovery", _recovery_replication(7100), 3)]
+        for name, data, k in cases:
+            problem = SparseProblem(data, k=k, error_kind="se")
+            fitted.clear()
+            sol = fit_sparse_se(problem)
+            assert fitted and len(set(fitted)) == len(fitted), name
+            monkeypatch.setattr(regression.SeSubsetOracle, "leaf_fit", refit)
+            ref = fit_sparse_se(problem)
+            monkeypatch.setattr(regression.SeSubsetOracle, "leaf_fit", leaf_fit)
+            assert (sol.support, sol.objective, sol.bound, sol.gap, sol.status, sol.nodes) == \
+                (ref.support, ref.objective, ref.bound, ref.gap, ref.status, ref.nodes), name
+            assert (sol.model.intercept, sol.model.objective) == \
+                (ref.model.intercept, ref.model.objective), name
+            assert np.array_equal(sol.model.coefficients, ref.model.coefficients), name
 
     def test_se_node_budget_keeps_incumbent(self, rng):
         for name, data, k in self._adversarial(rng):
