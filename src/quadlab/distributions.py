@@ -3,6 +3,11 @@
 All generators are deterministic functions of (spec, seed).  Parallel
 replications must derive their seeds as ``base_seed + replication_index``;
 that rule is relied on by the experiment harness.
+
+``skew_normal_cdf_at_zero`` imports ``scipy.integrate`` and
+``scipy.special`` when it is first called, not at module import: they
+are its only SciPy use and take about 0.1 s to load, which the sampling
+and the functionals built on this module do not need.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 
 class QuadratureError(RuntimeError):
@@ -195,6 +198,9 @@ def skew_normal_cdf_at_zero(a: float) -> float:
     """
     if not math.isfinite(a):
         raise ValueError("shape must be finite")
+    from scipy import integrate
+    from scipy.special import ndtr
+
     spec = SkewNormalSpec(shape=a)
     m = spec.base_mean
 

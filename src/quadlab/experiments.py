@@ -18,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
@@ -263,6 +262,8 @@ def _map_ordered(fn, args_list):
     workers = _worker_count()
     if workers == 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 

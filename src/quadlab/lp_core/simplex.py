@@ -63,12 +63,16 @@ Primal-feasible starts skip it and keep their pivot sequences.
 
 Pivot selection is fully deterministic: ties break toward the lowest
 variable index, so identical problems replay identical pivot sequences.
+
+``crash_basis`` imports LAPACK's ``dgetrf`` from ``scipy.linalg`` when it
+is first called, not at module import: it is this package's only SciPy
+use, and loading ``scipy.linalg`` takes about 0.1 s that importing the
+package (and the functionals, which need no LP) should not pay.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf
 
 from .problem import RELATIONS, LpError, LpProblem, LpSolution, SingularBasisError
 
@@ -141,6 +145,8 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     upper bound, other nonbasics at their finite lower bound, else their
     finite upper bound, else free at zero.
     """
+    from scipy.linalg.lapack import dgetrf
+
     n, m = problem.num_vars, problem.num_rows
     slack_lo, slack_hi = _slack_bounds(problem.relations)
     vstate = _DEFAULT_STATE.take(_finite_ends(np.concatenate((problem.lower, slack_lo)),

@@ -380,12 +380,33 @@ class TestCli:
         *((["simulate", "--kind", kind, "--n", n, "--output", "{out}"], "n must be >= 1")
           for kind in ("skewnormal", "design", "regression", "returns", "factors")
           for n in ("0", "-3")),
+        # data errors: a header-only CSV, non-finite values and parameters
+        (["eval", "--family", "mean_l1", "--input", "{header}"], "need a header row"),
+        (["eval", "--family", "mean_l1", "--input", "{nan}", "--column", "x"],
+         "values must be finite"),
+        (["eval", "--family", "mean_l1", "--input", "{inf}", "--column", "y"],
+         "values must be finite"),
+        (["eval", "--family", "biased_mean", "--x", "nan", "--input", "{reg}"],
+         "bias must be finite"),
+        (["eval", "--family", "quantile", "--alpha", "1.5", "--input", "{reg}"],
+         "alpha must lie in [0, 1]"),
+        (["fit", "--method", "se", "--input", "{nan}", "--target", "y"], "data must be finite"),
+        (["fit", "--method", "ols", "--input", "{nan}", "--target", "y"], "data must be finite"),
+        (["fit", "--method", "quantile", "--alpha", "0.5", "--input", "{inf}", "--target", "y"],
+         "data must be finite"),
+        (["sparse", "--error", "se", "--k", "1", "--input", "{nan}", "--target", "y"],
+         "data must be finite"),
+        (["portfolio", "--mu", "0.001", "--input", "{nan}"], "returns must be finite"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
-        paths = {"reg": tmp_path / "reg.csv", "rets": tmp_path / "rets.csv",
-                 "cfg": tmp_path / "cfg.json", "out": tmp_path / "out.csv"}
+        paths = {name: tmp_path / f"{name}.csv" for name in ("reg", "rets", "out", "header",
+                                                              "nan", "inf")}
+        paths["cfg"] = tmp_path / "cfg.json"
         write_csv(str(paths["reg"]), ["x", "y"], np.array([[0.0, 1.0], [1.0, 2.5], [2.0, 2.9]]))
         write_csv(str(paths["rets"]), ["a", "b"], np.array([[0.01, 0.0], [-0.01, 0.02]]))
+        paths["header"].write_text("x,y\n")
+        paths["nan"].write_text("x,y\n0,1\nnan,2\n2,3\n")
+        paths["inf"].write_text("x,y\n0,1\n1,inf\n2,3\n")
         paths["cfg"].write_text(json.dumps({"experiment": "table2_pattern", "seed": 1}))
         rc = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
