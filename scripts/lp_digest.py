@@ -21,8 +21,11 @@ every ``StackSolution`` field: the part-balancing oracle of a d = 8 planted
 instance, a tied and a degenerate random stack, and a stack with no more
 columns than rows.  One equivalence sweep per sign policy hashes every row
 field, phase iterations and bound flips included; each sweep re-solves its
-problem's two cached duals from point to point.
-One line per solve, search, stack or sweep, then the total.
+problem's two cached duals from point to point.  A fit chain hashes every
+``LinearModel`` field of five fits on one ``Dataset``, each run after the
+ones before it, so a value the data set keeps from fit to fit shows if it
+goes stale.
+One line per solve, search, stack, sweep or chain, then the total.
 """
 
 from __future__ import annotations
@@ -84,6 +87,17 @@ def _regression_duals():
             problem, warm = regression._dual_problem(data, -1.0 / n, ratio / n, None,
                                                      split_level=level)
             yield f"regression n={n} level={level}", solve_lp(problem, warm=warm)
+
+
+def _fit_chain():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((1000, 2))
+    data = regression.Dataset(x, x @ np.array([1.0, -0.5]) + rng.standard_normal(1000) ** 2)
+    fits = {"ols": regression.fit_ols(data), "se": regression.fit_se(data)}
+    fits["quantile at se equiv_alpha"] = regression.fit_quantile(data, fits["se"].equiv_alpha)
+    fits["biased mean x=0.1"] = regression.fit_biased_mean(data, 0.1)
+    fits["quantile 0.8"] = regression.fit_quantile(data, 0.8)
+    yield "fit chain n=1000 d=2", fits
 
 
 def _portfolio_duals():
@@ -198,7 +212,7 @@ def _stacks():
 def main() -> None:
     total = hashlib.sha256()
     for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation,
-                   _mips, _searches, _stacks, _sweeps):
+                   _mips, _searches, _stacks, _sweeps, _fit_chain):
         for name, sol in source():
             digest = _digest(sol)
             total.update(digest.encode())
@@ -206,6 +220,8 @@ def main() -> None:
                 phases = tuple(np.sum([row["lp_phase_iterations"] for row in sol], axis=0).tolist())
                 errors = sum(bool(row["error"]) for row in sol)
                 done = f"{len(sol)} points, {errors} errors, {phases}"
+            elif isinstance(sol, dict):  # a fit chain's models by fit
+                done = f"{len(sol)} fits"
             elif hasattr(sol, "crashed"):  # a StackSolution
                 done = (f"{sol.iterations.size} LPs, {int(sol.iterations.sum())} steps, "
                         f"{int(sol.crashed.sum())} crashed")

@@ -11,9 +11,10 @@ are small to mid-sized by design: the basis inverse is kept dense.  A
 solve without a usable warm basis starts from the all-slack
 ``crash_basis(problem, ())``.
 
-An ``LpProblem`` keeps its rows as the simplex reads them, one dense
-matrix, and every builder appends them in dense blocks with
-``LpProblem.add_rows``.
+An ``LpProblem`` holds its rows once, as the read-only [A | I] the
+simplex reads (``matrix`` is a view of it), and every builder appends
+them in dense blocks with ``LpProblem.add_rows``; the crash, every solve
+and every copy share that array.
 
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it
@@ -56,6 +57,7 @@ from .problem import (
     LpSolution,
     MipSolution,
     LpError,
+    LpIndexError,
     SingularBasisError,
     certify_objective,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "LpSolution",
     "MipSolution",
     "LpError",
+    "LpIndexError",
     "SingularBasisError",
     "StackError",
     "StackLimitError",

@@ -19,6 +19,10 @@ class SingularBasisError(LpError):
     """The working basis lost invertibility beyond repair."""
 
 
+class LpIndexError(LpError, IndexError):
+    """An index names no variable or row of the problem; the message names it."""
+
+
 def certify_objective(value: float, lp_value: float, what: str) -> None:
     """Raise unless a primal objective recomputed from the solution matches the LP value."""
     if abs(value - lp_value) > OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
@@ -33,13 +37,15 @@ def _check_relation(relation: str) -> None:
 class LpProblem:
     """Linear program in minimize form with per-variable bounds.
 
-    Constraints are stored as the simplex reads them: a dense float
-    ``matrix`` of shape (rows, num_vars) holding no ``-0.0``, a float
-    ``rhs`` array and the ``relations`` list.  ``add_rows`` appends a dense
-    block and is the one way rows come in; ``add_row`` appends one row.
+    Constraints are held once, as the simplex reads them: the read-only
+    dense float [A | I] ``extended`` (one slack column per row, no
+    ``-0.0``), of which ``matrix`` is a view, a float ``rhs`` array and the
+    ``relations`` list.  ``add_rows`` appends a dense block into a new
+    [A | I] and is the one way rows come in; ``copy`` shares the rows.
     Variables default to free; ``set_bounds`` takes ``None`` for an
     infinite end.  Binary variables are continuous [0, 1] columns flagged
-    for the MIP layer.
+    for the MIP layer.  A bad variable or row index raises
+    ``LpIndexError`` and changes nothing.
 
     A row's relation is ``<=``, ``=``, ``>=`` or ``free``.  A free row
     constrains nothing: its slack is unbounded and its dual is zero at an
@@ -58,14 +64,19 @@ class LpProblem:
         self.lower = np.full(num_vars, -np.inf)
         self.upper = np.full(num_vars, np.inf)
         self.is_binary = np.zeros(num_vars, dtype=bool)
-        self.matrix = np.zeros((0, num_vars))
+        self.extended = np.zeros((0, num_vars))
+        self.extended.flags.writeable = False
         self.relations: list[str] = []
         self.rhs = np.zeros(0)
-        self._extended: np.ndarray | None = None  # [A | I], kept by the simplex
 
     @property
     def num_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.extended.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The constraint coefficients A, a read-only view of ``extended``."""
+        return self.extended[:, :self.num_vars]
 
     @property
     def row_index(self) -> list[np.ndarray]:
@@ -95,10 +106,16 @@ class LpProblem:
             lo = -np.inf if lo is None else float(lo)
             hi = np.inf if hi is None else float(hi)
             if lo <= hi and lo < np.inf and hi > -np.inf:  # else refused below
-                self.lower[j] = lo
+                try:
+                    self.lower[j] = lo
+                except IndexError as exc:
+                    raise LpIndexError(f"variable {exc}") from None
                 self.upper[j] = hi
                 return
-        saved = self.lower[j].copy(), self.upper[j].copy()
+        try:
+            saved = self.lower[j].copy(), self.upper[j].copy()
+        except IndexError as exc:
+            raise LpIndexError(f"variable {exc}") from None
         try:
             self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
             self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
@@ -125,7 +142,10 @@ class LpProblem:
         Its bounds are clipped to [0, 1]; a clip that leaves an empty
         interval is refused and changes nothing.
         """
-        lo, hi = np.maximum(self.lower[j], 0.0), np.minimum(self.upper[j], 1.0)
+        try:
+            lo, hi = np.maximum(self.lower[j], 0.0), np.minimum(self.upper[j], 1.0)
+        except IndexError as exc:
+            raise LpIndexError(f"variable {exc}") from None
         self._refuse_empty(j, lo, hi)
         self.is_binary[j] = True
         self.lower[j] = lo
@@ -134,7 +154,11 @@ class LpProblem:
     def set_relation(self, rows, relation: str) -> None:
         """Give every row listed in ``rows`` the relation ``relation``."""
         _check_relation(relation)
-        for r in np.arange(self.num_rows)[rows].reshape(-1).tolist():
+        try:
+            rows = np.arange(self.num_rows)[rows]
+        except IndexError as exc:
+            raise LpIndexError(f"row {exc}") from None
+        for r in rows.reshape(-1).tolist():
             self.relations[r] = relation
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
@@ -170,13 +194,15 @@ class LpProblem:
             raise LpError("row coefficients must be finite")
         if not np.isfinite(rhs).all():
             raise LpError("rhs must be finite")
-        matrix = np.empty((self.num_rows + rows, self.num_vars))
-        matrix[:self.num_rows] = self.matrix
-        np.add(block, 0.0, out=matrix[self.num_rows:])  # + 0.0 turns -0.0 into 0.0
-        self.matrix = matrix
+        m, n = self.num_rows, self.num_vars
+        extended = np.zeros((m + rows, n + m + rows))
+        extended[:m, :n] = self.matrix
+        np.add(block, 0.0, out=extended[m:, :n])  # + 0.0 turns -0.0 into 0.0
+        extended.ravel()[n::n + m + rows + 1] = 1.0  # the slack columns' identity
+        extended.flags.writeable = False
+        self.extended = extended
         self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
         self.relations.extend(relations)
-        self._extended = None
 
     def validate(self) -> None:
         if not np.isfinite(self.objective).all():
@@ -192,7 +218,7 @@ class LpProblem:
         out.lower = self.lower.copy()
         out.upper = self.upper.copy()
         out.is_binary = self.is_binary.copy()
-        out.matrix = self.matrix.copy()
+        out.extended = self.extended  # read-only; add_rows replaces it
         out.relations = list(self.relations)
         out.rhs = self.rhs.copy()
         return out

@@ -26,7 +26,9 @@ basics.  After that only the entries whose state changes are rewritten:
 the snap and the long steps flip columns in place, and the basics follow
 by b - A x (the snap) or by one update (a long step).  The phase-2 reduced
 costs are priced once per basis: a bound flip keeps them, a pivot or a
-refactorization drops them, so the first dual step reuses the snap's.
+refactorization drops them, so the first dual step reuses the snap's and
+the solution reports phase 2's last pricing.  ``A`` is the problem's own
+read-only [A | I].
 
 The watchdog reads the phase-2 objective, which is tracked incrementally: a
 step of length t on entering column j moves it by d_j * sigma * t.  It is
@@ -95,22 +97,23 @@ _SLACK_LO = np.array([0.0, 0.0, -np.inf, -np.inf])
 _SLACK_HI = np.array([np.inf, 0.0, 0.0, np.inf])
 
 
-def _slack_bounds(relations):
-    """Per-row slack bounds (lo, hi)."""
-    code = np.fromiter(map(_RELATION_CODE.__getitem__, relations), np.intp, len(relations))
-    return _SLACK_LO[code], _SLACK_HI[code]
+def _relation_codes(relations) -> np.ndarray:
+    """Each row's relation as its index in RELATIONS."""
+    return np.fromiter(map(_RELATION_CODE.__getitem__, relations), np.intp, len(relations))
 
 
 def _finite_ends(lo, hi) -> np.ndarray:
     """Each column's finite ends as a code: 0 neither, 1 lower, 2 upper, 3 both."""
-    ends = 2 * np.isfinite(hi).astype(np.int8)
-    ends += np.isfinite(lo)
+    ends = np.isfinite(hi).view(np.int8)
+    ends += ends
+    ends += np.isfinite(lo).view(np.int8)
     return ends
 
 
 # A column's default nonbasic state by finite ends: at its finite lower
 # bound, else its finite upper bound, else free at zero.
 _DEFAULT_STATE = np.array([FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER], dtype=np.int8)
+_SLACK_STATE = _DEFAULT_STATE.take(_finite_ends(_SLACK_LO, _SLACK_HI))  # by relation code
 _NOT_A_STATE = FREE_ZERO + 1
 # _WARM_STATE[4 * state + ends] is the state a warm start installs: the
 # offered one if it fits the finite ends, else the default.  BASIC is valid
@@ -148,12 +151,12 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     from scipy.linalg.lapack import dgetrf
 
     n, m = problem.num_vars, problem.num_rows
-    slack_lo, slack_hi = _slack_bounds(problem.relations)
-    vstate = _DEFAULT_STATE.take(_finite_ends(np.concatenate((problem.lower, slack_lo)),
-                                              np.concatenate((problem.upper, slack_hi))))
+    vstate = np.empty(n + m, dtype=np.int8)
+    _DEFAULT_STATE.take(_finite_ends(problem.lower, problem.upper), out=vstate[:n])
+    _SLACK_STATE.take(_relation_codes(problem.relations), out=vstate[n:])
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
     order = np.asarray(order, dtype=np.intp)[:CRASH_POOL * m]
-    block = _extended_rows(problem)[:, order]
+    block = problem.extended[:, order]
     floor = (CRASH_PIVOT_SHARE * np.abs(block).max(axis=0, initial=0.0)).tolist()
     rows = list(range(m))  # the rows in LU's order: the k-th pick holds rows[k]
     while order.size:  # LU with partial pivoting; refactor without a low pivot
@@ -169,14 +172,6 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     basis[rows[:order.size]] = order[:m]
     vstate[basis] = BASIC
     return basis, vstate
-
-
-def _extended_rows(problem: LpProblem) -> np.ndarray:
-    """[A | I], read-only; a problem's crash and solves share it until rows are added."""
-    if problem._extended is None:
-        problem._extended = np.hstack((problem.matrix, np.eye(problem.num_rows)))
-        problem._extended.flags.writeable = False  # the simplex reads it in place
-    return problem._extended
 
 
 # Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced
@@ -211,24 +206,24 @@ class _Simplex:
         n = problem.num_vars
         self.m, self.n = m, n
         self.N = n + m
-        self.A = _extended_rows(problem)
+        self.A = problem.extended  # read-only [A | I]
         self.b = np.asarray(problem.rhs, dtype=float)
         self.c = np.concatenate((problem.objective, np.zeros(m)))
-        slack_lo, slack_hi = _slack_bounds(problem.relations)
-        self.lo = np.concatenate((problem.lower, slack_lo))
-        self.hi = np.concatenate((problem.upper, slack_hi))
+        code = _relation_codes(problem.relations)
+        self.lo = np.concatenate((problem.lower, _SLACK_LO[code]))
+        self.hi = np.concatenate((problem.upper, _SLACK_HI[code]))
         # per-solve column classes, read by every start, flip and ratio test
         self.ends = _finite_ends(self.lo, self.hi)
         self.boxed = self.ends == 3
         self.fixed = self.lo == self.hi
-        self.span = np.where(self.boxed, self.hi - self.lo, np.inf)
+        self.span = self.hi - self.lo  # infinite unless boxed: validate refuses [inf, inf]
         self.iterations = 0
         self.bound_flips = 0
         self.pivots_since_refactor = 0
         self.bland = False
         self.stall = 0
         self._steps = np.empty(m)  # ratio-test buffer, one step per row
-        self._d = None  # phase-2 reduced costs of the current basis, once priced
+        self._d = self._y = None  # phase-2 reduced costs and row duals, once priced
 
     # -- basis management ---------------------------------------------------
 
@@ -237,10 +232,7 @@ class _Simplex:
 
         A nonbasic state that does not fit its column's finite ends (fixed
         binaries, changed bounds) falls back to the column's default state.
-        Unusable: a basis of the wrong size, with an index outside [0, N)
-        or a repeated one, singular or numerically singular; a vstate of
-        the wrong length or not integer, with a code outside the four
-        states, or flagging BASIC a column outside the basis.
+        ``LpSolution``'s docstring lists the unusable pairs.
         """
         basis = np.asarray(basis, dtype=np.intp)
         vstate = np.asarray(vstate)
@@ -268,7 +260,8 @@ class _Simplex:
         """Derive x, the pricing caches and then the basics from (basis, vstate) and binv."""
         vs = self.vstate
         self.x = np.where(vs == AT_LOWER, self.lo, self.hi)  # basics follow below
-        self.price_sign = _PRICE_SIGN.take(vs) * ~self.fixed
+        self.price_sign = _PRICE_SIGN.take(vs)
+        self.price_sign[self.fixed] = 0.0
         self.free_nonbasic = int(np.count_nonzero(vs == FREE_ZERO))
         if self.free_nonbasic:
             self.x[vs == FREE_ZERO] = 0.0
@@ -299,14 +292,18 @@ class _Simplex:
 
     # -- pivoting -----------------------------------------------------------
 
-    def _price(self, costs) -> np.ndarray:
+    def _price(self, costs):
+        """Row duals y and reduced costs of ``costs`` under the current basis."""
         y = costs[self.basis] @ self.binv
-        return costs - y @ self.A
+        return y, costs - y @ self.A
 
     def _reduced_costs(self) -> np.ndarray:
-        """Phase-2 reduced costs, priced once per basis: flips keep them, pivots drop them."""
+        """Phase-2 reduced costs, priced once per basis: flips keep them, pivots drop them.
+
+        The row duals of that pricing are kept beside them, as ``_y``.
+        """
         if self._d is None:
-            self._d = self._price(self.c)
+            self._y, self._d = self._price(self.c)
         return self._d
 
     def _choose_entering(self, d):
@@ -576,7 +573,7 @@ class _Simplex:
             # violation costs sit on basic columns only; clear them before
             # the pivot changes the basis
             costs[self.basis] = viol
-            d = self._price(costs)
+            d = self._price(costs)[1]
             costs[self.basis] = 0.0
             j, sigma = self._choose_entering(d)
             if j < 0:
@@ -626,14 +623,13 @@ class _Simplex:
             resid = self.A @ self.x - self.b
             if np.max(np.abs(resid), initial=0.0) > ROW_TOL:
                 raise SingularBasisError("row residuals exceed tolerance after refactorization")
-        y = self.c[self.basis] @ self.binv
-        reduced = problem.objective - y @ self.A[:, : self.n]
+        reduced = self._reduced_costs()[: self.n].copy()  # phase 2's last pricing, if current
         return LpSolution(
             status=status,
             x=self.x[: self.n].copy(),
             objective=float(problem.objective @ self.x[: self.n]),
             iterations=self.iterations,
-            duals=y.copy(),
+            duals=self._y.copy(),
             reduced_costs=reduced,
             basis=self.basis.copy(),
             vstate=self.vstate.copy(),

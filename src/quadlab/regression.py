@@ -17,6 +17,7 @@ max{E[Z_-] - x_+, E[Z_+] - x_-} = (E|Z| - |x|)/2 + |E[Z] + x|/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,14 +29,20 @@ ZERO_RESIDUAL_RTOL = 1e-11
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix (one observation per row) and response vector."""
+    """Design matrix (one observation per row) and response vector.
+
+    Both are stored as read-only copies, so no later write to the caller's
+    arrays reaches ``ols_coefficients``, which every fit reads.
+    """
 
     design: np.ndarray
     response: np.ndarray
 
     def __post_init__(self):
-        design = np.asarray(self.design, dtype=float)
-        response = np.asarray(self.response, dtype=float)
+        design = np.array(self.design, dtype=float)
+        response = np.array(self.response, dtype=float)
+        design.flags.writeable = False
+        response.flags.writeable = False
         if design.ndim != 2:
             raise ValueError("design must be 2-d (n x d)")
         if response.ndim != 1 or response.size != design.shape[0]:
@@ -54,6 +61,21 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.design.shape[1]
+
+    @cached_property
+    def ols_coefficients(self) -> tuple[np.ndarray, bool]:
+        """([intercept, coefficients], regularized) of ``fit_ols``; read-only, built on first use."""
+        full = _with_intercept(self.design)
+        gram = full.T @ full
+        rhs = full.T @ self.response
+        try:
+            chol = np.linalg.cholesky(gram)
+            beta, regularized = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)), False
+        except np.linalg.LinAlgError:
+            bump = 1e-10 * np.trace(gram) / gram.shape[0]
+            beta, regularized = np.linalg.solve(gram + bump * np.eye(gram.shape[0]), rhs), True
+        beta.flags.writeable = False
+        return beta, regularized
 
 
 @dataclass(frozen=True)
@@ -145,24 +167,15 @@ def fit_ols(data: Dataset) -> LinearModel:
     The fallback adds 1e-10 * trace(G)/dim to the Gram diagonal and flags
     the model as regularized instead of failing.
     """
-    full, beta, regularized = _ols_coefficients(data)
-    z = data.response - full @ beta
-    return LinearModel(intercept=float(beta[0]), coefficients=beta[1:],
+    beta, regularized = data.ols_coefficients
+    z = data.response - _with_intercept(data.design) @ beta
+    return LinearModel(intercept=float(beta[0]), coefficients=beta[1:].copy(),
                        regularized=regularized, objective=float(np.mean(z * z)))
 
 
-def _ols_coefficients(data: Dataset):
-    """([1 | X], [intercept, coefficients], regularized) of ``fit_ols``."""
-    ones = np.ones((data.n, 1))
-    full = np.hstack((ones, data.design))
-    gram = full.T @ full
-    rhs = full.T @ data.response
-    try:
-        chol = np.linalg.cholesky(gram)
-        return full, np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)), False
-    except np.linalg.LinAlgError:
-        bump = 1e-10 * np.trace(gram) / gram.shape[0]
-        return full, np.linalg.solve(gram + bump * np.eye(gram.shape[0]), rhs), True
+def _with_intercept(design: np.ndarray) -> np.ndarray:
+    """[1 | X]: a column of ones, then the design."""
+    return np.hstack((np.ones((design.shape[0], 1)), design))
 
 
 # -- compact dual LPs for the piecewise-linear fits ---------------------------
@@ -192,13 +205,14 @@ def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
     """
     n = data.n
     with_mean = mean_bound is not None
-    full, beta, _ = _ols_coefficients(data)
+    beta, _ = data.ols_coefficients
     z = data.response - (float(beta[0]) + data.design @ beta[1:])  # the OLS residuals
-    rows = full.T  # the intercept's row, then one row per design column
+    rows = np.ones((data.d + 1, n + with_mean))  # [1; X^T]: the intercept's row first
+    rows[1:, :n] = data.design.T
     obj = -data.response
     if with_mean:
         # the mean-row multiplier's column holds the row averages
-        rows = np.column_stack((rows, np.concatenate(([1.0], data.design.mean(axis=0)))))
+        rows[1:, n] = data.design.mean(axis=0)
         obj = np.append(obj, -(float(data.response.mean()) + mean_rhs_shift))
     problem = LpProblem(rows.shape[1])
     problem.set_objective(obj)

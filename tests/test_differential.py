@@ -297,7 +297,8 @@ def test_generated_lps_match_highs(family, tie_calls):
     statuses = []
     for _ in range(LP_COUNT):
         c, a, relations, rhs, lo, hi = generated_lp(rng, family)
-        sol = solve_lp(_lp_problem(c, a, relations, rhs, lo, hi))
+        problem = _lp_problem(c, a, relations, rhs, lo, hi)
+        sol = solve_lp(problem)
         status, value, _ = highs_solve(c, **_as_arrays(a, relations, rhs, lo, hi))
         assert sol.status == status
         if family != "feasible":
@@ -305,6 +306,9 @@ def test_generated_lps_match_highs(family, tie_calls):
         if status == "optimal":
             assert abs(sol.objective - value) <= 1e-7 * max(1.0, abs(value))
             _assert_feasible(sol.x, a, relations, rhs, lo, hi)
+            # the reported reduced costs are the final basis's pricing
+            recomputed = problem.objective - sol.duals @ problem.matrix
+            assert np.max(np.abs(sol.reduced_costs - recomputed)) <= 1e-12
         statuses.append(status)
     if family == "feasible":
         assert statuses.count("optimal") >= LP_COUNT // 3

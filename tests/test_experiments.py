@@ -397,12 +397,25 @@ class TestCli:
         (["sparse", "--error", "se", "--k", "1", "--input", "{nan}", "--target", "y"],
          "data must be finite"),
         (["portfolio", "--mu", "0.001", "--input", "{nan}"], "returns must be finite"),
+        (["fit", "--method", "bmr", "--input", "{nan}", "--target", "y"], "data must be finite"),
+        (["fit", "--method", "bmr", "--x", "nan", "--input", "{reg}", "--target", "y"],
+         "bias must be finite"),
+        (["portfolio", "--objective", "cvar", "--alpha", "1.5", "--mu", "0.001", "--input",
+          "{rets}"], "alpha must lie in [0, 1]"),
+        (["portfolio", "--long-only", "--mu", "0.001", "--input", "{nan}"],
+         "returns must be finite"),
+        *((["sparse", "--error", "se", "--k", "1", "--input", "{nan}", "--target", "y", flag],
+           "data must be finite") for flag in ("--milp", "--oracle")),
+        (["sparse", "--error", "se", "--k", "5", "--input", "{wide}", "--target", "y",
+          "--oracle"], "cardinality bound"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
-        paths = {name: tmp_path / f"{name}.csv" for name in ("reg", "rets", "out", "header",
-                                                              "nan", "inf")}
+        paths = {name: tmp_path / f"{name}.csv" for name in ("reg", "wide", "rets", "out",
+                                                              "header", "nan", "inf")}
         paths["cfg"] = tmp_path / "cfg.json"
         write_csv(str(paths["reg"]), ["x", "y"], np.array([[0.0, 1.0], [1.0, 2.5], [2.0, 2.9]]))
+        write_csv(str(paths["wide"]), ["a", "b", "y"],
+                  np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.5], [2.0, 1.0, 2.9], [3.0, 0.0, 4.0]]))
         write_csv(str(paths["rets"]), ["a", "b"], np.array([[0.01, 0.0], [-0.01, 0.02]]))
         paths["header"].write_text("x,y\n")
         paths["nan"].write_text("x,y\n0,1\nnan,2\n2,3\n")

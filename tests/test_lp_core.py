@@ -8,6 +8,7 @@ from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
 from quadlab.lp_core import (
     Incumbent,
     LpError,
+    LpIndexError,
     LpProblem,
     SingularBasisError,
     StackLimitError,
@@ -177,6 +178,22 @@ class TestSolveLp:
         assert s.phase2(10**6) == "optimal"
         assert s.bland
         assert s.obj == pytest.approx(_highs_objective(p), abs=1e-9)
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-6], ids=["kept", "refactorized"])
+    def test_solution_reports_the_last_pricing_unless_refactorized(self, drift):
+        p = _box_walk_problem()
+        s = _Simplex(p)
+        assert s.warm_start(*crash_basis(p, ()))
+        assert s.phase1(10**6) == "feasible" and s.phase2(10**6) == "optimal"
+        marker = np.arange(s.N, dtype=float)
+        s._d[:] = marker  # the last pricing, marked
+        s.x[s.basis] += drift  # a row residual beyond ROW_TOL makes solution() refactorize
+        sol = s.solution("optimal", p)
+        if drift:
+            assert np.array_equal(sol.reduced_costs, s._price(s.c)[1][:s.n])
+        else:
+            assert np.array_equal(sol.reduced_costs, marker[:s.n])
+        assert np.array_equal(sol.duals, s._y)
 
     @pytest.mark.parametrize("every", [REFACTOR_EVERY, 3])
     def test_tracked_objective_resyncs_only_at_refactor(self, monkeypatch, every):
@@ -568,8 +585,9 @@ class TestValueVector:
         assert np.array_equal(s.price_sign,
                               np.where(fixed, 0.0, simplex._PRICE_SIGN[s.vstate])), name
         assert s.free_nonbasic == np.count_nonzero(s.vstate == FREE_ZERO), name
-        if s._d is not None:  # the cached reduced costs of the current basis
-            assert s._d.tobytes() == s._price(s.c).tobytes(), name
+        if s._d is not None:  # the cached pricing of the current basis, duals included
+            y, d = s._price(s.c)
+            assert s._d.tobytes() == d.tobytes() and s._y.tobytes() == y.tobytes(), name
 
     @classmethod
     def _check_after_steps(cls, monkeypatch):
@@ -841,7 +859,7 @@ class TestIterationKernels:
 def _loop_dual_ratio_test(s, r, below, slope):
     """Full-sort reference for the bound-flipping ratio test: (j, flips, t) or None."""
     alpha = s.binv[r] @ s.A
-    d = s._price(s.c)
+    d = s._price(s.c)[1]
     breakpoints = []
     for j in range(s.N):
         state = s.vstate[j]
@@ -1164,13 +1182,45 @@ class TestRowBlocks:
     def test_add_rows_rejects(self, block, relation, rhs, message):
         p = LpProblem(3)
         p.add_row({0: 1.0}, "<=", 1.0)
+        extended = p.extended
         with pytest.raises(LpError, match=message):
             p.add_rows(block, relation, rhs)
-        assert p.matrix.tolist() == [[1.0, 0.0, 0.0]]
+        assert p.extended is extended and p.matrix.tolist() == [[1.0, 0.0, 0.0]]
         assert p.relations == ["<="] and p.rhs.tolist() == [1.0]
 
+    def test_rows_held_once(self, rng):
+        # matrix is a read-only view of the [A | I] the simplex reads
+        p = LpProblem(5)
+        p.set_objective(rng.standard_normal(5))
+        p.set_bounds(slice(None), -1.0, 1.0)
+        p.add_rows(rng.standard_normal((2, 5)), "<=", 1.0)
+        p.add_row({1: -0.0, 4: 2.0}, "=", 0.5)
+        assert np.array_equal(p.extended, np.hstack((p.matrix, np.eye(3))))
+        assert not np.signbit(p.extended[p.extended == 0.0]).any()
+        for array in (p.matrix, p.extended):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        assert np.shares_memory(p.matrix, p.extended)
+        assert _Simplex(p).A is p.extended
+        with pytest.raises(AttributeError):
+            p.matrix = np.zeros((3, 5))
+
+    def test_copy_shares_rows_until_either_adds(self, rng):
+        p = LpProblem(4)
+        p.add_rows(rng.standard_normal((2, 4)), ">=", 0.0)
+        rows = p.extended.copy()
+        q = p.copy()
+        assert q.extended is p.extended
+        q.add_row({0: 1.0}, "<=", 2.0)
+        assert p.num_rows == 2 and np.array_equal(p.extended, rows)
+        assert p.relations == [">=", ">="] and p.rhs.tolist() == [0.0, 0.0]
+        assert np.array_equal(q.extended[:2, :4], rows[:, :4]) and q.num_rows == 3
+        p.add_row({3: 1.0}, "=", 1.0)
+        assert np.array_equal(q.matrix[2], [1.0, 0.0, 0.0, 0.0])
+
     def test_rows_added_after_a_solve_bind(self):
-        # the [A | I] a solve caches must not outlive the rows it was built from
+        # the [A | I] a solve reads must not outlive the rows it was built from
         p = LpProblem(2)
         p.set_objective([-1.0, -2.0])
         p.set_bounds(slice(None), 0.0, 1.0)
@@ -1206,6 +1256,29 @@ class TestRowBlocks:
         assert p.relations == ["=", "free", "<=", "free"]
         with pytest.raises(LpError):
             p.set_relation(0, "~")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: p.set_relation(5, "="), "row index 5 is out of bounds .* size 3"),
+        (lambda p: p.set_relation([0, -4], "free"), "row index -4 is out of bounds"),
+        (lambda p: p.set_bounds(4, 0.0, 1.0), "variable index 4 is out of bounds .* size 4"),
+        (lambda p: p.set_bounds(np.array([1, 9]), 0.0, [1.0, 2.0]), "variable index 9 is"),
+        (lambda p: p.set_bounds([7], 0.0, 1.0), "variable index 7 is"),
+        (lambda p: p.set_bounds(-5, None, 1.0), "variable index -5 is"),
+        (lambda p: p.mark_binary(6), "variable index 6 is"),
+        (lambda p: p.mark_binary(np.array([0, 4])), "variable index 4 is"),
+        (lambda p: p.set_bounds(np.ones(5, dtype=bool), 0.0, 1.0), "variable boolean index"),
+    ], ids=["relation int", "relation list", "bounds int", "bounds array", "bounds list",
+            "bounds negative", "binary int", "binary array", "bounds mask"])
+    def test_bad_index_is_a_typed_error_that_changes_nothing(self, call, message):
+        p = LpProblem(4)
+        p.set_bounds(slice(None), [-1.0, 0.0, 0.5, -2.0], [1.0, 3.0, 0.5, 2.0])
+        p.add_rows(np.ones((3, 4)), ["=", "<=", ">="], 1.0)
+        before = [a.copy() for a in (p.lower, p.upper, p.is_binary)] + [list(p.relations)]
+        with pytest.raises(LpIndexError, match=message) as caught:
+            call(p)
+        assert isinstance(caught.value, IndexError) and isinstance(caught.value, LpError)
+        after = [p.lower, p.upper, p.is_binary, p.relations]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 class TestFreeRows:
@@ -1774,12 +1847,17 @@ class TestSolveMip:
             solve_mip(p, incumbent_hint=[1.0, 0.0])
 
     def test_one_copy_and_one_matrix_per_solve(self, rng, monkeypatch):
-        # the root, the polishes and every node share one relaxed copy and its [A | I]
+        # the root, the polishes and every node share one relaxed copy and the
+        # problem's own [A | I]: no solve builds another
         copies, served = [], []
-        copy, extended_rows = LpProblem.copy, simplex._extended_rows
+        copy, init = LpProblem.copy, _Simplex.__init__
+
+        def recording_init(s, problem, *args, **kwargs):
+            init(s, problem, *args, **kwargs)
+            served.append(s.A)
+
         monkeypatch.setattr(LpProblem, "copy", lambda self: copies.append(copy(self)) or copies[-1])
-        monkeypatch.setattr(simplex, "_extended_rows",
-                            lambda problem: served.append(extended_rows(problem)) or served[-1])
+        monkeypatch.setattr(_Simplex, "__init__", recording_init)
         nodes = []
         for _ in range(5):
             nb = int(rng.integers(6, 10))
@@ -1790,5 +1868,6 @@ class TestSolveMip:
             copies.clear()
             served.clear()
             nodes.append(solve_mip(p, gap_tol=0.0, incumbent_hint=np.ones(nb)).nodes)
-            assert len(copies) == 1 and len(served) > 1 and len({id(a) for a in served}) == 1
+            assert len(copies) == 1 and len(served) > 1
+            assert all(a is p.extended for a in served)
         assert min(nodes) > 1 and max(nodes) >= 10

@@ -66,6 +66,56 @@ class TestFitOls:
         assert m.regularized
 
 
+def _model_fields(model):
+    return (np.float64(model.intercept).tobytes(), model.coefficients.tobytes(),
+            model.regularized, np.float64(model.objective).tobytes(), model.equiv_alpha)
+
+
+class TestDatasetCopies:
+    """A data set holds read-only copies and fits OLS once, for every fitter."""
+
+    FITS = (lambda d: fit_quantile(d, 0.3), fit_ols, fit_se, lambda d: fit_biased_mean(d, 0.2))
+
+    def test_caller_writes_reach_no_fit(self, rng):
+        x, y = rng.standard_normal((40, 2)), rng.standard_normal(40)
+        data = Dataset(x, y)
+        before = [_model_fields(fit(data)) for fit in self.FITS]
+        x[:] = 0.0
+        y[:] = 1.0
+        assert [_model_fields(fit(data)) for fit in self.FITS] == before
+        fresh = Dataset(x, y)
+        assert _model_fields(fit_ols(fresh)) != before[1]
+
+    def test_arrays_are_read_only(self, rng):
+        data = random_dataset(rng)
+        beta, _ = data.ols_coefficients
+        for array in (data.design, data.response, beta):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        model = fit_ols(data)
+        model.coefficients[...] = 0.0  # a model owns its coefficients
+        assert not np.shares_memory(model.coefficients, beta)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
+    def test_fit_order_changes_nothing(self, rng, order):
+        for _ in range(4):
+            data = random_dataset(rng)
+            shared = {k: _model_fields(self.FITS[k](data)) for k in order}
+            for k in order:
+                fresh = Dataset(np.array(data.design), np.array(data.response))
+                assert shared[k] == _model_fields(self.FITS[k](fresh))
+
+    def test_ols_computed_once(self, rng, monkeypatch):
+        data = random_dataset(rng)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda g: calls.append(1) or cholesky(g))
+        for fit in self.FITS:
+            fit(data)
+        assert len(calls) == 1
+
+
 class TestFitQuantile:
     def test_intercept_only_median(self):
         m = fit_quantile(INTERCEPT_ONLY, 0.5)
