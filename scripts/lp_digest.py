@@ -12,11 +12,13 @@ The set covers each start ``solve_lp`` takes: regression duals at n = 100
 and 10,000 (pinball at two levels, each from the OLS crash, so through the
 dual phase), the part-balancing and tail-average portfolio duals, a cold
 start that needs phase 1, and a best-subset relaxation with freed rows
-warm-started from its parent.  The searches hash every ``MipSolution``
-field and every ``SparseSolution`` field except ``time_s``: knapsack MIPs
-that branch, three under a node budget (ending with an incumbent, without
-one, and with one from an incumbent hint), SE and MSE subset searches with
-and without a node budget, and one big-M MILP.  The box-LP stacks hash
+warm-started from its parent, solved to optimality and also stopped at a
+cutoff halfway (its status, objective, iterations and phase split).  The
+searches hash every ``MipSolution`` field and every ``SparseSolution``
+field except ``time_s``: knapsack MIPs that branch, three under a node
+budget (ending with an incumbent, without one, and with one from an
+incumbent hint), SE and MSE subset searches with and without a node
+budget, and one big-M MILP.  The box-LP stacks hash
 every ``StackSolution`` field: the part-balancing oracle of a d = 8 planted
 instance, a tied and a degenerate random stack, and a stack with no more
 columns than rows.  One equivalence sweep per sign policy hashes every row
@@ -33,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +45,15 @@ from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_a
 from quadlab.lp_core import LpProblem, solve_box_stack, solve_lp, solve_mip
 from quadlab.portfolio import (PortfolioProblem, equivalence_sweep, optimize_cvar_dev,
                                optimize_se_dev)
+
+
+class _CutSolve(NamedTuple):
+    """What a solve stopped at its cutoff reports of itself."""
+
+    status: str
+    objective: float
+    iterations: int
+    phase_iterations: tuple[int, int, int]
 
 
 def _update(h, value) -> None:
@@ -137,8 +149,15 @@ def _subset_relaxation():
     oracle = regression.SeSubsetOracle(data)
     _, root = oracle.relax((), (0, 1, 2, 3, 4), None)
     yield "subset root", root[2]
-    _, child = oracle.relax((0,), (2,), root)  # rows of columns 1, 3 and 4 freed
+    child_bound, child = oracle.relax((0,), (2,), root)  # rows of columns 1, 3 and 4 freed
     yield "subset child", child[2]
+    # the same relaxation stopped halfway from its start to its optimum
+    _, cut = oracle.relax((0,), (2,), root, 0.5 * (root[1] + child_bound))
+    sol = cut[2]
+    if sol.status != "cutoff" or not 0 < sol.iterations < child[2].iterations:
+        raise SystemExit("the subset child is no longer cut short of its optimum")
+    yield "subset child cut", _CutSolve(sol.status, sol.objective, sol.iterations,
+                                        sol.phase_iterations)
 
 
 def _knapsack(seed, nb=10):

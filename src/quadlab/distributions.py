@@ -45,14 +45,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalSample:
     """A finite discrete distribution: atoms with probabilities summing to 1.
 
     Samples are immutable: the constructor stores read-only copies of
     ``atoms`` and ``probabilities``, so the caller's arrays stay writable and
     later writes to them do not reach the sample.  That is what makes the
-    cached ``sorted_view`` safe to reuse.
+    cached ``sorted_view`` safe to reuse.  Equality is identity: that cache
+    belongs to the instance.
     """
 
     atoms: np.ndarray

@@ -33,7 +33,12 @@ Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
 nothing (unbounded slack, zero dual).  The best-subset search keeps one
 such dual and frees the rows of excluded columns with
 ``LpProblem.set_relation``; an optimal basis stays primal feasible when
-rows are freed, so each child relaxation warm-starts into phase 2.
+rows are freed, so each child relaxation warm-starts into phase 2.  It
+passes its prune threshold as ``solve_lp``'s ``cutoff``: phase 2, whose
+iterates are feasible and whose objective never rises, stops with status
+``cutoff`` once the objective reaches it, since by weak duality the value
+reached already bounds the child's error past the incumbent.  Only these
+cut children end early; no other solve passes a cutoff.
 
 ``solve_box_stack`` solves a stack of same-shape LPs, min c.u s.t.
 A_l u = 0, lo <= u <= hi with c, lo and hi shared, by the bound-flipping

@@ -69,9 +69,13 @@ class Incumbent:
         if value < self.value - IMPROVE_TOL:
             self.value, self.solution = value, solution
 
+    def threshold(self) -> float:
+        """The prune threshold: the incumbent's value less PRUNE_TOL (inf before any)."""
+        return self.value - PRUNE_TOL
+
     def prunes(self, bound) -> bool:
         """True when a node with this bound cannot improve on the incumbent."""
-        return bound >= self.value - PRUNE_TOL
+        return bound >= self.threshold()
 
 
 def best_first(root_bound, root, expand, incumbent: Incumbent, gap_tol: float,

@@ -243,6 +243,15 @@ class LpSolution:
     phase 2); ``bound_flips`` counts nonbasic variables moved from one
     bound to the other, whether by a long dual step or a primal flip; the
     flips of a dual phase that stalls, and so is undone, do not count.
+
+    ``status`` is ``optimal``, ``infeasible``, ``unbounded``,
+    ``iteration_limit``, or ``cutoff`` when a ``cutoff`` given to
+    ``solve_lp`` stopped phase 2.  A cut solve reports the primal feasible
+    ``x`` it stopped at, its ``objective`` (at or below the cutoff and at
+    or above the optimum, an upper bound on the minimum because only phase
+    2, whose iterates are feasible, reads the cutoff), ``iterations``,
+    ``phase_iterations``, ``bound_flips`` and ``warm_used``; no duals,
+    reduced costs or basis.
     """
 
     status: str

@@ -6,8 +6,9 @@ nothing); the all-slack basis is then always structurally valid.  Phase 1
 minimizes the total bound violation of the basic variables (a composite
 objective, no artificial columns), which doubles as the repair step when a
 warm-start basis is primally infeasible.  Phase 2 prices with Dantzig's rule
-and falls back to Bland's rule once a degeneracy watchdog trips.  The basis
-inverse is dense, updated in product form and refactorized periodically.
+and falls back to Bland's rule once a degeneracy watchdog trips; a caller's
+objective cutoff stops it early (see ``solve_lp``).  The basis inverse is
+dense, updated in product form and refactorized periodically.
 
 The state is the ``basis``, each variable's bound state ``vstate``, the
 inverse ``binv`` and one value vector ``x`` over all n + m variables.  A
@@ -208,6 +209,7 @@ class _Simplex:
         self.N = n + m
         self.A = problem.extended  # read-only [A | I]
         self.b = np.asarray(problem.rhs, dtype=float)
+        self.objective = problem.objective
         self.c = np.concatenate((problem.objective, np.zeros(m)))
         code = _relation_codes(problem.relations)
         self.lo = np.concatenate((problem.lower, _SLACK_LO[code]))
@@ -584,12 +586,20 @@ class _Simplex:
             self._apply_step(j, sigma, t, leave_row, leave_state, w, delta)
             self.iterations += 1
 
-    def phase2(self, max_iterations) -> str:
+    def phase2(self, max_iterations, cutoff=None) -> str:
+        """Primal simplex from a feasible basis; "cutoff" once the objective reaches ``cutoff``.
+
+        The cutoff is tested before each iteration, the start included: a
+        tracked objective at or below it is recomputed exactly, as
+        ``solution`` would report it, and only that value stops the solve.
+        """
         watchdog = max(200, 4 * self.m)
         last_obj = np.inf
         self.stall = 0
         self.obj = self._objective()
         while True:
+            if cutoff is not None and self.obj <= cutoff and self._reported_objective() <= cutoff:
+                return "cutoff"
             if self.iterations >= max_iterations:
                 return "iteration_limit"
             d = self._reduced_costs()
@@ -616,7 +626,11 @@ class _Simplex:
     def _objective(self) -> float:
         return float(self.c @ self.x)
 
-    def solution(self, status: str, problem: LpProblem) -> LpSolution:
+    def _reported_objective(self) -> float:
+        """The objective over the structural columns, the value ``solution`` reports."""
+        return float(self.objective @ self.x[: self.n])
+
+    def solution(self, status: str) -> LpSolution:
         resid = self.A @ self.x - self.b
         if status == "optimal" and np.max(np.abs(resid), initial=0.0) > ROW_TOL:
             self._refactor()
@@ -627,7 +641,7 @@ class _Simplex:
         return LpSolution(
             status=status,
             x=self.x[: self.n].copy(),
-            objective=float(problem.objective @ self.x[: self.n]),
+            objective=self._reported_objective(),
             iterations=self.iterations,
             duals=self._y.copy(),
             reduced_costs=reduced,
@@ -637,7 +651,7 @@ class _Simplex:
 
 
 def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
-             dual_tol: float = DUAL_TOL) -> LpSolution:
+             dual_tol: float = DUAL_TOL, cutoff: float | None = None) -> LpSolution:
     """Solve an LP to optimality with deterministic pivoting.
 
     ``warm`` is an optional (basis, vstate) pair from a previous solution of
@@ -652,6 +666,18 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     the reduced-cost threshold: callers with many bounded columns tighten
     it, since the worst-case objective slack at optimality scales like
     (columns x ranges x dual_tol).
+
+    ``cutoff`` stops the solve early: once a phase-2 iterate's objective,
+    recomputed as ``LpSolution.objective`` reports it, is at or below the
+    cutoff, the status is ``cutoff``.  Only phase 2 reads it.  Its iterates
+    are primal feasible and the objective never rises along them, so the
+    value reached is an upper bound on the optimum (the minimum) and, by
+    weak duality, a lower bound on the dual maximum: a branch and bound
+    whose node bound is that dual maximum may drop the node as soon as the
+    value passes its prune threshold.  The dual phase and phase 1 move
+    through infeasible points whose objective bounds nothing, so they never
+    stop on it.  Without a cutoff, or with one below the optimum, the solve
+    is the one it would have been.
     """
     if np.any(problem.is_binary):
         raise LpError("solve_lp does not accept integrality flags; use solve_mip")
@@ -669,15 +695,19 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
         status = s.phase1(max_iterations)
     primal = s.iterations
     if status == "feasible":
-        status = s.phase2(max_iterations)
+        status = s.phase2(max_iterations, cutoff)
     if status == "infeasible":
         sol = LpSolution(status="infeasible", iterations=s.iterations,
                          message="phase 1 ended with positive infeasibility")
     elif status == "unbounded":
         sol = LpSolution(status="unbounded", iterations=s.iterations,
                          message="improving direction with no blocking bound")
+    elif status == "cutoff":
+        sol = LpSolution(status="cutoff", x=s.x[: s.n].copy(),
+                         objective=s._reported_objective(), iterations=s.iterations,
+                         message=f"objective reached the cutoff {cutoff!r}")
     else:
-        sol = s.solution(status, problem)
+        sol = s.solution(status)
         if status == "iteration_limit":
             sol.message = f"stopped after {s.iterations} iterations"
     sol.warm_used = started

@@ -29,7 +29,7 @@ class InfeasibleTarget(LpError):
     """The target mean return cannot be met on the budget simplex."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioProblem:
     """Scenario return matrix (n x m), target mean, and sign policy.
 
@@ -37,7 +37,8 @@ class PortfolioProblem:
     array stays writable and later writes to it do not reach the problem.
     That is what makes the cached ``mean_returns`` and scenario duals safe
     to reuse.  Each solve rewrites a dual's objective and scenario bounds,
-    so one problem must not be solved from two threads at once.
+    so one problem must not be solved from two threads at once.  Equality
+    is identity: those caches belong to the instance.
     """
 
     returns: np.ndarray

@@ -25,14 +25,16 @@ from .functionals import _bias_of, _alpha_open
 from .lp_core import LpError, LpProblem, certify_objective, crash_basis, crash_pool, solve_lp
 
 ZERO_RESIDUAL_RTOL = 1e-11
+CUTOFF_MARGIN = 1e-15  # relative rounding margin below a subset relaxation's cutoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix (one observation per row) and response vector.
 
     Both are stored as read-only copies, so no later write to the caller's
-    arrays reaches ``ols_coefficients``, which every fit reads.
+    arrays reaches ``ols_coefficients``, which every fit reads.  Equality is
+    identity: the cached fit belongs to the instance.
     """
 
     design: np.ndarray
@@ -247,9 +249,9 @@ def _split_threshold(z: np.ndarray, level: float) -> float:
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
-def _solve_dual(problem: LpProblem, warm, n: int):
-    sol = solve_lp(problem, warm=warm, max_iterations=60_000 + 30 * n)
-    if sol.status != "optimal":
+def _solve_dual(problem: LpProblem, warm, n: int, cutoff: float | None = None):
+    sol = solve_lp(problem, warm=warm, max_iterations=60_000 + 30 * n, cutoff=cutoff)
+    if sol.status not in ("optimal", "cutoff"):
         raise LpError(f"regression LP ended with status {sol.status}")
     return sol
 
@@ -285,6 +287,16 @@ class SeSubsetOracle:
     the leaf's columns: from a parent of up to d columns it would cost more.
     ``leaf_fit`` keeps each leaf's fit by its sorted support, so neither a
     leaf scored twice nor the incumbent's final model costs a second fit.
+
+    ``relax`` takes the search's prune threshold as ``cutoff``.  The dual
+    is a maximization solved as min -y.u, so ``solve_lp`` gets the
+    threshold negated and lowered by a rounding margin of CUTOFF_MARGIN *
+    max(1, |threshold|).  Phase 2 stops once its iterate's error, a lower
+    bound on the node's by weak duality, passes the threshold by that
+    margin.  The node's exact error is then past the threshold as well, so
+    the search would drop the node anyway; the cut node (status
+    ``cutoff``, no duals) reports the error reached, which is past the
+    threshold, so it is dropped and never branched on.
     """
 
     def __init__(self, data: Dataset):
@@ -293,18 +305,20 @@ class SeSubsetOracle:
         self.data = data
         self._leaf_fits: dict[tuple[int, ...], LinearModel] = {}
 
-    def _node(self, columns, parent):
+    def _node(self, columns, parent, threshold=None):
         key = tuple(sorted(columns))
         if parent is not None and parent[0] == key:
             return parent
         self.problem.set_relation(slice(1, None), "free")
         self.problem.set_relation(1 + np.asarray(key, dtype=np.intp), "=")
         start = self.crash if parent is None else (parent[2].basis, parent[2].vstate)
-        sol = _solve_dual(self.problem, start, self.data.n)
+        cutoff = (None if threshold is None
+                  else -threshold - CUTOFF_MARGIN * max(1.0, abs(threshold)))
+        sol = _solve_dual(self.problem, start, self.data.n, cutoff)
         return key, -float(sol.objective), sol
 
-    def relax(self, included, free, parent):
-        node = self._node(included + free, parent)
+    def relax(self, included, free, parent, cutoff=None):
+        node = self._node(included + free, parent, cutoff)
         return node[1], node
 
     def branch_values(self, included, free, node):

@@ -10,7 +10,8 @@ One search, one cross-check and one oracle:
   raise the minimum).  The squared error reads it, and the branching
   coefficients, from one Gram fit per node; the part-balancing error from
   the compact dual of ``fit_se`` with the excluded columns' rows freed,
-  each node warm-started from its parent's basis; leaves are scored alone.
+  each node warm-started from its parent's basis and stopped once its
+  bound passes the incumbent; leaves are scored alone.
   Greedy forward selection under squared error seeds the incumbent of
   both;
 * ``fit_sparse_se_milp``: the paper's big-M mixed-binary LP for the
@@ -252,8 +253,8 @@ class _GramSolver:
         v, coords, _ = _gram_fits(*self._blocks([support]), self.n)
         return v[0] @ coords[0]
 
-    def relax(self, included, free, parent):
-        """The fit on in-plus-free: its error, and the fit itself as the node."""
+    def relax(self, included, free, parent, cutoff=None):
+        """The fit on in-plus-free: its error, and the fit itself as the node; no cutoff."""
         v, coords, explained = _gram_fits(*self._blocks([included + free]), self.n)
         return float(((self.yty - explained) / self.n)[0]), (v[0], coords[0])
 
@@ -329,6 +330,15 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
     loop, its statuses and its pruning are ``lp_core.best_first``'s.  The
     incumbent's model is ``oracle.leaf_fit`` of its support where the oracle
     keeps one, else a refit.
+
+    Each child's ``relax`` is given the prune threshold at that moment,
+    ``Incumbent.threshold()``, as its cutoff; nothing changes the incumbent
+    between the relax and the yield that checks the child.  An oracle may
+    stop the relaxation once its bound provably passes the threshold and
+    return the bound reached (``SeSubsetOracle`` does, through
+    ``solve_lp``'s cutoff; ``_GramSolver`` ignores it): such a cut child is
+    dropped at yield, as it would have been with its exact bound, and is
+    never expanded.  The root passes no cutoff.
     """
     data, k = problem.data, problem.k
     start = time.perf_counter()
@@ -351,7 +361,8 @@ def _include_exclude(problem: SparseProblem, oracle, seed) -> SparseSolution:
             if len(child_in) == k:
                 score(tuple(sorted(child_in)))
                 continue
-            child_bound, child = oracle.relax(child_in, child_free, state)
+            child_bound, child = oracle.relax(child_in, child_free, state,
+                                              incumbent.threshold())
             yield child_bound, (child_in, child_free, child)
 
     root_candidates = tuple(range(data.d))
@@ -385,11 +396,12 @@ def fit_sparse_se(problem: SparseProblem) -> SparseSolution:
     """Best subset under the part-balancing error by include/exclude branch and bound.
 
     Node bounds are fits on the compact dual of ``fit_se`` with the rows of
-    excluded columns freed, each warm-started from its parent's basis, and
-    the branching coefficients are the negated row duals.  Leaves, and the
-    squared-error greedy support that seeds the incumbent, are scored by
-    ``fit_se`` on their columns.  ``fit_sparse_se_milp`` solves the same
-    problem as the paper's big-M program; ``big_m`` applies only there.
+    excluded columns freed, each warm-started from its parent's basis and
+    stopped at the incumbent, and the branching coefficients are the
+    negated row duals.  Leaves, and the squared-error greedy support that
+    seeds the incumbent, are scored by ``fit_se`` on their columns.
+    ``fit_sparse_se_milp`` solves the same problem as the paper's big-M
+    program; ``big_m`` applies only there.
     """
     if problem.error_kind != "se":
         raise ValueError("fit_sparse_se expects error kind 'se'")

@@ -102,6 +102,14 @@ class TestSampleContract:
         weights[0] = 50.0
         assert [(s.mean(), var(s, 0.4), cvar(s, 0.4)) for s in (direct, made)] == before
 
+    def test_equality_is_identity(self, rng):
+        atoms = rng.standard_normal(30)
+        probs = np.full(30, 1.0 / 30)
+        sample = EmpiricalSample(atoms, probs)
+        assert sample == sample and not sample != sample
+        assert sample != EmpiricalSample(atoms, probs)
+        assert len({sample, sample, EmpiricalSample(atoms, probs)}) == 2
+
     def test_sorted_view_built_once(self, rng, monkeypatch):
         s = make_sample(rng.integers(0, 9, 50).astype(float))
         calls = []

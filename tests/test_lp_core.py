@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -188,7 +189,7 @@ class TestSolveLp:
         marker = np.arange(s.N, dtype=float)
         s._d[:] = marker  # the last pricing, marked
         s.x[s.basis] += drift  # a row residual beyond ROW_TOL makes solution() refactorize
-        sol = s.solution("optimal", p)
+        sol = s.solution("optimal")
         if drift:
             assert np.array_equal(sol.reduced_costs, s._price(s.c)[1][:s.n])
         else:
@@ -1334,6 +1335,91 @@ class TestFreeRows:
             assert back.status == "optimal"
             assert back.objective == pytest.approx(first.objective, abs=1e-9)
             assert back.objective == pytest.approx(_highs_objective(p), abs=1e-8)
+
+
+class TestCutoff:
+    @staticmethod
+    def _freed_rows(rng):
+        """A problem with half its rows freed and its constrained optimum, a feasible start."""
+        m = int(rng.integers(3, 10))
+        n = int(rng.integers(m + 2, 24))
+        a = rng.standard_normal((m, n))
+        p = LpProblem(n)
+        p.set_objective(rng.standard_normal(n))
+        p.set_bounds(slice(None), -2.0, 2.0)
+        p.add_rows(a, "=", a @ rng.uniform(-1.0, 1.0, n))
+        first = solve_lp(p)
+        assert first.status == "optimal"
+        p.set_relation(rng.choice(m, size=max(1, m // 2), replace=False), "free")
+        return p, (first.basis, first.vstate), first.objective
+
+    @staticmethod
+    def _assert_same(a, b):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y), f.name
+
+    def test_cutoff_below_the_optimum_changes_nothing(self, rng):
+        cases = [(_box_walk_problem(), None)]
+        cases += [(_random_bounded_feasible(rng), None) for _ in range(20)]
+        cases += [self._freed_rows(rng)[:2] for _ in range(20)]
+        for p, warm in cases:
+            sol = solve_lp(p, warm=warm)
+            assert sol.status == "optimal"
+            for cutoff in (-np.inf, sol.objective - 1e-6 * max(1.0, abs(sol.objective))):
+                cut = solve_lp(p, warm=warm, cutoff=cutoff)
+                self._assert_same(cut, sol)
+
+    def test_cutoff_above_the_optimum_stops_phase_2(self, rng):
+        stopped = 0
+        for _ in range(40):
+            p, warm, start = self._freed_rows(rng)
+            sol = solve_lp(p, warm=warm)
+            assert sol.status == "optimal" and sol.phase_iterations[:2] == (0, 0)
+            midway = 0.5 * (sol.objective + start)
+            for cutoff in (midway, start, sol.objective + 1e-9):
+                cut = solve_lp(p, warm=warm, cutoff=cutoff)
+                assert cut.status == "cutoff" and cut.warm_used
+                assert sol.objective - 1e-9 <= cut.objective <= cutoff
+                assert cut.objective == float(p.objective @ cut.x)  # as a solution reports it
+                assert cut.iterations <= sol.iterations
+                assert cut.phase_iterations == (0, 0, cut.iterations)
+                assert cut.bound_flips <= sol.bound_flips
+                assert np.all(np.abs(p.matrix @ cut.x - p.rhs)[np.array(p.relations) == "="]
+                              <= simplex.ROW_TOL)
+                assert np.all((cut.x >= p.lower - FEAS_TOL) & (cut.x <= p.upper + FEAS_TOL))
+            stopped += solve_lp(p, warm=warm, cutoff=midway).iterations < sol.iterations
+            # the start's own objective, recomputed from the basis, within rounding
+            assert solve_lp(p, warm=warm, cutoff=start + 1e-9).iterations == 0
+        assert stopped > 0
+
+    def test_dual_phase_and_phase_1_are_never_cut(self):
+        # a regression dual's crash start takes the dual phase; a free column
+        # with a cost keeps the slack start of covering rows out of it, so
+        # phase 1 runs; an infinite cutoff stops either solve at phase 2's
+        # first check, and not before
+        n = 200
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(n)
+        data = Dataset(x[:, None], x + rng.standard_normal(n) ** 2)
+        dual, crash = _dual_problem(data, -1.0 / n, 9.0 / n, None, split_level=0.9)
+        cover = LpProblem(8)
+        cover.set_objective(np.append(rng.uniform(0.5, 2.0, 7), 1.0))
+        cover.set_bounds(slice(0, 7), 0.0, 2.0)
+        cover.add_rows(np.column_stack((rng.uniform(0.2, 1.0, (4, 7)), np.ones(4))), ">=",
+                       rng.uniform(1.0, 3.0, 4))
+        for p, warm, phase in ((dual, crash, 0), (cover, None, 1)):
+            sol = solve_lp(p, warm=warm)
+            assert sol.status == "optimal" and sol.phase_iterations[phase] > 0
+            cut = solve_lp(p, warm=warm, cutoff=np.inf)
+            assert cut.status == "cutoff"
+            assert cut.phase_iterations == (*sol.phase_iterations[:2], 0)
+            assert cut.iterations == sum(sol.phase_iterations[:2])
+            assert cut.objective >= sol.objective - 1e-9
+            assert np.all((cut.x >= p.lower - FEAS_TOL) & (cut.x <= p.upper + FEAS_TOL))
+            slack = p.matrix @ cut.x - p.rhs
+            assert np.all(np.where(np.array(p.relations) == "=", np.abs(slack), -slack)
+                          <= simplex.ROW_TOL)
 
 
 class TestWarmUsed:

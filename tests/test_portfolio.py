@@ -350,6 +350,13 @@ class TestCachedDuals:
         _assert_same_solution(again, optimize_se_dev(PortfolioProblem(r, mu), 0.001,
                                                      start=tail.weights))
 
+    def test_equality_is_identity(self, rng):
+        r = random_returns(rng, n=50, m=3)
+        problem = PortfolioProblem(r, 0.001)
+        assert problem == problem and not problem != problem
+        assert problem != PortfolioProblem(r, 0.001)
+        assert len({problem, problem, PortfolioProblem(r, 0.001)}) == 2
+
     def test_caller_writes_do_not_reach_the_problem(self, rng):
         r = random_returns(rng, n=200, m=4)
         mu = float(r.mean(axis=0).mean())

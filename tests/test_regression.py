@@ -97,6 +97,13 @@ class TestDatasetCopies:
         model.coefficients[...] = 0.0  # a model owns its coefficients
         assert not np.shares_memory(model.coefficients, beta)
 
+    def test_equality_is_identity(self, rng):
+        x, y = rng.standard_normal((40, 2)), rng.standard_normal(40)
+        data = Dataset(x, y)
+        assert data == data and not data != data
+        assert data != Dataset(x, y)
+        assert len({data, data, Dataset(x, y)}) == 2
+
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)])
     def test_fit_order_changes_nothing(self, rng, order):
         for _ in range(4):

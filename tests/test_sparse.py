@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 
@@ -325,6 +326,41 @@ class TestSharedSearch:
             assert (sol.model.intercept, sol.model.objective) == \
                 (ref.model.intercept, ref.model.objective), name
             assert np.array_equal(sol.model.coefficients, ref.model.coefficients), name
+
+    def test_se_cutoff_changes_no_result_and_saves_pivots(self, monkeypatch):
+        # a relaxation cut at the prune threshold is one the search drops
+        # anyway: the searches end as they do with every relaxation solved
+        # to optimality, on fewer regression-LP iterations
+        solved = {"iterations": 0, "cutoff": 0}
+        real_solve, relax = regression.solve_lp, regression.SeSubsetOracle.relax
+
+        def counted(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            solved["iterations"] += sol.iterations
+            solved["cutoff"] += sol.status == "cutoff"
+            return sol
+
+        def uncut(oracle, included, free, parent, cutoff=None):
+            return relax(oracle, included, free, parent)
+
+        monkeypatch.setattr(regression, "solve_lp", counted)
+        for seed in range(4):
+            problem = SparseProblem(_recovery_replication(7200 + seed), k=3, error_kind="se")
+            runs = []
+            for patched in (relax, uncut):
+                monkeypatch.setattr(regression.SeSubsetOracle, "relax", patched)
+                solved.update(iterations=0, cutoff=0)
+                runs.append((fit_sparse_se(problem), dict(solved)))
+            (sol, cut), (ref, full) = runs
+            assert cut["cutoff"] > 0 and full["cutoff"] == 0, seed
+            assert cut["iterations"] < full["iterations"], seed
+            for f in dataclasses.fields(sol):
+                if f.name == "model":
+                    for g in dataclasses.fields(sol.model):
+                        assert np.array_equal(getattr(sol.model, g.name),
+                                              getattr(ref.model, g.name)), (seed, g.name)
+                elif f.name != "time_s":
+                    assert getattr(sol, f.name) == getattr(ref, f.name), (seed, f.name)
 
     def test_se_node_budget_keeps_incumbent(self, rng):
         for name, data, k in self._adversarial(rng):
