@@ -48,10 +48,11 @@ crash basis of the k columns with the smallest least-squares reduced
 costs (the slack basis where that basis is singular, ill-conditioned or
 impossible), with every nonbasic column at the bound its reduced cost
 prefers, so the start is dual feasible.  Phase-2 pricing certifies each
-LP once it is primal feasible, and primal steps, with ties broken by
-``simplex.leaving_row``, finish any LP that fails it.  A dual step that
-breaks down raises ``StackStallError`` and the iteration cap
-``StackLimitError``, both ``StackError``s naming the LP's stack position.
+LP once it is primal feasible; an LP that fails it is handed to
+``solve_lp``, warm-started from its final basis, after the stack's loop.
+A dual step that breaks down raises ``StackStallError``, the iteration cap
+``StackLimitError``, and a hand-off that does not end optimal
+``StackError``; each is a ``StackError`` naming the LP's stack position.
 It exists for the exhaustive best-subset oracle, whose C(d, k) centred-LAD
 duals (one per support) have exactly that shape.
 """

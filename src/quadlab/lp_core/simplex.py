@@ -44,7 +44,7 @@ a row tying the bound flip never blocks it.  Otherwise the step is the
 smallest row step, clamped at zero, and ``leaving_row`` picks among the
 rows within TIE_TOL of it: the largest |pivot| (within 1e-15, and not
 under Bland's rule), then the lowest basic variable index.  The rule does
-not depend on row order, and ``solve_box_stack`` uses it too.
+not depend on row order.
 
 A dual phase runs first when the start is primal infeasible and every
 nonbasic variable is boxed, or dual feasible already (fixed, one-sided at
@@ -184,19 +184,19 @@ _NOT_TIED = np.iinfo(np.intp).max  # above every basic index
 
 
 def leaving_row(t, step, delta, basis, bland):
-    """Leaving row of a primal ratio test, along the last axis of ``t``.
+    """Leaving row of a primal ratio test.
 
     ``t`` holds each row's blocking step, ``step`` the step taken (the
     smallest one, clamped at zero), ``delta`` each basic variable's rate
-    of change and ``basis`` its index; with a leading stack axis, ``step``
-    and ``bland`` hold one value per LP.  Rows within TIE_TOL of ``step``
+    of change and ``basis`` its index.  Rows within TIE_TOL of ``step``
     tie.  The largest |delta| wins, within 1e-15 and not under Bland's
-    rule; then the lowest basic index.
+    rule (``bland``); then the lowest basic index.
     """
-    tied = t <= np.asarray(step)[..., None] + TIE_TOL
-    size = np.where(tied & ~np.asarray(bland)[..., None], np.abs(delta), 0.0)
-    tied &= size >= size.max(axis=-1, keepdims=True) - 1e-15
-    return np.where(tied, basis, _NOT_TIED).argmin(axis=-1)
+    tied = t <= step + TIE_TOL
+    if not bland:
+        size = np.where(tied, np.abs(delta), 0.0)
+        tied &= size >= size.max() - 1e-15
+    return int(np.where(tied, basis, _NOT_TIED).argmin())
 
 
 class _Simplex:
@@ -366,7 +366,7 @@ class _Simplex:
         if np.count_nonzero(t <= best_t + TIE_TOL) == 1:  # leaving_row: r, at ~10x the cost
             leave_row = r
         else:
-            leave_row = int(leaving_row(t, best_t, delta, self.basis, self.bland))
+            leave_row = leaving_row(t, best_t, delta, self.basis, self.bland)
         if phase1_viol is not None and phase1_viol[leave_row]:
             leave_state = AT_LOWER if phase1_viol[leave_row] < 0 else AT_UPPER
         else:
@@ -510,12 +510,13 @@ class _Simplex:
         breakpoint |d_j| / |alpha_rj|.  Walking the breakpoints in (ratio,
         column) order, each crossed one flips its column to the other bound
         and lowers the slope by |alpha_rj| * (u_j - l_j); the walk stops at
-        the first breakpoint that leaves the slope nonpositive (a free or
-        one-sided column, with an infinite range, always stops it).  Among the
-        breakpoints within TIE_TOL of that one, the entering column has the
-        largest |alpha_rj|, then the lowest index; the columns crossed
-        before the stop, except the entering one, flip.  None means no
-        eligible column or a slope that never turns: the dual is unbounded.
+        the first breakpoint that leaves the slope at most FEAS_TOL, as the
+        stack's ``_ratio_walk`` does (a free or one-sided column, with an
+        infinite range, always stops it).  Among the breakpoints within
+        TIE_TOL of that one, the entering column has the largest
+        |alpha_rj|, then the lowest index; the columns crossed before the
+        stop, except the entering one, flip.  None means no eligible column
+        or a slope that never turns: the dual is unbounded.
         """
         alpha = self.binv[r] @ self.A
         pull = alpha * self.price_sign
@@ -541,7 +542,7 @@ class _Simplex:
             # the slope falls by each crossed column's weight; the weights
             # are nonnegative, so their running sum is sorted
             fall = np.cumsum(size[walk] * self.span.take(cand[walk]))
-            stop = int(fall.searchsorted(slope))
+            stop = int(fall.searchsorted(slope - FEAS_TOL))
             if stop < walk.size:
                 break
             if window == cand.size:

@@ -29,26 +29,28 @@ such a start (Koenker & d'Orey 1987; Maros 2003):
   prefers;
 * a dual step leaves on the row of the largest bound violation, lowest
   row on ties.  Its ratio test walks the breakpoints |d_j| / |alpha_rj| in
-  (ratio, column) order and stops at the first one that leaves the slope
-  at most FEAS_TOL; the entering column is the largest |alpha_rj| within
-  TIE_TOL of the stop, then the lowest index, and the columns crossed
-  before the stop flip.  Only the smallest breakpoints are sorted, in a
-  window that grows 4x until it holds the stop;
-* once an LP is primal feasible, phase-2 pricing certifies it.  An LP
-  whose reduced costs drifted past DUAL_TOL continues with primal steps:
-  Dantzig pricing with the lowest index among tied columns, a per-LP
-  degeneracy watchdog that switches to Bland's rule, and the leaving row
-  picked by ``leaving_row``, the function ``solve_lp`` calls.
+  (ratio, column) order and stops where ``solve_lp``'s does, at the first
+  one that leaves the slope at most FEAS_TOL; the entering column is the
+  largest |alpha_rj| within TIE_TOL of the stop, then the lowest index,
+  and the columns crossed before the stop flip.  Only the smallest
+  breakpoints are sorted, in a window that grows 4x until it holds the
+  stop;
+* once an LP is primal feasible it is finished, and phase-2 pricing
+  certifies it.  An LP whose reduced costs drifted past DUAL_TOL is handed
+  to ``solve_lp`` after the batched refactor: its ``LpProblem`` is built
+  then, warm-started from the LP's final basis, and that solve's
+  objective and row duals replace the stack's.
 
 u = 0 is feasible, so a dual step always finds a column unless the
 arithmetic breaks down: no eligible column, a slope that never turns or a
-vanishing pivot each raise ``StackStallError``, and an LP that reaches
-ITERATIONS_PER_VARIABLE * (n + k) steps raises ``StackLimitError``; both
-name the LP's stack position.  Identical stacks replay identical steps.
-The returned objectives and row duals come from a fresh inverse of each
-final basis, so they carry no product-form drift; inverses, sorts and row
-products are taken LP by LP, so each LP's values do not depend on the
-stack it is in.
+vanishing pivot each raise ``StackStallError``, an LP that reaches
+ITERATIONS_PER_VARIABLE * (n + k) steps raises ``StackLimitError``, and a
+hand-off that ``solve_lp`` does not solve to optimality raises
+``StackError``; each names the LP's stack position.  Identical stacks
+replay identical steps.  The returned objectives and row duals come from a
+fresh inverse of each final basis, so they carry no product-form drift;
+inverses, sorts and row products are taken LP by LP, so each LP's values
+do not depend on the stack it is in.
 """
 
 from __future__ import annotations
@@ -57,21 +59,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import LpError, SingularBasisError
+from .problem import LpError, LpProblem, SingularBasisError
 from .simplex import (_PRICE_SIGN, AT_LOWER, AT_UPPER, BASIC, DUAL_TOL, FEAS_TOL,
-                      PIVOT_TOL, REFACTOR_EVERY, TIE_TOL, leaving_row)
+                      PIVOT_TOL, REFACTOR_EVERY, TIE_TOL, solve_lp)
 
 ITERATIONS_PER_VARIABLE = 100   # iteration cap of one LP, per variable (columns plus slacks)
 CRASH_MAX_CONDITION = 1e12      # crash bases estimated worse than this keep the slack basis
 WINDOW = 8                      # breakpoints sorted first in a dual ratio test; grows 4x
 
 # Per-LP arrays of the working set, compacted together as LPs finish.
-_WORKING = ("pos", "a", "state", "basis", "binv", "xb", "dual")
+_WORKING = ("pos", "a", "state", "basis", "binv", "xb")
 
 
 class StackSolution(NamedTuple):
     """Per-LP optimal objectives (L,), row duals (L, k), iterations (L,) and crash use (L,).
 
+    ``iterations`` counts an LP's stack steps, plus the ``solve_lp``
+    iterations of an LP handed on because it failed phase-2 pricing.
     ``crashed`` is True where the LP started from its least-squares crash
     basis and False where it kept the slack basis.
     """
@@ -116,7 +120,11 @@ def solve_box_stack(c, lo, hi, a) -> StackSolution:
     if a.ndim != 3 or a.shape[2] < 1:
         raise LpError("constraint stack must be (LPs, rows, columns) with columns")
     n = a.shape[2]
-    c, lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (c, lo, hi))
+    c, lo, hi = (np.asarray(v, dtype=float) for v in (c, lo, hi))
+    for name, v in (("costs", c), ("lower bounds", lo), ("upper bounds", hi)):
+        if v.shape not in ((), (n,)):
+            raise LpError(f"{name} must be a scalar or of length {n}, one per column")
+    c, lo, hi = (np.broadcast_to(v, (n,)) for v in (c, lo, hi))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
         raise LpError("every column needs a finite box lo < hi")
     if not (np.all(lo <= 0.0) and np.all(hi >= 0.0)):
@@ -141,11 +149,11 @@ class _Stack:
         self.lo_ext = np.concatenate((lo, zeros))
         self.hi_ext = np.concatenate((hi, zeros))
         self.cap = ITERATIONS_PER_VARIABLE * (n + k)
-        self.watchdog = max(200, 4 * k)
-        # each finished LP's basis, states and steps, at its stack position
+        # each finished LP's basis, states, steps and hand-off, at its stack position
         self.final_basis = np.empty((size, k), dtype=np.intp)
         self.final_state = np.empty((size, n), dtype=np.int8)
         self.iterations = np.zeros(size, dtype=np.int64)
+        self.handed_off = np.zeros(size, dtype=bool)
 
         self.pos = np.arange(size)
         self.stack = self.a = a
@@ -155,12 +163,6 @@ class _Stack:
         lp, row = np.nonzero(self.basis < n)
         self.state[lp, self.basis[lp, row]] = BASIC
         self.xb = self._basics()
-        # in the dual phase until primal feasible; with no rows, feasible at once
-        self.dual = np.full(size, k > 0)
-        # the primal steps' degeneracy watchdog, at stack positions
-        self.bland = np.zeros(size, dtype=bool)
-        self.stall = np.zeros(size, dtype=np.int64)
-        self.last = np.full(size, np.inf)
 
     def _crash(self):
         """Install each LP's start basis and its inverse; returns which LPs crashed.
@@ -201,17 +203,12 @@ class _Stack:
         """Column values with the basic columns at zero, (LPs, n)."""
         return np.where(state == AT_UPPER, self.hi, np.where(state == AT_LOWER, self.lo, 0.0))
 
-    def _values(self, sel):
-        """Full column values of the LPs ``sel`` (nonbasic at bounds, basic from xb)."""
-        u = self._nonbasic_values(self.state[sel])
-        basis = self.basis[sel]
-        lp, row = np.nonzero(basis < self.n)
-        u[lp, basis[lp, row]] = self.xb[sel][lp, row]
-        return u
-
-    def _objective(self, sel):
-        """c . u for the LPs ``sel``, as row products (the same bits at any stack size)."""
-        return (self._values(sel)[:, None, :] @ self.c[:, None])[:, 0, 0]
+    def _objective(self):
+        """c . u of the working set, as row products (the same bits at any stack size)."""
+        u = self._nonbasic_values(self.state)
+        lp, row = np.nonzero(self.basis < self.n)
+        u[lp, self.basis[lp, row]] = self.xb[lp, row]
+        return (u[:, None, :] @ self.c[:, None])[:, 0, 0]
 
     def _basics(self):
         """Basic values of the working set, from its inverses and nonbasic values."""
@@ -245,24 +242,31 @@ class _Stack:
             setattr(self, name, getattr(self, name)[keep])
 
     def _report(self) -> StackSolution:
-        """Objectives and row duals of every final basis, from one batched refactor."""
+        """Objectives and row duals of every final basis, from one batched refactor.
+
+        The LPs that failed phase-2 pricing then go to ``solve_lp``.
+        """
         self.a, self.basis, self.state = self.stack, self.final_basis, self.final_state
         self._refactor()
+        objective = self._objective()
         duals = (self.c_ext[self.basis][:, None, :] @ self.binv)[:, 0, :]
-        return StackSolution(self._objective(slice(None)), duals, self.iterations, self.crashed)
+        for l in np.flatnonzero(self.handed_off).tolist():
+            objective[l], duals[l] = self._hand_off(l)
+        return StackSolution(objective, duals, self.iterations, self.crashed)
 
-    def _position(self, sel, flagged):
-        """Stack position of the first of the LPs ``sel`` that ``flagged`` marks."""
-        return int(self.pos[sel][np.flatnonzero(flagged)[0]])
-
-    def _gather(self, sel):
-        """The working arrays of the LPs ``sel``: views for a full slice, else copies."""
-        return self.a[sel], self.binv[sel], self.basis[sel], self.state[sel], self.xb[sel]
-
-    def _scatter(self, sel, binv, basis, state, xb):
-        """Write back what ``_gather`` copied; views were updated in place."""
-        if not isinstance(sel, slice):
-            self.binv[sel], self.basis[sel], self.state[sel], self.xb[sel] = binv, basis, state, xb
+    def _hand_off(self, l):
+        """Solve LP ``l`` with ``solve_lp`` from its final basis; returns (objective, duals)."""
+        problem = LpProblem(self.n)
+        problem.set_objective(self.c)
+        problem.set_bounds(slice(None), self.lo, self.hi)
+        problem.add_rows(self.stack[l], "=", 0.0)
+        vstate = np.concatenate((self.final_state[l], np.full(self.k, AT_LOWER, dtype=np.int8)))
+        vstate[self.final_basis[l]] = BASIC
+        sol = solve_lp(problem, warm=(self.final_basis[l], vstate))
+        if sol.status != "optimal":
+            raise StackError(l, f"failed phase-2 pricing, and solve_lp then ended {sol.status}")
+        self.iterations[l] += sol.iterations
+        return sol.objective, sol.duals
 
     # -- the stacked iteration ------------------------------------------------
 
@@ -273,52 +277,26 @@ class _Stack:
                 self._refactor()
             if step >= self.cap:
                 raise StackLimitError(int(self.pos[0]), self.cap)
-            row = slope = None
-            if self.dual.any():  # the leaving row: the largest violation, lowest row on ties
-                excess = np.maximum(self.lo_ext[self.basis] - self.xb,
-                                    self.xb - self.hi_ext[self.basis])
-                row = excess.argmax(axis=1)
-                slope = excess[np.arange(row.size), row]
-                self.dual &= slope > FEAS_TOL
+            # the leaving row: the largest violation, lowest row on ties
+            excess = np.maximum(self.lo_ext[self.basis] - self.xb,
+                                self.xb - self.hi_ext[self.basis])
+            slope = excess.max(axis=1, initial=0.0)
             d = self._reduced_costs()
-            j, optimal = self._price(d)
-            if optimal.any():
-                self._finish(optimal, step)
-                keep = ~optimal
-                d, j = d[keep], j[keep]
-                if row is not None:
-                    row, slope = row[keep], slope[keep]
-            if self.dual.any():
-                sel = _subset(self.dual)
-                self._dual_step(sel, row[sel], slope[sel], d[sel])
-            if not self.dual.all():
-                sel = _subset(~self.dual)
-                self._primal_step(sel, j[sel], d[sel])
+            done = ~(slope > FEAS_TOL)
+            if done.any():  # primal feasible: phase-2 pricing certifies it or hands it on
+                score = d[done] * _PRICE_SIGN[self.state[done]]
+                self.handed_off[self.pos[done]] = ~(score.max(axis=1) <= DUAL_TOL)
+                self._finish(done, step)
+                keep = ~done
+                excess, slope, d = excess[keep], slope[keep], d[keep]
+            if self.pos.size:
+                self._dual_step(excess.argmax(axis=1), slope, d)
             step += 1
         return self._report()
 
-    def _price(self, d):
-        """Phase-2 pricing, the certifying pass of every primal feasible LP.
-
-        Returns each such LP's entering column (Dantzig, or Bland's rule once
-        its watchdog tripped) and whether it is optimal.
-        """
-        j = np.zeros(d.shape[0], dtype=np.intp)
-        optimal = np.zeros(d.shape[0], dtype=bool)
-        if not self.dual.all():
-            sel = _subset(~self.dual)
-            score = d[sel] * _PRICE_SIGN[self.state[sel]]
-            best = score.argmax(axis=1)
-            bland = self.bland[self.pos[sel]]
-            if bland.any():
-                best = np.where(bland, (score > DUAL_TOL).argmax(axis=1), best)
-            j[sel] = best
-            optimal[sel] = ~(score[np.arange(best.size), best] > DUAL_TOL)
-        return j, optimal
-
-    def _dual_step(self, sel, r, slope, d):
-        """One bound-flipping dual step of the LPs ``sel``, each leaving on its row ``r``."""
-        a, binv, basis, state, xb = self._gather(sel)
+    def _dual_step(self, r, slope, d):
+        """One bound-flipping dual step of every working LP, each leaving on its row ``r``."""
+        a, binv, basis, state, xb = self.a, self.binv, self.basis, self.state, self.xb
         lps = np.arange(r.size)
         out = basis[lps, r]
         below = xb[lps, r] < self.lo_ext[out]
@@ -330,25 +308,33 @@ class _Stack:
         eligible = pull > PIVOT_TOL
         ratio = np.full(pull.shape, np.inf)
         np.divide(np.abs(d), pull, out=ratio, where=eligible)
-        enter = self._ratio_walk(sel, ratio, pull, slope, a, binv, state, xb)
+        enter = self._ratio_walk(ratio, pull, slope)
         w = (binv @ a[lps, :, enter][..., None])[..., 0]
         pivot = w[lps, r]
         vanishing = ~(np.abs(pivot) > PIVOT_TOL)
         if vanishing.any():
-            raise StackStallError(self._position(sel, vanishing), "stalled on a vanishing pivot")
+            raise StackStallError(int(self.pos[vanishing.argmax()]), "stalled on a vanishing pivot")
         theta = (xb[lps, r] - np.where(below, self.lo_ext[out], self.hi_ext[out])) / pivot
         entered = np.where(state[lps, enter] == AT_LOWER, self.lo[enter], self.hi[enter]) + theta
         xb -= theta[:, None] * w
-        self._pivot(lps, binv, basis, state, xb, r, enter, w,
-                    np.where(below, AT_LOWER, AT_UPPER), entered)
-        self._scatter(sel, binv, basis, state, xb)
+        # the pivot: ``enter`` replaces row r's basic variable, which leaves at its bound
+        xb[lps, r] = entered
+        structural = out < self.n
+        state[lps[structural], out[structural]] = np.where(below, AT_LOWER, AT_UPPER)[structural]
+        state[lps, enter] = BASIC
+        basis[lps, r] = enter
+        pivot_row = binv[lps, r] / pivot[:, None]
+        binv -= w[:, :, None] * pivot_row[:, None, :]
+        binv[lps, r] = pivot_row
 
-    def _ratio_walk(self, sel, ratio, pull, slope, a, binv, state, xb):
+    def _ratio_walk(self, ratio, pull, slope):
         """Entering columns of the dual ratio tests; flips the crossed columns in place.
 
         ``ratio`` holds each column's breakpoint (inf where ineligible) and
         ``pull`` its |alpha_rj| where eligible; crossing a breakpoint lowers
-        the slope by |alpha_rj| * (hi_j - lo_j).  A window of the smallest
+        the slope by |alpha_rj| * (hi_j - lo_j), and the walk stops at the
+        first breakpoint that leaves the slope at most FEAS_TOL, as
+        ``solve_lp``'s ``_dual_ratio_test`` does.  A window of the smallest
         breakpoints is sorted, and an LP whose stop, or a breakpoint tied with
         it, might lie past the window's edge tries again with a window 4x
         wider, so the window an LP ends with depends on that LP alone.
@@ -387,9 +373,7 @@ class _Stack:
                 first = np.flatnonzero(stuck)[0]
                 what = ("stalled: no column is eligible to enter" if at_walk[first, 0] == np.inf
                         else "stalled: its dual slope never turns")
-                flagged = np.zeros(m, dtype=bool)
-                flagged[todo[first]] = True
-                raise StackStallError(self._position(sel, flagged), what)
+                raise StackStallError(int(self.pos[todo[first]]), what)
             if done.any():
                 g = _subset(done)
                 walk, at_walk, size, stop, lp = walk[g], at_walk[g], size[g], stop[g], todo[g]
@@ -402,70 +386,17 @@ class _Stack:
                 flipping = crossed.any(axis=1)
                 if flipping.any():
                     f = np.flatnonzero(flipping)
-                    self._flip(a, binv, state, xb, lp[f], walk[f], crossed[f])
+                    self._flip(lp[f], walk[f], crossed[f])
             todo = todo[~done]
             width = min(n, 4 * width)
         return enter
 
-    def _flip(self, a, binv, state, xb, lp, walk, crossed):
+    def _flip(self, lp, walk, crossed):
         """Move the columns ``walk`` flagged ``crossed`` of the LPs ``lp`` to their other bound."""
-        now = state[lp[:, None], walk]
+        now = self.state[lp[:, None], walk]
         span = np.where(crossed, self.span[walk], 0.0)
         shift = np.where(now == AT_LOWER, span, -span)
-        moved = (shift[:, None, :] @ a[lp[:, None], :, walk])[:, 0, :]  # A_l times the shift
-        xb[lp] -= (binv[lp] @ moved[..., None])[..., 0]
+        moved = (shift[:, None, :] @ self.a[lp[:, None], :, walk])[:, 0, :]  # A_l times the shift
+        self.xb[lp] -= (self.binv[lp] @ moved[..., None])[..., 0]
         i, at = np.nonzero(crossed)
-        state[lp[i], walk[i, at]] = np.where(now[i, at] == AT_LOWER, AT_UPPER, AT_LOWER)
-
-    def _primal_step(self, sel, j, d):
-        """One primal phase-2 step of the LPs ``sel`` on their entering columns ``j``."""
-        at = self.pos[sel]
-        fresh = np.isinf(self.last[at])  # a first primal step: the watchdog starts here
-        if fresh.any():
-            self.last[at[fresh]] = self._objective(sel)[fresh]
-        a, binv, basis, state, xb = self._gather(sel)
-        lps = np.arange(j.size)
-        sigma = np.where(state[lps, j] == AT_LOWER, 1.0, -1.0)
-        w = (binv @ a[lps, :, j][..., None])[..., 0]
-        delta = -sigma[:, None] * w
-        rising = delta > 0
-        t = np.full(delta.shape, np.inf)
-        np.divide(np.where(rising, self.hi_ext[basis], self.lo_ext[basis]) - xb, delta, out=t,
-                  where=np.abs(delta) > PIVOT_TOL)
-        t[t < -FEAS_TOL] = 0.0
-        t_min = t.min(axis=1, initial=np.inf)
-        flip_t = self.span[j]
-        flip = ~(t_min < flip_t - TIE_TOL)
-        step_t = np.where(flip, flip_t, np.maximum(t_min, 0.0))
-        xb += step_t[:, None] * delta
-        f = np.flatnonzero(flip)
-        state[f, j[f]] = np.where(sigma[f] > 0, AT_UPPER, AT_LOWER)
-        p = np.flatnonzero(~flip)
-        if p.size:
-            r = leaving_row(t[p], step_t[p], delta[p], basis[p], self.bland[self.pos[sel][p]])
-            entered = np.where(sigma[p] > 0, self.lo[j[p]], self.hi[j[p]]) + sigma[p] * step_t[p]
-            leave = np.where(rising[p, r], AT_UPPER, AT_LOWER)
-            self._pivot(p, binv, basis, state, xb, r, j[p], w[p], leave, entered)
-        self._scatter(sel, binv, basis, state, xb)
-        # the watchdog reads the objective of each step's end
-        obj, last = self._objective(sel), self.last[at]
-        progress = obj < last - 1e-13 * np.maximum(1.0, np.abs(last))
-        self.last[at] = np.where(progress, obj, last)
-        self.stall[at] = stall = np.where(progress, 0, self.stall[at] + 1)
-        self.bland[at] |= stall > self.watchdog
-
-    def _pivot(self, lps, binv, basis, state, xb, r, enter, w, leave, entered):
-        """In the LPs ``lps`` of the given arrays, ``enter`` replaces row ``r``'s basic variable.
-
-        The leaving variable goes to the state ``leave`` and the entering one
-        takes the value ``entered``; ``w`` is B^-1 times the entering column.
-        """
-        out = basis[lps, r]
-        structural = out < self.n
-        state[lps[structural], out[structural]] = leave[structural]
-        state[lps, enter] = BASIC
-        basis[lps, r] = enter
-        xb[lps, r] = entered
-        pivot_row = binv[lps, r] / w[np.arange(lps.size), r][:, None]
-        binv[lps] -= w[:, :, None] * pivot_row[:, None, :]
-        binv[lps, r] = pivot_row
+        self.state[lp[i], walk[i, at]] = np.where(now[i, at] == AT_LOWER, AT_UPPER, AT_LOWER)

@@ -185,8 +185,9 @@ def _se_objectives(data: Dataset, k: int) -> np.ndarray:
     starts from the basis of the k observations with the smallest
     least-squares residuals of its support (those a least-absolute-deviation
     fit tends to interpolate), and a bound-flipping dual simplex takes it
-    from there.  A stack error (a dual step that broke down, or the
-    iteration cap) names the support.  Each value is certified: it must
+    from there.  A stack error (a dual step that broke down, the iteration
+    cap, or a hand-off to ``solve_lp`` that did not end optimal) names the
+    support.  Each value is certified: it must
     equal 1/2 mean|y~ - X~_S beta| with beta read off the support's row
     duals, within ``OBJ_MATCH_TOL``.
     """

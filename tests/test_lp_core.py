@@ -11,7 +11,9 @@ from quadlab.lp_core import (
     LpError,
     LpIndexError,
     LpProblem,
+    LpSolution,
     SingularBasisError,
+    StackError,
     StackLimitError,
     StackStallError,
     best_first,
@@ -877,7 +879,7 @@ def _loop_dual_ratio_test(s, r, below, slope):
     total = 0.0
     for pos, (t, j) in enumerate(breakpoints):
         total += abs(alpha[j]) * (s.hi[j] - s.lo[j])
-        if total >= slope:
+        if total >= slope - FEAS_TOL:
             tied = [(-abs(alpha[k]), k, tk) for tk, k in breakpoints if abs(tk - t) <= TIE_TOL]
             _, enter, t_enter = min(tied)
             return enter, [k for _, k in breakpoints[:pos] if k != enter], t_enter
@@ -1531,6 +1533,35 @@ def _random_stack(rng, kind):
     return c, lo, hi, a
 
 
+def _reverse_snap(monkeypatch, lp):
+    """Reverse the snap of stack position ``lp``: its start is then dual infeasible."""
+    reduced_costs = stacked._Stack._reduced_costs
+    calls = []
+
+    def reversed_snap(stack):
+        d = reduced_costs(stack)
+        calls.append(None)
+        if len(calls) == 1:  # the snap prices the whole stack
+            d[lp] = -d[lp]
+        return d
+
+    monkeypatch.setattr(stacked._Stack, "_reduced_costs", reversed_snap)
+
+
+def _record_hand_offs(monkeypatch):
+    """The (problem, solution) of each ``solve_lp`` call the stack makes, in order."""
+    calls = []
+    solve = stacked.solve_lp
+
+    def recorded(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        calls.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(stacked, "solve_lp", recorded)
+    return calls
+
+
 class TestBoxStack:
     @pytest.mark.parametrize("kind", ["random", "tied", "degenerate"])
     def test_matches_highs_with_certified_duals(self, rng, kind):
@@ -1585,6 +1616,26 @@ class TestBoxStack:
         with pytest.raises(StackLimitError, match="iteration cap") as info:
             solve_box_stack(c, lo, hi, a)
         assert isinstance(info.value, LpError) and info.value.index == 0
+
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    def test_window_does_not_change_results(self, rng, monkeypatch, window):
+        # a window grown 4x at a time gives what a walk sorted in full gives
+        for kind in ("random", "tied", "degenerate"):
+            for _ in range(10):
+                c, lo, hi, a = _random_stack(rng, kind)
+                monkeypatch.setattr(stacked, "WINDOW", a.shape[2])
+                full = solve_box_stack(c, lo, hi, a)
+                monkeypatch.setattr(stacked, "WINDOW", window)
+                windowed = solve_box_stack(c, lo, hi, a)
+                for field, x, y in zip(stacked.StackSolution._fields, windowed, full):
+                    assert np.array_equal(x, y), (kind, field)
+
+    @pytest.mark.parametrize("which", ["c", "lo", "hi"])
+    def test_rejects_mis_sized_vectors(self, which):
+        shared = {"c": 1.0, "lo": -1.0, "hi": 1.0}
+        shared[which] = np.full(3, shared[which])
+        with pytest.raises(LpError, match="length 4"):
+            solve_box_stack(shared["c"], shared["lo"], shared["hi"], np.ones((2, 1, 4)))
 
     def test_rejects_empty_box(self):
         with pytest.raises(LpError, match="box"):
@@ -1656,32 +1707,43 @@ class TestBoxStack:
 
     def test_phase2_pass_finishes_a_dual_infeasible_lp(self, rng, monkeypatch):
         # The snap is the only place dual feasibility comes from.  Reverse it,
-        # and the dual phase ends on a primal feasible basis whose reduced
-        # costs are wrong: phase-2 pricing must catch that and pivot on.
-        reduced_costs = stacked._Stack._reduced_costs
-        calls, primal_steps = [], []
-
-        def reversed_snap(stack):
-            d = reduced_costs(stack)
-            calls.append(None)
-            return -d if len(calls) == 1 else d
-
-        primal_step = stacked._Stack._primal_step
-
-        def counted(stack, sel, j, d):
-            primal_steps.append(j.size)
-            primal_step(stack, sel, j, d)
-
-        monkeypatch.setattr(stacked._Stack, "_reduced_costs", reversed_snap)
-        monkeypatch.setattr(stacked._Stack, "_primal_step", counted)
+        # and the dual steps end on a primal feasible basis whose reduced
+        # costs are wrong: phase-2 pricing must catch that and hand the LP to
+        # solve_lp, warm-started from that basis.
+        _reverse_snap(monkeypatch, 0)
+        handed = _record_hand_offs(monkeypatch)
         a = rng.standard_normal((1, 3, 20))
         c = rng.standard_normal(20)
         sol = solve_box_stack(c, -1.0, 1.0, a)
-        assert primal_steps
+        assert len(handed) == 1 and handed[0][1].warm_used
+        assert sol.iterations[0] > handed[0][1].iterations  # the stack's steps, then solve_lp's
         ref = highs_objective(c, A_eq=a[0], b_eq=np.zeros(3), bounds=[(-1.0, 1.0)] * 20)
         assert sol.objective[0] == pytest.approx(ref, abs=1e-12)
         reduced = c - sol.duals[0] @ a[0]
         assert -np.abs(reduced).sum() == pytest.approx(sol.objective[0], abs=1e-12)
+
+    def test_hand_off_leaves_the_other_lps_alone(self, rng, monkeypatch):
+        a = rng.standard_normal((5, 3, 20))
+        c = rng.standard_normal(20)
+        plain = solve_box_stack(c, -1.0, 1.0, a)
+        _reverse_snap(monkeypatch, 0)
+        handed = _record_hand_offs(monkeypatch)
+        sol = solve_box_stack(c, -1.0, 1.0, a)
+        assert len(handed) == 1 and np.array_equal(handed[0][0].matrix, a[0])
+        ref = highs_objective(c, A_eq=a[0], b_eq=np.zeros(3), bounds=[(-1.0, 1.0)] * 20)
+        assert sol.objective[0] == pytest.approx(ref, abs=1e-12)
+        for field, x, y in zip(stacked.StackSolution._fields, sol, plain):
+            assert np.array_equal(x[1:], y[1:]), field
+
+    def test_failed_hand_off_raises_a_typed_error(self, rng, monkeypatch):
+        a = rng.standard_normal((4, 3, 20))
+        c = rng.standard_normal(20)
+        _reverse_snap(monkeypatch, 2)
+        monkeypatch.setattr(stacked, "solve_lp",
+                            lambda problem, warm: LpSolution(status="iteration_limit"))
+        with pytest.raises(StackError, match="iteration_limit") as info:
+            solve_box_stack(c, -1.0, 1.0, a)
+        assert isinstance(info.value, LpError) and info.value.index == 2
 
     def test_stalls_raise_a_typed_error(self, rng, monkeypatch):
         a = rng.standard_normal((3, 3, 40))
@@ -1708,9 +1770,9 @@ class TestBoxStack:
 
         walk = stacked._Stack._ratio_walk
 
-        def lost_inverse(stack, sel, ratio, pull, slope, a, binv, state, xb):
-            enter = walk(stack, sel, ratio, pull, slope, a, binv, state, xb)
-            binv[...] = 0.0
+        def lost_inverse(stack, ratio, pull, slope):
+            enter = walk(stack, ratio, pull, slope)
+            stack.binv[...] = 0.0
             return enter
 
         monkeypatch.setattr(stacked._Stack, "_ratio_walk", lost_inverse)
