@@ -9,11 +9,13 @@ check that a change leaves every solve and search as it was:
     cmp lp_digest_1.out lp_digest_2.out
 
 The set covers each start ``solve_lp`` takes: regression duals at n = 100
-and 10,000 (pinball at two levels, each from the OLS crash, so through the
-dual phase), the part-balancing and tail-average portfolio duals, a cold
-start that needs phase 1, and a best-subset relaxation with freed rows
-warm-started from its parent, solved to optimality and also stopped at a
-cutoff halfway (its status, objective, iterations and phase split).  The
+and 10,000 (pinball at two levels and the centred part-balancing dual at
+two biases, each from its OLS crash, so through the dual phase where the
+crash is not optimal already), the part-balancing and tail-average
+portfolio duals, a cold start that needs phase 1, and a best-subset
+relaxation with freed rows warm-started from its parent, solved to
+optimality and also stopped at a cutoff halfway (its status, objective,
+iterations and phase split).  The
 searches hash every ``MipSolution`` field and every ``SparseSolution``
 field except ``time_s``: knapsack MIPs that branch, three under a node
 budget (ending with an incumbent, without one, and with one from an
@@ -96,9 +98,11 @@ def _regression_duals():
         data = regression.Dataset(x[:, None], x + rng.standard_normal(n) ** 2)
         for level in (0.5, 0.9):
             ratio = level / (1.0 - level)
-            problem, warm = regression._dual_problem(data, -1.0 / n, ratio / n, None,
-                                                     split_level=level)
+            problem, warm = regression._dual_problem(data, -1.0 / n, ratio / n, level)
             yield f"regression n={n} level={level}", solve_lp(problem, warm=warm)
+        for x_bias in (0.0, 0.1):
+            problem, warm = regression._se_problem(data, x_bias)
+            yield f"regression se n={n} x={x_bias}", solve_lp(problem, warm=warm)
 
 
 def _fit_chain():

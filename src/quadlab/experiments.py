@@ -37,7 +37,6 @@ from .regression import (
     fit_ols,
     fit_quantile,
     fit_se,
-    induced_alpha,
     kb_error,
     residuals,
     se_error,
@@ -421,8 +420,6 @@ def run_table2_pattern(config: ExperimentConfig) -> ReportTable:
     bm_model = fit_biased_mean(data, x)
     bm_res = residuals(bm_model, data)
     alpha_star = bm_model.equiv_alpha
-    if alpha_star is None:
-        alpha_star = induced_alpha(bm_res)[1]
     qr_model = fit_quantile(data, alpha_star)
     qr_res = residuals(qr_model, data)
 

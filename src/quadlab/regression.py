@@ -2,12 +2,13 @@
 
 The pinball (quantile) and part-balancing (biased-mean) fits are linear
 programs.  Their row counts grow with the sample, so the fitters solve the
-equivalent bounded-column dual, whose basis stays (d+1)-sized, and read the
-coefficients off the row multipliers; optimality of the stated primal is
-certified by recomputing the objective from the residuals and matching the
-LP value.  ``SeSubsetOracle`` keeps one zero-bias dual for the best-subset
-search and fits column subsets on it by freeing rows.  ``se_lp_problem``
-is the literal zero-bias primal with one part variable per observation;
+equivalent bounded-column dual and read the coefficients off the row
+multipliers.  The pinball dual's basis is (d+1)-sized; the part-balancing
+dual (``se_dual``) is centred and intercept-free, so its basis is d-sized.
+Optimality of the stated primal is certified by recomputing the objective
+from the residuals and matching the LP value.  ``SeSubsetOracle`` keeps one
+zero-bias dual for the best-subset search and fits column subsets on it by
+freeing rows.  ``se_lp_problem`` is the literal zero-bias primal with one part variable per observation;
 the sparse module's big-M MILP embeds it.
 
 Identity used throughout for the biased-mean error with bias x:
@@ -23,6 +24,7 @@ import numpy as np
 
 from .functionals import _bias_of, _alpha_open
 from .lp_core import LpError, LpProblem, certify_objective, crash_basis, crash_pool, solve_lp
+from .lp_core.simplex import FEAS_TOL
 
 ZERO_RESIDUAL_RTOL = 1e-11
 CUTOFF_MARGIN = 1e-15  # relative rounding margin below a subset relaxation's cutoff
@@ -84,9 +86,12 @@ class Dataset:
 class LinearModel:
     """Affine predictor f(x) = intercept + coefficients . x.
 
-    ``equiv_alpha`` is set by the part-balancing fitters: the pinball level
-    at which the same coefficients are exactly optimal (read off the fit's
-    dual multipliers; always inside the induced residual-sign interval).
+    ``equiv_alpha``, which the part-balancing fitters always set, is the
+    pinball level at which the same coefficients are exactly optimal: the
+    share of the dual multipliers u_i in [-h, h] at their lower end,
+    sum_i (h - u_i)/(2h) / n clamped to [0, 1], with each u_i within the
+    simplex's feasibility tolerance of an end taken at it; it lies inside
+    the induced residual-sign interval.
     """
 
     intercept: float
@@ -182,53 +187,57 @@ def _with_intercept(design: np.ndarray) -> np.ndarray:
 
 # -- compact dual LPs for the piecewise-linear fits ---------------------------
 
-def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float,
-                  mean_bound: float | None, mean_rhs_shift: float = 0.0,
-                  split_level: float = 0.5):
-    """The bounded-column dual of a residual-splitting LP and its crash start.
+def se_dual(data: Dataset, x=0.0):
+    """The centred part-balancing dual at bias x: (cost, h, rows).
 
-    Variables are one multiplier per observation in [lam_lo, lam_hi], plus a
-    mean-row multiplier in [-mean_bound, mean_bound] when requested.  Rows
-    force the multipliers orthogonal to the intercept and design columns
-    (row 1 + j belongs to column j); the row duals are the negated fit
-    coefficients.
-
-    The crash start is read off the OLS fit, split at ``split_level`` (or,
-    with the mean row, at the mean residual shifted by ``mean_rhs_shift``):
-    its basic columns are the observations whose residuals lie nearest that
-    threshold, by (distance, index), less any ``crash_basis`` skips as
-    dependent (a constant design column's row keeps its slack), so the row
-    duals start near a fit through those points, and every other
-    observation's multiplier starts at the bound its residual sign
-    dictates.  That start is primal infeasible with every nonbasic
-    boxed, so ``solve_lp`` runs its bound-flipping dual phase from it: at
-    n = 10,000 a fit takes a few long steps that flip a few dozen
-    multipliers.  Returns (problem, warm).
+    With the intercept at the statistic, c0 = mean(y - X c) + x, the error
+    is 1/2 mean|y~ - x - X~ c| - |x|/2 on centred data y~, X~.  That L1 fit
+    has the dual min cost.u s.t. rows u = 0, |u_i| <= h, with
+    cost = -(y~ - x), h = 1/(2n) and rows = X~^T, one per column; the row
+    duals are the negated coefficients.  The fitters and ``SeSubsetOracle``
+    solve it as an ``LpProblem``, the exhaustive oracle in stacked chunks.
     """
-    n = data.n
-    with_mean = mean_bound is not None
+    y = data.response - data.response.mean()
+    return -(y - x), 0.5 / data.n, (data.design - data.design.mean(axis=0)).T
+
+
+def _boxed_dual(cost, lo: float, hi: float, rows, r):
+    """min cost.u over lo <= u_i <= hi with rows u = 0, and its crash from residuals r.
+
+    The crash's basic columns are the observations with residuals nearest
+    zero, by (distance, index), less any ``crash_basis`` skips as dependent
+    (an all-zero or repeated row keeps its slack); every other multiplier
+    starts at the bound its residual's sign picks.  That start is primal
+    infeasible with every nonbasic boxed, so ``solve_lp`` runs its
+    bound-flipping dual phase: at n = 10,000 a fit takes a few long steps
+    that flip a few dozen multipliers.  Returns (problem, warm).
+    """
+    problem = LpProblem(cost.size)
+    problem.set_objective(cost)
+    problem.set_bounds(slice(0, cost.size), lo, hi)
+    problem.add_rows(rows, "=", 0.0)
+    return problem, crash_basis(problem, r > 0, crash_pool(np.abs(r), problem.num_rows))
+
+
+def _se_problem(data: Dataset, x=0.0):
+    """The ``se_dual`` LP, crashed at the centred OLS residuals less x."""
+    cost, h, rows = se_dual(data, x)
+    r = -cost - rows.T @ data.ols_coefficients[0][1:]
+    return _boxed_dual(cost, -h, h, rows, r)
+
+
+def _dual_problem(data: Dataset, lam_lo: float, lam_hi: float, split_level: float):
+    """The pinball dual: multipliers in [lam_lo, lam_hi] orthogonal to [1 | X].
+
+    Row 0 is the intercept's, row 1 + j column j's; the row duals are the
+    negated fit.  The crash splits the OLS residuals at ``split_level``.
+    """
     beta, _ = data.ols_coefficients
     z = data.response - (float(beta[0]) + data.design @ beta[1:])  # the OLS residuals
-    rows = np.ones((data.d + 1, n + with_mean))  # [1; X^T]: the intercept's row first
-    rows[1:, :n] = data.design.T
-    obj = -data.response
-    if with_mean:
-        # the mean-row multiplier's column holds the row averages
-        rows[1:, n] = data.design.mean(axis=0)
-        obj = np.append(obj, -(float(data.response.mean()) + mean_rhs_shift))
-    problem = LpProblem(rows.shape[1])
-    problem.set_objective(obj)
-    problem.set_bounds(slice(0, n), lam_lo, lam_hi)
-    if with_mean:
-        problem.set_bounds(n, -mean_bound, mean_bound)
-    problem.add_rows(rows, "=", 0.0)
-
-    if with_mean:
-        threshold = float(np.mean(z)) + mean_rhs_shift
-    else:
-        threshold = _split_threshold(z, split_level)
-    return problem, crash_basis(problem, z > threshold,
-                                crash_pool(np.abs(z - threshold), problem.num_rows))
+    rows = np.ones((data.d + 1, data.n))  # [1; X^T]: the intercept's row first
+    rows[1:] = data.design.T
+    return _boxed_dual(-data.response, lam_lo, lam_hi, rows,
+                       z - _split_threshold(z, split_level))
 
 
 def _split_threshold(z: np.ndarray, level: float) -> float:
@@ -256,28 +265,16 @@ def _solve_dual(problem: LpProblem, warm, n: int, cutoff: float | None = None):
     return sol
 
 
-def _fit_by_dual(data: Dataset, lam_lo: float, lam_hi: float,
-                 mean_bound: float | None, mean_rhs_shift: float = 0.0,
-                 split_level: float = 0.5):
-    """Solve the dual built by ``_dual_problem``; read the fit off its row duals."""
-    problem, warm = _dual_problem(data, lam_lo, lam_hi, mean_bound, mean_rhs_shift,
-                                  split_level)
-    sol = _solve_dual(problem, warm, data.n)
-    c0 = -float(sol.duals[0])
-    coeffs = -sol.duals[1:]
-    nu = float(sol.x[data.n]) if mean_bound is not None else None
-    return c0, coeffs, -float(sol.objective), nu
-
-
 class SeSubsetOracle:
     """Zero-bias part-balancing errors on column subsets, for the subset search.
 
-    The compact dual of ``fit_se`` is built once.  Fitting on a subset of
-    the columns keeps that subset's rows as equalities and frees the other
-    rows, which pins the left-out coefficients at zero (a free row's dual,
-    the negated coefficient, is zero).  Freeing rows only relaxes the dual,
-    so the optimal basis of a column set stays primal feasible for any
-    subset of it, and a fit warm-started from it goes straight to phase 2.
+    The centred dual of ``fit_se`` (``se_dual``, row j for column j) is
+    built once.  Fitting on a subset of the columns keeps that subset's rows
+    as equalities and frees the other rows, which pins the left-out
+    coefficients at zero (a free row's dual, the negated coefficient, is
+    zero).  Freeing rows only relaxes the dual, so the optimal basis of a
+    column set stays primal feasible for any subset of it, and a fit
+    warm-started from it goes straight to phase 2.
 
     A node is (sorted columns, error, dual solution).  ``relax`` fits a
     column set warm-started from the given parent node, or from the OLS
@@ -300,8 +297,7 @@ class SeSubsetOracle:
     """
 
     def __init__(self, data: Dataset):
-        half_n = 0.5 / data.n
-        self.problem, self.crash = _dual_problem(data, -half_n, half_n, 0.5)
+        self.problem, self.crash = _se_problem(data)
         self.data = data
         self._leaf_fits: dict[tuple[int, ...], LinearModel] = {}
 
@@ -309,8 +305,8 @@ class SeSubsetOracle:
         key = tuple(sorted(columns))
         if parent is not None and parent[0] == key:
             return parent
-        self.problem.set_relation(slice(1, None), "free")
-        self.problem.set_relation(1 + np.asarray(key, dtype=np.intp), "=")
+        self.problem.set_relation(slice(0, None), "free")
+        self.problem.set_relation(np.asarray(key, dtype=np.intp), "=")
         start = self.crash if parent is None else (parent[2].basis, parent[2].vstate)
         cutoff = (None if threshold is None
                   else -threshold - CUTOFF_MARGIN * max(1.0, abs(threshold)))
@@ -322,7 +318,7 @@ class SeSubsetOracle:
         return node[1], node
 
     def branch_values(self, included, free, node):
-        return -node[2].duals[1 + np.asarray(free, dtype=np.intp)]
+        return -node[2].duals[np.asarray(free, dtype=np.intp)]
 
     def objective(self, support) -> float:
         return self.leaf_fit(support).objective
@@ -346,37 +342,41 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
     """
     a = _alpha_open(alpha)
     ratio = a / (1.0 - a)
-    c0, coeffs, lp_value, _ = _fit_by_dual(data, -1.0 / data.n, ratio / data.n, None,
-                                           split_level=a)
+    problem, warm = _dual_problem(data, -1.0 / data.n, ratio / data.n, a)
+    sol = _solve_dual(problem, warm, data.n)
+    c0, coeffs = -float(sol.duals[0]), -sol.duals[1:]
     z = data.response - c0 - data.design @ coeffs
     obj = kb_error(z, a)
-    certify_objective(obj, lp_value, "pinball objective")
+    certify_objective(obj, -float(sol.objective), "pinball objective")
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj)
 
 
 def fit_biased_mean(data: Dataset, x) -> LinearModel:
     """Part-balancing fit: minimize max{E[z_-] - x_+, E[z_+] - x_-}.
 
-    Solves the bounded dual of the equivalent problem
-    min 0.5*E|z| + 0.5*|mean(z) + x| - |x|/2, then recentres the intercept
-    so the residual mean equals -x exactly: for any slope vector the optimal
-    intercept slice contains that point, so the shift never degrades the
-    objective.
+    Solves ``se_dual`` at bias x for the slopes c and sets the intercept at
+    the statistic, c0 = mean(y) - mean(X).c + x, optimal for any slopes, so
+    the residual mean is -x.  The objective is certified against the LP
+    value less |x|/2.
     """
     b = _bias_of(x)
-    half_n = 0.5 / data.n
-    c0, coeffs, lp_value, nu = _fit_by_dual(data, -half_n, half_n, 0.5, b.x)
-    lp_value -= 0.5 * abs(b.x)
-    z = data.response - c0 - data.design @ coeffs
-    c0 += float(np.mean(z)) + b.x
+    problem, warm = _se_problem(data, b.x)
+    sol = _solve_dual(problem, warm, data.n)
+    coeffs = -sol.duals
+    c0 = float(data.response.mean() - data.design.mean(axis=0) @ coeffs) + b.x
     z = data.response - c0 - data.design @ coeffs
     obj = se_error(z, b)
-    certify_objective(obj, lp_value, "part-balancing objective")
+    certify_objective(obj, -float(sol.objective) - 0.5 * abs(b.x), "part-balancing objective")
     mean_gap = abs(float(np.mean(z)) + b.x)
     if mean_gap > 1e-7:
         raise LpError(f"residual mean misses -x by {mean_gap}")
+    # a multiplier within the simplex's feasibility tolerance of a box end
+    # (a degenerate basic one) is at it, so each at an end adds exactly 0 or 1
+    h = problem.upper[0]
+    u = np.where(h - np.abs(sol.x) <= FEAS_TOL, np.copysign(h, sol.x), sol.x)
+    lower_share = float(np.sum((h - u) / (2.0 * h))) / data.n
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj,
-                       equiv_alpha=min(max(0.5 + nu, 0.0), 1.0))
+                       equiv_alpha=min(max(lower_share, 0.0), 1.0))
 
 
 def fit_se(data: Dataset) -> LinearModel:

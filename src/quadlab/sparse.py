@@ -35,7 +35,8 @@ import numpy as np
 
 from .lp_core import (OBJ_MATCH_TOL, Incumbent, LpError, StackError, best_first,
                       certify_objective, relative_gap, solve_box_stack, solve_mip)
-from .regression import Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_lp_problem
+from .regression import (Dataset, LinearModel, SeSubsetOracle, fit_ols, fit_se, se_dual,
+                         se_lp_problem)
 
 BRUTE_FORCE_GUARD = 10 ** 6
 ZERO_COEFF_TOL = 1e-8
@@ -177,23 +178,20 @@ def _combination_chunks(d: int, k: int, item_bytes: int):
 def _se_objectives(data: Dataset, k: int) -> np.ndarray:
     """Zero-bias part-balancing error of every size-k support, in combinations order.
 
-    At zero bias the error's statistic is the mean, so the intercept
-    recentres: SE(S) = 1/2 min_c mean|y~ - X~_S c| on centred data y~, X~.
-    That intercept-free L1 fit has the dual max y~.u s.t. X~_S^T u = 0,
-    |u_i| <= 1/(2n), with k rows whose duals are the negated coefficients.
-    Each chunk of supports is one ``solve_box_stack`` call: every dual
-    starts from the basis of the k observations with the smallest
-    least-squares residuals of its support (those a least-absolute-deviation
-    fit tends to interpolate), and a bound-flipping dual simplex takes it
-    from there.  A stack error (a dual step that broke down, the iteration
-    cap, or a hand-off to ``solve_lp`` that did not end optimal) names the
-    support.  Each value is certified: it must
-    equal 1/2 mean|y~ - X~_S beta| with beta read off the support's row
-    duals, within ``OBJ_MATCH_TOL``.
+    The intercept sits at the statistic, so SE(S) = 1/2 min_c mean|y~ - X~_S c|
+    on centred data y~, X~: the LP is the support's k rows of
+    ``regression.se_dual``, the dual the fitters and the subset search
+    solve, and its row duals are the negated coefficients.  Each chunk of
+    supports is one ``solve_box_stack`` call: every dual starts from the
+    basis of the k observations with the smallest least-squares residuals
+    of its support (those a least-absolute-deviation fit tends to
+    interpolate), and a bound-flipping dual simplex takes it from there.  A
+    stack error (a dual step that broke down, the iteration cap, or a
+    hand-off to ``solve_lp`` that did not end optimal) names the support.
+    Each value is certified: it must equal 1/2 mean|y~ - X~_S beta| with
+    beta read off the support's row duals, within ``OBJ_MATCH_TOL``.
     """
-    y = data.response - data.response.mean()
-    xt = (data.design - data.design.mean(axis=0)).T
-    half_n = 0.5 / data.n
+    cost, h, xt = se_dual(data)
     out = []
     # per support: its k x n rows, the stack's compacted copy of them and at
     # most seven length-n work arrays (solve_box_stack peaks at 4.2-6.8 of
@@ -201,13 +199,13 @@ def _se_objectives(data: Dataset, k: int) -> np.ndarray:
     for chunk in _combination_chunks(data.d, k, 8 * data.n * (2 * k + 7)):
         a = xt[chunk]
         try:
-            sol = solve_box_stack(-y, -half_n, half_n, a)
+            sol = solve_box_stack(cost, -h, h, a)
         except StackError as exc:
             raise LpError(f"oracle LP of support {tuple(chunk[exc.index].tolist())}: "
                           f"{exc}") from exc
         value = -sol.objective
         fitted = (-sol.duals[:, None, :] @ a)[:, 0, :]
-        primal = 0.5 * np.mean(np.abs(y - fitted), axis=1)
+        primal = 0.5 * np.mean(np.abs(-cost - fitted), axis=1)
         tol = OBJ_MATCH_TOL * np.maximum(1.0, np.abs(value))
         miss = np.flatnonzero(np.abs(primal - value) > tol)
         if miss.size:

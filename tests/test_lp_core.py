@@ -1035,7 +1035,7 @@ class TestDualPhase:
         rng = np.random.default_rng(100)
         x = rng.standard_normal(100)
         data = Dataset(x[:, None], x + rng.standard_normal(100) ** 2)
-        pinball, crash = _dual_problem(data, -1.0 / 100, 9.0 / 100, None, split_level=0.9)
+        pinball, crash = _dual_problem(data, -1.0 / 100, 9.0 / 100, 0.9)
         s = _Simplex(pinball)
         assert s.warm_start(*crash) and s.dual_phase(10**6) == "feasible"
         done = s.iterations
@@ -1404,7 +1404,7 @@ class TestCutoff:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(n)
         data = Dataset(x[:, None], x + rng.standard_normal(n) ** 2)
-        dual, crash = _dual_problem(data, -1.0 / n, 9.0 / n, None, split_level=0.9)
+        dual, crash = _dual_problem(data, -1.0 / n, 9.0 / n, 0.9)
         cover = LpProblem(8)
         cover.set_objective(np.append(rng.uniform(0.5, 2.0, 7), 1.0))
         cover.set_bounds(slice(0, 7), 0.0, 2.0)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quadlab import regression
+from quadlab import regression, sparse
 from quadlab.lp_core import solve_lp
 from quadlab.lp_core.simplex import _Simplex
 from quadlab.regression import (
@@ -168,15 +168,36 @@ class TestFitBiasedMean:
             assert np.mean(z) == pytest.approx(-x, abs=1e-7)
 
     def test_equiv_alpha_is_exact_quantile_level(self, rng):
-        for _ in range(8):
-            data = random_dataset(rng, max_n=150)
-            x = float(rng.uniform(-0.2, 0.2))
-            m = fit_biased_mean(data, x)
+        fixed = np.random.default_rng(50)
+        # an interpolating fit whose multipliers all sit at their lower end,
+        # basic: at x = 0 both 0.5 - sum(u) and the share of their unsnapped
+        # values round to 1 - 2**-53, where fit_quantile fails
+        interpolating = Dataset(fixed.standard_normal((3, 6)), fixed.standard_normal(3))
+        x = fixed.standard_normal((40, 3))
+        y = x @ np.array([1.0, -1.0, 0.5]) + fixed.standard_normal(40)
+        constant_column, duplicated_column = x.copy(), x.copy()
+        constant_column[:, 1] = 2.0
+        duplicated_column[:, 2] = x[:, 0]
+        degenerate = (
+            Dataset(np.zeros((1, 0)), np.array([0.7])),  # d = 0, one observation
+            Dataset(np.zeros((9, 0)), fixed.standard_normal(9)),  # d = 0
+            interpolating,
+            Dataset(x, np.full(40, 1.5)),  # a constant response
+            Dataset(constant_column, y),
+            Dataset(duplicated_column, y),
+            Dataset(np.repeat(x[:8], 5, axis=0), np.repeat(y[:8], 5)),  # tied rows
+        )
+        cases = [(data, bias) for data in degenerate for bias in (0.0, 0.01, 0.3, -2.0)]
+        cases += [(random_dataset(rng, max_n=150), float(rng.uniform(-0.2, 0.2)))
+                  for _ in range(8)]
+        for data, bias in cases:
+            m = fit_biased_mean(data, bias)
             z = residuals(m, data).z
             lo, hi = induced_alpha(residuals(m, data))
-            assert lo - 1e-9 <= m.equiv_alpha <= hi + 1e-9
-            qr = fit_quantile(data, m.equiv_alpha)
-            assert kb_error(z, m.equiv_alpha) == pytest.approx(qr.objective, rel=1e-9)
+            assert lo - 1e-9 <= m.equiv_alpha <= hi + 1e-9, (data.n, data.d, bias)
+            if 0.0 < m.equiv_alpha < 1.0:
+                qr = fit_quantile(data, m.equiv_alpha)
+                assert kb_error(z, m.equiv_alpha) == pytest.approx(qr.objective, rel=1e-9)
 
 
 class TestFitSe:
@@ -307,11 +328,14 @@ class TestSeSubsetOracle:
         oracle = SeSubsetOracle(data)
         _, root = oracle.relax((), tuple(range(5)), None)
         for size in (1, 2, 3, 4):
-            for support in itertools.combinations(range(5), size):
+            # the exhaustive oracle's stacked values, in combinations order
+            stacked = sparse._se_objectives(data, size)
+            for support, value in zip(itertools.combinations(range(5), size), stacked):
                 bound, node = oracle.relax(support[:1], support[1:], root)
                 refit = fit_se(Dataset(x[:, list(support)], data.response))
                 assert oracle.objective(support) == refit.objective
                 assert bound == pytest.approx(refit.objective, abs=1e-10)
+                assert value == pytest.approx(refit.objective, abs=1e-10)
                 coeffs = oracle.branch_values((), support, node)
                 z = data.response - x[:, list(support)] @ coeffs
                 z -= z.mean()
@@ -327,14 +351,16 @@ class TestSeSubsetOracle:
 
 
 class TestDualStart:
-    """The regression duals start from d + 1 observations read off the OLS fit."""
+    """The regression duals start from observations read off the OLS fit.
+
+    The pinball dual's basis holds d + 1 of them, the part-balancing dual's d.
+    """
 
     @staticmethod
     def _duals(data):
         n = data.n
-        return {"quantile": regression._dual_problem(data, -1.0 / n, 3.0 / n, None,
-                                                     split_level=0.75),
-                "balance": regression._dual_problem(data, -0.5 / n, 0.5 / n, 0.5, 0.01)}
+        return {"quantile": regression._dual_problem(data, -1.0 / n, 3.0 / n, 0.75),
+                "balance": regression._se_problem(data, 0.01)}
 
     def test_few_long_steps_at_ten_thousand(self, rng):
         x = rng.standard_normal(10_000)
@@ -387,13 +413,17 @@ class TestDualStart:
         x[:, 2] = x[:, 0]   # duplicated column
         x[:, 3] = 1.5       # constant column, parallel to the intercept
         data = Dataset(x, x[:, 0] - x[:, 1] + rng.standard_normal(80))
-        for problem, warm in self._duals(data).values():
+        # one slack per group of dependent rows: in the pinball dual the
+        # intercept's row 0 and the constant column's row 4, and the
+        # duplicated columns' rows 1 and 3; in the centred part-balancing
+        # dual the constant column's all-zero row 3, and the duplicated
+        # columns' rows 0 and 2
+        groups = {"quantile": ({0, 4}, {1, 3}), "balance": ({3}, {0, 2})}
+        for kind, (problem, warm) in self._duals(data).items():
             basis, _ = warm
             slacks = set((basis[basis >= problem.num_vars] - problem.num_vars).tolist())
-            # one slack per group of dependent rows: the intercept's row 0 and
-            # the constant column's row 4, the duplicated columns' rows 1 and 3
             assert len(slacks) == 2
-            assert len(slacks & {0, 4}) == 1 and len(slacks & {1, 3}) == 1
+            assert all(len(slacks & group) == 1 for group in groups[kind])
             assert _Simplex(problem).warm_start(*warm)
             sol = regression._solve_dual(problem, warm, data.n)
             assert sol.warm_used
