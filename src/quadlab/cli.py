@@ -5,9 +5,8 @@ to CSV, single results to JSON; every path is explicit and nothing writes
 to the working directory implicitly.  The experiment subcommand exits
 nonzero if any asserted verdict fails.  Usage errors (a missing ``--alpha``,
 an unknown ``--column``, a bad ``--sweep``, ``--big-m`` without ``--milp``),
-bad input, solver failures (``LpError``, e.g. an unattainable target
-mean) and quadrature failures (``QuadratureError``) exit 2 with a one-line
-``error: ...`` message on stderr.
+bad input and solver failures (``LpError``, e.g. an unattainable target
+mean) exit 2 with a one-line ``error: ...`` message on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from . import __version__
 from .distributions import (
     DesignSpec,
-    QuadratureError,
     SkewNormalSpec,
     make_sample,
     sample_correlated_design,
@@ -330,7 +328,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, LpError, QuadratureError) as exc:
+    except (ValueError, OSError, LpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .lp_core.simplex import FEAS_TOL
 
 ZERO_RESIDUAL_RTOL = 1e-11
 CUTOFF_MARGIN = 1e-15  # relative rounding margin below a subset relaxation's cutoff
+MAX_PINBALL_LEVEL = 1.0 - 1e-6  # 0.999999: the highest level ``fit_quantile`` takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,8 +340,16 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
     The split-residual LP minimizes (1/n) sum[(alpha/(1-alpha)) z_+ + z_-];
     its dual has multipliers in [-1/n, alpha/((1-alpha) n)] orthogonal to
     the design, and is what actually gets solved.
+
+    A level above MAX_PINBALL_LEVEL raises ``ValueError`` before any work.
+    There the weight alpha/(1-alpha) passes 1e6, and the rounding in the
+    residuals, so weighted, can outgrow the objective's certification:
+    seeded draws first fail it at 1 - alpha = 2^-22, and a level within
+    ulps of 1 puts the dual's box near 1e16/n.
     """
     a = _alpha_open(alpha)
+    if a > MAX_PINBALL_LEVEL:
+        raise ValueError(f"alpha must be at most {MAX_PINBALL_LEVEL!r} for a pinball fit, got {a!r}")
     ratio = a / (1.0 - a)
     problem, warm = _dual_problem(data, -1.0 / data.n, ratio / data.n, a)
     sol = _solve_dual(problem, warm, data.n)

@@ -1,9 +1,9 @@
 """A fresh interpreter imports quadlab and runs the functionals without SciPy.
 
-SciPy is loaded only by the calls that use it: the LP crash (LAPACK
-``dgetrf``) and the skew-normal level (``scipy.integrate`` and
-``scipy.special``).  Each check runs in a new interpreter, because this
-test process has SciPy loaded already.
+SciPy is loaded only by the call that uses it: the LP crash (LAPACK
+``dgetrf``).  The skew-normal level is computed in closed form and loads
+none.  Each check runs in a new interpreter, because this test process has
+SciPy loaded already.
 """
 
 import ast
@@ -99,13 +99,13 @@ print(repr((before, 'scipy.linalg.lapack' in sys.modules, lp)))
     assert ast.literal_eval(lp)[2] == "optimal"
 
 
-def test_first_skew_normal_level_loads_quadrature_and_matches_here():
+def test_skew_normal_level_loads_no_scipy_and_matches_here():
     before, after, level = _fresh(f"""
 import quadlab
 before = loaded()
 {SKEW}
-print(repr((before, 'scipy.integrate' in sys.modules and 'scipy.special' in sys.modules, level)))
+print(repr((before, loaded(), level)))
 """)
-    assert before == [] and after
+    assert before == [] and after == []
     assert level == _here(SKEW, "level")
     assert math.isfinite(float(level))

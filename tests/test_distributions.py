@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from quadlab.distributions import (
     DesignSpec,
     EmpiricalSample,
     SkewNormalSpec,
+    _owens_t,
     make_sample,
     sample_correlated_design,
     sample_skew_normal,
@@ -210,10 +211,18 @@ class TestSkewNormalCdfAtZero:
         assert reference == pytest.approx(0.5750625 if shape > 0 else 0.4249375, abs=1e-7)
 
     def test_against_library_cdf(self):
-        for a in (0.5, 2.0, 10.0, -4.0):
-            spec = SkewNormalSpec(a)
-            ref = stats.skewnorm.cdf(spec.base_mean, a)
-            assert abs(skew_normal_cdf_at_zero(a) - ref) < 1e-7
+        # both sides of the |a| = 1 switch to the reflection, and both signs
+        for a in (0.0, 1e-300, -1e-300, 0.5, 0.999, -0.999, 1.0, -1.0, 1.001, -1.001,
+                  2.0, -4.0, 10.0, 50.0, -50.0, 1e150, -1e150):
+            ref = stats.skewnorm.cdf(SkewNormalSpec(a).base_mean, a)
+            assert abs(skew_normal_cdf_at_zero(a) - ref) < 1e-12, a
+
+    def test_owens_t_against_library(self):
+        hs = (0.0, 1e-8, 0.3, 0.8, 1.5, 3.0, 6.0, 9.0)
+        shapes = (0.0, 1e-300, 0.01, 0.5, 0.999, 1.0, 1.001, 2.0, 10.0, 1e3, 1e8, 1e300)
+        for h in hs + tuple(-h for h in hs):
+            for a in shapes + tuple(-a for a in shapes):
+                assert _owens_t(h, a) == pytest.approx(special.owens_t(h, a), abs=1e-15), (h, a)
 
 
 class TestCorrelatedDesign:

@@ -7,7 +7,6 @@ import pytest
 
 from quadlab import cli, experiments
 from quadlab.cli import main
-from quadlab.distributions import QuadratureError
 from quadlab.experiments import (
     CsvFormatError,
     ExperimentConfig,
@@ -336,15 +335,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unattainable" in err
 
-    def test_quadrature_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        def fail(shape):
-            raise QuadratureError("quadrature error estimate 1.000e-03 exceeds 1e-6")
-
-        monkeypatch.setattr(experiments, "skew_normal_cdf_at_zero", fail)
-        rc = main(["experiment", "--id", "tables345", "--output-dir", str(tmp_path)])
+    def test_quantile_level_too_close_to_one_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(50)
+        data = tmp_path / "reg.csv"
+        write_csv(str(data), [f"x{j}" for j in range(6)] + ["y"],
+                  np.column_stack((rng.standard_normal((3, 6)), rng.standard_normal(3))))
+        out = tmp_path / "fit.json"
+        rc = main(["fit", "--method", "quantile", "--alpha", repr(1 - 2**-53), "--input",
+                   str(data), "--target", "y", "--output", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == "error: quadrature error estimate 1.000e-03 exceeds 1e-6\n"
+        assert err.startswith("error: alpha must be at most 0.999999") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["fit", "--method", "quantile", "--input", "{reg}", "--target", "y"], "--alpha"),

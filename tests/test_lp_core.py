@@ -93,6 +93,33 @@ def _box_walk_problem():
     return p
 
 
+def _degenerate_cycle_problem():
+    """Two rows through the origin over four [0, 1] columns; Dantzig pricing cycles at 0.
+
+    A cone of the size Hall and McKinnon (2004) show to be the smallest
+    that cycles: from the slack basis every pivot has length zero, and six
+    pivots return to it.  The boxes make the optimum finite (-1.75).
+    """
+    p = LpProblem(4)
+    p.set_objective([-2.3, -2.15, 13.55, 0.4])
+    p.set_bounds(slice(0, 4), 0.0, 1.0)
+    p.add_row([0.4, 0.2, -1.4, -0.2], "<=", 0.0)
+    p.add_row([-7.8, -1.4, 7.8, 0.4], "<=", 0.0)
+    return p
+
+
+def _record_steps(s):
+    """The (length, Bland's rule on) of each step ``s`` takes from now on."""
+    steps, apply_step = [], s._apply_step
+
+    def recorded(j, sigma, t, *rest):
+        steps.append((t, s.bland))
+        return apply_step(j, sigma, t, *rest)
+
+    s._apply_step = recorded
+    return steps
+
+
 def _highs_arrays(problem):
     a = problem.matrix
     rel = np.array(problem.relations)
@@ -171,15 +198,45 @@ class TestSolveLp:
         assert s.objective == pytest.approx(-0.05, abs=1e-10)
 
     def test_watchdog_trips_on_tracked_objective(self):
-        # 600 degenerate-heavy phase-2 pivots: the tracked objective stalls
-        # long enough to switch to Bland's rule, which then terminates
+        # a Dantzig cycle of zero-length degenerate pivots: the objective
+        # stays 0 until the watchdog (max(200, 4m) = 200 stalled iterations)
+        # switches to Bland's rule, which then terminates
+        p = _degenerate_cycle_problem()
+        s = _Simplex(p)
+        assert s.warm_start(*crash_basis(p, ()))
+        assert s.phase1(10**6) == "feasible" and s.iterations == 0
+        steps = _record_steps(s)
+        assert s.phase2(10**6) == "optimal"
+        assert [bland for _, bland in steps].index(True) == 201
+        assert all(t == 0.0 for t, _ in steps[:201])
+        assert s.obj == pytest.approx(_highs_objective(p), abs=1e-9)
+
+    def test_watchdog_trips_in_phase1(self):
+        # the same cycle with its objective moved into a violated row
+        # c.x <= -1: phase 1's pricing is then the cycle's, and its total
+        # violation stays 1 until the watchdog switches to Bland's rule
+        p = _degenerate_cycle_problem()
+        cost = p.objective.copy()
+        p.add_row(cost, "<=", -1.0)
+        p.set_objective(np.zeros(4))
+        s = _Simplex(p)
+        assert s.warm_start(*crash_basis(p, ()))
+        steps = _record_steps(s)
+        assert s.phase1(10**6) == "feasible"
+        assert [bland for _, bland in steps].index(True) == 201
+        assert all(t == 0.0 for t, _ in steps[:201])
+        assert cost @ s.x[:4] <= -1.0 + 1e-9
+
+    def test_long_phase2_with_falling_objective_keeps_dantzig(self):
+        # hundreds of phase-2 iterations, but the objective keeps falling
         p = _box_walk_problem()
         s = _Simplex(p)
         assert s.warm_start(*crash_basis(p, ()))
         assert s.phase1(10**6) == "feasible"
-        assert not s.bland
+        start = s.iterations
         assert s.phase2(10**6) == "optimal"
-        assert s.bland
+        assert s.iterations - start > 200
+        assert not s.bland
         assert s.obj == pytest.approx(_highs_objective(p), abs=1e-9)
 
     @pytest.mark.parametrize("drift", [0.0, 1e-6], ids=["kept", "refactorized"])

@@ -7,6 +7,7 @@ from quadlab import regression, sparse
 from quadlab.lp_core import solve_lp
 from quadlab.lp_core.simplex import _Simplex
 from quadlab.regression import (
+    MAX_PINBALL_LEVEL,
     Dataset,
     NewsvendorSpec,
     Residuals,
@@ -145,6 +146,17 @@ class TestFitQuantile:
     def test_rejects_endpoints(self):
         with pytest.raises(ValueError):
             fit_quantile(INTERCEPT_ONLY, 1.0)
+
+    def test_refuses_levels_too_close_to_one(self):
+        # an interpolating fit (n = 3, d = 6) on which a level an ulp below 1
+        # failed the pinball certification with an LpError
+        rng = np.random.default_rng(50)
+        data = Dataset(rng.standard_normal((3, 6)), rng.standard_normal(3))
+        assert MAX_PINBALL_LEVEL == 0.999999
+        for alpha in (1 - 2**-53, 1 - 2**-22, np.nextafter(MAX_PINBALL_LEVEL, 1.0)):
+            with pytest.raises(ValueError, match=r"alpha must be at most 0\.999999"):
+                fit_quantile(data, alpha)
+        assert fit_quantile(data, MAX_PINBALL_LEVEL).objective == pytest.approx(0.0, abs=1e-9)
 
 
 class TestFitBiasedMean:
