@@ -349,7 +349,8 @@ def fit_quantile(data: Dataset, alpha) -> LinearModel:
     """
     a = _alpha_open(alpha)
     if a > MAX_PINBALL_LEVEL:
-        raise ValueError(f"alpha must be at most {MAX_PINBALL_LEVEL!r} for a pinball fit, got {a!r}")
+        raise ValueError(f"alpha must be at most {MAX_PINBALL_LEVEL!r} for a pinball fit, "
+                         f"got {a!r}")
     ratio = a / (1.0 - a)
     problem, warm = _dual_problem(data, -1.0 / data.n, ratio / data.n, a)
     sol = _solve_dual(problem, warm, data.n)
