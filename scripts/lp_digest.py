@@ -8,11 +8,23 @@ check that a change leaves every solve and search as it was:
     PYTHONPATH=src python3 scripts/lp_digest.py > lp_digest_2.out
     cmp lp_digest_1.out lp_digest_2.out
 
+The readable part of each line, up to the hash, is checked in as
+``scripts/lp_digest.expected``; a change that moves a label, status, phase
+split or count shows in its diff:
+
+    sed -E 's/ [0-9a-f]{64}$//' lp_digest_1.out | diff scripts/lp_digest.expected -
+
+The hashes are compared only between runs on one machine: float bits may
+differ between numpy builds and BLAS thread counts.
+
 The set covers each start ``solve_lp`` takes: regression duals at n = 100
 and 10,000 (pinball at two levels and the centred part-balancing dual at
 two biases, each from its OLS crash, so through the dual phase where the
 crash is not optimal already), the part-balancing and tail-average
-portfolio duals, a cold start that needs phase 1, and a best-subset
+portfolio duals, a cold start that needs phase 1, the box walk (five
+equality rows over 300 [0, 1] columns, warm-started from the feasible
+basis its phase 1 finds), whose phase 2 runs past 200 iterations under
+Dantzig's rule because its objective keeps falling, and a best-subset
 relaxation with freed rows warm-started from its parent, solved to
 optimality and also stopped at a cutoff halfway (its status, objective,
 iterations and phase split).  The
@@ -44,7 +56,8 @@ import numpy as np
 from quadlab import regression, sparse
 from quadlab.distributions import DesignSpec, sample_correlated_design
 from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns
-from quadlab.lp_core import LpProblem, solve_box_stack, solve_lp, solve_mip
+from quadlab.lp_core import LpProblem, crash_basis, solve_box_stack, solve_lp, solve_mip
+from quadlab.lp_core.simplex import _Simplex
 from quadlab.portfolio import (PortfolioProblem, equivalence_sweep, optimize_cvar_dev,
                                optimize_se_dev)
 
@@ -145,6 +158,25 @@ def _phase1_start():
     yield "phase-1 start", sol
 
 
+def _box_walk():
+    # a cold solve_lp takes the dual phase (ten long steps); from the
+    # feasible basis phase 1 finds, phase 2 takes hundreds of pivots
+    rng = np.random.default_rng(2)
+    problem = LpProblem(300)
+    problem.set_objective(rng.standard_normal(300))
+    problem.set_bounds(slice(0, 300), 0.0, 1.0)
+    a = rng.standard_normal((5, 300))
+    problem.add_rows(a, "=", a.sum(axis=1) / 2)
+    start = _Simplex(problem)
+    start.warm_start(*crash_basis(problem, ()))
+    if start.phase1(10**6) != "feasible":
+        raise SystemExit("the box walk's phase 1 no longer ends feasible")
+    sol = solve_lp(problem, warm=(start.basis, start.vstate))
+    if sol.phase_iterations[2] <= 200:
+        raise SystemExit("the box walk's phase 2 no longer runs past 200 iterations")
+    yield "box walk phase 2", sol
+
+
 def _subset_relaxation():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((300, 5))
@@ -234,8 +266,8 @@ def _stacks():
 
 def main() -> None:
     total = hashlib.sha256()
-    for source in (_regression_duals, _portfolio_duals, _phase1_start, _subset_relaxation,
-                   _mips, _searches, _stacks, _sweeps, _fit_chain):
+    for source in (_regression_duals, _portfolio_duals, _phase1_start, _box_walk,
+                   _subset_relaxation, _mips, _searches, _stacks, _sweeps, _fit_chain):
         for name, sol in source():
             digest = _digest(sol)
             total.update(digest.encode())

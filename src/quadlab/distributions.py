@@ -7,9 +7,8 @@ that rule is relied on by the experiment harness.
 ``skew_normal_cdf_at_zero`` needs no SciPy: it evaluates the closed
 form Phi(m) - 2 T(m, a) with Owen's T function on a fixed Gauss-Legendre
 rule.  A quadrature of the density would load ``scipy.integrate`` and
-``scipy.special``: about 0.4 s and 24 MiB in a fresh interpreter beyond
-numpy and the LP crash's ``scipy.linalg.lapack`` (2-core x86-64 VM,
-medians of 7).
+``scipy.special``: about 0.3 s and 52 MiB in a fresh interpreter beyond
+numpy (2-core x86-64 VM, medians of 7), where quadlab needs numpy alone.
 """
 
 from __future__ import annotations

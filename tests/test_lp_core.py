@@ -108,6 +108,40 @@ def _degenerate_cycle_problem():
     return p
 
 
+def _lapack_crash_basis(problem, at_upper, order=()):
+    """``crash_basis`` by LAPACK ``dgetrf``: the reference for its picks.
+
+    The whole candidate block is factored with partial pivoting; while
+    some pivot falls below its floor, the first such column is deleted and
+    the block factored again.
+    """
+    from scipy.linalg.lapack import dgetrf
+
+    n, m = problem.num_vars, problem.num_rows
+    vstate = np.empty(n + m, dtype=np.int8)
+    simplex._DEFAULT_STATE.take(simplex._finite_ends(problem.lower, problem.upper),
+                                out=vstate[:n])
+    simplex._SLACK_STATE.take(simplex._relation_codes(problem.relations), out=vstate[n:])
+    vstate[np.flatnonzero(at_upper)] = AT_UPPER
+    order = np.asarray(order, dtype=np.intp)[:simplex.CRASH_POOL * m]
+    block = problem.extended[:, order]
+    floor = (simplex.CRASH_PIVOT_SHARE * np.abs(block).max(axis=0, initial=0.0)).tolist()
+    rows = list(range(m))  # the rows in LU's order: the k-th pick holds rows[k]
+    while order.size:
+        lu, piv, _ = dgetrf(block)
+        low = [i for i, p in enumerate(np.abs(lu.diagonal()).tolist()) if not p >= floor[i] > 0]
+        if not low:
+            for i, p in enumerate(piv[:m].tolist()):
+                rows[i], rows[p] = rows[p], rows[i]
+            break
+        block, order = np.delete(block, low[0], axis=1), np.delete(order, low[0])
+        del floor[low[0]]
+    basis = np.arange(n, n + m)
+    basis[rows[:order.size]] = order[:m]
+    vstate[basis] = BASIC
+    return basis, vstate
+
+
 def _record_steps(s):
     """The (length, Bland's rule on) of each step ``s`` takes from now on."""
     steps, apply_step = [], s._apply_step
@@ -539,6 +573,78 @@ class TestCrashBasis:
             assert basis.tolist() == expected
             assert np.flatnonzero(vstate == BASIC).tolist() == sorted(expected)
             assert _Simplex(p).warm_start(basis, vstate)
+
+    @staticmethod
+    def _seeded_block(rng, m, entries, length):
+        """An m-row problem of mixed bounds and relations, its at-upper flags and an order.
+
+        ``entries`` is "gaussian", "degenerate" (Gaussian with zero
+        columns, a repeated column and a dependent row) or "tied" (small
+        integers).  The order is the first ``length`` entries of a
+        permutation of all n + m columns followed by random repeats.
+        """
+        n = int(rng.integers(1, 3 * m + 3))
+        if entries == "tied":
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        else:
+            a = rng.standard_normal((m, n))
+        if entries == "degenerate":
+            a[:, rng.random(n) < 0.2] = 0.0
+            a[:, rng.integers(n)] = a[:, rng.integers(n)]
+            if m > 1:
+                a[-1] = rng.standard_normal(m - 1) @ a[:-1]
+        p = LpProblem(n)
+        ends = rng.integers(4, size=n)
+        p.set_bounds(np.flatnonzero(ends == 0), None, None)
+        p.set_bounds(np.flatnonzero(ends == 1), 0.0, None)
+        p.set_bounds(np.flatnonzero(ends == 2), None, 1.0)
+        for row in a:
+            p.add_row(row, simplex.RELATIONS[int(rng.integers(len(simplex.RELATIONS)))], 0.0)
+        order = np.concatenate((rng.permutation(n + m), rng.integers(n + m, size=length)))
+        return p, rng.random(n) < 0.3, order[:length]
+
+    def test_matches_lapack_reference(self, rng):
+        # left-looking elimination in Python floats picks what LAPACK's
+        # refactor-and-delete loop picks on blocks without exact ties
+        for m, entries, _ in itertools.product(range(1, 13), ("gaussian", "degenerate"), range(4)):
+            for length in (int(rng.integers(m)),                                  # fewer than m
+                           int(rng.integers(m, 2 * m + 1)),
+                           simplex.CRASH_POOL * m + int(rng.integers(1, 9))):     # past the pool
+                p, at_upper, order = self._seeded_block(rng, m, entries, length)
+                basis, vstate = crash_basis(p, at_upper, order)
+                expected = _lapack_crash_basis(p, at_upper, order)
+                assert basis.tolist() == expected[0].tolist()
+                assert vstate.tolist() == expected[1].tolist()
+
+    def test_tied_blocks_pick_a_nonsingular_basis_past_every_floor(self, rng):
+        # on integer blocks, rounding breaks mathematically tied pivots in
+        # its own way (LAPACK builds differ too), so check the pick rule:
+        # each pick's entry on its row, reduced by the earlier picks, is
+        # the largest on the open rows and at least its floor
+        share = simplex.CRASH_PIVOT_SHARE
+        for m in range(1, 13):
+            for _ in range(20):
+                p, at_upper, order = self._seeded_block(rng, m, "tied", 2 * m)
+                n = p.num_vars
+                order = order[order < n]  # structural only: every basic structural is a pick
+                basis, _ = crash_basis(p, at_upper, order)
+                a = p.extended
+                assert np.linalg.matrix_rank(a[:, basis]) == m
+                picks = sorted((order.tolist().index(j), r, j)
+                               for r, j in enumerate(basis.tolist()) if j < n)
+                held, cols = [], []
+                for _, r, j in picks:
+                    open_rows = [i for i in range(m) if i not in held]
+                    reduced = a[open_rows, j]
+                    if held:
+                        reduced = reduced - a[np.ix_(open_rows, cols)] @ np.linalg.solve(
+                            a[np.ix_(held, cols)], a[held, j])
+                    pivot = abs(reduced[open_rows.index(r)])
+                    assert pivot >= (1 - 1e-9) * max(np.abs(reduced).max(),
+                                                     share * np.abs(a[:, j]).max())
+                    assert pivot > 0
+                    held.append(r)
+                    cols.append(j)
 
     def test_pool_is_the_smallest_keys_by_key_then_index(self):
         key = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0])
