@@ -4,6 +4,7 @@ Run from the repository root, twice, in separate processes; identical
 inputs must give identical output byte for byte.  Run it on two trees to
 check that a change leaves every solve and search as it was:
 
+    export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
     PYTHONPATH=src python3 scripts/lp_digest.py > lp_digest_1.out
     PYTHONPATH=src python3 scripts/lp_digest.py > lp_digest_2.out
     cmp lp_digest_1.out lp_digest_2.out
@@ -14,8 +15,10 @@ split or count shows in its diff:
 
     sed -E 's/ [0-9a-f]{64}$//' lp_digest_1.out | diff scripts/lp_digest.expected -
 
-The hashes are compared only between runs on one machine: float bits may
-differ between numpy builds and BLAS thread counts.
+The hashes are compared only between runs on one machine, with the BLAS
+thread count pinned as above: float bits may differ between numpy builds,
+and the part-balancing fits at n = 10,000 change with the number of
+OpenBLAS threads.
 
 The set covers each start ``solve_lp`` takes: regression duals at n = 100
 and 10,000 (pinball at two levels and the centred part-balancing dual at

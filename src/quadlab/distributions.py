@@ -84,24 +84,37 @@ class EmpiricalSample:
         """The sample sorted once, with its upper-tail sums (see ``SortedView``).
 
         Built on first use and cached; its arrays are read-only.  The last
-        CDF entry is set to exactly 1.
+        CDF entry is set to exactly 1.  Tied atoms are merged only when the
+        sorted sample has any.
         """
         order = np.argsort(self.atoms, kind="stable")
-        a = self.atoms[order]
-        p = self.probabilities[order]
-        distinct = np.empty(a.size, dtype=bool)
+        atoms = self.atoms[order]
+        probs = self.probabilities[order]
+        distinct = np.empty(atoms.size, dtype=bool)
         distinct[0] = True
-        distinct[1:] = a[1:] != a[:-1]
-        idx = np.cumsum(distinct) - 1
-        atoms = a[distinct]
-        probs = np.zeros(atoms.size)
-        np.add.at(probs, idx, p)
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        weighted = atoms * probs
-        tail = np.concatenate((weighted[::-1].cumsum()[::-1], [0.0]))
-        grid = np.concatenate(([0.0], cdf))
-        return SortedView(*map(_read_only, (atoms, probs, cdf, grid, tail)))
+        np.not_equal(atoms[1:], atoms[:-1], out=distinct[1:])
+        if distinct.all():
+            probs += 0.0  # as the merge's 0.0 + p: a -0.0 weight reads 0.0
+        else:
+            atoms, probs = _merge_ties(atoms, probs, distinct)
+        return _view(atoms, probs)
+
+
+def _merge_ties(atoms: np.ndarray, probs: np.ndarray, distinct: np.ndarray):
+    """Sorted atoms with each run of equal ones merged, its probabilities summed."""
+    merged = np.zeros(int(distinct.sum()))
+    np.add.at(merged, np.cumsum(distinct) - 1, probs)
+    return atoms[distinct], merged
+
+
+def _view(atoms: np.ndarray, probs: np.ndarray) -> SortedView:
+    """The ``SortedView`` of distinct sorted atoms and their probabilities."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    weighted = atoms * probs
+    tail = np.concatenate((weighted[::-1].cumsum()[::-1], [0.0]))
+    grid = np.concatenate(([0.0], cdf))
+    return SortedView(*map(_read_only, (atoms, probs, cdf, grid, tail)))
 
 
 def make_sample(values, weights=None) -> EmpiricalSample:

@@ -347,6 +347,11 @@ def four_asset_returns(n: int, seed) -> np.ndarray:
 def run_fig1_sweep(config: ExperimentConfig) -> ReportTable:
     """Cross-evaluate part-balancing and tail-average portfolio objectives.
 
+    Each grid point's level alpha is the share level of its part-balancing
+    dual, 1 - sum(u) (see ``equivalence_sweep``), where the part-balancing
+    weights are tail-average optimal, so ``rel_gap_cvar`` is rounding.
+    ``rel_gap_se`` can miss at small n: the tail-average solve may return
+    another vertex of its optimal face.
     Each grid point passes when both relative cross-gaps stay within 1e-5.
     The metadata ``diagnostics`` count the tail-average simplex iterations
     and the points where that solve kept the part-balancing weights (there

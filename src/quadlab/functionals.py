@@ -149,10 +149,8 @@ def cvar(sample: EmpiricalSample, alpha) -> float:
     if a >= 1.0:
         return float(sample.atoms.max())
     view = sample.sorted_view
-    atoms, cdf = view.atoms, view.cdf
-    lo = np.concatenate(([0.0], cdf[:-1]))
-    frac = np.clip(cdf, a, 1.0) - np.clip(lo, a, 1.0)
-    return float((atoms @ frac) / (1.0 - a))
+    frac = np.clip(view.cdf, a, 1.0) - np.clip(view.grid[:-1], a, 1.0)
+    return float((view.atoms @ frac) / (1.0 - a))
 
 
 def cvar_via_min(sample: EmpiricalSample, alpha):

@@ -22,11 +22,12 @@ with array ``LpProblem.set_bounds`` calls and one ``add_rows`` block per
 row group, start it from ``crash_basis``
 (bound guesses, and candidate basic columns ranked by the caller),
 and check the answer with ``certify_objective`` against the primal
-objective recomputed from it.  A primal infeasible start whose nonbasics
-are boxed or dual feasible already first goes through a dual phase whose
-bound-flipping ratio test crosses many breakpoints per iteration; a
-regression dual at n = 10,000 then takes a few iterations instead of tens
-to hundreds.  ``LpSolution.phase_iterations`` and ``bound_flips`` say what
+objective recomputed from it.  ``lower_share`` reads the level a
+part-balancing dual induces off its multipliers.  A primal infeasible
+start whose nonbasics are boxed or dual feasible already first goes
+through a dual phase whose bound-flipping ratio test crosses many
+breakpoints per iteration; a regression dual at n = 10,000 then takes a
+few iterations instead of tens to hundreds.  ``LpSolution.phase_iterations`` and ``bound_flips`` say what
 a solve did.
 
 Rows relate by ``<=``, ``=``, ``>=`` or ``free``; a free row constrains
@@ -67,7 +68,7 @@ from .problem import (
     SingularBasisError,
     certify_objective,
 )
-from .simplex import crash_basis, crash_pool, solve_lp
+from .simplex import crash_basis, crash_pool, lower_share, solve_lp
 from .branch_bound import Incumbent, best_first, relative_gap, solve_mip
 from .stacked import StackError, StackLimitError, StackSolution, StackStallError, solve_box_stack
 
@@ -88,6 +89,7 @@ __all__ = [
     "certify_objective",
     "crash_basis",
     "crash_pool",
+    "lower_share",
     "relative_gap",
     "solve_box_stack",
     "solve_lp",

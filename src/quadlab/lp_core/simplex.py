@@ -135,6 +135,18 @@ def crash_pool(key, rows: int) -> np.ndarray:
     return near[np.argsort(key[near], kind="stable")[:count]]
 
 
+def lower_share(u, lo: float, hi: float) -> float:
+    """Share of box multipliers u in [lo, hi] at their lower end, sum (hi - u)/(hi - lo) / n.
+
+    Each u within FEAS_TOL of an end (a degenerate basic one) is taken at
+    it, so it adds exactly 0 or 1; the share is clamped to [0, 1].  On the
+    regression and portfolio duals this is the level at which a
+    part-balancing optimum is pinball or tail-average optimal too.
+    """
+    u = np.where(hi - u <= FEAS_TOL, hi, np.where(u - lo <= FEAS_TOL, lo, u))
+    return min(max(float(np.sum((hi - u) / (hi - lo))) / u.size, 0.0), 1.0)
+
+
 def crash_basis(problem: LpProblem, at_upper, order=()):
     """Warm-start pair (basis, vstate) for ``solve_lp`` from bound guesses.
 
@@ -438,6 +450,11 @@ class _Simplex:
         viol[above] = 1
         return viol, float((lo_b[below] - xb[below]).sum()) + float((xb[above] - hi_b[above]).sum())
 
+    def _excess(self) -> np.ndarray:
+        """Each basic variable's distance outside its bounds (negative inside)."""
+        xb = self.x[self.basis]
+        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+
     def dual_phase(self, max_iterations) -> str:
         """Bound-flipping dual simplex from a dual-feasible start.
 
@@ -452,7 +469,8 @@ class _Simplex:
         basis, or the watchdog sees too many steps that leave the duals in
         place.
         """
-        if self._violations()[1] <= FEAS_TOL * max(1.0, self.m):
+        excess = self._excess()
+        if float(excess[excess > FEAS_TOL].sum()) <= FEAS_TOL * max(1.0, self.m):
             return "skipped"
         start = (self.basis.copy(), self.vstate.copy(), self.binv.copy(),
                  self.pivots_since_refactor, self.bound_flips)
@@ -461,8 +479,7 @@ class _Simplex:
         watchdog = max(200, 4 * self.m)
         stuck = 0
         while True:
-            xb = self.x[self.basis]
-            excess = np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+            excess = self._excess()
             r = int(np.argmax(excess))
             if not excess[r] > FEAS_TOL:
                 return "feasible"

@@ -18,7 +18,8 @@ import numpy as np
 
 from .distributions import EmpiricalSample, make_sample
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
-from .lp_core import LpError, LpProblem, LpSolution, certify_objective, crash_basis, crash_pool, solve_lp
+from .lp_core import (LpError, LpProblem, LpSolution, certify_objective, crash_basis, crash_pool,
+                      lower_share, solve_lp)
 
 BUDGET_TOL = 1e-8
 MEAN_TOL = 1e-7
@@ -253,10 +254,15 @@ def _tie_band(atoms: np.ndarray) -> float:
 def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = False):
     """Cross-evaluate the two deviation objectives along a bias grid.
 
-    For each x: solve the part-balancing problem, map the solution to a tail
-    level alpha (upper end of the induced interval), solve the tail-average
-    problem there, and evaluate each objective at the other optimum.  Solver
-    failures are recorded per point and the sweep continues.
+    For each x: solve the part-balancing problem, map the solution to the
+    tail level its dual induces, alpha = 1 - sum(u) over the scenario
+    multipliers u in [0, 1/n] (``lower_share``, the rule that sets
+    ``LinearModel.equiv_alpha``; it lies in the solution's
+    ``alpha_interval``), solve the tail-average problem there, and evaluate
+    each objective at the other optimum.  At that level the part-balancing
+    optimum is tail-average optimal too: its multipliers, scaled by
+    1/(1 - alpha), are tail-average dual optimal.  Solver failures are
+    recorded per point and the sweep continues.
 
     No basis crosses solves.  Each part-balancing solve starts from the
     previous point's optimal weights; each tail-average solve from its own
@@ -288,7 +294,7 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
             se_sol = optimize_se_dev(problem, x, start)
             _add_lp_counts(row, se_sol.lp)
             start = se_sol.weights
-            alpha = se_sol.alpha_interval[1]
+            alpha = lower_share(se_sol.lp.x[:problem.n], 0.0, 1.0 / problem.n)
             row["se_dev_opt"] = se_sol.deviation
             row["alpha"] = alpha
             row["cvar_dev_at_se_opt"] = cvar_deviation_of(se_sol.losses, alpha)

@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .functionals import _bias_of, _alpha_open
-from .lp_core import LpError, LpProblem, certify_objective, crash_basis, crash_pool, solve_lp
-from .lp_core.simplex import FEAS_TOL
+from .lp_core import (LpError, LpProblem, certify_objective, crash_basis, crash_pool, lower_share,
+                      solve_lp)
 
 ZERO_RESIDUAL_RTOL = 1e-11
 CUTOFF_MARGIN = 1e-15  # relative rounding margin below a subset relaxation's cutoff
@@ -91,8 +91,9 @@ class LinearModel:
     pinball level at which the same coefficients are exactly optimal: the
     share of the dual multipliers u_i in [-h, h] at their lower end,
     sum_i (h - u_i)/(2h) / n clamped to [0, 1], with each u_i within the
-    simplex's feasibility tolerance of an end taken at it; it lies inside
-    the induced residual-sign interval.
+    simplex's feasibility tolerance of an end taken at it
+    (``lp_core.lower_share``); it lies inside the induced residual-sign
+    interval.
     """
 
     intercept: float
@@ -247,13 +248,16 @@ def _split_threshold(z: np.ndarray, level: float) -> float:
     The default (linear) quantile sits at position (n - 1) * level of the
     sorted sample and interpolates between its two neighbours as numpy's
     ``_lerp`` does: from the lower one below the midpoint, from the upper
-    one at or above it.
+    one at or above it.  The partition places the lower neighbour; the
+    upper one is the least entry after it, which a one-index partition
+    finds faster than a partition at both.
     """
     position = (z.size - 1) * level
     low = int(position)
     if low >= z.size - 1:
         return float(z.max())
-    a, b = np.partition(z, (low, low + 1))[low:low + 2].tolist()
+    part = np.partition(z, low)
+    a, b = float(part[low]), float(part[low + 1:].min())
     t = position - low
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
@@ -380,13 +384,9 @@ def fit_biased_mean(data: Dataset, x) -> LinearModel:
     mean_gap = abs(float(np.mean(z)) + b.x)
     if mean_gap > 1e-7:
         raise LpError(f"residual mean misses -x by {mean_gap}")
-    # a multiplier within the simplex's feasibility tolerance of a box end
-    # (a degenerate basic one) is at it, so each at an end adds exactly 0 or 1
     h = problem.upper[0]
-    u = np.where(h - np.abs(sol.x) <= FEAS_TOL, np.copysign(h, sol.x), sol.x)
-    lower_share = float(np.sum((h - u) / (2.0 * h))) / data.n
     return LinearModel(intercept=c0, coefficients=coeffs, objective=obj,
-                       equiv_alpha=min(max(lower_share, 0.0), 1.0))
+                       equiv_alpha=lower_share(sol.x, -h, h))
 
 
 def fit_se(data: Dataset) -> LinearModel:
@@ -450,7 +450,9 @@ def newsvendor_price(data: Dataset, x, gamma: float):
 
     Fits the part-balancing regression at bias x, takes the upper end of the
     induced level interval (the cdf of the residuals at zero), and prices at
-    delta = gamma / (1 - alpha*).
+    delta = gamma / (1 - alpha*).  This is not the fit's share level
+    ``equiv_alpha``, the level rule of both equivalences; which one the
+    price should take is an open question.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

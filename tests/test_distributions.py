@@ -8,7 +8,9 @@ from quadlab.distributions import (
     DesignSpec,
     EmpiricalSample,
     SkewNormalSpec,
+    _merge_ties,
     _owens_t,
+    _view,
     make_sample,
     sample_correlated_design,
     sample_skew_normal,
@@ -151,6 +153,28 @@ class TestSampleContract:
         warm.sorted_view
         for reader in VIEW_READERS:
             assert repr(reader(warm)) == repr(reader(make_sample(atoms, weights)))
+
+    @pytest.mark.parametrize("kind", ["distinct", "tied", "grid", "zero_probability"])
+    def test_distinct_atoms_skip_the_merge_bit_for_bit(self, rng, kind):
+        """Every view field equals the tie-merging path's, bytes and dtype included."""
+        n = 8000  # quadrangle_eval's sample size
+        atoms, weights = rng.standard_normal(n), rng.uniform(0.05, 1.0, n)
+        if kind == "tied":
+            atoms = rng.integers(0, 9, n) * 0.5
+        elif kind == "grid":  # quadrangle_eval's draws: atoms on a 2**-10 grid
+            atoms = np.round(atoms / 2.0 ** -10) * 2.0 ** -10
+        elif kind == "zero_probability":  # a -0.0 weight too: the merge reads it 0.0
+            weights[::7] = 0.0
+            weights[3] = -0.0
+        sample = make_sample(atoms, weights)
+        order = np.argsort(sample.atoms, kind="stable")
+        a, p = sample.atoms[order], sample.probabilities[order]
+        distinct = np.concatenate(([True], a[1:] != a[:-1]))
+        assert distinct.all() == (kind in ("distinct", "zero_probability"))
+        merged = _view(*_merge_ties(a, p, distinct))
+        for name, got, want in zip(merged._fields, sample.sorted_view, merged):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestSkewNormal:

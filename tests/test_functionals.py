@@ -63,6 +63,18 @@ class TestCvar:
         s = make_sample([1, 2, 3, 4])
         assert cvar(s, 0.6) == pytest.approx((0.15 * 3 + 0.25 * 4) / 0.4, abs=1e-12)
 
+    def test_reads_the_grid_as_the_lower_cdf(self, rng):
+        # the grid's first k entries are [0, cdf[:-1]] concatenated, bit for bit
+        levels = [k / 20 for k in range(20)] + [1 - 1e-12]
+        tied = make_sample(rng.integers(0, 9, 300) * 0.25, rng.uniform(0.05, 1.0, 300))
+        for sample in (random_sample(rng), tied, make_sample([1.0, 2.0, 3.0], [0.5, 0.0, 0.5])):
+            view = sample.sorted_view
+            lo = np.concatenate(([0.0], view.cdf[:-1]))
+            for a in levels:
+                frac = np.clip(view.cdf, a, 1.0) - np.clip(lo, a, 1.0)
+                want = float((view.atoms @ frac) / (1.0 - a))
+                assert np.float64(cvar(sample, a)).tobytes() == np.float64(want).tobytes(), a
+
 
 class TestCvarViaMin:
     def test_plateau(self):

@@ -19,6 +19,7 @@ from quadlab.lp_core import (
     best_first,
     certify_objective,
     crash_basis,
+    lower_share,
     solve_box_stack,
     solve_lp,
     solve_mip,
@@ -673,6 +674,54 @@ class TestCrashBasis:
             s = solve_lp(q, warm=crash_basis(q, flags))
             assert s.status == "optimal"
             assert s.objective == pytest.approx(solve_lp(q).objective, abs=1e-8)
+
+
+class TestLowerShare:
+    # the boxes of the centred regression dual, [-1/(2n), 1/(2n)], and of
+    # the part-balancing portfolio dual, [0, 1/n]
+    BOXES = [(-1.0 / (2 * n), 1.0 / (2 * n)) for n in (3, 100, 10_000)] + \
+        [(0.0, 1.0 / n) for n in (3, 500, 10_000)]
+
+    @staticmethod
+    def _farthest_within(end, toward):
+        """The float farthest from ``end`` toward ``toward`` that is within FEAS_TOL of it."""
+        u = end + np.copysign(FEAS_TOL, toward - end)
+        while abs(end - u) > FEAS_TOL:
+            u = np.nextafter(u, end)
+        return u
+
+    def test_multipliers_near_an_end_count_as_at_it(self):
+        for lo, hi in self.BOXES:
+            near_hi = [np.nextafter(hi, lo), self._farthest_within(hi, lo), hi]
+            near_lo = [np.nextafter(lo, hi), self._farthest_within(lo, hi), lo]
+            for u in near_hi:
+                assert lower_share(np.array([u]), lo, hi) == 0.0, (lo, hi, u)
+            for u in near_lo:
+                assert lower_share(np.array([u]), lo, hi) == 1.0, (lo, hi, u)
+            # n multipliers, k at (or within FEAS_TOL of) the lower end: exactly k/n
+            u = np.array(near_lo + near_hi + near_lo[:1])
+            assert lower_share(u, lo, hi) == 4 / 7
+            # twice FEAS_TOL away is inside the box and adds a fraction
+            step = 2 * FEAS_TOL / (hi - lo)
+            assert lower_share(np.array([hi - 2 * FEAS_TOL]), lo, hi) == pytest.approx(step)
+            assert 1.0 - lower_share(np.array([lo + 2 * FEAS_TOL]), lo, hi) == pytest.approx(step)
+
+    def test_clamped_to_the_unit_interval(self):
+        assert lower_share(np.array([-1.0, -1.0]), 0.0, 0.5) == 1.0
+        assert lower_share(np.array([2.0, 0.5]), 0.0, 0.5) == 0.0
+
+    def test_symmetric_box_is_the_pinball_share(self, rng):
+        # the rule ``fit_biased_mean`` read off [-h, h] before it called
+        # lower_share, which its ``equiv_alpha`` must keep bit for bit
+        for n in (3, 100, 10_000):
+            h = 1.0 / (2 * n)
+            u = rng.uniform(-h, h, n)
+            picks = rng.random(n)
+            u[picks < 0.3] = h - FEAS_TOL * rng.random(int(np.sum(picks < 0.3)))
+            u[picks > 0.7] = -h + FEAS_TOL * rng.random(int(np.sum(picks > 0.7)))
+            snapped = np.where(h - np.abs(u) <= FEAS_TOL, np.copysign(h, u), u)
+            share = min(max(float(np.sum((h - snapped) / (2.0 * h))) / n, 0.0), 1.0)
+            assert np.float64(lower_share(u, -h, h)).tobytes() == np.float64(share).tobytes()
 
 
 def _loop_snap(vstate, lo, hi):
