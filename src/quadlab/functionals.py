@@ -149,7 +149,14 @@ def cvar(sample: EmpiricalSample, alpha) -> float:
     if a >= 1.0:
         return float(sample.atoms.max())
     view = sample.sorted_view
-    frac = np.clip(view.cdf, a, 1.0) - np.clip(view.grid[:-1], a, 1.0)
+    # np.clip(cdf, a, 1) - np.clip(grid[:-1], a, 1), bit for bit: grid[1:] is
+    # cdf and clip(grid[0] = 0) is a, so the lower ends are the clipped cdf
+    # shifted one place, after a
+    clipped = np.maximum(view.cdf, a)
+    np.minimum(clipped, 1.0, out=clipped)
+    frac = np.empty_like(clipped)
+    frac[0] = clipped[0] - a
+    np.subtract(clipped[1:], clipped[:-1], out=frac[1:])
     return float((view.atoms @ frac) / (1.0 - a))
 
 

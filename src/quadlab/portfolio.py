@@ -100,11 +100,34 @@ class PortfolioProblem:
 
 @dataclass(frozen=True)
 class PortfolioSolution:
+    """One portfolio solve: its weights, loss sample, deviation and LP solution.
+
+    ``objective`` is "se" (part-balancing) or "cvar" (tail-average) and
+    ``param`` the solve's bias x or level alpha.  ``losses`` is the sample
+    X = -w . r_i of the optimal ``weights``, ``deviation`` the objective
+    re-evaluated exactly on it, and ``lp`` the scenario dual's solution.
+    ``alpha_interval`` is computed on first read and cached; the sweep
+    never reads it.
+    """
+
     weights: np.ndarray
     losses: EmpiricalSample
     deviation: float
-    alpha_interval: tuple[float, float]
+    objective: str
+    param: float
     lp: LpSolution
+
+    @cached_property
+    def alpha_interval(self) -> tuple[float, float]:
+        """The CDF jump of ``losses`` at the solve's threshold; it brackets the level.
+
+        For "se" the threshold is x + E[X] (``map_x_to_alpha``), for "cvar"
+        the loss quantile VaR-_alpha; atoms within ``_tie_band`` count as tied.
+        """
+        if self.objective == "se":
+            return map_x_to_alpha(self.losses, self.param)
+        quantile = var(self.losses, self.param).lower
+        return probability_interval_at(self.losses, quantile, atol=_tie_band(self.losses.atoms))
 
 
 def _loss_sample(returns: np.ndarray, weights: np.ndarray) -> EmpiricalSample:
@@ -208,7 +231,7 @@ def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSoluti
         problem, b.x, 1.0 / problem.n, start, b.x - float(problem.mean_returns @ start))
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
-    return PortfolioSolution(weights, losses, deviation, map_x_to_alpha(losses, b), sol)
+    return PortfolioSolution(weights, losses, deviation, "se", b.x, sol)
 
 
 def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> PortfolioSolution:
@@ -230,10 +253,7 @@ def _optimize_cvar(problem: PortfolioProblem, alpha, start, start_losses: Empiri
         sum_to_one=True)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
-    # CDF jump interval at the loss quantile; it brackets alpha.
-    quantile = var(losses, a).lower
-    interval = probability_interval_at(losses, quantile, atol=_tie_band(losses.atoms))
-    return PortfolioSolution(weights, losses, deviation, interval, sol)
+    return PortfolioSolution(weights, losses, deviation, "cvar", a, sol)
 
 
 def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
@@ -261,8 +281,9 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     ``alpha_interval``), solve the tail-average problem there, and evaluate
     each objective at the other optimum.  At that level the part-balancing
     optimum is tail-average optimal too: its multipliers, scaled by
-    1/(1 - alpha), are tail-average dual optimal.  Solver failures are
-    recorded per point and the sweep continues.
+    1/(1 - alpha), are tail-average dual optimal.  The sweep never reads
+    either solution's ``alpha_interval``, so neither is computed.  Solver
+    failures are recorded per point and the sweep continues.
 
     No basis crosses solves.  Each part-balancing solve starts from the
     previous point's optimal weights; each tail-average solve from its own

@@ -64,10 +64,18 @@ class TestCvar:
         assert cvar(s, 0.6) == pytest.approx((0.15 * 3 + 0.25 * 4) / 0.4, abs=1e-12)
 
     def test_reads_the_grid_as_the_lower_cdf(self, rng):
-        # the grid's first k entries are [0, cdf[:-1]] concatenated, bit for bit
+        # the grid's first k entries are [0, cdf[:-1]] concatenated, bit for
+        # bit, and cvar, which clips the cdf once, gives the two-np.clip bits
         levels = [k / 20 for k in range(20)] + [1 - 1e-12]
         tied = make_sample(rng.integers(0, 9, 300) * 0.25, rng.uniform(0.05, 1.0, 300))
-        for sample in (random_sample(rng), tied, make_sample([1.0, 2.0, 3.0], [0.5, 0.0, 0.5])):
+        step = 2.0 ** -10  # the grid the quadrangle_eval benchmark draws on
+        on_grid = make_sample(np.round(rng.standard_normal(8000) / step) * step,
+                              rng.uniform(0.05, 1.0, 8000))
+        samples = (make_sample(rng.standard_normal(500)),
+                   make_sample(rng.standard_normal(500), rng.uniform(0.05, 1.0, 500)),
+                   random_sample(rng), tied, on_grid,
+                   make_sample([1.0, 2.0, 3.0], [0.5, 0.0, 0.5]))
+        for sample in samples:
             view = sample.sorted_view
             lo = np.concatenate(([0.0], view.cdf[:-1]))
             for a in levels:

@@ -5,7 +5,7 @@ from quadlab import portfolio
 from quadlab.distributions import make_sample
 from quadlab.experiments import (FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns,
                                  run_fig1_sweep)
-from quadlab.functionals import cvar, var
+from quadlab.functionals import cvar, probability_interval_at, var
 from quadlab.lp_core import crash_basis
 from quadlab.lp_core.simplex import CRASH_POOL
 from quadlab.portfolio import (
@@ -319,6 +319,43 @@ class TestSweep:
         below, at_or_below = map_x_to_alpha(sol.losses, 0.0)
         assert (lo, hi) == (below, at_or_below)
         assert lo <= hi
+
+
+def _four_asset_problem(long_only: bool) -> PortfolioProblem:
+    r = four_asset_returns(400, 7)
+    mu = float(np.sort(r.mean(axis=0))[-2]) if long_only else FOUR_ASSET_TARGET_MEAN
+    return PortfolioProblem(r, mu, long_only)
+
+
+class TestLazyAlphaInterval:
+    """``alpha_interval`` is computed on first read, from the solve's x or alpha."""
+
+    @pytest.mark.parametrize("long_only", [False, True])
+    def test_matches_the_eager_formulas(self, long_only):
+        problem = _four_asset_problem(long_only)
+        for x in (-0.01, 0.0, 0.01, 0.05):
+            sol = optimize_se_dev(problem, x)
+            assert sol.alpha_interval == map_x_to_alpha(sol.losses, x)
+        for alpha in (0.05, 0.5, 0.9, 0.99):
+            sol = optimize_cvar_dev(problem, alpha)
+            losses = sol.losses
+            assert sol.alpha_interval == probability_interval_at(
+                losses, var(losses, alpha).lower, atol=portfolio._tie_band(losses.atoms))
+
+    @pytest.mark.parametrize("long_only", [False, True])
+    def test_the_sweep_never_computes_it(self, monkeypatch, long_only):
+        problem = _four_asset_problem(long_only)
+        grid = ExperimentConfig(experiment="fig1_sweep").x_grid
+        want = equivalence_sweep(problem.returns, problem.target_mean, grid, long_only)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep computed an alpha_interval")
+
+        monkeypatch.setattr(portfolio, "map_x_to_alpha", refuse)
+        monkeypatch.setattr(portfolio, "probability_interval_at", refuse)
+        got = equivalence_sweep(problem.returns, problem.target_mean, grid, long_only)
+        assert all(rw["error"] == "" for rw in got)
+        assert got == want
 
 
 def _fresh_problem_per_solve(monkeypatch):
