@@ -24,7 +24,8 @@ The set covers each start ``solve_lp`` takes: regression duals at n = 100
 and 10,000 (pinball at two levels and the centred part-balancing dual at
 two biases, each from its OLS crash, so through the dual phase where the
 crash is not optimal already), the part-balancing and tail-average
-portfolio duals, a cold start that needs phase 1, the box walk (five
+portfolio duals under each sign policy (the long-only ones on the long-only
+sweep's problem, with its ``<=`` asset rows), a cold start that needs phase 1, the box walk (five
 equality rows over 300 [0, 1] columns, warm-started from the feasible
 basis its phase 1 finds), whose phase 2 runs past 200 iterations under
 Dantzig's rule because its objective keeps falling, and a best-subset
@@ -132,18 +133,25 @@ def _fit_chain():
     yield "fit chain n=1000 d=2", fits
 
 
+def _long_only_target(returns) -> float:
+    # long-only, a target above all but one asset mean leaves some weights idle
+    return float(np.sort(returns.mean(axis=0))[-2])
+
+
 def _portfolio_duals():
-    problem = PortfolioProblem(four_asset_returns(2000, 5), FOUR_ASSET_TARGET_MEAN)
+    returns = four_asset_returns(2000, 5)
+    problem = PortfolioProblem(returns, FOUR_ASSET_TARGET_MEAN)
     yield "portfolio se x=0.002", optimize_se_dev(problem, 0.002).lp
     yield "portfolio cvar alpha=0.9", optimize_cvar_dev(problem, 0.9).lp
+    problem = PortfolioProblem(returns, _long_only_target(returns), long_only=True)
+    yield "portfolio se long_only x=0.002", optimize_se_dev(problem, 0.002).lp
+    yield "portfolio cvar long_only alpha=0.9", optimize_cvar_dev(problem, 0.9).lp
 
 
 def _sweeps():
     returns = four_asset_returns(2000, 5)
     grid = ExperimentConfig(experiment="fig1_sweep").x_grid
-    # long-only, a target above all but one asset mean leaves some weights idle
-    for long_only, mu in ((False, FOUR_ASSET_TARGET_MEAN),
-                          (True, float(np.sort(returns.mean(axis=0))[-2]))):
+    for long_only, mu in ((False, FOUR_ASSET_TARGET_MEAN), (True, _long_only_target(returns))):
         yield f"sweep long_only={long_only}", equivalence_sweep(returns, mu, grid, long_only)
 
 
