@@ -41,10 +41,11 @@ every ``StackSolution`` field: the part-balancing oracle of a d = 8 planted
 instance, a tied and a degenerate random stack, and a stack with no more
 columns than rows.  One equivalence sweep per sign policy hashes every row
 field, phase iterations and bound flips included; each sweep re-solves its
-problem's two cached duals from point to point.  A fit chain hashes every
-``LinearModel`` field of five fits on one ``Dataset``, each run after the
-ones before it, so a value the data set keeps from fit to fit shows if it
-goes stale.
+problem's two cached duals from point to point, the part-balancing rows and
+the tail-average dual built from them plus its sum-to-one row.  A fit
+chain hashes every ``LinearModel`` field of five fits on one ``Dataset``,
+each run after the ones before it, so a value the data set keeps from fit
+to fit shows if it goes stale.
 One line per solve, search, stack, sweep or chain, then the total.
 """
 

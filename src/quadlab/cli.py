@@ -151,6 +151,8 @@ def _cmd_portfolio(args) -> int:
             raise ValueError("--sweep wants x0:x1:step") from exc
         if not (np.all(np.isfinite([x0, x1, step])) and step > 0):
             raise ValueError("--sweep wants finite x0:x1:step with step > 0")
+        if x1 < x0:
+            raise ValueError("--sweep wants x0 <= x1")
         if (x1 - x0) / step > 10_000:  # the paper's grid takes 24 steps
             raise ValueError("--sweep takes more than 10,000 steps")
         as_json = args.format == "json" or (args.output or "").endswith(".json")
@@ -160,7 +162,7 @@ def _cmd_portfolio(args) -> int:
         rows = equivalence_sweep(matrix, args.mu, grid, long_only=args.long_only)
         out_header = ["x", "alpha", "se_dev_opt", "cvar_dev_at_se_opt",
                       "cvar_dev_opt", "se_dev_at_cvar_opt"]
-        table = [[rw[k] if rw[k] == rw[k] else float("nan") for k in out_header] for rw in rows]
+        table = [[rw[k] for k in out_header] for rw in rows]
         if as_json:
             _write_json({"columns": out_header, "rows": table,
                          "errors": [rw["error"] for rw in rows]}, args.output)

@@ -7,6 +7,12 @@ programs whose natural formulation carries one row per scenario; the
 module instead solves the bounded-column dual, whose basis stays
 (assets+1)-sized, recovers the weights from the row multipliers, and then
 re-evaluates the deviation exactly on the induced loss sample as a check.
+
+The tail-average dual is the part-balancing dual plus the row sum(u) = 1:
+its natural asset row r_j . u + b + rbar_j c = rbar_j (``<=`` when
+long-only), less rbar_j times that row, is the part-balancing row
+(r_j - rbar_j) . u + b + rbar_j c = 0, and a row operation leaves the asset
+rows' multipliers, the weights, unchanged.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ class PortfolioProblem:
 
     The constructor stores a read-only copy of ``returns``, so the caller's
     array stays writable and later writes to it do not reach the problem.
-    That is what makes the cached ``mean_returns`` and scenario duals safe
-    to reuse.  Each solve rewrites a dual's objective and scenario bounds,
-    so one problem must not be solved from two threads at once.  Equality
-    is identity: those caches belong to the instance.
+    That is what makes the cached ``mean_returns`` and scenario duals
+    (``se_dual``, and ``cvar_dual``, a copy of its rows plus one) safe to
+    reuse.  Each solve rewrites a dual's objective and scenario bounds, so
+    one problem must not be solved from two threads at once.  Equality is
+    identity: those caches belong to the instance.
     """
 
     returns: np.ndarray
@@ -75,30 +82,21 @@ class PortfolioProblem:
     @cached_property
     def se_dual(self) -> LpProblem:
         """Rows of the part-balancing dual (see ``_solve_scenario_dual``), built on first use."""
-        return self._scenario_dual(self.returns - self.mean_returns, np.zeros(self.m))
+        rows = np.column_stack(((self.returns - self.mean_returns).T, np.ones(self.m),
+                                self.mean_returns))
+        lp = LpProblem(self.n + 2)
+        lp.add_rows(rows, "<=" if self.long_only else "=", 0.0)
+        return lp
 
     @cached_property
     def cvar_dual(self) -> LpProblem:
-        """Rows of the tail-average dual (see ``_solve_scenario_dual``), built on first use."""
-        return self._scenario_dual(self.returns, self.mean_returns, sum_to_one=True)
-
-    def _scenario_dual(self, asset_cols, asset_rhs, sum_to_one: bool = False) -> LpProblem:
-        """A scenario dual's rows; each solve writes its objective and scenario bounds.
-
-        Each asset contributes a row (its ``asset_cols`` column, 1, its mean
-        return), an inequality under the long-only policy; ``sum_to_one``
-        prepends a row making the scenario multipliers sum to one.
-        """
-        n, m = self.n, self.m
-        lp = LpProblem(n + 2)
-        if sum_to_one:
-            lp.add_row(np.concatenate((np.ones(n), [0.0, 0.0])), "=", 1.0)
-        lp.add_rows(np.column_stack((asset_cols.T, np.ones(m), self.mean_returns)),
-                    "<=" if self.long_only else "=", asset_rhs)
+        """Rows of the tail-average dual: ``se_dual``'s, then sum(u) = 1; built on first use."""
+        lp = self.se_dual.copy()
+        lp.add_row(np.concatenate((np.ones(self.n), [0.0, 0.0])), "=", 1.0)
         return lp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioSolution:
     """One portfolio solve: its weights, loss sample, deviation and LP solution.
 
@@ -107,7 +105,7 @@ class PortfolioSolution:
     X = -w . r_i of the optimal ``weights``, ``deviation`` the objective
     re-evaluated exactly on it, and ``lp`` the scenario dual's solution.
     ``alpha_interval`` is computed on first read and cached; the sweep
-    never reads it.
+    never reads it.  Equality is identity, as for ``PortfolioProblem``.
     """
 
     weights: np.ndarray
@@ -166,52 +164,49 @@ def default_start(problem: PortfolioProblem) -> np.ndarray:
     return weights
 
 
-def scenario_crash(problem: PortfolioProblem, weights, threshold: float,
-                   sum_to_one: bool = False):
+def scenario_crash(problem: PortfolioProblem, weights, threshold: float):
     """Scenario-dual start (at-cap mask, crash order) read off a portfolio guess.
 
     On the losses of the guess ``weights``, the scenarios above
     ``threshold`` start at their cap.  The crash order for ``crash_basis``
     lists the free budget and mean multipliers, the scenarios tied at the
     threshold (within the ``map_x_to_alpha`` band), the slacks of the asset
-    rows whose weights are idle (|w| <= ``BUDGET_TOL``), then the
-    lowest-loss scenarios above the threshold.  ``sum_to_one`` marks the
-    tail-average dual, whose sum-to-one row precedes the asset rows.
+    rows whose weights are idle (|w| <= ``BUDGET_TOL``; asset j's is column
+    n + 2 + j), then the lowest-loss scenarios above the threshold, as many
+    as a crash of ``cvar_dual``'s m + 1 rows reads (``se_dual``'s, a prefix).
     """
     atoms = -(problem.returns @ weights)
     atol = _tie_band(atoms)
     above = atoms > threshold + atol
     tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
-    idle = problem.n + 2 + sum_to_one + np.flatnonzero(np.abs(weights) <= BUDGET_TOL)
+    idle = problem.n + 2 + np.flatnonzero(np.abs(weights) <= BUDGET_TOL)
     tail = np.flatnonzero(above)
-    nearest = tail[crash_pool(atoms[tail], problem.m + sum_to_one)]
+    nearest = tail[crash_pool(atoms[tail], problem.m + 1)]
     return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
 
 
-def _solve_scenario_dual(problem: PortfolioProblem, cost: float, cap: float, start,
-                         threshold: float, sum_to_one: bool = False):
-    """Solve the bounded-column dual both objectives share.
+def _solve_scenario_dual(problem: PortfolioProblem, lp: LpProblem, cost: float, cap: float,
+                         start, threshold: float):
+    """Solve ``lp``, the problem's cached ``se_dual`` or ``cvar_dual``.
 
     Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
     then the free budget-row and target-mean-row multipliers (columns n and
-    n + 1).  The rows are the problem's cached ``cvar_dual`` when
-    ``sum_to_one``, else its ``se_dual``; every solve rewrites the whole
-    objective and every scenario bound, so nothing carries over from an
-    earlier one.  The start is ``scenario_crash(problem, start, threshold,
-    sum_to_one)``.  Returns the LP solution, the weights read off the
-    asset-row multipliers, and the validated loss sample.
+    n + 1).  Every solve rewrites the whole objective and every scenario
+    bound, so nothing carries over from an earlier one.  The start is
+    ``scenario_crash(problem, start, threshold)``.  Returns the LP solution,
+    the weights read off the multipliers of the first m rows, the asset
+    rows, and the validated loss sample.
     """
     n, m = problem.n, problem.m
-    lp = problem.cvar_dual if sum_to_one else problem.se_dual
     lp.set_objective(np.concatenate((np.full(n, cost), [-1.0, -problem.target_mean])))
     lp.set_bounds(slice(0, n), 0.0, cap)
-    crash = crash_basis(lp, *scenario_crash(problem, start, threshold, sum_to_one))
+    crash = crash_basis(lp, *scenario_crash(problem, start, threshold))
     sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":
         raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
     if sol.status != "optimal":
         raise LpError(f"portfolio LP ended with status {sol.status}")
-    weights = -sol.duals[-m:]
+    weights = -sol.duals[:m]
     losses = _loss_sample(problem.returns, weights)
     _validate(problem, weights, losses)
     return sol, weights, losses
@@ -228,7 +223,8 @@ def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSoluti
     b = _bias_of(x)
     start = default_start(problem) if start is None else start
     sol, weights, losses = _solve_scenario_dual(
-        problem, b.x, 1.0 / problem.n, start, b.x - float(problem.mean_returns @ start))
+        problem, problem.se_dual, b.x, 1.0 / problem.n, start,
+        b.x - float(problem.mean_returns @ start))
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
     return PortfolioSolution(weights, losses, deviation, "se", b.x, sol)
@@ -237,10 +233,10 @@ def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSoluti
 def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> PortfolioSolution:
     """Minimize the tail-average deviation of the loss at level alpha.
 
-    Same dual pattern with multipliers in [0, 1/((1-alpha) n)] summing to 1;
-    an extra free multiplier pins the tail threshold row.  The solve starts
-    from the crash of the guess ``start`` (else ``default_start``) at the
-    threshold VaR-_alpha of its losses.
+    Same dual rows with multipliers in [0, 1/((1-alpha) n)], plus one that
+    makes them sum to 1.  The solve starts from the crash of the guess
+    ``start`` (else ``default_start``) at the threshold VaR-_alpha of its
+    losses.
     """
     start = default_start(problem) if start is None else start
     return _optimize_cvar(problem, alpha, start, _loss_sample(problem.returns, start))
@@ -249,8 +245,8 @@ def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> Portfolio
 def _optimize_cvar(problem: PortfolioProblem, alpha, start, start_losses: EmpiricalSample):
     a = _alpha_open(alpha)
     sol, weights, losses = _solve_scenario_dual(
-        problem, 0.0, 1.0 / ((1.0 - a) * problem.n), start, var(start_losses, a).lower,
-        sum_to_one=True)
+        problem, problem.cvar_dual, 0.0, 1.0 / ((1.0 - a) * problem.n), start,
+        var(start_losses, a).lower)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
     return PortfolioSolution(weights, losses, deviation, "cvar", a, sol)

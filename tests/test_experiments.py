@@ -410,6 +410,10 @@ class TestCli:
            "data must be finite") for flag in ("--milp", "--oracle")),
         (["sparse", "--error", "se", "--k", "5", "--input", "{wide}", "--target", "y",
           "--oracle"], "cardinality bound"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "1e300:-1e300:1e-300"],
+         "--sweep wants x0 <= x1"),
+        (["portfolio", "--mu", "0.001", "--input", "{rets}", "--sweep", "0.01:0:0.001"],
+         "--sweep wants x0 <= x1"),
     ])
     def test_usage_errors_exit_2(self, tmp_path, capsys, argv, message):
         paths = {name: tmp_path / f"{name}.csv" for name in ("reg", "wide", "rets", "out",

@@ -6,7 +6,7 @@ from quadlab.distributions import make_sample
 from quadlab.experiments import (FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns,
                                  run_fig1_sweep)
 from quadlab.functionals import cvar, probability_interval_at, var
-from quadlab.lp_core import crash_basis
+from quadlab.lp_core import LpProblem, crash_basis, solve_lp
 from quadlab.lp_core.simplex import CRASH_POOL
 from quadlab.portfolio import (
     InfeasibleTarget,
@@ -195,7 +195,7 @@ class TestSweep:
         se = optimize_se_dev(problem, x)
         alpha = se.alpha_interval[1]
         threshold = var(se.losses, alpha).lower
-        above, order = scenario_crash(problem, se.weights, threshold, sum_to_one=True)
+        above, order = scenario_crash(problem, se.weights, threshold)
         atoms = se.losses.atoms
         # VaR-_alpha(x) is the atom tied at x + E[X]
         assert threshold == pytest.approx(x + se.losses.mean(), abs=1e-9)
@@ -230,6 +230,40 @@ class TestSweep:
         cold = optimize_cvar_dev(problem, alpha)
         assert sol.deviation == pytest.approx(cold.deviation, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("long_only", [False, True])
+    def test_cvar_dual_is_the_se_dual_plus_its_sum_row(self, rng, long_only):
+        r = random_returns(rng, n=120, m=4)
+        problem = PortfolioProblem(r, float(np.sort(r.mean(axis=0))[-2]), long_only)
+        n, m = problem.n, problem.m
+        se, tail = problem.se_dual, problem.cvar_dual
+        assert tail.num_rows == m + 1
+        assert tail.matrix[:m].tobytes() == se.matrix.tobytes()
+        assert tail.rhs[:m].tobytes() == se.rhs.tobytes()
+        assert tail.relations[:m] == se.relations == ["<=" if long_only else "="] * m
+        assert np.array_equal(tail.matrix[m], np.append(np.ones(n), [0.0, 0.0]))
+        assert tail.rhs[m] == 1.0 and tail.relations[m] == "="
+        # asset j's slack is column n + 2 + j in both duals, where the crash puts it
+        w = default_start(problem)
+        idle = np.flatnonzero(w == 0.0)
+        _, order = scenario_crash(problem, w, 0.0)
+        assert order[2:2 + idle.size].tolist() == (n + 2 + idle).tolist()
+        for lp in (se, tail):
+            assert np.array_equal(lp.extended[:, n + 2 + idle], np.eye(lp.num_rows)[:, idle])
+        # the natural rows, raw returns against a right-hand side of the
+        # mean returns, give the same optimum and weights from a cold start
+        alpha = 0.8
+        sol = optimize_cvar_dev(problem, alpha)
+        raw = LpProblem(n + 2)
+        raw.set_objective(tail.objective)
+        raw.set_bounds(slice(0, n), 0.0, 1.0 / ((1.0 - alpha) * n))
+        raw.add_rows(np.column_stack((r.T, np.ones(m), problem.mean_returns)),
+                     "<=" if long_only else "=", problem.mean_returns)
+        raw.add_row(np.append(np.ones(n), [0.0, 0.0]), "=", 1.0)
+        cold = solve_lp(raw)
+        assert cold.status == "optimal"
+        assert cold.objective == pytest.approx(sol.lp.objective, rel=1e-9, abs=1e-12)
+        assert np.allclose(-cold.duals[:m], sol.weights, rtol=0.0, atol=1e-8)
+
     def test_default_crash_keeps_idle_slacks_basic(self, rng, monkeypatch):
         # the default guess leaves all but two assets idle: both free
         # multipliers and the idle assets' slacks start basic in both duals;
@@ -247,7 +281,7 @@ class TestSweep:
         assert optimize_cvar_dev(problem, 0.7).lp.warm_used
         (_, (se_basis, _), _), (_, (cvar_basis, _), _) = starts
         assert set(se_basis.tolist()) == {n, n + 1, *(n + 2 + idle).tolist()}
-        assert {n, n + 1, *(n + 3 + idle).tolist()} <= set(cvar_basis.tolist())
+        assert {n, n + 1, *(n + 2 + idle).tolist()} <= set(cvar_basis.tolist())
         assert np.count_nonzero(cvar_basis < n) == 1
 
     def test_long_only_crossover_keeps_idle_slacks_basic(self, rng, monkeypatch):
@@ -268,11 +302,10 @@ class TestSweep:
                 idle_points += idle.size > 0
                 new = optimize_cvar_dev(problem, alpha, start=se.weights)
                 lp, (basis, _), kw = starts[-1]
-                assert set((n + 3 + idle).tolist()) <= set(basis.tolist())
+                assert set((n + 2 + idle).tolist()) <= set(basis.tolist())
                 # the crash of the same order without the idle slacks; where
                 # it still keeps them basic, the two starts are one
-                above, order = scenario_crash(problem, se.weights,
-                                              var(se.losses, alpha).lower, sum_to_one=True)
+                above, order = scenario_crash(problem, se.weights, var(se.losses, alpha).lower)
                 other = crash_basis(lp, above, order[order < n + 2])
                 old = real(lp, warm=other, **kw)
                 assert old.warm_used and new.lp.warm_used
@@ -420,6 +453,10 @@ class TestCachedDuals:
         assert problem == problem and not problem != problem
         assert problem != PortfolioProblem(r, 0.001)
         assert len({problem, problem, PortfolioProblem(r, 0.001)}) == 2
+        # two solves of one problem are two solutions, each equal to itself
+        first, second = optimize_se_dev(problem, 0.0), optimize_se_dev(problem, 0.0)
+        assert first == first and first != second
+        assert len({first, first, second}) == 2
 
     def test_caller_writes_do_not_reach_the_problem(self, rng):
         r = random_returns(rng, n=200, m=4)
