@@ -1,18 +1,18 @@
 """Command-line entry point.
 
 Subcommands: fit, eval, simulate, portfolio, sparse, experiment.  Tables go
-to CSV, single results to JSON; every path is explicit and nothing writes
-to the working directory implicitly.  The experiment subcommand exits
-nonzero if any asserted verdict fails.  Usage errors (a missing ``--alpha``,
-an unknown ``--column``, a bad ``--sweep``, ``--big-m`` without ``--milp``),
-bad input and solver failures (``LpError``, e.g. an unattainable target
-mean) exit 2 with a one-line ``error: ...`` message on stderr.
+to CSV, single results to strict JSON (a non-finite number is null); every
+path is explicit and nothing writes to the working directory implicitly.
+The experiment subcommand exits nonzero if any asserted verdict fails.
+Usage errors (a missing ``--alpha``, an unknown ``--column``, a bad
+``--sweep``, ``--big-m`` without ``--milp``), bad input and solver failures
+(``LpError``, e.g. an unattainable target mean) exit 2 with a one-line
+``error: ...`` message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,9 +29,11 @@ from .distributions import (
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
+    convergence_dataset,
     emit_report,
     four_asset_returns,
     four_factor_dataset,
+    json_text,
     load_csv,
     run_experiment,
     verdicts_pass,
@@ -49,7 +51,7 @@ from .sparse import SparseProblem, brute_force_subset, fit_sparse_mse, fit_spars
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
+    text = json_text(payload)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -124,13 +126,8 @@ def _cmd_simulate(args) -> int:
         x = sample_correlated_design(DesignSpec(args.d, args.rho), args.n, args.seed)
         write_csv(args.output, [f"x{j + 1}" for j in range(args.d)], x)
     elif args.kind == "regression":
-        if args.n < 1:
-            raise ValueError("n must be >= 1")
-        ss = np.random.SeedSequence(args.seed)
-        s_x, s_eps = ss.spawn(2)
-        x = np.random.default_rng(s_x).standard_normal(args.n)
-        eps = sample_skew_normal(SkewNormalSpec(args.shape), args.n, s_eps)
-        write_csv(args.output, ["x", "y"], np.column_stack((x, x + eps)))
+        data = convergence_dataset(args.n, args.seed, args.shape)
+        write_csv(args.output, ["x", "y"], np.column_stack((data.design, data.response)))
     elif args.kind == "returns":
         r = four_asset_returns(args.n, args.seed)
         write_csv(args.output, [f"asset{j + 1}" for j in range(r.shape[1])], r)

@@ -161,7 +161,8 @@ class ReportTable:
     """Rectangular numeric table with optional row labels and metadata.
 
     Serialization keeps full float precision (repr round-trips doubles), so
-    emit followed by load reproduces every cell bit for bit.
+    emit followed by load reproduces every cell bit for bit.  A non-finite
+    cell is ``nan`` or ``inf`` in CSV and ``null`` in JSON.
     """
 
     name: str
@@ -197,15 +198,33 @@ class ReportTable:
                 "row_labels": list(self.row_labels), "metadata": self.metadata}
 
 
+def _null_if_not_finite(value):
+    """``value`` with each non-finite float in its dicts, lists and tuples as None."""
+    if isinstance(value, dict):
+        return {k: _null_if_not_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_if_not_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def json_text(payload) -> str:
+    """``payload`` as strict JSON (RFC 8259): a non-finite float is written as null.
+
+    Values json cannot write go through ``float``; one that is non-finite
+    only then raises ValueError rather than writing a bare NaN.
+    """
+    return json.dumps(_null_if_not_finite(payload), indent=2, sort_keys=True, default=float,
+                      allow_nan=False)
+
+
 def emit_report(table: ReportTable, path: str, fmt: str = "csv") -> None:
-    """Write a table as CSV (cells at full precision) or JSON with metadata."""
+    """Write a table as CSV (cells at full precision) or strict JSON with metadata."""
     if fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv_text())
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(table.to_json_dict()) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -277,11 +296,7 @@ def _base_metadata(config: ExperimentConfig, started: float) -> dict:
 
 def _tables345_replication(args):
     n, rep_seed, shape, kb_alpha = args
-    ss = np.random.SeedSequence(rep_seed)
-    s_x, s_eps = ss.spawn(2)
-    x = np.random.default_rng(s_x).standard_normal(n)
-    eps = sample_skew_normal(SkewNormalSpec(shape), n, s_eps)
-    data = Dataset(x[:, None], x + eps)
+    data = convergence_dataset(n, rep_seed, shape)
     out = []
     for fit in (fit_ols, fit_se, lambda d: fit_quantile(d, kb_alpha)):
         model = fit(data)
@@ -398,6 +413,15 @@ def run_fig1_sweep(config: ExperimentConfig) -> ReportTable:
 
 
 # -- cross-error regression layout ---------------------------------------------
+
+def convergence_dataset(n: int, seed, shape: float) -> Dataset:
+    """Y = X + eps, X standard normal and eps skew-normal at ``shape``: the convergence draw."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    s_x, s_eps = np.random.SeedSequence(seed).spawn(2)
+    x = np.random.default_rng(s_x).standard_normal(n)
+    return Dataset(x[:, None], x + sample_skew_normal(SkewNormalSpec(shape), n, s_eps))
+
 
 def four_factor_dataset(n: int, seed) -> Dataset:
     """Documented stand-in for a four-factor style data set."""

@@ -9,7 +9,10 @@ caller gives only an ``expand(node)`` step.  The best-subset search in
 ``quadlab.sparse`` runs on the same loop.  Problems
 are small to mid-sized by design: the basis inverse is kept dense.  A
 solve without a usable warm basis starts from the all-slack
-``crash_basis(problem, ())``.
+``crash_basis(problem, ())``.  A crash reads only the rows: it marks its
+picks BASIC, the ``at_upper`` columns AT_UPPER and the rest FREE_ZERO,
+and the start settles each state to its column's bounds, so a crash pair
+stays valid after ``set_bounds`` and ``set_relation``.
 
 An ``LpProblem`` holds its rows once, as the read-only [A | I] the
 simplex reads (``matrix`` is a view of it), and every builder appends

@@ -21,11 +21,12 @@ the bound interval are finite, boxed (both), fixed (equal ends) and the
 span (hi - lo, infinite unless boxed).  The start, the dual phase's snap,
 bound flips and both ratio tests read these classes instead of testing
 the bounds again.  A start is synced once: ``warm_start`` checks the
-offered pair and settles every nonbasic state in one table lookup on
-(state, finite ends), then derives ``x``, the pricing signs and the
-basics.  After that only the entries whose state changes are rewritten:
-the snap and the long steps flip columns in place, and the basics follow
-by b - A x (the snap) or by one update (a long step).  The phase-2 reduced
+offered pair, a crash's or a caller's, and settles every nonbasic state
+in one table lookup on (state, finite ends); a crash only picks the
+basis.  It then derives ``x``, the pricing signs and the basics.  After
+that only the entries whose state changes are rewritten: the snap and
+the long steps flip columns in place, and the basics follow by b - A x
+(the snap) or by one update (a long step).  The phase-2 reduced
 costs are priced once per basis: a bound flip keeps them, a pivot or a
 refactorization drops them, so the first dual step reuses the snap's and
 the solution reports phase 2's last pricing.  ``A`` is the problem's own
@@ -109,13 +110,10 @@ def _finite_ends(lo, hi) -> np.ndarray:
     return ends
 
 
-# A column's default nonbasic state by finite ends: at its finite lower
-# bound, else its finite upper bound, else free at zero.
-_DEFAULT_STATE = np.array([FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER], dtype=np.int8)
-_SLACK_STATE = _DEFAULT_STATE.take(_finite_ends(_SLACK_LO, _SLACK_HI))  # by relation code
 _NOT_A_STATE = FREE_ZERO + 1
 # _WARM_STATE[4 * state + ends] is the state a warm start installs: the
-# offered one if it fits the finite ends, else the default.  BASIC is valid
+# offered one if it fits the finite ends, else the default: the finite lower
+# bound, else the finite upper bound, else free at zero.  BASIC is valid
 # only on the basis, which is written afterwards; the last entry stands for
 # every code past FREE_ZERO and the first for every negative one (``take``
 # clips to them).
@@ -155,9 +153,12 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     until every row is held: each enters on the open row of its largest
     reduced entry if that entry is at least CRASH_PIVOT_SHARE of the
     column's largest, and is skipped as dependent otherwise; other rows
-    keep their slacks.  Columns flagged in ``at_upper`` start at their
-    upper bound, other nonbasics at their finite lower bound, else their
-    finite upper bound, else free at zero.
+    keep their slacks.  It reads only ``problem.extended``, so
+    ``set_bounds`` and ``set_relation`` leave the pair valid: picks are
+    BASIC, columns flagged in ``at_upper`` AT_UPPER and the rest
+    FREE_ZERO, and ``warm_start`` settles each state to the column's
+    bounds (FREE_ZERO to its finite lower bound, else its finite upper
+    bound, else free at zero).
 
     The elimination is left-looking, in Python floats: each candidate
     column is reduced by the row swaps and multipliers of the picks before
@@ -171,13 +172,11 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     2-core x86-64 VM).  Of the studies only ``sparse_recovery`` crashes LPs
     that large: ten at 30 rows, about 7 ms of a 3 s run.
     """
-    n, m = problem.num_vars, problem.num_rows
-    vstate = np.empty(n + m, dtype=np.int8)
-    _DEFAULT_STATE.take(_finite_ends(problem.lower, problem.upper), out=vstate[:n])
-    _SLACK_STATE.take(_relation_codes(problem.relations), out=vstate[n:])
-    vstate[np.flatnonzero(at_upper)] = AT_UPPER
-    basis = np.arange(n, n + m)
     columns = problem.extended.T
+    N, m = columns.shape
+    vstate = np.full(N, FREE_ZERO, dtype=np.int8)
+    vstate[np.flatnonzero(at_upper)] = AT_UPPER
+    basis = np.arange(N - m, N)
     rows = list(range(m))  # the rows in elimination order: the k-th pick holds rows[k]
     picks = []  # the k-th pick: k, the position swapped with k, its nonzero multipliers
     for j in np.asarray(order, dtype=np.intp)[:CRASH_POOL * m].tolist():
@@ -441,15 +440,6 @@ class _Simplex:
 
     # -- phases -------------------------------------------------------------
 
-    def _violations(self):
-        """Each basic variable's violation sign (-1 below, 1 above) and the total violation."""
-        xb, lo_b, hi_b = self.x[self.basis], self.lo[self.basis], self.hi[self.basis]
-        below, above = xb < lo_b - FEAS_TOL, xb > hi_b + FEAS_TOL
-        viol = np.zeros(self.m, dtype=np.int8)
-        viol[below] = -1
-        viol[above] = 1
-        return viol, float((lo_b[below] - xb[below]).sum()) + float((xb[above] - hi_b[above]).sum())
-
     def _excess(self) -> np.ndarray:
         """Each basic variable's distance outside its bounds (negative inside)."""
         xb = self.x[self.basis]
@@ -600,7 +590,10 @@ class _Simplex:
         last_f = np.inf
         costs = np.zeros(self.N)
         while True:
-            viol, f = self._violations()
+            excess = self._excess()  # viol: -1 below the bounds, 1 above, else 0
+            viol = np.where(excess > FEAS_TOL,
+                            np.sign(self.x[self.basis] - self.lo[self.basis]), 0.0)
+            f = float(excess[viol != 0.0].sum())
             if f <= FEAS_TOL * max(1.0, self.m):
                 return "feasible"
             if self.iterations >= max_iterations:
@@ -725,8 +718,8 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     if max_iterations is None:
         max_iterations = 50_000 + 100 * s.m
     started = warm is not None and s.warm_start(*warm)
-    if not started:  # every state snaps to its column's default: crash_basis(problem, ())
-        s.warm_start(np.arange(s.n, s.N), np.full(s.N, FREE_ZERO, dtype=np.int8))
+    if not started:
+        s.warm_start(*crash_basis(problem, ()))
     status = s.dual_phase(max_iterations)
     dual = s.iterations
     if status != "feasible":  # phase 1 would stop at its first check

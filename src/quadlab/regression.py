@@ -121,22 +121,6 @@ class Residuals:
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
 
 
-@dataclass(frozen=True)
-class NewsvendorSpec:
-    """Unit buying cost and selling price; implies level 1 - gamma/delta."""
-
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        if not (self.delta > self.gamma > 0.0):
-            raise ValueError("prices must satisfy delta > gamma > 0")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self.gamma / self.delta
-
-
 def residuals(model: LinearModel, data: Dataset) -> Residuals:
     return Residuals(data.response - model.predict(data.design))
 
@@ -432,33 +416,3 @@ def se_lp_problem(data: Dataset):
     index = {"c0": idx_c0, "c": idx_c, "t": idx_t, "u": idx_u}
     return problem, index
 
-
-# -- applications -------------------------------------------------------------
-
-def newsvendor_policy(data: Dataset, spec: NewsvendorSpec):
-    """Order policy minimizing expected underage/overage cost.
-
-    The loss-minimizing policy is the pinball fit at level 1 - gamma/delta.
-    """
-    alpha = spec.alpha
-    model = fit_quantile(data, alpha)
-    return model, alpha
-
-
-def newsvendor_price(data: Dataset, x, gamma: float):
-    """Selling price consistent with a demand-unit target above the mean.
-
-    Fits the part-balancing regression at bias x, takes the upper end of the
-    induced level interval (the cdf of the residuals at zero), and prices at
-    delta = gamma / (1 - alpha*).  This is not the fit's share level
-    ``equiv_alpha``, the level rule of both equivalences; which one the
-    price should take is an open question.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    model = fit_biased_mean(data, x)
-    _, alpha_star = induced_alpha(residuals(model, data))
-    if alpha_star >= 1.0:
-        raise ValueError("induced level is 1; price undefined")
-    delta = gamma / (1.0 - alpha_star)
-    return model, alpha_star, delta

@@ -248,10 +248,6 @@ class _GramSolver:
     def objective(self, support) -> float:
         return float(self.objectives([support])[0])
 
-    def coefficients(self, support):
-        v, coords, _ = _gram_fits(*self._blocks([support]), self.n)
-        return v[0] @ coords[0]
-
     def relax(self, included, free, parent, cutoff=None):
         """The fit on in-plus-free: its error, and the fit itself as the node; no cutoff."""
         v, coords, explained = _gram_fits(*self._blocks([included + free]), self.n)

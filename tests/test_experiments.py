@@ -11,7 +11,9 @@ from quadlab.experiments import (
     CsvFormatError,
     ExperimentConfig,
     ReportTable,
+    convergence_dataset,
     emit_report,
+    json_text,
     load_csv,
     run_fig1_sweep,
     run_sparse_recovery,
@@ -20,6 +22,14 @@ from quadlab.experiments import (
     verdicts_pass,
     write_csv,
 )
+
+
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: a NaN or Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestCsvIo:
@@ -76,6 +86,24 @@ class TestCsvIo:
         loaded = json.loads(path.read_text())
         assert loaded["rows"] == [[1.25]]
         assert loaded["metadata"]["verdicts"]["ok"] is True
+
+    def test_json_report_writes_non_finite_cells_as_null(self, tmp_path):
+        # without the oracle check the report has no oracle gap to give
+        t = run_sparse_recovery(ExperimentConfig(
+            experiment="sparse_recovery", seed=3, sample_sizes=[40], replications=1,
+            dimension=6, k_star=2, oracle_check=False))
+        path = tmp_path / "t.json"
+        emit_report(t, str(path), "json")
+        loaded = _strict_json(path.read_text())
+        assert t.columns[-1] == "max_oracle_diff"
+        assert [row[-1] for row in loaded["rows"]] == [None, None]
+        assert loaded["metadata"]["verdicts"]["se_n40_oracle_within_1e-6"] is None
+        assert all(line.endswith(",nan") for line in t.to_csv_text().splitlines()[1:])
+
+    def test_json_text_refuses_what_it_cannot_write_as_null(self):
+        assert json_text({"a": [1.0, np.inf, (np.nan,)]}) == json_text({"a": [1.0, None, [None]]})
+        with pytest.raises(ValueError):
+            json_text({"a": np.float32("nan")})  # not a float until json converts it
 
 
 class TestConfig:
@@ -204,6 +232,28 @@ class TestCli:
                      "--mu", "0.0012", "--input", str(rets), "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert sum(payload["weights"].values()) == pytest.approx(1.0, abs=1e-7)
+
+    def test_all_error_sweep_writes_strict_json(self, tmp_path):
+        rets = tmp_path / "r.csv"
+        main(["simulate", "--kind", "returns", "--n", "400", "--seed", "1",
+              "--output", str(rets)])
+        out = tmp_path / "sweep.json"
+        # a target mean no long-only portfolio reaches: every point fails
+        assert main(["portfolio", "--long-only", "--mu", "0.05", "--input", str(rets),
+                     "--sweep", "0:0.01:0.005", "--output", str(out)]) == 0
+        payload = _strict_json(out.read_text())
+        assert [row[1:] for row in payload["rows"]] == [[None] * 5] * 3
+        assert all("unattainable" in e for e in payload["errors"])
+
+    def test_simulate_regression_is_the_convergence_draw(self, tmp_path):
+        out = tmp_path / "reg.csv"
+        for n, seed, shape in ((200, 3, 10.0), (1, 9, -2.5)):
+            assert main(["simulate", "--kind", "regression", "--n", str(n), "--seed", str(seed),
+                         "--shape", str(shape), "--output", str(out)]) == 0
+            data = convergence_dataset(n, seed, shape)
+            header, matrix = load_csv(str(out))
+            assert header == ["x", "y"]
+            assert np.array_equal(matrix, np.column_stack((data.design, data.response)))
 
     def test_portfolio_sweep_csv(self, tmp_path):
         rets = tmp_path / "r.csv"

@@ -119,10 +119,7 @@ def _lapack_crash_basis(problem, at_upper, order=()):
     from scipy.linalg.lapack import dgetrf
 
     n, m = problem.num_vars, problem.num_rows
-    vstate = np.empty(n + m, dtype=np.int8)
-    simplex._DEFAULT_STATE.take(simplex._finite_ends(problem.lower, problem.upper),
-                                out=vstate[:n])
-    simplex._SLACK_STATE.take(simplex._relation_codes(problem.relations), out=vstate[n:])
+    vstate = np.full(n + m, FREE_ZERO, dtype=np.int8)
     vstate[np.flatnonzero(at_upper)] = AT_UPPER
     order = np.asarray(order, dtype=np.intp)[:simplex.CRASH_POOL * m]
     block = problem.extended[:, order]
@@ -528,8 +525,26 @@ class TestCrashBasis:
         basis, vstate = crash_basis(p, at_upper, [5])
         # column 5 holds one row; the other rows keep their slacks (6-8)
         assert set(basis.tolist()) == {5, 7, 8}
-        assert vstate.tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,
-                                   BASIC, AT_UPPER, BASIC, BASIC]
+        assert vstate.tolist() == [FREE_ZERO] * 4 + [AT_UPPER, BASIC, FREE_ZERO, BASIC, BASIC]
+        # the start settles each nonbasic state to its column's bounds
+        s = _Simplex(p)
+        assert s.warm_start(basis, vstate)
+        assert s.vstate.tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,
+                                     BASIC, AT_UPPER, BASIC, BASIC]
+
+    def test_pair_reads_no_bounds_or_relations(self):
+        p = self._mixed_problem()
+        at_upper = np.array([False, False, False, False, True])
+        pair = crash_basis(p, at_upper, [5])
+        p.set_bounds([0, 1, 2, 3], None, None)
+        p.set_bounds(4, 0.0, None)
+        p.set_relation([0, 2], "free")
+        again = crash_basis(p, at_upper, [5])
+        assert [a.tolist() for a in again] == [a.tolist() for a in pair]
+        s = _Simplex(p)
+        assert s.warm_start(*again)
+        # column 4 has no upper bound left, so its flag falls to its lower bound
+        assert s.vstate.tolist() == [FREE_ZERO] * 4 + [AT_LOWER, BASIC, FREE_ZERO, BASIC, BASIC]
 
     def test_dependent_candidates_are_skipped(self):
         p = self._mixed_problem()
@@ -615,7 +630,9 @@ class TestCrashBasis:
                 basis, vstate = crash_basis(p, at_upper, order)
                 expected = _lapack_crash_basis(p, at_upper, order)
                 assert basis.tolist() == expected[0].tolist()
-                assert vstate.tolist() == expected[1].tolist()
+                s = _Simplex(p)
+                assert s.warm_start(basis, vstate)
+                assert s.vstate.tolist() == _loop_snap(expected[1], s.lo, s.hi)
 
     def test_tied_blocks_pick_a_nonsingular_basis_past_every_floor(self, rng):
         # on integer blocks, rounding breaks mathematically tied pivots in
@@ -659,8 +676,19 @@ class TestCrashBasis:
         p = self._mixed_problem()
         basis, vstate = crash_basis(p, np.zeros(6, dtype=bool))
         assert basis.tolist() == [6, 7, 8]
-        assert vstate[:6].tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,
-                                       AT_LOWER]
+        s = _Simplex(p)
+        assert s.warm_start(basis, vstate)
+        assert s.vstate[:6].tolist() == [AT_LOWER, FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,
+                                         AT_LOWER]
+
+    def test_cold_start_is_the_slack_crash(self, rng):
+        cases = [self._mixed_problem(), _degenerate_cycle_problem(), _box_walk_problem()]
+        cases += [_random_bounded_feasible(rng) for _ in range(20)]
+        for p in cases:
+            cold, crashed = solve_lp(p), solve_lp(p, warm=crash_basis(p, ()))
+            assert not cold.warm_used and crashed.warm_used
+            crashed.warm_used = False
+            TestCutoff._assert_same(cold, crashed)
 
     def test_solve_lp_accepts_crash_start(self, rng):
         p = self._mixed_problem()
@@ -992,8 +1020,11 @@ class TestIterationKernels:
             basis = np.sort(rng.choice(s.N, s.m, replace=False))
             if not s.warm_start(basis, vstate):
                 continue
-            viol, total = s._violations()
-            assert (total > 0) == bool(np.any(viol))
+            # phase 1's rule: -1 below the bounds, 1 above, 0 within FEAS_TOL
+            excess = s._excess()
+            viol = np.where(excess > FEAS_TOL, np.sign(s.x[s.basis] - s.lo[s.basis]), 0.0)
+            assert np.array_equal(viol < 0, s.x[s.basis] < s.lo[s.basis] - FEAS_TOL)
+            assert np.array_equal(viol > 0, s.x[s.basis] > s.hi[s.basis] + FEAS_TOL)
             seen_violations += int(np.count_nonzero(viol))
             _assert_ratio_tests_match(s, viol)
             _assert_ratio_tests_match(s)

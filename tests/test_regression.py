@@ -9,7 +9,6 @@ from quadlab.lp_core.simplex import _Simplex
 from quadlab.regression import (
     MAX_PINBALL_LEVEL,
     Dataset,
-    NewsvendorSpec,
     Residuals,
     SeSubsetOracle,
     fit_biased_mean,
@@ -18,8 +17,6 @@ from quadlab.regression import (
     fit_se,
     induced_alpha,
     kb_error,
-    newsvendor_policy,
-    newsvendor_price,
     residuals,
     se_lp_problem,
 )
@@ -284,40 +281,6 @@ class TestResidualsAndAlpha:
         assert induced_alpha(Residuals(np.array([-1.0, -1.0, 1.0]))) == (2 / 3, 2 / 3)
         assert induced_alpha(Residuals(np.array([-2.0, -1.0, 0.0, 1.0]))) == (0.5, 0.75)
         assert induced_alpha(Residuals(np.array([3.0, 1.0]))) == (0.0, 0.0)
-
-
-class TestNewsvendor:
-    def test_level_from_prices(self):
-        spec = NewsvendorSpec(1.0, 2.0)
-        model, alpha = newsvendor_policy(INTERCEPT_ONLY, spec)
-        assert alpha == pytest.approx(0.5)
-        assert 2.0 - 1e-9 <= model.intercept <= 3.0 + 1e-9
-
-    def test_rejects_equal_prices(self):
-        with pytest.raises(ValueError):
-            NewsvendorSpec(2.0, 2.0)
-
-    def test_price_from_target(self, rng):
-        y = rng.standard_normal(801) + 10.0
-        data = Dataset(np.zeros((801, 0)), y)
-        model, alpha_star, delta = newsvendor_price(data, 0.0, gamma=1.0)
-        assert abs(alpha_star - 0.5) < 0.05
-        assert delta == pytest.approx(1.0 / (1.0 - alpha_star), rel=1e-12)
-
-    def test_positive_bias_raises_level(self, rng):
-        y = rng.standard_normal(400)
-        data = Dataset(np.zeros((400, 0)), y)
-        _, a0, _ = newsvendor_price(data, 0.0, gamma=1.0)
-        _, a1, _ = newsvendor_price(data, 0.8, gamma=1.0)
-        assert a1 > a0
-
-    def test_price_arithmetic(self):
-        # alpha* = 0.803 with gamma = 1 prices at 1/(1-0.803)
-        assert 1.0 / (1.0 - 0.803) == pytest.approx(5.076, abs=1e-3)
-
-    def test_rejects_nonpositive_cost(self):
-        with pytest.raises(ValueError):
-            newsvendor_price(INTERCEPT_ONLY, 0.0, gamma=0.0)
 
 
 class TestSeSubsetOracle:

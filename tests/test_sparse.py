@@ -214,7 +214,8 @@ def _loop_fit_sparse_mse(problem):
             if obj < incumbent_obj - 1e-15:
                 incumbent_support, incumbent_obj = leaf, obj
             continue
-        beta = solver.coefficients(included + free)
+        v, coords = solver.relax(included, free, None)[1]
+        beta = v @ coords
         free_betas = beta[1 + len(included):]
         branch_pos = int(np.argmax(np.abs(free_betas)))
         j = free[branch_pos]
@@ -448,7 +449,8 @@ class TestStackedOracle:
             beta = np.linalg.lstsq(cols, data.response, rcond=None)[0]
             lstsq.append(np.mean((data.response - cols @ beta) ** 2))
             # the search branches on these: the minimum-norm solution
-            assert np.allclose(solver.coefficients(combo), beta, rtol=0.0, atol=1e-12)
+            v, coords = solver.relax(list(combo), [], None)[1]
+            assert np.allclose(v @ coords, beta, rtol=0.0, atol=1e-12)
         values = _mse_objectives(data, 3)
         assert np.allclose(values, lstsq, rtol=1e-12, atol=0.0)
         oracle = brute_force_subset(data, 3, "mse")
