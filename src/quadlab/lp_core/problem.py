@@ -10,6 +10,24 @@ RELATIONS = ("<=", "=", ">=", "free")
 OBJ_MATCH_TOL = 1e-8  # relative gap allowed by ``certify_objective``
 _SCALAR_END = (type(None), int, float, np.number)  # ends ``set_bounds`` checks before writing
 
+# A column's kind says which ends of its bound interval are finite, and
+# whether they are equal: free, lower end only, upper end only, boxed (both
+# ends, apart), fixed (both ends, equal).
+FREE, LOWER, UPPER, BOXED, FIXED = range(5)
+
+
+def _kinds(lo, hi):
+    """Each column's kind from its bounds; an interval holding no real number never gets here."""
+    return np.isfinite(lo) + 2 * np.isfinite(hi) + (lo == hi)
+
+
+# Slack bounds, kind and span by relation, in the order of RELATIONS: "<="
+# [0, inf), "=" 0, ">=" (-inf, 0], "free" unbounded.
+_SLACK_LO = np.array([0.0, 0.0, -np.inf, -np.inf])
+_SLACK_HI = np.array([np.inf, 0.0, 0.0, np.inf])
+_SLACK_KIND = _kinds(_SLACK_LO, _SLACK_HI).astype(np.int8)
+_SLACK_SPAN = _SLACK_HI - _SLACK_LO
+
 
 class LpError(RuntimeError):
     """Raised on malformed problems or solver breakdowns."""
@@ -29,9 +47,17 @@ def certify_objective(value: float, lp_value: float, what: str) -> None:
         raise LpError(f"{what} {value} disagrees with LP optimum {lp_value}")
 
 
-def _check_relation(relation: str) -> None:
-    if relation not in RELATIONS:
-        raise LpError(f"unknown relation {relation!r}")
+def _relation_code(relation: str) -> int:
+    """The index of ``relation`` in RELATIONS; ``LpError`` for any other value."""
+    try:
+        return RELATIONS.index(relation)
+    except ValueError:
+        raise LpError(f"unknown relation {relation!r}") from None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class LpProblem:
@@ -40,12 +66,24 @@ class LpProblem:
     Constraints are held once, as the simplex reads them: the read-only
     dense float [A | I] ``extended`` (one slack column per row, no
     ``-0.0``), of which ``matrix`` is a view, a float ``rhs`` array and the
-    ``relations`` list.  ``add_rows`` appends a dense block into a new
+    ``relations`` tuple.  ``add_rows`` appends a dense block into a new
     [A | I] and is the one way rows come in; ``copy`` shares the rows.
     Variables default to free; ``set_bounds`` takes ``None`` for an
     infinite end.  Binary variables are continuous [0, 1] columns flagged
     for the MIP layer.  A bad variable or row index raises
     ``LpIndexError`` and changes nothing.
+
+    The problem also keeps what the simplex reads of the bounds, over all
+    n + m columns (slacks last): the slack-extended bounds and each
+    column's class, its kind (FREE, LOWER, UPPER, BOXED or FIXED: which
+    ends are finite, and whether they are equal) and its span (hi - lo,
+    infinite unless both ends are finite).  Each write refreshes only what
+    it touches: ``set_bounds`` and ``mark_binary`` their variables,
+    ``set_relation`` its rows' slacks and ``add_rows`` the new slacks;
+    ``copy`` copies them.  So ``lower`` and ``upper`` are read-only views,
+    written only through ``set_bounds`` or ``mark_binary``, each of which
+    refuses an empty or NaN interval; ``relations`` is a tuple, written
+    only through ``set_relation``.
 
     A row's relation is ``<=``, ``=``, ``>=`` or ``free``.  A free row
     constrains nothing: its slack is unbounded and its dual is zero at an
@@ -61,17 +99,37 @@ class LpProblem:
             raise LpError("problem needs at least one variable")
         self.num_vars = num_vars
         self.objective = np.zeros(num_vars)
-        self.lower = np.full(num_vars, -np.inf)
-        self.upper = np.full(num_vars, np.inf)
         self.is_binary = np.zeros(num_vars, dtype=bool)
-        self.extended = np.zeros((0, num_vars))
-        self.extended.flags.writeable = False
-        self.relations: list[str] = []
+        self.extended = _read_only(np.zeros((0, num_vars)))
+        self.relations: tuple[str, ...] = ()
         self.rhs = np.zeros(0)
+        # the slack-extended bounds and column classes, one entry per column
+        self._lo = np.full(num_vars, -np.inf)
+        self._hi = np.full(num_vars, np.inf)
+        self._kind = np.full(num_vars, FREE, dtype=np.int8)
+        self._span = np.full(num_vars, np.inf)
 
     @property
     def num_rows(self) -> int:
         return self.extended.shape[0]
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Each variable's lower bound, a read-only view; write it with ``set_bounds``."""
+        return _read_only(self._lo[:self.num_vars])
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Each variable's upper bound, a read-only view; write it with ``set_bounds``."""
+        return _read_only(self._hi[:self.num_vars])
+
+    def column_classes(self):
+        """(lo, hi, kind, span) over all n + m columns, slacks last, as the simplex reads them.
+
+        These are the problem's own arrays, kept current by every write:
+        read them, never write them.
+        """
+        return self._lo, self._hi, self._kind, self._span
 
     @property
     def matrix(self) -> np.ndarray:
@@ -100,29 +158,36 @@ class LpProblem:
         The ends are scalars or arrays matching ``j``; ``None`` is infinite.
         A NaN end, or an interval holding no real number ([inf, inf] or
         [-inf, -inf]), is refused like an empty interval, and a refused call
-        changes nothing.
+        changes nothing.  The classes of ``j`` follow: scalar ends fill
+        them, array ends reclassify the variables written.
         """
+        n = self.num_vars
         if isinstance(lo, _SCALAR_END) and isinstance(hi, _SCALAR_END):
             lo = -np.inf if lo is None else float(lo)
             hi = np.inf if hi is None else float(hi)
             if lo <= hi and lo < np.inf and hi > -np.inf:  # else refused below
                 try:
-                    self.lower[j] = lo
+                    self._lo[:n][j] = lo
                 except IndexError as exc:
                     raise LpIndexError(f"variable {exc}") from None
-                self.upper[j] = hi
+                self._hi[:n][j] = hi
+                self._kind[:n][j] = _kinds(lo, hi)
+                self._span[:n][j] = hi - lo
                 return
         try:
             saved = self.lower[j].copy(), self.upper[j].copy()
         except IndexError as exc:
             raise LpIndexError(f"variable {exc}") from None
         try:
-            self.lower[j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
-            self.upper[j] = np.inf if hi is None else np.asarray(hi, dtype=float)
-            self._refuse_empty(j, self.lower[j], self.upper[j])
+            self._lo[:n][j] = -np.inf if lo is None else np.asarray(lo, dtype=float)
+            self._hi[:n][j] = np.inf if hi is None else np.asarray(hi, dtype=float)
+            self._refuse_empty(j, self._lo[:n][j], self._hi[:n][j])
         except (LpError, ValueError):
-            self.lower[j], self.upper[j] = saved
+            self._lo[:n][j], self._hi[:n][j] = saved
             raise
+        lo, hi = self._lo[:n][j], self._hi[:n][j]
+        self._kind[:n][j] = _kinds(lo, hi)
+        self._span[:n][j] = hi - lo
 
     def _refuse_empty(self, j, lo, hi) -> None:
         """Raise ``LpError`` naming the first variable of ``j`` whose [lo, hi] is empty or NaN.
@@ -139,27 +204,33 @@ class LpProblem:
     def mark_binary(self, j) -> None:
         """Flag variable ``j`` (an int, a slice or an index array) binary.
 
-        Its bounds are clipped to [0, 1]; a clip that leaves an empty
-        interval is refused and changes nothing.
+        Its bounds are clipped to [0, 1] through ``set_bounds``; a clip that
+        leaves an empty interval is refused and changes nothing.
         """
         try:
             lo, hi = np.maximum(self.lower[j], 0.0), np.minimum(self.upper[j], 1.0)
         except IndexError as exc:
             raise LpIndexError(f"variable {exc}") from None
         self._refuse_empty(j, lo, hi)
+        self.set_bounds(j, lo, hi)
         self.is_binary[j] = True
-        self.lower[j] = lo
-        self.upper[j] = hi
 
     def set_relation(self, rows, relation: str) -> None:
-        """Give every row listed in ``rows`` the relation ``relation``."""
-        _check_relation(relation)
+        """Give every row listed in ``rows`` the relation ``relation``; their slacks follow."""
+        code = _relation_code(relation)
         try:
-            rows = np.arange(self.num_rows)[rows]
+            rows = np.arange(self.num_rows)[rows].reshape(-1)
         except IndexError as exc:
             raise LpIndexError(f"row {exc}") from None
-        for r in rows.reshape(-1).tolist():
-            self.relations[r] = relation
+        relations = list(self.relations)
+        for r in rows.tolist():
+            relations[r] = relation
+        self.relations = tuple(relations)
+        slacks = self.num_vars + rows
+        self._lo[slacks] = _SLACK_LO[code]
+        self._hi[slacks] = _SLACK_HI[code]
+        self._kind[slacks] = _SLACK_KIND[code]
+        self._span[slacks] = _SLACK_SPAN[code]
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
         """Append a constraint; ``coeffs`` is a dict {index: value} or a dense vector."""
@@ -176,17 +247,17 @@ class LpProblem:
         """Append the rows of the dense (rows, num_vars) array ``block``.
 
         ``relation`` and ``rhs`` are each a scalar or one value per row.  A
-        refused block appends nothing.
+        refused block appends nothing.  Each new row's slack column gets its
+        relation's bounds and classes.
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.num_vars:
             raise LpError("row length mismatch")
         rows = block.shape[0]
-        relations = [relation] * rows if isinstance(relation, str) else list(relation)
+        relations = (relation,) * rows if isinstance(relation, str) else tuple(relation)
         if len(relations) != rows:
             raise LpError("need one relation per row")
-        for rel in relations:
-            _check_relation(rel)
+        codes = np.array([_relation_code(rel) for rel in relations], dtype=np.intp)
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape not in ((), (rows,)):
             raise LpError("need one rhs per row")
@@ -199,15 +270,22 @@ class LpProblem:
         extended[:m, :n] = self.matrix
         np.add(block, 0.0, out=extended[m:, :n])  # + 0.0 turns -0.0 into 0.0
         extended.ravel()[n::n + m + rows + 1] = 1.0  # the slack columns' identity
-        extended.flags.writeable = False
-        self.extended = extended
+        self.extended = _read_only(extended)
         self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
-        self.relations.extend(relations)
+        self.relations += relations
+        self._lo = np.concatenate((self._lo, _SLACK_LO[codes]))
+        self._hi = np.concatenate((self._hi, _SLACK_HI[codes]))
+        self._kind = np.concatenate((self._kind, _SLACK_KIND[codes]))
+        self._span = np.concatenate((self._span, _SLACK_SPAN[codes]))
 
     def validate(self) -> None:
+        """Refuse a non-finite objective, or a binary variable bounded outside [0, 1].
+
+        The bounds need no check here: every write to them refuses an empty
+        or NaN interval.
+        """
         if not np.isfinite(self.objective).all():
             raise LpError("objective has non-finite entries")
-        self._refuse_empty(slice(None), self.lower, self.upper)
         if self.is_binary.any() and np.any(
                 self.is_binary & ((self.lower < -1e-12) | (self.upper > 1.0 + 1e-12))):
             raise LpError("binary variables must have bounds within [0, 1]")
@@ -215,12 +293,12 @@ class LpProblem:
     def copy(self) -> "LpProblem":
         out = LpProblem(self.num_vars)
         out.objective = self.objective.copy()
-        out.lower = self.lower.copy()
-        out.upper = self.upper.copy()
         out.is_binary = self.is_binary.copy()
         out.extended = self.extended  # read-only; add_rows replaces it
-        out.relations = list(self.relations)
+        out.relations = self.relations
         out.rhs = self.rhs.copy()
+        out._lo, out._hi = self._lo.copy(), self._hi.copy()
+        out._kind, out._span = self._kind.copy(), self._span.copy()
         return out
 
 

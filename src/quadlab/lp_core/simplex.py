@@ -16,21 +16,24 @@ nonbasic entry of ``x`` holds its exact bound (0 when free) and is written
 whenever its state changes; the basic entries move with each step and are
 recomputed from b - A x at each refactorization.
 
-Each solve classifies its columns once, when it is set up: which ends of
-the bound interval are finite, boxed (both), fixed (equal ends) and the
-span (hi - lo, infinite unless boxed).  The start, the dual phase's snap,
-bound flips and both ratio tests read these classes instead of testing
-the bounds again.  A start is synced once: ``warm_start`` checks the
-offered pair, a crash's or a caller's, and settles every nonbasic state
-in one table lookup on (state, finite ends); a crash only picks the
-basis.  It then derives ``x``, the pricing signs and the basics.  After
-that only the entries whose state changes are rewritten: the snap and
-the long steps flip columns in place, and the basics follow by b - A x
-(the snap) or by one update (a long step).  The phase-2 reduced
-costs are priced once per basis: a bound flip keeps them, a pivot or a
-refactorization drops them, so the first dual step reuses the snap's and
-the solution reports phase 2's last pricing.  ``A`` is the problem's own
-read-only [A | I].
+Columns are classified once per problem, not once per solve: the
+``LpProblem`` keeps the slack-extended bounds and each column's kind
+(free, lower end only, upper end only, boxed or fixed) and span (hi - lo,
+infinite unless both ends are finite), and refreshes only the columns a
+write touches.  A solve reads them as they stand.  The start, the dual
+phase's snap, bound flips and both ratio tests read these classes instead
+of testing the bounds again.  A start is synced once: ``warm_start``
+checks the offered pair, a crash's or a caller's (the basis's length,
+range and repeats, and its condition estimate, in Python scalars), and
+settles every nonbasic state and its pricing sign in one table lookup on
+(state, kind); a crash only picks the basis.  It then derives ``x`` and
+the basics.  After that only the entries whose state changes are
+rewritten: the snap and the long steps flip columns in place, and the
+basics follow by b - A x (the snap) or by one update (a long step).  The
+phase-2 reduced costs are priced once per basis: a bound flip keeps them,
+a pivot or a refactorization drops them, so the first dual step reuses
+the snap's and the solution reports phase 2's last pricing.  ``A`` is the
+problem's own read-only [A | I].
 
 The watchdog reads the phase-2 objective, which is tracked incrementally: a
 step of length t on entering column j moves it by d_j * sigma * t.  It
@@ -62,11 +65,12 @@ iteration crosses every breakpoint the dual slope allows, flipping those
 columns between their bounds in a single update of the basic values.
 Phase 2 then runs as from any start, so its pricing still certifies
 optimality.  Phase 1 runs only when the dual phase did not end feasible:
-after one that did, phase 1's first check would pass.  When the dual phase
-stalls (no eligible column for a violated row, a vanishing pivot, or a
-watchdog on steps that do not move the duals) it restores the caller's
-start and phase 1 takes over.
-Primal-feasible starts skip it and keep their pivot sequences.
+after one that did, phase 1's first check would pass.  A start that is
+primal feasible already ends the dual phase at its first check, as
+"feasible", so it goes straight to phase 2 with its pivot sequence
+unchanged.  When the dual phase stalls (no eligible column for a violated
+row, a vanishing pivot, or a watchdog on steps that do not move the duals)
+it restores the caller's start and phase 1 takes over.
 
 Pivot selection is fully deterministic: ties break toward the lowest
 variable index, so identical problems replay identical pivot sequences.
@@ -76,7 +80,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import RELATIONS, LpError, LpProblem, LpSolution, SingularBasisError
+from .problem import BOXED, FIXED, LpError, LpProblem, LpSolution, SingularBasisError
 
 BASIC, AT_LOWER, AT_UPPER, FREE_ZERO = 0, 1, 2, 3
 
@@ -90,47 +94,36 @@ CRASH_POOL = 8        # candidate columns a crash reduces per row
 CRASH_PIVOT_SHARE = 0.1  # smallest entry a crash candidate enters on, over its largest
 
 
-# Slack bounds by relation, in the order of RELATIONS: "<=" [0, inf), "=" 0,
-# ">=" (-inf, 0], "free" unbounded.
-_RELATION_CODE = {rel: code for code, rel in enumerate(RELATIONS)}
-_SLACK_LO = np.array([0.0, 0.0, -np.inf, -np.inf])
-_SLACK_HI = np.array([np.inf, 0.0, 0.0, np.inf])
-
-
-def _relation_codes(relations) -> np.ndarray:
-    """Each row's relation as its index in RELATIONS."""
-    return np.fromiter(map(_RELATION_CODE.__getitem__, relations), np.intp, len(relations))
-
-
-def _finite_ends(lo, hi) -> np.ndarray:
-    """Each column's finite ends as a code: 0 neither, 1 lower, 2 upper, 3 both."""
-    ends = np.isfinite(hi).view(np.int8)
-    ends += ends
-    ends += np.isfinite(lo).view(np.int8)
-    return ends
-
+# Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced
+# cost times this weight is the objective decrease per unit step of a
+# nonbasic column that is not fixed (free columns take |d| instead).
+_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 
 _NOT_A_STATE = FREE_ZERO + 1
-# _WARM_STATE[4 * state + ends] is the state a warm start installs: the
-# offered one if it fits the finite ends, else the default: the finite lower
-# bound, else the finite upper bound, else free at zero.  BASIC is valid
-# only on the basis, which is written afterwards; the last entry stands for
-# every code past FREE_ZERO and the first for every negative one (``take``
-# clips to them).
+# _WARM_STATE[5 * state + kind] is the state a warm start installs on a
+# column of that kind (``LpProblem``'s FREE, LOWER, UPPER, BOXED, FIXED):
+# the offered one if it fits the finite ends, else the default: the finite
+# lower bound, else the finite upper bound, else free at zero.  BASIC is
+# valid only on the basis, which is written afterwards; the last entry
+# stands for every code past FREE_ZERO and the first for every negative one
+# (``take`` clips to them).  _WARM_SIGN holds the pricing sign of the state
+# installed: 0 on a fixed column, which never enters.
 _WARM_STATE = np.array([
-    # ends: neither  lower      upper      both
-    _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE,  # BASIC
-    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,                  # AT_LOWER
-    FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER,                  # AT_UPPER
-    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER,                  # FREE_ZERO
+    # kind: free    lower     upper     boxed     fixed
+    _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE, _NOT_A_STATE,  # BASIC
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER, AT_LOWER,                      # AT_LOWER
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_UPPER, AT_UPPER,                      # AT_UPPER
+    FREE_ZERO, AT_LOWER, AT_UPPER, AT_LOWER, AT_LOWER,                      # FREE_ZERO
     _NOT_A_STATE], dtype=np.int8)
+_WARM_SIGN = _PRICE_SIGN.take(_WARM_STATE, mode="clip")  # _NOT_A_STATE takes FREE_ZERO's 0
+_WARM_SIGN[FIXED::5] = 0.0
 
 
 def crash_pool(key, rows: int) -> np.ndarray:
     """Indices of the CRASH_POOL * rows smallest ``key`` entries by (key, index): all a crash reads."""
     count = min(key.size, CRASH_POOL * rows)
-    near = np.flatnonzero(key <= (np.partition(key, count - 1)[count - 1] if count else -np.inf))
-    return near[np.argsort(key[near], kind="stable")[:count]]
+    near = (key <= (np.partition(key, count - 1)[count - 1] if count else -np.inf)).nonzero()[0]
+    return near[key[near].argsort(kind="stable")[:count]]
 
 
 def lower_share(u, lo: float, hi: float) -> float:
@@ -207,10 +200,6 @@ def crash_basis(problem: LpProblem, at_upper, order=()):
     return basis, vstate
 
 
-# Pricing weight by state (BASIC, AT_LOWER, AT_UPPER, FREE_ZERO): the reduced
-# cost times this weight is the objective decrease per unit step of a
-# nonbasic column (free columns take |d| instead).
-_PRICE_SIGN = np.array([0.0, -1.0, 1.0, 0.0])
 TIE_TOL = 1e-12       # steps this close count as tied in the ratio test
 _NOT_TIED = np.iinfo(np.intp).max  # above every basic index
 
@@ -231,6 +220,11 @@ def leaving_row(t, step, delta, basis, bland):
     return int(np.where(tied, basis, _NOT_TIED).argmin())
 
 
+def _row_sum_norm(a) -> float:
+    """The largest row sum of |a|, in Python floats: at a few rows cheaper than numpy."""
+    return max(sum(map(abs, row)) for row in a.tolist())
+
+
 class _Simplex:
     def __init__(self, problem: LpProblem, dual_tol: float = DUAL_TOL):
         problem.validate()
@@ -240,17 +234,12 @@ class _Simplex:
         self.m, self.n = m, n
         self.N = n + m
         self.A = problem.extended  # read-only [A | I]
-        self.b = np.asarray(problem.rhs, dtype=float)
+        self.b = problem.rhs
         self.objective = problem.objective
         self.c = np.concatenate((problem.objective, np.zeros(m)))
-        code = _relation_codes(problem.relations)
-        self.lo = np.concatenate((problem.lower, _SLACK_LO[code]))
-        self.hi = np.concatenate((problem.upper, _SLACK_HI[code]))
-        # per-solve column classes, read by every start, flip and ratio test
-        self.ends = _finite_ends(self.lo, self.hi)
-        self.boxed = self.ends == 3
-        self.fixed = self.lo == self.hi
-        self.span = self.hi - self.lo  # infinite unless boxed: validate refuses [inf, inf]
+        # the problem's bounds and column classes, read by every start, flip
+        # and ratio test, and never written here
+        self.lo, self.hi, self.kind, self.span = problem.column_classes()
         self.iterations = 0
         self.bound_flips = 0
         self.pivots_since_refactor = 0
@@ -266,15 +255,21 @@ class _Simplex:
 
         A nonbasic state that does not fit its column's finite ends (fixed
         binaries, changed bounds) falls back to the column's default state.
-        ``LpSolution``'s docstring lists the unusable pairs.
+        ``LpSolution``'s docstring lists the unusable pairs.  The basis's
+        range and repeats, and its condition estimate (the product of the
+        largest row sums of |B| and |B^-1|, refused above 1e12 or NaN),
+        are checked in Python scalars, which at a few rows cost less than
+        numpy calls.
         """
         basis = np.asarray(basis, dtype=np.intp)
         vstate = np.asarray(vstate)
-        if (basis.shape != (self.m,) or vstate.shape != (self.N,) or vstate.dtype.kind not in "iu"
-                or np.any((basis < 0) | (basis >= self.N)) or len(set(basis.tolist())) != self.m):
+        if basis.shape != (self.m,) or vstate.shape != (self.N,) or vstate.dtype.kind not in "iu":
             return False
-        states = _WARM_STATE.take(np.multiply(vstate, 4, dtype=np.intp, casting="unsafe")
-                                  + self.ends, mode="clip")
+        picks = basis.tolist()
+        if len(set(picks)) != self.m or (picks and not 0 <= min(picks) <= max(picks) < self.N):
+            return False
+        index = np.multiply(vstate, 5, dtype=np.intp, casting="unsafe") + self.kind
+        states = _WARM_STATE.take(index, mode="clip")
         states[basis] = BASIC
         if states.max() > FREE_ZERO:
             return False
@@ -284,18 +279,18 @@ class _Simplex:
         except np.linalg.LinAlgError:
             return False
         # a numerically singular basis can invert without an error, into noise
-        if np.abs(matrix).sum(1).max() * np.abs(binv).sum(1).max() > 1e12:
+        if not _row_sum_norm(matrix) * _row_sum_norm(binv) <= 1e12:
             return False
-        self.basis, self.vstate, self.binv = basis.copy(), states, binv
+        sign = _WARM_SIGN.take(index, mode="clip")
+        sign[basis] = 0.0
+        self.basis, self.vstate, self.binv, self.price_sign = basis.copy(), states, binv, sign
         self._sync_states()
         return True
 
     def _sync_states(self):
-        """Derive x, the pricing caches and then the basics from (basis, vstate) and binv."""
+        """Derive x and then the basics from (basis, vstate), its pricing signs and binv."""
         vs = self.vstate
         self.x = np.where(vs == AT_LOWER, self.lo, self.hi)  # basics follow below
-        self.price_sign = _PRICE_SIGN.take(vs)
-        self.price_sign[self.fixed] = 0.0
         self.free_nonbasic = int(np.count_nonzero(vs == FREE_ZERO))
         if self.free_nonbasic:
             self.x[vs == FREE_ZERO] = 0.0
@@ -353,9 +348,9 @@ class _Simplex:
             free = self.vstate == FREE_ZERO
             score[free] = np.abs(d[free])
         if self.bland:
-            j = int(np.argmax(score > self.dual_tol))
+            j = int((score > self.dual_tol).argmax())
         else:
-            j = int(np.argmax(score))
+            j = int(score.argmax())
         if not score[j] > self.dual_tol:
             return -1, 0
         state = self.vstate[j]
@@ -418,7 +413,7 @@ class _Simplex:
         out = self.basis[leave_row]
         x[out] = self.lo[out] if leave_state == AT_LOWER else self.hi[out]
         self.vstate[out] = leave_state
-        self.price_sign[out] = 0.0 if self.fixed[out] else _PRICE_SIGN[leave_state]
+        self.price_sign[out] = 0.0 if self.kind[out] == FIXED else _PRICE_SIGN[leave_state]
         self.basis[leave_row] = j
         self._d = None
         x[j] += sigma * t
@@ -430,7 +425,7 @@ class _Simplex:
         if abs(piv) < 1e-12:
             raise SingularBasisError(f"vanishing pivot on row {leave_row}")
         row = self.binv[leave_row] / piv
-        self.binv -= np.outer(w, row)
+        self.binv -= w[:, None] * row
         self.binv[leave_row] = row
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
@@ -448,10 +443,11 @@ class _Simplex:
     def dual_phase(self, max_iterations) -> str:
         """Bound-flipping dual simplex from a dual-feasible start.
 
-        Runs only when the installed start is primal infeasible and every
-        nonbasic variable is boxed or dual feasible already; returns
-        "skipped" otherwise.  Each boxed nonbasic first snaps to the
-        bound its reduced-cost sign prefers, which makes the basis dual
+        Returns "feasible" at once, with nothing changed, when the
+        installed start is primal feasible already, and "skipped" when it
+        is not and some nonbasic variable is neither boxed nor dual
+        feasible.  Otherwise each boxed nonbasic first snaps to the bound
+        its reduced-cost sign prefers, which makes the basis dual
         feasible.  Returns "feasible" once no basic variable violates its
         bounds, "iteration_limit", or "stalled" after restoring the start
         (and ``bound_flips``; its iterations stay counted) when a violated
@@ -461,8 +457,8 @@ class _Simplex:
         """
         excess = self._excess()
         if float(excess[excess > FEAS_TOL].sum()) <= FEAS_TOL * max(1.0, self.m):
-            return "skipped"
-        start = (self.basis.copy(), self.vstate.copy(), self.binv.copy(),
+            return "feasible"
+        start = (self.basis.copy(), self.vstate.copy(), self.price_sign.copy(), self.binv.copy(),
                  self.pivots_since_refactor, self.bound_flips)
         if not self._snap_to_dual_feasible():
             return "skipped"
@@ -470,7 +466,7 @@ class _Simplex:
         stuck = 0
         while True:
             excess = self._excess()
-            r = int(np.argmax(excess))
+            r = int(excess.argmax())
             if not excess[r] > FEAS_TOL:
                 return "feasible"
             if self.iterations >= max_iterations:
@@ -480,8 +476,8 @@ class _Simplex:
             except SingularBasisError:  # a refactorization after the pivot
                 t = None
             if t is None or stuck > watchdog:
-                (self.basis, self.vstate, self.binv, self.pivots_since_refactor,
-                 self.bound_flips) = start
+                (self.basis, self.vstate, self.price_sign, self.binv,
+                 self.pivots_since_refactor, self.bound_flips) = start
                 self._sync_states()
                 return "stalled"
             stuck = stuck + 1 if t <= TIE_TOL else 0
@@ -496,10 +492,10 @@ class _Simplex:
         recomputed, and the first dual step reuses this pricing.
         """
         d = self._reduced_costs()
-        snap = np.flatnonzero(d * self.price_sign > self.dual_tol)
-        if not self.boxed[snap].all():
+        snap = (d * self.price_sign > self.dual_tol).nonzero()[0]
+        if not (self.kind.take(snap) == BOXED).all():
             return False
-        if self.free_nonbasic and np.any(np.abs(d[self.vstate == FREE_ZERO]) > self.dual_tol):
+        if self.free_nonbasic and (np.abs(d[self.vstate == FREE_ZERO]) > self.dual_tol).any():
             return False
         if snap.size:
             self._flip(snap)
@@ -566,10 +562,10 @@ class _Simplex:
                 near = (ratio <= edge).nonzero()[0]
             else:
                 edge, near = np.inf, np.arange(cand.size)
-            walk = near[np.argsort(ratio[near], kind="stable")]  # (ratio, column) order
+            walk = near[ratio[near].argsort(kind="stable")]  # (ratio, column) order
             # the slope falls by each crossed column's weight; the weights
             # are nonnegative, so their running sum is sorted
-            fall = np.cumsum(size[walk] * self.span.take(cand[walk]))
+            fall = (size[walk] * self.span.take(cand[walk])).cumsum()
             stop = int(fall.searchsorted(slope - FEAS_TOL))
             if stop < walk.size:
                 break
@@ -663,10 +659,10 @@ class _Simplex:
 
     def solution(self, status: str) -> LpSolution:
         resid = self.A @ self.x - self.b
-        if status == "optimal" and np.max(np.abs(resid), initial=0.0) > ROW_TOL:
+        if status == "optimal" and np.abs(resid).max(initial=0.0) > ROW_TOL:
             self._refactor()
             resid = self.A @ self.x - self.b
-            if np.max(np.abs(resid), initial=0.0) > ROW_TOL:
+            if np.abs(resid).max(initial=0.0) > ROW_TOL:
                 raise SingularBasisError("row residuals exceed tolerance after refactorization")
         reduced = self._reduced_costs()[: self.n].copy()  # phase 2's last pricing, if current
         return LpSolution(
@@ -710,7 +706,7 @@ def solve_lp(problem: LpProblem, warm=None, max_iterations: int | None = None,
     stop on it.  Without a cutoff, or with one below the optimum, the solve
     is the one it would have been.
     """
-    if np.any(problem.is_binary):
+    if problem.is_binary.any():
         raise LpError("solve_lp does not accept integrality flags; use solve_mip")
     if problem.num_rows == 0:
         return _solve_unconstrained(problem)
@@ -753,6 +749,7 @@ def _solve_unconstrained(problem: LpProblem) -> LpSolution:
     A zero-cost variable sits at its finite lower bound, else its finite
     upper bound, else zero; a preferred bound that is infinite is unbounded.
     """
+    problem.validate()
     c, lo, hi = problem.objective, problem.lower, problem.upper
     rest = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     x = np.where(c > 0, lo, np.where(c < 0, hi, rest))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, four_asset_returns
+from quadlab import portfolio, regression
+from quadlab.experiments import FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns
 from quadlab.lp_core import (
     Incumbent,
     LpError,
@@ -25,6 +26,7 @@ from quadlab.lp_core import (
     solve_mip,
 )
 from quadlab.lp_core import simplex, stacked
+from quadlab.lp_core.problem import RELATIONS
 from quadlab.lp_core.simplex import (
     AT_LOWER,
     AT_UPPER,
@@ -171,6 +173,19 @@ def _assert_same_problem(p, q):
     for name in ("objective", "lower", "upper", "is_binary", "matrix", "rhs"):
         assert same(getattr(p, name), getattr(q, name)), name
     assert p.relations == q.relations
+    for name, a, b in zip(("lo", "hi", "kind", "span"), p.column_classes(),
+                          q.column_classes()):
+        assert same(a, b), name
+
+
+def _assert_same_solution(a, b):
+    """Every field of two ``LpSolution``s equal, arrays bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 def _highs(problem):
@@ -408,6 +423,36 @@ class TestSolveLp:
         q.set_bounds(3, None, None)
         assert solve_lp(q).status == "unbounded"
 
+    def test_row_free_solve_validates_the_objective(self):
+        # without rows the solve returned "optimal" with objective NaN
+        for rows in (0, 1):
+            p = LpProblem(2)
+            p.set_objective([np.nan, 1.0])
+            p.set_bounds(slice(None), 0.0, 1.0)
+            if rows:
+                p.add_row({0: 1.0, 1: 1.0}, "<=", 1.0)
+            with pytest.raises(LpError, match="objective has non-finite entries"):
+                solve_lp(p)
+
+    def test_row_free_bounds_are_written_only_through_set_bounds(self):
+        # bounds [3, 1] written directly into a row-free problem returned
+        # "optimal" at x = 3; a problem with one row raised LpError
+        for rows in (0, 1):
+            p = LpProblem(1)
+            p.set_objective([1.0])
+            if rows:
+                p.add_row({0: 1.0}, "<=", 5.0)
+            with pytest.raises(ValueError, match="read-only"):
+                p.lower[0] = 3.0
+            with pytest.raises(ValueError, match="read-only"):
+                p.upper[0] = 1.0
+            with pytest.raises(LpError, match="empty or NaN bound interval for variable 0"):
+                p.set_bounds(0, 3.0, 1.0)
+            assert solve_lp(p).status == "unbounded"
+            p.set_bounds(0, 1.0, 3.0)
+            sol = solve_lp(p)
+            assert (sol.status, sol.x.tolist()) == ("optimal", [1.0])
+
 
 class TestSetBounds:
     def test_slice_with_scalar_ends(self):
@@ -497,12 +542,152 @@ class TestSetBounds:
                              ids=["empty", "NaN lower", "NaN upper", "+inf only", "-inf only"])
     def test_validate_refuses_bounds_written_directly(self, lo, hi):
         # solve_lp returned "optimal" at x0 = 3 for [3, 1] and at x0 = 1 for [NaN, 1];
-        # [inf, inf] and [-inf, -inf] warned of inf - inf and returned "unbounded"
+        # [inf, inf] and [-inf, -inf] warned of inf - inf and returned "unbounded".
+        # The bounds are read-only now, so such a write is refused, and only
+        # set_bounds, which refuses these intervals, writes them.
         p = self._two_var_problem()
-        p.lower[0], p.upper[0] = lo, hi
-        for solve in (solve_lp, solve_mip):
-            with pytest.raises(LpError, match="empty or NaN bound interval for variable 0"):
-                solve(p)
+        before = solve_lp(p)
+        for bounds, end in ((p.lower, lo), (p.upper, hi)):
+            with pytest.raises(ValueError, match="read-only"):
+                bounds[0] = end
+        with pytest.raises(LpError, match="empty or NaN bound interval for variable 0"):
+            p.set_bounds(0, lo, hi)
+        _assert_same_problem(p, self._two_var_problem())
+        _assert_same_solution(solve_lp(p), before)
+
+
+class TestColumnClasses:
+    """The bounds and column classes a problem keeps follow every write.
+
+    Each case solves, writes, and solves again; the second solve must equal,
+    field for field, a solve of a problem built fresh from the final data,
+    and so must the problem's arrays, its classes included.
+    """
+
+    @staticmethod
+    def _data(rng, n=9, m=4):
+        """(c, lo, hi, a, relations, rhs) of a bounded LP feasible around a point."""
+        x0 = rng.uniform(-1.0, 1.0, n)
+        lo, hi = x0 - rng.uniform(0.1, 2.0, n), x0 + rng.uniform(0.1, 2.0, n)
+        lo[1], hi[2] = -np.inf, np.inf  # an upper-only and a lower-only column
+        a = rng.standard_normal((m, n))
+        relations = ["<=", ">=", "=", "<="][:m]
+        rhs = a @ x0 + np.select([np.array(relations) == "<=", np.array(relations) == ">="],
+                                 [1.0, -1.0], 0.0)
+        return rng.standard_normal(n), lo, hi, a, relations, rhs
+
+    @staticmethod
+    def _build(c, lo, hi, a, relations, rhs):
+        p = LpProblem(c.size)
+        p.set_objective(c)
+        p.set_bounds(slice(None), lo, hi)
+        p.add_rows(a, relations, rhs)
+        return p
+
+    def _check(self, p, data):
+        """``p`` against a problem built fresh from ``data``: arrays and a solve."""
+        fresh = self._build(*data)
+        _assert_same_problem(p, fresh)
+        _assert_same_solution(solve_lp(p), solve_lp(fresh))
+
+    @pytest.mark.parametrize("write", ["scalar slice", "scalar int", "negative int", "array",
+                                       "fixed", "refused scalar", "refused array"])
+    def test_set_bounds(self, rng, write):
+        data = self._data(rng)
+        c, lo, hi, a, relations, rhs = data
+        p = self._build(*data)
+        solve_lp(p)
+        j, new_lo, new_hi = {
+            "scalar slice": (slice(3, 7), -0.5, 0.5),
+            "scalar int": (4, None, 0.25),
+            "negative int": (-1, -2.0, None),  # the last variable, not the last slack
+            "array": (np.array([6, 0, 2]), [-1.0, -3.0, 0.0], np.array([1.0, 3.0, np.inf])),
+            "fixed": ([0, 5], 0.5, 0.5),
+            "refused scalar": (3, 1.0, 0.0),
+            "refused array": (slice(0, 3), [0.0, 0.0, 0.0], [1.0, np.nan, 1.0]),
+        }[write]
+        if write.startswith("refused"):
+            with pytest.raises(LpError, match="empty or NaN"):
+                p.set_bounds(j, new_lo, new_hi)
+        else:
+            p.set_bounds(j, new_lo, new_hi)
+            lo[j] = -np.inf if new_lo is None else new_lo
+            hi[j] = np.inf if new_hi is None else new_hi
+        self._check(p, data)
+
+    def test_set_relation(self, rng):
+        data = self._data(rng)
+        p = self._build(*data)
+        solve_lp(p)
+        p.set_relation([0, 2], "free")
+        p.set_relation(-1, ">=")
+        data[4][:] = ["free", ">=", "free", ">="]
+        self._check(p, data)
+        p.set_relation(slice(None), "=")
+        data[4][:] = ["="] * 4
+        self._check(p, data)
+
+    @pytest.mark.parametrize("one_row", [True, False], ids=["add_row", "add_rows"])
+    def test_add_rows(self, rng, one_row):
+        c, lo, hi, a, relations, rhs = data = self._data(rng, m=2)
+        p = self._build(*data)
+        solve_lp(p)
+        block, new = rng.standard_normal((2, c.size)), [">=", "free"]
+        if one_row:
+            p.add_row(block[0], new[0], -5.0)
+            block, new = block[:1], new[:1]
+        else:
+            p.add_rows(block, new, -5.0)
+        self._check(p, (c, lo, hi, np.vstack((a, block)), relations + new,
+                        np.append(rhs, [-5.0] * len(new))))
+
+    def test_mark_binary(self, rng):
+        c, lo, hi, a, relations, rhs = data = self._data(rng)
+        lo[[0, 3]], hi[[0, 3]] = -0.5, [0.75, 2.0]
+        p = self._build(*data)
+        solve_lp(p)
+        p.mark_binary([0, 3])
+        lo[[0, 3]], hi[3] = 0.0, 1.0  # clipped to [0, 1]
+        fresh = self._build(*data)
+        fresh.is_binary[[0, 3]] = True
+        _assert_same_problem(p, fresh)
+        # the relaxation solve_mip solves: the same problem without the flags
+        p.is_binary[:] = fresh.is_binary[:] = False
+        self._check(p, data)
+
+    @pytest.mark.parametrize("written", ["copy", "original"])
+    def test_copy_then_write_either(self, rng, written):
+        data = self._data(rng)
+        p = self._build(*data)
+        solve_lp(p)
+        q = p.copy()
+        changed, kept = (q, p) if written == "copy" else (p, q)
+        changed.set_bounds(slice(0, 4), -0.25, 0.25)
+        changed.set_relation(1, "free")
+        self._check(kept, data)
+        c, lo, hi, a, relations, rhs = data
+        lo[:4], hi[:4] = -0.25, 0.25
+        relations[1] = "free"
+        self._check(changed, data)
+
+    def test_direct_writes_are_refused(self):
+        # min x0 s.t. x0 + x1 >= 2, x0 >= 0, x1 in [0, 5]: a cache that missed
+        # the write p.lower[0] = -3.0 answered 0.0 where the optimum is -3.0
+        p = LpProblem(2)
+        p.set_objective([1.0, 0.0])
+        p.set_bounds(0, 0.0, None)
+        p.set_bounds(1, 0.0, 5.0)
+        p.add_row({0: 1.0, 1: 1.0}, ">=", 2.0)
+        assert solve_lp(p).objective == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.lower[0] = -3.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.upper[1] = 6.0
+        with pytest.raises(TypeError):
+            p.relations[0] = "free"  # the row's slack would keep ">="
+        assert solve_lp(p).objective == 0.0
+        p.set_bounds(0, -3.0, None)
+        assert solve_lp(p).objective == -3.0
 
 
 class TestCrashBasis:
@@ -615,7 +800,7 @@ class TestCrashBasis:
         p.set_bounds(np.flatnonzero(ends == 1), 0.0, None)
         p.set_bounds(np.flatnonzero(ends == 2), None, 1.0)
         for row in a:
-            p.add_row(row, simplex.RELATIONS[int(rng.integers(len(simplex.RELATIONS)))], 0.0)
+            p.add_row(row, RELATIONS[int(rng.integers(len(RELATIONS)))], 0.0)
         order = np.concatenate((rng.permutation(n + m), rng.integers(n + m, size=length)))
         return p, rng.random(n) < 0.3, order[:length]
 
@@ -688,7 +873,7 @@ class TestCrashBasis:
             cold, crashed = solve_lp(p), solve_lp(p, warm=crash_basis(p, ()))
             assert not cold.warm_used and crashed.warm_used
             crashed.warm_used = False
-            TestCutoff._assert_same(cold, crashed)
+            _assert_same_solution(cold, crashed)
 
     def test_solve_lp_accepts_crash_start(self, rng):
         p = self._mixed_problem()
@@ -820,9 +1005,8 @@ class TestValueVector:
         assert np.array_equal(np.flatnonzero(~nonbasic), np.sort(s.basis)), name
         fin_lo, fin_hi = np.isfinite(s.lo), np.isfinite(s.hi)
         fixed = s.lo == s.hi
-        assert np.array_equal(s.fixed, fixed), name
-        assert np.array_equal(s.ends, fin_lo + 2 * fin_hi), name
-        assert np.array_equal(s.boxed, fin_lo & fin_hi), name
+        # kinds FREE, LOWER, UPPER, BOXED, FIXED: the finite ends, then equal ends
+        assert np.array_equal(s.kind, fin_lo + 2 * fin_hi + fixed), name
         span = np.array([hi - lo if np.isfinite(hi - lo) else np.inf for lo, hi in zip(s.lo, s.hi)])
         assert s.span.tobytes() == span.tobytes(), name
         assert np.array_equal(s.price_sign,
@@ -877,8 +1061,8 @@ class TestValueVector:
 
 def _loop_choose_entering(s, d):
     """Per-mask reference for the entering choice: (j, sigma), j = -1 if none."""
-    eligible_lo = (s.vstate == AT_LOWER) & (d < -s.dual_tol) & ~s.fixed
-    eligible_up = (s.vstate == AT_UPPER) & (d > s.dual_tol) & ~s.fixed
+    eligible_lo = (s.vstate == AT_LOWER) & (d < -s.dual_tol) & (s.lo != s.hi)
+    eligible_up = (s.vstate == AT_UPPER) & (d > s.dual_tol) & (s.lo != s.hi)
     eligible_fr = (s.vstate == FREE_ZERO) & (np.abs(d) > s.dual_tol)
     eligible = eligible_lo | eligible_up | eligible_fr
     if not np.any(eligible):
@@ -941,7 +1125,7 @@ def _loop_ratio_test(s, j, sigma, phase1_viol=None):
 
 def _entering_moves(s):
     """Every (j, sigma) a nonbasic, non-fixed column can enter with."""
-    for j in np.flatnonzero((s.vstate != BASIC) & ~s.fixed):
+    for j in np.flatnonzero((s.vstate != BASIC) & (s.lo != s.hi)):
         if s.vstate[j] == FREE_ZERO:
             yield int(j), 1
             yield int(j), -1
@@ -1109,7 +1293,7 @@ def _loop_dual_ratio_test(s, r, below, slope):
     breakpoints = []
     for j in range(s.N):
         state = s.vstate[j]
-        if state == BASIC or s.fixed[j]:
+        if state == BASIC or s.lo[j] == s.hi[j]:
             continue
         if state == FREE_ZERO:
             eligible = abs(alpha[j]) > PIVOT_TOL
@@ -1379,6 +1563,93 @@ class TestDualPhase:
         assert sum(undone) > 0
 
 
+_PHASE1 = _Simplex.phase1
+
+
+def _through_phase1(problem, warm=None, max_iterations=None, dual_tol=simplex.DUAL_TOL,
+                    cutoff=None):
+    """(status, iterations, phase split, basis, x) of a solve running phase 1 after the dual phase.
+
+    Before a primal-feasible start skipped phase 1, every start the dual
+    phase found feasible went through it, and phase 1 stopped at its first
+    check.
+    """
+    s = _Simplex(problem, dual_tol=dual_tol)
+    if max_iterations is None:
+        max_iterations = 50_000 + 100 * s.m
+    if not (warm is not None and s.warm_start(*warm)):
+        s.warm_start(*crash_basis(problem, ()))
+    status = s.dual_phase(max_iterations)
+    dual = s.iterations
+    status = _PHASE1(s, max_iterations)
+    primal = s.iterations
+    if status == "feasible":
+        status = s.phase2(max_iterations, cutoff)
+    split = (dual, primal - dual, s.iterations - primal)
+    basis = None if status == "cutoff" else s.basis.copy()
+    return status, s.iterations, split, basis, s.x[:s.n].copy()
+
+
+class TestPhase1Skip:
+    """A start the dual phase finds primal feasible goes straight to phase 2.
+
+    With ``_Simplex.phase1`` raising, each solve must still give what it gave
+    when phase 1 ran after the dual phase and stopped at its first check.
+    """
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Route the fitters' solves through the check; collect their phase splits."""
+        seen = []
+
+        def checked(problem, warm=None, **kwargs):
+            expected = _through_phase1(problem, warm, **kwargs)
+            sol = solve_lp(problem, warm, **kwargs)
+            assert (sol.status, sol.iterations, sol.phase_iterations) == expected[:3]
+            assert np.array_equal(sol.basis, expected[3]) and np.array_equal(sol.x, expected[4])
+            seen.append(sol.phase_iterations)
+            return sol
+
+        def no_phase1(self, max_iterations):
+            raise AssertionError("phase 1 ran")
+
+        monkeypatch.setattr(_Simplex, "phase1", no_phase1)
+        monkeypatch.setattr(portfolio, "solve_lp", checked)
+        monkeypatch.setattr(regression, "solve_lp", checked)
+        return seen
+
+    def test_sweep_duals(self, splits):
+        problem = PortfolioProblem(four_asset_returns(2000, 5), FOUR_ASSET_TARGET_MEAN)
+        start = None
+        for x in ExperimentConfig(experiment="fig1_sweep").x_grid:  # as equivalence_sweep chains
+            se = optimize_se_dev(problem, x, start)
+            alpha = lower_share(se.lp.x[:problem.n], 0.0, 1.0 / problem.n)
+            optimize_cvar_dev(problem, alpha, se.weights)
+            start = se.weights
+        assert len(splits) == 50 and all(split[1] == 0 for split in splits)
+        assert sum(split[0] == 0 for split in splits) > 10  # starts that were feasible
+
+    def test_regression_dual_with_an_optimal_crash(self, splits):
+        rng = np.random.default_rng(100)  # the digest's "regression se n=100 x=0.1"
+        x = rng.standard_normal(100)
+        data = Dataset(x[:, None], x + rng.standard_normal(100) ** 2)
+        problem, warm = regression._se_problem(data, 0.1)
+        sol = regression.solve_lp(problem, warm=warm)
+        assert sol.status == "optimal" and sol.phase_iterations == (0, 0, 0)
+
+    def test_subset_child(self, splits):
+        rng = np.random.default_rng(7)  # the digest's subset relaxations
+        x = rng.standard_normal((300, 5))
+        data = Dataset(x, x @ np.array([1.0, 0.0, -2.0, 0.5, 0.0]) + rng.standard_normal(300))
+        oracle = regression.SeSubsetOracle(data)
+        _, root = oracle.relax((), (0, 1, 2, 3, 4), None)
+        bound, child = oracle.relax((0,), (2,), root)
+        _, cut = oracle.relax((0,), (2,), root, 0.5 * (root[1] + bound))
+        assert [sol.phase_iterations[:2] for sol in (child[2], cut[2])] == [(0, 0), (0, 0)]
+        assert child[2].phase_iterations[2] > 0 and cut[2].status == "cutoff"
+        assert len(splits) == 3
+
+
 class TestCertifyObjective:
     def test_relative_tolerance(self):
         certify_objective(1e6 + 1e-3, 1e6, "objective")
@@ -1411,7 +1682,7 @@ class TestRowBlocks:
         assert p.num_rows == 0
         p.add_rows([[3.0, 0.0, 1.0]], "=", 4.0)
         assert p.row_index[0].tolist() == [0, 2] and p.row_value[0].tolist() == [3.0, 1.0]
-        assert p.relations == ["="] and p.rhs.tolist() == [4.0]
+        assert p.relations == ("=",) and p.rhs.tolist() == [4.0]
         with pytest.raises(AttributeError):
             p.row_index = []
 
@@ -1432,7 +1703,7 @@ class TestRowBlocks:
         with pytest.raises(LpError, match=message):
             p.add_rows(block, relation, rhs)
         assert p.extended is extended and p.matrix.tolist() == [[1.0, 0.0, 0.0]]
-        assert p.relations == ["<="] and p.rhs.tolist() == [1.0]
+        assert p.relations == ("<=",) and p.rhs.tolist() == [1.0]
 
     def test_rows_held_once(self, rng):
         # matrix is a read-only view of the [A | I] the simplex reads
@@ -1460,7 +1731,7 @@ class TestRowBlocks:
         assert q.extended is p.extended
         q.add_row({0: 1.0}, "<=", 2.0)
         assert p.num_rows == 2 and np.array_equal(p.extended, rows)
-        assert p.relations == [">=", ">="] and p.rhs.tolist() == [0.0, 0.0]
+        assert p.relations == (">=", ">=") and p.rhs.tolist() == [0.0, 0.0]
         assert np.array_equal(q.extended[:2, :4], rows[:, :4]) and q.num_rows == 3
         p.add_row({3: 1.0}, "=", 1.0)
         assert np.array_equal(q.matrix[2], [1.0, 0.0, 0.0, 0.0])
@@ -1499,7 +1770,7 @@ class TestRowBlocks:
             p.add_row({0: 1.0}, "=", 0.0)
         p.set_relation(slice(1, None), "free")
         p.set_relation(np.array([2]), "<=")
-        assert p.relations == ["=", "free", "<=", "free"]
+        assert p.relations == ("=", "free", "<=", "free")
         with pytest.raises(LpError):
             p.set_relation(0, "~")
 
@@ -1598,11 +1869,6 @@ class TestCutoff:
         p.set_relation(rng.choice(m, size=max(1, m // 2), replace=False), "free")
         return p, (first.basis, first.vstate), first.objective
 
-    @staticmethod
-    def _assert_same(a, b):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y), f.name
 
     def test_cutoff_below_the_optimum_changes_nothing(self, rng):
         cases = [(_box_walk_problem(), None)]
@@ -1613,7 +1879,7 @@ class TestCutoff:
             assert sol.status == "optimal"
             for cutoff in (-np.inf, sol.objective - 1e-6 * max(1.0, abs(sol.objective))):
                 cut = solve_lp(p, warm=warm, cutoff=cutoff)
-                self._assert_same(cut, sol)
+                _assert_same_solution(cut, sol)
 
     def test_cutoff_above_the_optimum_stops_phase_2(self, rng):
         stopped = 0

@@ -239,7 +239,7 @@ class TestSweep:
         assert tail.num_rows == m + 1
         assert tail.matrix[:m].tobytes() == se.matrix.tobytes()
         assert tail.rhs[:m].tobytes() == se.rhs.tobytes()
-        assert tail.relations[:m] == se.relations == ["<=" if long_only else "="] * m
+        assert tail.relations[:m] == se.relations == ("<=" if long_only else "=",) * m
         assert np.array_equal(tail.matrix[m], np.append(np.ones(n), [0.0, 0.0]))
         assert tail.rhs[m] == 1.0 and tail.relations[m] == "="
         # asset j's slack is column n + 2 + j in both duals, where the crash puts it
