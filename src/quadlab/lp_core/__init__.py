@@ -18,10 +18,10 @@ An ``LpProblem`` holds its rows once, as the read-only [A | I] the
 simplex reads (``matrix`` is a view of it), and every builder appends
 them in dense blocks with ``LpProblem.add_rows``; the crash, every solve
 and every copy share that array.  It also keeps the slack-extended bounds
-and each column's class (kind and span), refreshed by each write for the
-columns it touches, so a solve classifies nothing; ``lower`` and
-``upper`` are read-only views, written through ``set_bounds`` or
-``mark_binary``.  A start that is primal feasible already skips phase 1.
+and each column's kind, refreshed by each write for the columns it
+touches, so a solve classifies nothing; ``lower`` and ``upper`` are
+read-only views, written through ``set_bounds`` or ``mark_binary``, and
+``relations`` is read-only, written through ``set_relation``.  A start that is primal feasible already skips phase 1.
 
 The regression and portfolio fitters all solve one LP shape, a dual with a
 few rows and one boxed column per observation or scenario.  They build it

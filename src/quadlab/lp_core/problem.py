@@ -21,12 +21,11 @@ def _kinds(lo, hi):
     return np.isfinite(lo) + 2 * np.isfinite(hi) + (lo == hi)
 
 
-# Slack bounds, kind and span by relation, in the order of RELATIONS: "<="
+# Slack bounds and kind by relation, in the order of RELATIONS: "<="
 # [0, inf), "=" 0, ">=" (-inf, 0], "free" unbounded.
 _SLACK_LO = np.array([0.0, 0.0, -np.inf, -np.inf])
 _SLACK_HI = np.array([np.inf, 0.0, 0.0, np.inf])
 _SLACK_KIND = _kinds(_SLACK_LO, _SLACK_HI).astype(np.int8)
-_SLACK_SPAN = _SLACK_HI - _SLACK_LO
 
 
 class LpError(RuntimeError):
@@ -75,15 +74,14 @@ class LpProblem:
 
     The problem also keeps what the simplex reads of the bounds, over all
     n + m columns (slacks last): the slack-extended bounds and each
-    column's class, its kind (FREE, LOWER, UPPER, BOXED or FIXED: which
-    ends are finite, and whether they are equal) and its span (hi - lo,
-    infinite unless both ends are finite).  Each write refreshes only what
+    column's kind (FREE, LOWER, UPPER, BOXED or FIXED: which ends are
+    finite, and whether they are equal).  Each write refreshes only what
     it touches: ``set_bounds`` and ``mark_binary`` their variables,
     ``set_relation`` its rows' slacks and ``add_rows`` the new slacks;
     ``copy`` copies them.  So ``lower`` and ``upper`` are read-only views,
     written only through ``set_bounds`` or ``mark_binary``, each of which
-    refuses an empty or NaN interval; ``relations`` is a tuple, written
-    only through ``set_relation``.
+    refuses an empty or NaN interval, and ``relations`` is a read-only
+    tuple, written only through ``set_relation`` and ``add_rows``.
 
     A row's relation is ``<=``, ``=``, ``>=`` or ``free``.  A free row
     constrains nothing: its slack is unbounded and its dual is zero at an
@@ -101,13 +99,12 @@ class LpProblem:
         self.objective = np.zeros(num_vars)
         self.is_binary = np.zeros(num_vars, dtype=bool)
         self.extended = _read_only(np.zeros((0, num_vars)))
-        self.relations: tuple[str, ...] = ()
+        self._relations: tuple[str, ...] = ()
         self.rhs = np.zeros(0)
-        # the slack-extended bounds and column classes, one entry per column
+        # the slack-extended bounds and column kinds, one entry per column
         self._lo = np.full(num_vars, -np.inf)
         self._hi = np.full(num_vars, np.inf)
         self._kind = np.full(num_vars, FREE, dtype=np.int8)
-        self._span = np.full(num_vars, np.inf)
 
     @property
     def num_rows(self) -> int:
@@ -123,13 +120,15 @@ class LpProblem:
         """Each variable's upper bound, a read-only view; write it with ``set_bounds``."""
         return _read_only(self._hi[:self.num_vars])
 
-    def column_classes(self):
-        """(lo, hi, kind, span) over all n + m columns, slacks last, as the simplex reads them.
+    @property
+    def relations(self) -> tuple[str, ...]:
+        """Each row's relation; write it with ``set_relation``."""
+        return self._relations
 
-        These are the problem's own arrays, kept current by every write:
-        read them, never write them.
-        """
-        return self._lo, self._hi, self._kind, self._span
+    def column_classes(self):
+        """(lo, hi, kind) over all n + m columns, slacks last: read-only views kept current."""
+        lo, hi, kind = self._lo.view(), self._hi.view(), self._kind.view()
+        return _read_only(lo), _read_only(hi), _read_only(kind)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,7 +171,6 @@ class LpProblem:
                     raise LpIndexError(f"variable {exc}") from None
                 self._hi[:n][j] = hi
                 self._kind[:n][j] = _kinds(lo, hi)
-                self._span[:n][j] = hi - lo
                 return
         try:
             saved = self.lower[j].copy(), self.upper[j].copy()
@@ -185,9 +183,7 @@ class LpProblem:
         except (LpError, ValueError):
             self._lo[:n][j], self._hi[:n][j] = saved
             raise
-        lo, hi = self._lo[:n][j], self._hi[:n][j]
-        self._kind[:n][j] = _kinds(lo, hi)
-        self._span[:n][j] = hi - lo
+        self._kind[:n][j] = _kinds(self._lo[:n][j], self._hi[:n][j])
 
     def _refuse_empty(self, j, lo, hi) -> None:
         """Raise ``LpError`` naming the first variable of ``j`` whose [lo, hi] is empty or NaN.
@@ -222,15 +218,14 @@ class LpProblem:
             rows = np.arange(self.num_rows)[rows].reshape(-1)
         except IndexError as exc:
             raise LpIndexError(f"row {exc}") from None
-        relations = list(self.relations)
+        relations = list(self._relations)
         for r in rows.tolist():
             relations[r] = relation
-        self.relations = tuple(relations)
+        self._relations = tuple(relations)
         slacks = self.num_vars + rows
         self._lo[slacks] = _SLACK_LO[code]
         self._hi[slacks] = _SLACK_HI[code]
         self._kind[slacks] = _SLACK_KIND[code]
-        self._span[slacks] = _SLACK_SPAN[code]
 
     def add_row(self, coeffs, relation: str, rhs: float) -> None:
         """Append a constraint; ``coeffs`` is a dict {index: value} or a dense vector."""
@@ -248,7 +243,7 @@ class LpProblem:
 
         ``relation`` and ``rhs`` are each a scalar or one value per row.  A
         refused block appends nothing.  Each new row's slack column gets its
-        relation's bounds and classes.
+        relation's bounds and kind.
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2 or block.shape[1] != self.num_vars:
@@ -272,11 +267,10 @@ class LpProblem:
         extended.ravel()[n::n + m + rows + 1] = 1.0  # the slack columns' identity
         self.extended = _read_only(extended)
         self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
-        self.relations += relations
+        self._relations += relations
         self._lo = np.concatenate((self._lo, _SLACK_LO[codes]))
         self._hi = np.concatenate((self._hi, _SLACK_HI[codes]))
         self._kind = np.concatenate((self._kind, _SLACK_KIND[codes]))
-        self._span = np.concatenate((self._span, _SLACK_SPAN[codes]))
 
     def validate(self) -> None:
         """Refuse a non-finite objective, or a binary variable bounded outside [0, 1].
@@ -295,10 +289,9 @@ class LpProblem:
         out.objective = self.objective.copy()
         out.is_binary = self.is_binary.copy()
         out.extended = self.extended  # read-only; add_rows replaces it
-        out.relations = self.relations
+        out._relations = self._relations
         out.rhs = self.rhs.copy()
-        out._lo, out._hi = self._lo.copy(), self._hi.copy()
-        out._kind, out._span = self._kind.copy(), self._span.copy()
+        out._lo, out._hi, out._kind = self._lo.copy(), self._hi.copy(), self._kind.copy()
         return out
 
 

@@ -18,15 +18,15 @@ recomputed from b - A x at each refactorization.
 
 Columns are classified once per problem, not once per solve: the
 ``LpProblem`` keeps the slack-extended bounds and each column's kind
-(free, lower end only, upper end only, boxed or fixed) and span (hi - lo,
-infinite unless both ends are finite), and refreshes only the columns a
-write touches.  A solve reads them as they stand.  The start, the dual
-phase's snap, bound flips and both ratio tests read these classes instead
-of testing the bounds again.  A start is synced once: ``warm_start``
-checks the offered pair, a crash's or a caller's (the basis's length,
-range and repeats, and its condition estimate, in Python scalars), and
-settles every nonbasic state and its pricing sign in one table lookup on
-(state, kind); a crash only picks the basis.  It then derives ``x`` and
+(free, lower end only, upper end only, boxed or fixed), and refreshes
+only the columns a write touches.  A solve reads them as they stand and
+takes each column's span (hi - lo, infinite unless both ends are finite)
+from them.  The start, the dual phase's snap, bound flips and both ratio
+tests read these classes instead of testing the bounds again.  A start
+is synced once: ``warm_start`` checks the offered pair, a crash's or a
+caller's (the basis's length, range and repeats, and its condition
+estimate), and settles every nonbasic state and its pricing sign in one
+table lookup on (state, kind); a crash only picks the basis.  It then derives ``x`` and
 the basics.  After that only the entries whose state changes are
 rewritten: the snap and the long steps flip columns in place, and the
 basics follow by b - A x (the snap) or by one update (a long step).  The
@@ -220,11 +220,6 @@ def leaving_row(t, step, delta, basis, bland):
     return int(np.where(tied, basis, _NOT_TIED).argmin())
 
 
-def _row_sum_norm(a) -> float:
-    """The largest row sum of |a|, in Python floats: at a few rows cheaper than numpy."""
-    return max(sum(map(abs, row)) for row in a.tolist())
-
-
 class _Simplex:
     def __init__(self, problem: LpProblem, dual_tol: float = DUAL_TOL):
         problem.validate()
@@ -237,9 +232,10 @@ class _Simplex:
         self.b = problem.rhs
         self.objective = problem.objective
         self.c = np.concatenate((problem.objective, np.zeros(m)))
-        # the problem's bounds and column classes, read by every start, flip
-        # and ratio test, and never written here
-        self.lo, self.hi, self.kind, self.span = problem.column_classes()
+        # the problem's bounds and column kinds (read-only views), read by
+        # every start, flip and ratio test
+        self.lo, self.hi, self.kind = problem.column_classes()
+        self.span = self.hi - self.lo  # infinite unless both ends are finite
         self.iterations = 0
         self.bound_flips = 0
         self.pivots_since_refactor = 0
@@ -256,10 +252,9 @@ class _Simplex:
         A nonbasic state that does not fit its column's finite ends (fixed
         binaries, changed bounds) falls back to the column's default state.
         ``LpSolution``'s docstring lists the unusable pairs.  The basis's
-        range and repeats, and its condition estimate (the product of the
-        largest row sums of |B| and |B^-1|, refused above 1e12 or NaN),
-        are checked in Python scalars, which at a few rows cost less than
-        numpy calls.
+        range and repeats are checked in Python scalars, which at a few rows
+        cost less than numpy calls; a condition estimate (the product of the
+        largest row sums of |B| and |B^-1|) above 1e12 or NaN refuses it.
         """
         basis = np.asarray(basis, dtype=np.intp)
         vstate = np.asarray(vstate)
@@ -279,7 +274,7 @@ class _Simplex:
         except np.linalg.LinAlgError:
             return False
         # a numerically singular basis can invert without an error, into noise
-        if not _row_sum_norm(matrix) * _row_sum_norm(binv) <= 1e12:
+        if not np.abs(matrix).sum(1).max() * np.abs(binv).sum(1).max() <= 1e12:
             return False
         sign = _WARM_SIGN.take(index, mode="clip")
         sign[basis] = 0.0

@@ -173,8 +173,7 @@ def _assert_same_problem(p, q):
     for name in ("objective", "lower", "upper", "is_binary", "matrix", "rhs"):
         assert same(getattr(p, name), getattr(q, name)), name
     assert p.relations == q.relations
-    for name, a, b in zip(("lo", "hi", "kind", "span"), p.column_classes(),
-                          q.column_classes()):
+    for name, a, b in zip(("lo", "hi", "kind"), p.column_classes(), q.column_classes()):
         assert same(a, b), name
 
 
@@ -685,6 +684,12 @@ class TestColumnClasses:
             p.upper[1] = 6.0
         with pytest.raises(TypeError):
             p.relations[0] = "free"  # the row's slack would keep ">="
+        with pytest.raises(AttributeError):
+            p.relations = ("free",) + p.relations[1:]  # so would a rebind
+        for kept in p.column_classes():
+            with pytest.raises(ValueError, match="read-only"):
+                kept[-1] = kept[0]
+        assert p.relations == (">=",)
         assert solve_lp(p).objective == 0.0
         p.set_bounds(0, -3.0, None)
         assert solve_lp(p).objective == -3.0
