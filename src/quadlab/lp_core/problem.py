@@ -101,10 +101,8 @@ class LpProblem:
         self.extended = _read_only(np.zeros((0, num_vars)))
         self._relations: tuple[str, ...] = ()
         self.rhs = np.zeros(0)
-        # the slack-extended bounds and column kinds, one entry per column
-        self._lo = np.full(num_vars, -np.inf)
-        self._hi = np.full(num_vars, np.inf)
-        self._kind = np.full(num_vars, FREE, dtype=np.int8)
+        self._keep(np.full(num_vars, -np.inf), np.full(num_vars, np.inf),
+                   np.full(num_vars, FREE, dtype=np.int8))
 
     @property
     def num_rows(self) -> int:
@@ -113,12 +111,12 @@ class LpProblem:
     @property
     def lower(self) -> np.ndarray:
         """Each variable's lower bound, a read-only view; write it with ``set_bounds``."""
-        return _read_only(self._lo[:self.num_vars])
+        return self._classes[0][:self.num_vars]
 
     @property
     def upper(self) -> np.ndarray:
         """Each variable's upper bound, a read-only view; write it with ``set_bounds``."""
-        return _read_only(self._hi[:self.num_vars])
+        return self._classes[1][:self.num_vars]
 
     @property
     def relations(self) -> tuple[str, ...]:
@@ -127,8 +125,16 @@ class LpProblem:
 
     def column_classes(self):
         """(lo, hi, kind) over all n + m columns, slacks last: read-only views kept current."""
-        lo, hi, kind = self._lo.view(), self._hi.view(), self._kind.view()
-        return _read_only(lo), _read_only(hi), _read_only(kind)
+        return self._classes
+
+    def _keep(self, lo, hi, kind) -> None:
+        """Hold the slack-extended bounds and column kinds, one entry per column.
+
+        Writes go to these arrays; readers get ``_classes``, read-only views
+        of them made once here rather than on each read.
+        """
+        self._lo, self._hi, self._kind = lo, hi, kind
+        self._classes = _read_only(lo.view()), _read_only(hi.view()), _read_only(kind.view())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -268,9 +274,9 @@ class LpProblem:
         self.extended = _read_only(extended)
         self.rhs = np.concatenate((self.rhs, np.broadcast_to(rhs, (rows,))))
         self._relations += relations
-        self._lo = np.concatenate((self._lo, _SLACK_LO[codes]))
-        self._hi = np.concatenate((self._hi, _SLACK_HI[codes]))
-        self._kind = np.concatenate((self._kind, _SLACK_KIND[codes]))
+        self._keep(np.concatenate((self._lo, _SLACK_LO[codes])),
+                   np.concatenate((self._hi, _SLACK_HI[codes])),
+                   np.concatenate((self._kind, _SLACK_KIND[codes])))
 
     def validate(self) -> None:
         """Refuse a non-finite objective, or a binary variable bounded outside [0, 1].
@@ -291,7 +297,7 @@ class LpProblem:
         out.extended = self.extended  # read-only; add_rows replaces it
         out._relations = self._relations
         out.rhs = self.rhs.copy()
-        out._lo, out._hi, out._kind = self._lo.copy(), self._hi.copy(), self._kind.copy()
+        out._keep(self._lo.copy(), self._hi.copy(), self._kind.copy())
         return out
 
 
