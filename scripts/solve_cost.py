@@ -21,6 +21,13 @@ recorded call.  One line per workload gives, averaged over its solves:
 A second line splits the profiled time of a solve among the simplex steps
 (cumulative ``cProfile`` times, so they carry its overhead and do not add
 up to the timed ``us``).
+
+A last line, ``portfolio_sweep point``, gives the same counts for a whole
+sweep point, averaged over the 25 points of the recorded sweep: the
+profiled and numpy calls of one profiled run of the workload, and ``us``,
+the best of ``--repeats`` timed runs (at most ``SWEEP_RUNS``), each split into the replayed
+``solve_lp`` calls ("in") and the rest of the sweep ("outside"), such as
+its crashes, loss samples and deviations.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ from quadlab.lp_core import simplex  # noqa: E402
 
 # the solver steps of the split line, as cProfile names them
 STEPS = ("validate", "__init__", "warm_start", "dual_phase", "phase1", "phase2", "solution")
+# timed whole-sweep runs of the point line at most: each takes about as
+# long as 140 timed solves
+SWEEP_RUNS = 5
 
 
 def record(workload, instance) -> list:
@@ -69,6 +79,18 @@ def _is_numpy(key) -> bool:
     return "numpy" in (name if filename == "~" else filename)
 
 
+def _counts(stats: dict) -> tuple[int, int]:
+    """Profiled calls and numpy calls in ``pstats`` stats."""
+    profiled = sum(nc for _, nc, _, _, _ in stats.values())
+    numpy_calls = 0
+    for key, (_, nc, _, _, callers) in stats.items():
+        if _is_numpy(key):
+            numpy_calls += nc
+        else:  # a builtin such as getattr counts when numpy code calls it
+            numpy_calls += sum(c[1] for caller, c in callers.items() if _is_numpy(caller))
+    return profiled, numpy_calls
+
+
 def cost(calls, repeats: int) -> tuple[dict, dict]:
     """Per-solve means of the counts and timings, and the profiled split in us."""
     profiler = cProfile.Profile()
@@ -79,13 +101,7 @@ def cost(calls, repeats: int) -> tuple[dict, dict]:
         profiler.disable()
         iterations += sol.iterations
     stats = pstats.Stats(profiler).stats
-    profiled = sum(nc for _, nc, _, _, _ in stats.values())
-    numpy_calls = 0
-    for key, (_, nc, _, _, callers) in stats.items():
-        if _is_numpy(key):
-            numpy_calls += nc
-        else:  # a builtin such as getattr counts when numpy code calls it
-            numpy_calls += sum(c[1] for caller, c in callers.items() if _is_numpy(caller))
+    profiled, numpy_calls = _counts(stats)
     split = {step: 0.0 for step in STEPS}
     for (filename, _, name), (_, _, _, cumulative, _) in stats.items():
         if name in split and filename.endswith(("simplex.py", "problem.py")):
@@ -102,6 +118,27 @@ def cost(calls, repeats: int) -> tuple[dict, dict]:
     means = {"solves": count, "profiled": profiled / count, "numpy": numpy_calls / count,
              "iterations": iterations / count, "us": 1e6 * best / count}
     return means, {step: 1e6 * t / count for step, t in split.items()}
+
+
+def point_cost(workload, instance, solve_means: dict, repeats: int) -> dict:
+    """Per-point means of one sweep's counts and us, whole and inside ``solve_lp``.
+
+    ``solve_means`` are ``cost``'s means over the sweep's recorded solves.
+    """
+    profiler = cProfile.Profile()
+    profiler.enable()
+    points = len(workload.run(instance))
+    profiler.disable()
+    profiled, numpy_calls = _counts(pstats.Stats(profiler).stats)
+    times = []
+    for _ in range(min(repeats, SWEEP_RUNS)):
+        start = perf_counter()
+        workload.run(instance)
+        times.append(perf_counter() - start)
+    whole = {"profiled": profiled, "numpy": numpy_calls, "us": 1e6 * min(times)}
+    return {"points": points,
+            **{key: (total / points, solve_means[key] * solve_means["solves"] / points)
+               for key, total in whole.items()}}
 
 
 def main(argv=None) -> int:
@@ -125,6 +162,14 @@ def main(argv=None) -> int:
               f" {means['us']:.1f} us per call")
         print(f"{workload.name} profiled us per solve: "
               + ", ".join(f"{step} {t:.1f}" for step, t in split.items()))
+        if workload is sweep:
+            sweep_means = means
+    point = point_cost(sweep, cases[0][1], sweep_means, args.repeats)
+    print(f"{sweep.name} point: {point['points']} points, "
+          + ", ".join(f"{point[key][0]:.1f} {label} ({point[key][1]:.1f} in solve_lp,"
+                      f" {point[key][0] - point[key][1]:.1f} outside)"
+                      for key, label in (("profiled", "profiled calls"),
+                                         ("numpy", "numpy calls"), ("us", "us"))))
     return 0
 
 

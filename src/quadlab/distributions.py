@@ -49,8 +49,13 @@ class EmpiricalSample:
     Samples are immutable: the constructor stores read-only copies of
     ``atoms`` and ``probabilities``, so the caller's arrays stay writable and
     later writes to them do not reach the sample.  That is what makes the
-    cached ``sorted_view`` safe to reuse.  Equality is identity: that cache
-    belongs to the instance.
+    cached ``sorted_view`` and ``mean()`` safe to reuse.  Equality is
+    identity: those caches belong to the instance.
+
+    Samples built inside the library (``make_sample``, the portfolio loss
+    samples) skip the copies through ``_owning``: each owns its fresh
+    atoms, checked finite, and may share one read-only probability vector,
+    checked once when it was built, with other samples.
     """
 
     atoms: np.ndarray
@@ -72,11 +77,30 @@ class EmpiricalSample:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
 
+    @classmethod
+    def _owning(cls, atoms: np.ndarray, probabilities: np.ndarray) -> EmpiricalSample:
+        """A sample that takes ownership of ``atoms``, checking only that they are finite.
+
+        ``atoms`` must be a fresh 1-d float array that no caller keeps, and
+        ``probabilities`` a checked float vector of its length (nonnegative,
+        summing to 1 within 1e-12); both are flagged read-only, not copied.
+        """
+        if not np.isfinite(atoms).all():
+            raise ValueError("atoms must be finite")
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "atoms", _read_only(atoms))
+        object.__setattr__(sample, "probabilities", _read_only(probabilities))
+        return sample
+
     @property
     def size(self) -> int:
         return self.atoms.size
 
     def mean(self) -> float:
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> float:
         return float(self.atoms @ self.probabilities)
 
     @cached_property
@@ -121,30 +145,44 @@ def make_sample(values, weights=None) -> EmpiricalSample:
     """Build an EmpiricalSample; missing weights default to equal 1/n.
 
     Weights are normalized to sum to 1.  Rejects empty input, non-finite
-    values, and negative or all-zero weights.
+    values, and negative or all-zero weights.  The values are copied once,
+    and the sample owns the copy.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     if weights is None:
-        probs = np.full(values.size, 1.0 / values.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != values.shape:
-            raise ValueError("weights must match values in length")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must not be all zero")
-        probs = weights / total
-    # Renormalize so the stored vector sums to 1 at float precision.
+        return EmpiricalSample._owning(values, _uniform_probabilities(values.size))
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != values.shape:
+        raise ValueError("weights must match values in length")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("weights must not be all zero")
+    return EmpiricalSample._owning(values, _normalized(weights / total))
+
+
+def _uniform_probabilities(n: int) -> np.ndarray:
+    """Equal probabilities 1/n as ``make_sample`` stores them; read-only and checked."""
+    return _normalized(np.full(n, 1.0 / n))
+
+
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """Nonnegative ``probs`` renormalized to sum to 1 at float precision; read-only.
+
+    Raises ``ValueError`` as ``EmpiricalSample`` does if the sum still misses 1
+    by more than 1e-12.
+    """
     probs = probs / probs.sum()
-    return EmpiricalSample(values, probs)
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError("probabilities must sum to 1 within 1e-12")
+    return _read_only(probs)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,11 @@ class LpIndexError(LpError, IndexError):
 
 
 def certify_objective(value: float, lp_value: float, what: str) -> None:
-    """Raise unless a primal objective recomputed from the solution matches the LP value."""
-    if abs(value - lp_value) > OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
+    """Raise unless a primal objective recomputed from the solution matches the LP value.
+
+    A NaN on either side fails the test, so it raises too.
+    """
+    if not abs(value - lp_value) <= OBJ_MATCH_TOL * max(1.0, abs(lp_value)):
         raise LpError(f"{what} {value} disagrees with LP optimum {lp_value}")
 
 
@@ -176,7 +179,8 @@ class LpProblem:
                 except IndexError as exc:
                     raise LpIndexError(f"variable {exc}") from None
                 self._hi[:n][j] = hi
-                self._kind[:n][j] = _kinds(lo, hi)
+                # _kinds(lo, hi) in Python floats: lo < inf and hi > -inf here
+                self._kind[:n][j] = (lo > -np.inf) + 2 * (hi < np.inf) + (lo == hi)
                 return
         try:
             saved = self.lower[j].copy(), self.upper[j].copy()

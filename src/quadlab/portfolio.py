@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import EmpiricalSample, make_sample
+from .distributions import EmpiricalSample, _uniform_probabilities
+from .distributions import make_sample  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
 from .lp_core import (LpError, LpProblem, LpSolution, certify_objective, crash_basis, crash_pool,
                       lower_share, solve_lp)
@@ -42,10 +43,11 @@ class PortfolioProblem:
 
     The constructor stores a read-only copy of ``returns``, so the caller's
     array stays writable and later writes to it do not reach the problem.
-    That is what makes the cached ``mean_returns`` and scenario duals
-    (``se_dual``, and ``cvar_dual``, a copy of its rows plus one) safe to
-    reuse.  Each solve rewrites a dual's objective and scenario bounds, so
-    one problem must not be solved from two threads at once.  Equality is
+    That is what makes the cached ``mean_returns``, ``scenario_probabilities``
+    (the equal weights that every loss sample of the problem shares) and
+    scenario duals (``se_dual``, and ``cvar_dual``, a copy of its rows plus
+    one) safe to reuse.  Each solve rewrites a dual's objective and scenario
+    bounds, so one problem must not be solved from two threads at once.  Equality is
     identity: those caches belong to the instance.
     """
 
@@ -78,6 +80,15 @@ class PortfolioProblem:
         rbar = self.returns.mean(axis=0)
         rbar.flags.writeable = False
         return rbar
+
+    @cached_property
+    def scenario_probabilities(self) -> np.ndarray:
+        """Equal scenario probabilities 1/n as ``make_sample`` stores them.
+
+        Every loss sample of the problem shares this vector: it is read-only,
+        and checked once, when it is built on first use.
+        """
+        return _uniform_probabilities(self.n)
 
     @cached_property
     def se_dual(self) -> LpProblem:
@@ -128,17 +139,30 @@ class PortfolioSolution:
         return probability_interval_at(self.losses, quantile, atol=_tie_band(self.losses.atoms))
 
 
-def _loss_sample(returns: np.ndarray, weights: np.ndarray) -> EmpiricalSample:
-    return make_sample(-(returns @ weights))
+def _loss_sample(problem: PortfolioProblem, weights) -> EmpiricalSample:
+    """The loss sample X = -w . r_i of ``weights``, on the problem's shared probabilities.
+
+    Bit for bit ``make_sample(-(returns @ weights))``; non-finite losses raise
+    ``ValueError``.
+    """
+    return EmpiricalSample._owning(-(problem.returns @ weights), problem.scenario_probabilities)
 
 
-def _validate(problem: PortfolioProblem, weights: np.ndarray, losses: EmpiricalSample):
-    if abs(weights.sum() - 1.0) > BUDGET_TOL:
-        raise LpError(f"budget violated: sum(w) = {weights.sum()}")
-    if abs(-losses.mean() - problem.target_mean) > MEAN_TOL:
+def _validated_losses(problem: PortfolioProblem, weights: np.ndarray) -> EmpiricalSample:
+    """The loss sample of ``weights`` once they meet the budget, sign policy and target mean.
+
+    Each test fails on NaN, so non-finite weights, whose sum is not finite,
+    are refused by the budget test with ``LpError``.
+    """
+    total = weights.sum()
+    if not abs(total - 1.0) <= BUDGET_TOL:
+        raise LpError(f"budget violated: sum(w) = {total}")
+    losses = _loss_sample(problem, weights)
+    if not abs(-losses.mean() - problem.target_mean) <= MEAN_TOL:
         raise LpError(f"target mean missed: {-losses.mean()} vs {problem.target_mean}")
-    if problem.long_only and np.min(weights) < -BUDGET_TOL:
+    if problem.long_only and not weights.min() >= -BUDGET_TOL:
         raise LpError("long-only violated")
+    return losses
 
 
 def se_deviation_of(losses: EmpiricalSample, x) -> float:
@@ -167,49 +191,54 @@ def default_start(problem: PortfolioProblem) -> np.ndarray:
 def scenario_crash(problem: PortfolioProblem, weights, threshold: float):
     """Scenario-dual start (at-cap mask, crash order) read off a portfolio guess.
 
-    On the losses of the guess ``weights``, the scenarios above
+    On the losses -(returns @ ``weights``) of the guess, the scenarios above
     ``threshold`` start at their cap.  The crash order for ``crash_basis``
     lists the free budget and mean multipliers, the scenarios tied at the
     threshold (within the ``map_x_to_alpha`` band), the slacks of the asset
     rows whose weights are idle (|w| <= ``BUDGET_TOL``; asset j's is column
     n + 2 + j), then the lowest-loss scenarios above the threshold, as many
     as a crash of ``cvar_dual``'s m + 1 rows reads (``se_dual``'s, a prefix).
+    The solves pass the guess's loss sample instead (``_crash``), whose
+    atoms are those losses bit for bit.
     """
-    atoms = -(problem.returns @ weights)
+    return _crash(problem, weights, -(problem.returns @ weights), threshold)
+
+
+def _crash(problem: PortfolioProblem, weights, atoms: np.ndarray, threshold: float):
+    """``scenario_crash`` of the guess ``weights`` whose losses are ``atoms``."""
     atol = _tie_band(atoms)
     above = atoms > threshold + atol
-    tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
-    idle = problem.n + 2 + np.flatnonzero(np.abs(weights) <= BUDGET_TOL)
-    tail = np.flatnonzero(above)
+    tied = ((atoms >= threshold - atol) & ~above).nonzero()[0]
+    idle = problem.n + 2 + (np.abs(weights) <= BUDGET_TOL).nonzero()[0]
+    tail = above.nonzero()[0]
     nearest = tail[crash_pool(atoms[tail], problem.m + 1)]
     return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
 
 
 def _solve_scenario_dual(problem: PortfolioProblem, lp: LpProblem, cost: float, cap: float,
-                         start, threshold: float):
+                         start, start_losses: EmpiricalSample, threshold: float):
     """Solve ``lp``, the problem's cached ``se_dual`` or ``cvar_dual``.
 
     Columns are one multiplier per scenario in [0, cap] with cost ``cost``,
     then the free budget-row and target-mean-row multipliers (columns n and
     n + 1).  Every solve rewrites the whole objective and every scenario
     bound, so nothing carries over from an earlier one.  The start is
-    ``scenario_crash(problem, start, threshold)``.  Returns the LP solution,
-    the weights read off the multipliers of the first m rows, the asset
-    rows, and the validated loss sample.
+    ``scenario_crash(problem, start, threshold)``, read off ``start_losses``,
+    the loss sample of ``start``.  Returns the LP solution, the weights read
+    off the multipliers of the first m rows, the asset rows, and the
+    validated loss sample.
     """
     n, m = problem.n, problem.m
     lp.set_objective(np.concatenate((np.full(n, cost), [-1.0, -problem.target_mean])))
     lp.set_bounds(slice(0, n), 0.0, cap)
-    crash = crash_basis(lp, *scenario_crash(problem, start, threshold))
+    crash = crash_basis(lp, *_crash(problem, start, start_losses.atoms, threshold))
     sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":
         raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
     if sol.status != "optimal":
         raise LpError(f"portfolio LP ended with status {sol.status}")
     weights = -sol.duals[:m]
-    losses = _loss_sample(problem.returns, weights)
-    _validate(problem, weights, losses)
-    return sol, weights, losses
+    return sol, weights, _validated_losses(problem, weights)
 
 
 def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSolution:
@@ -220,10 +249,14 @@ def optimize_se_dev(problem: PortfolioProblem, x, start=None) -> PortfolioSoluti
     off the asset-row multipliers.  The solve starts from the crash of the
     guess ``start`` (else ``default_start``) at the threshold x + E[X].
     """
-    b = _bias_of(x)
     start = default_start(problem) if start is None else start
+    return _optimize_se(problem, x, start, _loss_sample(problem, start))
+
+
+def _optimize_se(problem: PortfolioProblem, x, start, start_losses: EmpiricalSample):
+    b = _bias_of(x)
     sol, weights, losses = _solve_scenario_dual(
-        problem, problem.se_dual, b.x, 1.0 / problem.n, start,
+        problem, problem.se_dual, b.x, 1.0 / problem.n, start, start_losses,
         b.x - float(problem.mean_returns @ start))
     deviation = se_deviation_of(losses, b)
     certify_objective(deviation, -float(sol.objective) - b.x_minus, "deviation")
@@ -239,13 +272,13 @@ def optimize_cvar_dev(problem: PortfolioProblem, alpha, start=None) -> Portfolio
     losses.
     """
     start = default_start(problem) if start is None else start
-    return _optimize_cvar(problem, alpha, start, _loss_sample(problem.returns, start))
+    return _optimize_cvar(problem, alpha, start, _loss_sample(problem, start))
 
 
 def _optimize_cvar(problem: PortfolioProblem, alpha, start, start_losses: EmpiricalSample):
     a = _alpha_open(alpha)
     sol, weights, losses = _solve_scenario_dual(
-        problem, problem.cvar_dual, 0.0, 1.0 / ((1.0 - a) * problem.n), start,
+        problem, problem.cvar_dual, 0.0, 1.0 / ((1.0 - a) * problem.n), start, start_losses,
         var(start_losses, a).lower)
     deviation = cvar_deviation_of(losses, a)
     certify_objective(deviation, -float(sol.objective), "deviation")
@@ -264,7 +297,7 @@ def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
 
 def _tie_band(atoms: np.ndarray) -> float:
     """Half-width of the band within which a loss counts as tied with a threshold."""
-    return THRESHOLD_RTOL * max(1.0, float(np.max(np.abs(atoms))))
+    return THRESHOLD_RTOL * max(1.0, float(np.abs(atoms).max()))
 
 
 def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = False):
@@ -285,7 +318,9 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
     previous point's optimal weights; each tail-average solve from its own
     point's part-balancing weights, which by the equivalence of the two
     objectives are tail-average optimal at the mapped level, so it takes a
-    few pivots.  Each row also reports the tail-average solve's
+    few pivots.  Each crash reads its start's loss sample, the previous or
+    this point's part-balancing ``losses``, so no solve recomputes them.
+    Each row also reports the tail-average solve's
     ``cvar_iterations``, whether it started from its crash
     (``cvar_warm_used``), and whether it returned the part-balancing weights
     to within ``BUDGET_TOL`` (``cvar_kept_se_weights``), where the
@@ -299,7 +334,7 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
         raise ValueError("x grid must be nonempty")
     problem = PortfolioProblem(returns, target_mean, long_only)
     rows = []
-    start = None
+    start = start_losses = None
     for x in x_grid:
         row = {"x": float(x), "alpha": np.nan,
                "se_dev_opt": np.nan, "cvar_dev_at_se_opt": np.nan,
@@ -308,9 +343,10 @@ def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = Fal
                "cvar_kept_se_weights": False, "lp_phase_iterations": (0, 0, 0),
                "lp_bound_flips": 0, "error": ""}
         try:
-            se_sol = optimize_se_dev(problem, x, start)
+            se_sol = (optimize_se_dev(problem, x) if start is None
+                      else _optimize_se(problem, x, start, start_losses))
             _add_lp_counts(row, se_sol.lp)
-            start = se_sol.weights
+            start, start_losses = se_sol.weights, se_sol.losses
             alpha = lower_share(se_sol.lp.x[:problem.n], 0.0, 1.0 / problem.n)
             row["se_dev_opt"] = se_sol.deviation
             row["alpha"] = alpha

@@ -26,7 +26,7 @@ from quadlab.lp_core import (
     solve_mip,
 )
 from quadlab.lp_core import simplex, stacked
-from quadlab.lp_core.problem import RELATIONS
+from quadlab.lp_core.problem import FIXED, FREE, LOWER, RELATIONS, UPPER, _kinds
 from quadlab.lp_core.simplex import (
     AT_LOWER,
     AT_UPPER,
@@ -553,6 +553,34 @@ class TestSetBounds:
             p.set_bounds(0, lo, hi)
         _assert_same_problem(p, self._two_var_problem())
         _assert_same_solution(solve_lp(p), before)
+
+
+class TestScalarKinds:
+    """Scalar ends are classified in Python floats, as ``_kinds`` classifies arrays."""
+
+    ENDS = (-np.inf, -1.5, 0.0, 2.0, np.inf)
+
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo, hi in itertools.product(ENDS, ENDS)
+                                        if lo <= hi and lo < np.inf and hi > -np.inf])
+    def test_scalar_path_writes_the_array_kind(self, lo, hi):
+        p = LpProblem(4)
+        p.set_bounds(slice(0, 2), lo, hi)
+        p.set_bounds(2, np.float64(lo), np.float64(hi))
+        p.set_bounds([3], np.array([lo]), np.array([hi]))  # the array path
+        kind = p.column_classes()[2]
+        want = _kinds(np.array(lo), np.array(hi))
+        assert kind[:4].tolist() == [want] * 4
+        assert kind.dtype == np.int8
+
+    def test_none_ends_and_equal_ends(self):
+        p = LpProblem(4)
+        p.set_bounds(0, None, None)
+        p.set_bounds(1, None, 3.0)
+        p.set_bounds(2, 3, None)
+        p.set_bounds(3, 3, 3.0)
+        assert p.column_classes()[2][:4].tolist() == [FREE, UPPER, LOWER, FIXED]
+        p.set_bounds([0], [-1.0], [-1.0])
+        assert p.column_classes()[2][0] == _kinds(-1.0, -1.0) == FIXED
 
 
 class TestColumnClasses:
@@ -1660,6 +1688,18 @@ class TestCertifyObjective:
         certify_objective(1e6 + 1e-3, 1e6, "objective")
         with pytest.raises(LpError, match="disagrees"):
             certify_objective(1.0 + 1e-7, 1.0, "objective")
+
+    @pytest.mark.parametrize("value, lp_value", [(np.nan, 1.0), (1.0, np.nan),
+                                                 (np.nan, np.nan), (np.inf, 1.0),
+                                                 (np.inf, np.inf)])
+    def test_refuses_nan_and_infinite_values(self, value, lp_value):
+        with pytest.raises(LpError, match="disagrees"):
+            certify_objective(value, lp_value, "objective")
+
+    def test_finite_pairs(self):
+        certify_objective(-2.5 + 1e-9, -2.5, "objective")
+        with pytest.raises(LpError, match="deviation 0.5 disagrees"):
+            certify_objective(0.5, 0.25, "deviation")
 
 
 class TestRowBlocks:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from quadlab.distributions import make_sample
 from quadlab.experiments import (FOUR_ASSET_TARGET_MEAN, ExperimentConfig, four_asset_returns,
                                  run_fig1_sweep)
 from quadlab.functionals import cvar, probability_interval_at, var
-from quadlab.lp_core import LpProblem, crash_basis, solve_lp
-from quadlab.lp_core.simplex import CRASH_POOL
+from quadlab.lp_core import LpError, LpProblem, crash_basis, solve_lp
+from quadlab.lp_core.simplex import CRASH_POOL, crash_pool
 from quadlab.portfolio import (
     InfeasibleTarget,
     PortfolioProblem,
@@ -139,13 +141,13 @@ class TestSweep:
         # grid the tail-average cross-gap is rounding, and alpha lies in the
         # part-balancing solution's induced interval
         se_sols = []
-        real = portfolio.optimize_se_dev
+        real = portfolio._optimize_se
 
         def recorded(*args):
             se_sols.append(real(*args))
             return se_sols[-1]
 
-        monkeypatch.setattr(portfolio, "optimize_se_dev", recorded)
+        monkeypatch.setattr(portfolio, "_optimize_se", recorded)
         for seed in (1, 2, 3):
             se_sols.clear()
             table = run_fig1_sweep(ExperimentConfig(experiment="fig1_sweep", seed=seed,
@@ -399,7 +401,7 @@ def _fresh_problem_per_solve(monkeypatch):
                                           problem.long_only), *args)
         return call
 
-    monkeypatch.setattr(portfolio, "optimize_se_dev", fresh(portfolio.optimize_se_dev))
+    monkeypatch.setattr(portfolio, "_optimize_se", fresh(portfolio._optimize_se))
     monkeypatch.setattr(portfolio, "_optimize_cvar", fresh(portfolio._optimize_cvar))
 
 
@@ -474,6 +476,131 @@ class TestCachedDuals:
             problem.returns[0, 0] = 1.0
         with pytest.raises(ValueError):
             problem.mean_returns[0] = 1.0
+
+
+def _reference_crash(problem, weights, threshold):
+    """``scenario_crash`` as written before it read loss samples: losses from the weights."""
+    atoms = -(problem.returns @ weights)
+    atol = portfolio.THRESHOLD_RTOL * max(1.0, float(np.max(np.abs(atoms))))
+    above = atoms > threshold + atol
+    tied = np.flatnonzero((atoms >= threshold - atol) & ~above)
+    idle = problem.n + 2 + np.flatnonzero(np.abs(weights) <= portfolio.BUDGET_TOL)
+    tail = np.flatnonzero(above)
+    nearest = tail[crash_pool(atoms[tail], problem.m + 1)]
+    return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
+
+
+def _returns(rng, kind):
+    """Random returns, integer returns (tied losses, some above 1), or each scenario twice."""
+    if kind == "random":
+        return random_returns(rng, n=200)
+    if kind == "tied":
+        return np.round(random_returns(rng, n=200) * 50.0)
+    return np.repeat(random_returns(rng, n=100), 2, axis=0)
+
+
+def _problem(r, long_only):
+    mu = float(np.sort(r.mean(axis=0))[-2]) if long_only else float(r.mean(axis=0).mean())
+    return PortfolioProblem(r, mu, long_only)
+
+
+class TestLossSamples:
+    """Each solve builds its loss sample once and reads its start's sample for the crash."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "duplicated"])
+    def test_matches_make_sample_bit_for_bit(self, rng, kind):
+        problem = _problem(_returns(rng, kind), False)
+        samples = []
+        for w in (default_start(problem), rng.dirichlet(np.ones(problem.m)),
+                  optimize_se_dev(problem, 0.002).weights):
+            got, want = portfolio._loss_sample(problem, w), make_sample(-(problem.returns @ w))
+            assert got.atoms.tobytes() == want.atoms.tobytes()
+            assert got.probabilities.tobytes() == want.probabilities.tobytes()
+            assert repr(got.mean()) == repr(want.mean())
+            for a, b in zip(got.sorted_view, want.sorted_view):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert not got.atoms.flags.writeable and not got.probabilities.flags.writeable
+            samples.append(got)
+        # one checked probability vector serves every loss sample of the problem
+        assert all(s.probabilities is problem.scenario_probabilities for s in samples)
+        with pytest.raises(ValueError):
+            problem.scenario_probabilities[0] = 0.5
+
+    def test_refuses_non_finite_losses(self, rng):
+        problem = _problem(random_returns(rng, n=50), False)
+        for bad in (np.nan, np.inf):
+            w = np.full(problem.m, 1.0 / problem.m)
+            w[1] = bad
+            with pytest.raises(ValueError, match="atoms must be finite"):
+                portfolio._loss_sample(problem, w)
+
+    @pytest.mark.parametrize("long_only", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "tied", "duplicated"])
+    def test_crash_from_the_sample_matches_the_weights(self, rng, kind, long_only):
+        problem = _problem(_returns(rng, kind), long_only)
+        start = default_start(problem)
+        se = optimize_se_dev(problem, 0.003, start=start)
+        for w, losses in ((start, portfolio._loss_sample(problem, start)), (se.weights, se.losses)):
+            atoms = losses.atoms
+            for threshold in (0.003 + losses.mean(), var(losses, 0.8).lower, atoms[7],
+                              float(np.median(atoms))):
+                want = _reference_crash(problem, w, threshold)
+                for above, order in (scenario_crash(problem, w, threshold),
+                                     portfolio._crash(problem, w, atoms, threshold)):
+                    assert np.array_equal(above, want[0])
+                    assert order.dtype == want[1].dtype and np.array_equal(order, want[1])
+        # the default start leaves all but two assets idle: their slacks join the order
+        assert np.count_nonzero(start == 0.0) >= problem.m - 2
+
+    def test_mean_is_cached(self, rng):
+        losses = portfolio._loss_sample(_problem(random_returns(rng), False),
+                                        np.array([0.1, 0.2, 0.3, 0.4]))
+        assert losses.mean() is losses.mean()
+        assert losses.mean() == float(losses.atoms @ losses.probabilities)
+
+
+class TestNonFiniteWeights:
+    """NaN multipliers give NaN weights, which validation refuses with ``LpError``."""
+
+    @staticmethod
+    def _poison(monkeypatch, calls):
+        """Make the solves numbered in ``calls`` (from 1) return NaN duals."""
+        real, count = portfolio.solve_lp, []
+
+        def poisoned(lp, **kwargs):
+            sol = real(lp, **kwargs)
+            count.append(1)
+            if len(count) in calls:
+                sol = dataclasses.replace(sol, duals=np.full_like(sol.duals, np.nan))
+            return sol
+
+        monkeypatch.setattr(portfolio, "solve_lp", poisoned)
+
+    def test_single_solves_raise_lp_error(self, rng, monkeypatch):
+        problem = _problem(random_returns(rng), False)
+        self._poison(monkeypatch, {1, 2})
+        for solve, param in ((optimize_se_dev, 0.002), (optimize_cvar_dev, 0.8)):
+            with pytest.raises(LpError, match="budget violated: sum\\(w\\) = nan") as info:
+                solve(problem, param)
+            assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("poisoned", [3, 4])
+    def test_sweep_records_the_point_and_goes_on(self, monkeypatch, poisoned):
+        r = four_asset_returns(400, 2)
+        grid = ExperimentConfig(experiment="fig1_sweep").x_grid[:5]
+        want = equivalence_sweep(r, FOUR_ASSET_TARGET_MEAN, grid)
+        # solve 3 is the second point's part-balancing solve, 4 its tail-average one
+        self._poison(monkeypatch, {poisoned})
+        got = equivalence_sweep(r, FOUR_ASSET_TARGET_MEAN, grid)
+        assert got[1]["error"].startswith("budget violated")
+        assert np.isnan(got[1]["cvar_dev_opt"])
+        assert got[0] == want[0]
+        for row in got[2:]:
+            assert row["error"] == ""
+            assert np.isfinite([row["se_dev_opt"], row["cvar_dev_opt"]]).all()
+        if poisoned == 4:  # the part-balancing solve stood, so the chain is unchanged
+            assert repr(got[2:]) == repr(want[2:])
 
 
 class TestDeviationHelpers:
