@@ -74,7 +74,7 @@ class EmpiricalSample:
             raise ValueError("atoms must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("probabilities must sum to 1 within 1e-12")
 
     @classmethod
@@ -180,7 +180,7 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     by more than 1e-12.
     """
     probs = probs / probs.sum()
-    if abs(probs.sum() - 1.0) > 1e-12:
+    if not abs(probs.sum() - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("probabilities must sum to 1 within 1e-12")
     return _read_only(probs)
 

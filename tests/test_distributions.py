@@ -67,6 +67,14 @@ class TestMakeSample:
         with pytest.raises(ValueError):
             EmpiricalSample(np.array([1.0]), np.array([0.5]))
 
+    def test_refuses_nan_probabilities(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            EmpiricalSample(np.array([1.0, 2.0]), np.array([np.nan, np.nan]))
+        # finite weights whose sum overflows normalize to NaN
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="sum to 1"):
+            make_sample([1.0, 2.0], [1e308, 1e308])
+
 
 # Every functional that reads the cached sorted view.
 VIEW_READERS = (
