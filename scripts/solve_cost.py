@@ -23,11 +23,12 @@ A second line splits the profiled time of a solve among the simplex steps
 up to the timed ``us``).
 
 A last line, ``portfolio_sweep point``, gives the same counts for a whole
-sweep point, averaged over the 25 points of the recorded sweep: the
-profiled and numpy calls of one profiled run of the workload, and ``us``,
-the best of ``--repeats`` timed runs (at most ``SWEEP_RUNS``), each split into the replayed
-``solve_lp`` calls ("in") and the rest of the sweep ("outside"), such as
-its crashes, loss samples and deviations.
+sweep point, averaged over the 25 points of the recorded sweep, each split
+into its ``solve_lp`` calls ("in") and the rest of the sweep ("outside"),
+such as its crashes, loss samples and deviations: the profiled and numpy
+calls of one profiled run of the workload, less those of the replayed
+solves, and ``us``, the fastest of ``--repeats`` timed runs (at most
+``SWEEP_RUNS``), less the time its ``solve_lp`` calls took in that run.
 """
 
 from __future__ import annotations
@@ -123,22 +124,38 @@ def cost(calls, repeats: int) -> tuple[dict, dict]:
 def point_cost(workload, instance, solve_means: dict, repeats: int) -> dict:
     """Per-point means of one sweep's counts and us, whole and inside ``solve_lp``.
 
-    ``solve_means`` are ``cost``'s means over the sweep's recorded solves.
+    The counts inside ``solve_lp`` are ``solve_means``, ``cost``'s means over
+    the sweep's recorded solves; its us are timed within the same runs as
+    the whole sweep, so machine load moves both alike.
     """
     profiler = cProfile.Profile()
     profiler.enable()
     points = len(workload.run(instance))
     profiler.disable()
     profiled, numpy_calls = _counts(pstats.Stats(profiler).stats)
-    times = []
-    for _ in range(min(repeats, SWEEP_RUNS)):
+    runs, inside, saved = [], [0.0], portfolio.solve_lp
+
+    def timed(*args, **kwargs):
         start = perf_counter()
-        workload.run(instance)
-        times.append(perf_counter() - start)
-    whole = {"profiled": profiled, "numpy": numpy_calls, "us": 1e6 * min(times)}
+        try:
+            return saved(*args, **kwargs)
+        finally:
+            inside[0] += perf_counter() - start
+
+    portfolio.solve_lp = timed
+    try:
+        for _ in range(min(repeats, SWEEP_RUNS)):
+            inside[0] = 0.0
+            start = perf_counter()
+            workload.run(instance)
+            runs.append((perf_counter() - start, inside[0]))
+    finally:
+        portfolio.solve_lp = saved
+    whole_s, inside_s = min(runs)
     return {"points": points,
             **{key: (total / points, solve_means[key] * solve_means["solves"] / points)
-               for key, total in whole.items()}}
+               for key, total in (("profiled", profiled), ("numpy", numpy_calls))},
+            "us": (1e6 * whole_s / points, 1e6 * inside_s / points)}
 
 
 def main(argv=None) -> int:
