@@ -42,10 +42,13 @@ instance, a tied and a degenerate random stack, and a stack with no more
 columns than rows.  One equivalence sweep per sign policy hashes every row
 field, phase iterations and bound flips included; each sweep re-solves its
 problem's two cached duals from point to point, the part-balancing rows and
-the tail-average dual built from them plus its sum-to-one row.  A fit
-chain hashes every ``LinearModel`` field of five fits on one ``Dataset``,
-each run after the ones before it, so a value the data set keeps from fit
-to fit shows if it goes stale.
+the tail-average dual built from them plus its sum-to-one row.  One more
+line hashes both policies' sweeps over 500 scenarios each written twice,
+where every loss ties with its twin, so the crashes' tie bands and the
+merge of tied atoms in the loss samples' sorted views run at every point.
+A fit chain hashes every ``LinearModel`` field of five fits on one
+``Dataset``, each run after the ones before it, so a value the data set
+keeps from fit to fit shows if it goes stale.
 One line per solve, search, stack, sweep or chain, then the total.
 """
 
@@ -154,6 +157,11 @@ def _sweeps():
     grid = ExperimentConfig(experiment="fig1_sweep").x_grid
     for long_only, mu in ((False, FOUR_ASSET_TARGET_MEAN), (True, _long_only_target(returns))):
         yield f"sweep long_only={long_only}", equivalence_sweep(returns, mu, grid, long_only)
+    # each scenario twice, as CI's duplicated-scenario replay writes them: every loss ties
+    twice = np.repeat(four_asset_returns(500, 5), 2, axis=0)
+    yield "sweep duplicated", [
+        row for long_only, mu in ((False, FOUR_ASSET_TARGET_MEAN), (True, _long_only_target(twice)))
+        for row in equivalence_sweep(twice, mu, grid, long_only)]
 
 
 def _phase1_start():

@@ -16,25 +16,41 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 
-class SortedView(NamedTuple):
-    """Distinct sorted atoms, merged probabilities, step CDF and upper-tail sums.
+class SortedView:
+    """Distinct sorted atoms, merged probabilities and step CDF; upper-tail sums on first read.
 
-    For atoms a_1 < ... < a_k, ``grid`` has length k+1: 0, F(a_1), ...,
-    F(a_k) = 1.  ``tail[j]`` is E[X; X > a_j], the expectation of the atoms
-    strictly above the j-th distinct atom (``tail[0]`` is the full mean,
-    ``tail[k]`` is 0); it equals int_grid[j]^1 VaR-_beta dbeta.
+    For atoms a_1 < ... < a_k, ``cdf`` holds F(a_1), ..., F(a_k) = 1 and
+    ``grid`` has length k+1: 0, F(a_1), ..., F(a_k).  ``tail[j]`` is
+    E[X; X > a_j], the expectation of the atoms strictly above the j-th
+    distinct atom (``tail[0]`` is the full mean, ``tail[k]`` is 0); it
+    equals int_grid[j]^1 VaR-_beta dbeta.  ``var`` and ``cvar`` read only
+    ``atoms`` and ``cdf``, so ``grid`` and ``tail`` are built on first read
+    and cached.  Every array is read-only; iterating a view yields all five
+    in the order of ``_fields``, building the lazy ones.
     """
 
-    atoms: np.ndarray
-    probabilities: np.ndarray
-    cdf: np.ndarray
-    grid: np.ndarray
-    tail: np.ndarray
+    _fields = ("atoms", "probabilities", "cdf", "grid", "tail")
+
+    def __init__(self, atoms: np.ndarray, probabilities: np.ndarray, cdf: np.ndarray):
+        self.atoms = atoms
+        self.probabilities = probabilities
+        self.cdf = cdf
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self._fields)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _read_only(np.concatenate(([0.0], self.cdf)))
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        weighted = self.atoms * self.probabilities
+        return _read_only(np.concatenate((weighted[::-1].cumsum()[::-1], [0.0])))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -52,10 +68,13 @@ class EmpiricalSample:
     cached ``sorted_view`` and ``mean()`` safe to reuse.  Equality is
     identity: those caches belong to the instance.
 
-    Samples built inside the library (``make_sample``, the portfolio loss
-    samples) skip the copies through ``_owning``: each owns its fresh
-    atoms, checked finite, and may share one read-only probability vector,
-    checked once when it was built, with other samples.
+    Samples built inside the library skip the copies and own their fresh
+    atoms: ``make_sample`` checks its values finite and hands them over
+    through ``_owning``.  The portfolio loss samples (``_uniform_sample``)
+    share one read-only vector of equal probabilities, and its cdf, with
+    every other loss sample of their problem, and keep the permutation of
+    their stable sort beside the view (``_UniformSample.sort``), which the
+    portfolio crash reads.  Other samples keep no permutation.
     """
 
     atoms: np.ndarray
@@ -79,14 +98,13 @@ class EmpiricalSample:
 
     @classmethod
     def _owning(cls, atoms: np.ndarray, probabilities: np.ndarray) -> EmpiricalSample:
-        """A sample that takes ownership of ``atoms``, checking only that they are finite.
+        """A sample that takes ownership of ``atoms``, checking nothing.
 
-        ``atoms`` must be a fresh 1-d float array that no caller keeps, and
-        ``probabilities`` a checked float vector of its length (nonnegative,
-        summing to 1 within 1e-12); both are flagged read-only, not copied.
+        The caller has checked that ``atoms``, a fresh 1-d float array that
+        no caller keeps, is finite, and that ``probabilities`` is a float
+        vector of its length (nonnegative, summing to 1 within 1e-12); both
+        are flagged read-only, not copied.
         """
-        if not np.isfinite(atoms).all():
-            raise ValueError("atoms must be finite")
         sample = object.__new__(cls)
         object.__setattr__(sample, "atoms", _read_only(atoms))
         object.__setattr__(sample, "probabilities", _read_only(probabilities))
@@ -105,7 +123,7 @@ class EmpiricalSample:
 
     @cached_property
     def sorted_view(self) -> SortedView:
-        """The sample sorted once, with its upper-tail sums (see ``SortedView``).
+        """The sample sorted once (see ``SortedView``).
 
         Built on first use and cached; its arrays are read-only.  The last
         CDF entry is set to exactly 1.  Tied atoms are merged only when the
@@ -114,31 +132,88 @@ class EmpiricalSample:
         order = np.argsort(self.atoms, kind="stable")
         atoms = self.atoms[order]
         probs = self.probabilities[order]
-        distinct = np.empty(atoms.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(atoms[1:], atoms[:-1], out=distinct[1:])
+        distinct = _distinct(atoms)
         if distinct.all():
             probs += 0.0  # as the merge's 0.0 + p: a -0.0 weight reads 0.0
-        else:
-            atoms, probs = _merge_ties(atoms, probs, distinct)
-        return _view(atoms, probs)
+            return _view(atoms, probs)
+        return _view(*_merge_ties(atoms, probs, distinct))
+
+
+class _UniformSample(EmpiricalSample):
+    """A sample on a shared vector of equal probabilities, which keeps its sort.
+
+    Built by ``_uniform_sample``.  Every probability is the same, so the
+    probabilities gathered in sorted order are the shared vector itself,
+    and when no atoms tie the view's cdf is the vector's shared cdf: the
+    view costs one argsort, one gather and one tie test, and holds no
+    probability or cdf array of its own.
+    """
+
+    @cached_property
+    def sort(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, atoms[order]): the stable argsort of the atoms and the atoms in that order.
+
+        The order is (value, index) order.  Both arrays are read-only, and
+        without ties the sorted atoms are the view's ``atoms``.
+        """
+        order = self.atoms.argsort(kind="stable")
+        return _read_only(order), _read_only(self.atoms[order])
+
+    @cached_property
+    def sorted_view(self) -> SortedView:
+        """``EmpiricalSample.sorted_view`` bit for bit, read off ``sort``."""
+        atoms = self.sort[1]
+        distinct = _distinct(atoms)
+        if distinct.all():
+            return SortedView(atoms, self.probabilities, self._cdf)
+        return _view(*_merge_ties(atoms, self.probabilities, distinct))
+
+
+def _uniform_sample(atoms: np.ndarray, probabilities: np.ndarray,
+                    cdf: np.ndarray) -> EmpiricalSample:
+    """A sample owning ``atoms`` on shared equal ``probabilities`` and their ``cdf``.
+
+    ``atoms`` must be a fresh 1-d float array that no caller keeps;
+    non-finite atoms raise ``ValueError``.  ``probabilities`` must be a
+    checked read-only vector of equal entries (``_uniform_probabilities``)
+    and ``cdf`` their ``_step_cdf``; both are shared, not copied.
+    """
+    if not np.isfinite(atoms).all():
+        raise ValueError("atoms must be finite")
+    sample = _UniformSample._owning(atoms, probabilities)
+    object.__setattr__(sample, "_cdf", cdf)
+    return sample
+
+
+def _distinct(atoms: np.ndarray) -> np.ndarray:
+    """Flags of the sorted ``atoms`` that differ from the one before; the first is flagged."""
+    distinct = np.empty(atoms.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(atoms[1:], atoms[:-1], out=distinct[1:])
+    return distinct
 
 
 def _merge_ties(atoms: np.ndarray, probs: np.ndarray, distinct: np.ndarray):
-    """Sorted atoms with each run of equal ones merged, its probabilities summed."""
-    merged = np.zeros(int(distinct.sum()))
-    np.add.at(merged, np.cumsum(distinct) - 1, probs)
-    return atoms[distinct], merged
+    """Sorted atoms with each run of equal ones merged, its probabilities summed.
+
+    ``bincount`` adds each run in order onto 0.0, as ``np.add.at`` onto
+    zeros does, so a -0.0 weight reads 0.0; ``np.add.reduceat`` would not
+    match it bit for bit, since it adds a run's first weight to the sum of
+    the rest.
+    """
+    return atoms[distinct], np.bincount(distinct.cumsum() - 1, probs)
 
 
 def _view(atoms: np.ndarray, probs: np.ndarray) -> SortedView:
     """The ``SortedView`` of distinct sorted atoms and their probabilities."""
+    return SortedView(_read_only(atoms), _read_only(probs), _step_cdf(probs))
+
+
+def _step_cdf(probs: np.ndarray) -> np.ndarray:
+    """``np.cumsum(probs)`` with its last entry set to exactly 1; read-only."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    weighted = atoms * probs
-    tail = np.concatenate((weighted[::-1].cumsum()[::-1], [0.0]))
-    grid = np.concatenate(([0.0], cdf))
-    return SortedView(*map(_read_only, (atoms, probs, cdf, grid, tail)))
+    return _read_only(cdf)
 
 
 def make_sample(values, weights=None) -> EmpiricalSample:

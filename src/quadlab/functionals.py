@@ -6,12 +6,15 @@ objectives are piecewise linear, so grid evaluation is exact up to float
 rounding and supports 1e-10 identity checks.
 
 Each sample is sorted once: ``EmpiricalSample.sorted_view`` caches the
-distinct sorted atoms, their merged probabilities, the step CDF and the
-upper-tail sums on the cumulative grid, and every kink grid here is read off
-that view.  Tail and part means on the whole grid come from prefix and
-suffix sums over it (Acerbi & Tasche 2002), so a grid of u distinct atoms
-costs O(u) after the O(n log n) sort instead of one O(n) pass per grid
-point.  ``pos_part_mean``, ``neg_part_mean`` and
+distinct sorted atoms, their merged probabilities and the step CDF, and
+builds the cumulative grid and the upper-tail sums on it when first read;
+every kink grid here is read off that view.  ``var`` and ``cvar`` read only
+the atoms and the CDF, so a portfolio loss sample, whose view shares its
+problem's probabilities and, without ties, their CDF, costs one sort for
+the tail average and its crash.  Tail and part means on the whole grid come
+from prefix and suffix sums over it (Acerbi & Tasche 2002), so a grid of u
+distinct atoms costs O(u) after the O(n log n) sort instead of one O(n)
+pass per grid point.  ``pos_part_mean``, ``neg_part_mean`` and
 ``probability_interval_at`` stay direct O(n) sums: they are the independent
 side of the identity checks.
 

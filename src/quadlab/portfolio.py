@@ -22,11 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import EmpiricalSample, _uniform_probabilities
+from .distributions import EmpiricalSample, _step_cdf, _uniform_probabilities, _uniform_sample
 from .distributions import make_sample  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .functionals import _alpha_open, _bias_of, cvar, pos_part_mean, probability_interval_at, var
-from .lp_core import (LpError, LpProblem, LpSolution, certify_objective, crash_basis, crash_pool,
-                      lower_share, solve_lp)
+from .lp_core import (LpError, LpProblem, LpSolution, certify_objective, crash_basis, lower_share,
+                      solve_lp)
+from .lp_core.simplex import CRASH_POOL
 
 BUDGET_TOL = 1e-8
 MEAN_TOL = 1e-7
@@ -44,11 +45,12 @@ class PortfolioProblem:
     The constructor stores a read-only copy of ``returns``, so the caller's
     array stays writable and later writes to it do not reach the problem.
     That is what makes the cached ``mean_returns``, ``scenario_probabilities``
-    (the equal weights that every loss sample of the problem shares) and
-    scenario duals (``se_dual``, and ``cvar_dual``, a copy of its rows plus
-    one) safe to reuse.  Each solve rewrites a dual's objective and scenario
-    bounds, so one problem must not be solved from two threads at once.  Equality is
-    identity: those caches belong to the instance.
+    and ``scenario_cdf`` (the equal weights that every loss sample of the
+    problem shares, and their cdf) and scenario duals (``se_dual``, and
+    ``cvar_dual``, a copy of its rows plus one) safe to reuse.  Each solve
+    rewrites a dual's objective and scenario bounds, so one problem must not
+    be solved from two threads at once.  Equality is identity: those caches
+    belong to the instance.
     """
 
     returns: np.ndarray
@@ -89,6 +91,15 @@ class PortfolioProblem:
         and checked once, when it is built on first use.
         """
         return _uniform_probabilities(self.n)
+
+    @cached_property
+    def scenario_cdf(self) -> np.ndarray:
+        """The cumsum of ``scenario_probabilities``, its last entry exactly 1; read-only.
+
+        It is the cdf of every loss sample of the problem whose losses are
+        distinct, so their sorted views share it.
+        """
+        return _step_cdf(self.scenario_probabilities)
 
     @cached_property
     def se_dual(self) -> LpProblem:
@@ -136,16 +147,19 @@ class PortfolioSolution:
         if self.objective == "se":
             return map_x_to_alpha(self.losses, self.param)
         quantile = var(self.losses, self.param).lower
-        return probability_interval_at(self.losses, quantile, atol=_tie_band(self.losses.atoms))
+        atol = _tie_band(np.abs(self.losses.atoms).max())
+        return probability_interval_at(self.losses, quantile, atol=atol)
 
 
 def _loss_sample(problem: PortfolioProblem, weights) -> EmpiricalSample:
     """The loss sample X = -w . r_i of ``weights``, on the problem's shared probabilities.
 
-    Bit for bit ``make_sample(-(returns @ weights))``; non-finite losses raise
-    ``ValueError``.
+    Bit for bit ``make_sample(-(returns @ weights))``, view included, though
+    its view shares ``scenario_cdf`` when no losses tie, and it keeps its
+    stable sort for ``_crash``; non-finite losses raise ``ValueError``.
     """
-    return EmpiricalSample._owning(-(problem.returns @ weights), problem.scenario_probabilities)
+    return _uniform_sample(-(problem.returns @ weights), problem.scenario_probabilities,
+                           problem.scenario_cdf)
 
 
 def _validated_losses(problem: PortfolioProblem, weights: np.ndarray) -> EmpiricalSample:
@@ -198,20 +212,30 @@ def scenario_crash(problem: PortfolioProblem, weights, threshold: float):
     rows whose weights are idle (|w| <= ``BUDGET_TOL``; asset j's is column
     n + 2 + j), then the lowest-loss scenarios above the threshold, as many
     as a crash of ``cvar_dual``'s m + 1 rows reads (``se_dual``'s, a prefix).
-    The solves pass the guess's loss sample instead (``_crash``), whose
-    atoms are those losses bit for bit.
+    Non-finite losses raise ``ValueError``.  The solves pass the guess's
+    loss sample instead (``_crash``), so its sort serves the crash too.
     """
-    return _crash(problem, weights, -(problem.returns @ weights), threshold)
+    return _crash(problem, weights, _loss_sample(problem, weights), threshold)
 
 
-def _crash(problem: PortfolioProblem, weights, atoms: np.ndarray, threshold: float):
-    """``scenario_crash`` of the guess ``weights`` whose losses are ``atoms``."""
-    atol = _tie_band(atoms)
-    above = atoms > threshold + atol
-    tied = ((atoms >= threshold - atol) & ~above).nonzero()[0]
+def _crash(problem: PortfolioProblem, weights, losses: EmpiricalSample, threshold: float):
+    """``scenario_crash`` of the guess ``weights`` whose ``_loss_sample`` is ``losses``.
+
+    Everything is read off the sample's stable sort (``losses.sort``):
+    its order is (value, index) order, ``crash_pool``'s tie rule, so the
+    lowest-loss scenarios above the threshold are the ones right after
+    the tied band, and the largest |loss|, which sets the band, is at an end.
+    """
+    order, atoms = losses.sort
+    atol = _tie_band(max(abs(atoms[0]), abs(atoms[-1])))
+    lo = atoms.searchsorted(threshold - atol, side="left")
+    hi = atoms.searchsorted(threshold + atol, side="right")
+    above = np.zeros(problem.n, dtype=bool)
+    above[order[hi:]] = True
+    tied = order[lo:hi].copy()
+    tied.sort()
     idle = problem.n + 2 + (np.abs(weights) <= BUDGET_TOL).nonzero()[0]
-    tail = above.nonzero()[0]
-    nearest = tail[crash_pool(atoms[tail], problem.m + 1)]
+    nearest = order[hi:hi + CRASH_POOL * (problem.m + 1)]
     return above, np.concatenate(([problem.n, problem.n + 1], tied, idle, nearest))
 
 
@@ -231,7 +255,7 @@ def _solve_scenario_dual(problem: PortfolioProblem, lp: LpProblem, cost: float, 
     n, m = problem.n, problem.m
     lp.set_objective(np.concatenate((np.full(n, cost), [-1.0, -problem.target_mean])))
     lp.set_bounds(slice(0, n), 0.0, cap)
-    crash = crash_basis(lp, *_crash(problem, start, start_losses.atoms, threshold))
+    crash = crash_basis(lp, *_crash(problem, start, start_losses, threshold))
     sol = solve_lp(lp, warm=crash, dual_tol=1e-12)
     if sol.status == "unbounded":
         raise InfeasibleTarget(f"target mean {problem.target_mean} unattainable")
@@ -292,12 +316,15 @@ def map_x_to_alpha(losses: EmpiricalSample, x) -> tuple[float, float]:
     which keeps solver-active scenarios inside the interval.
     """
     threshold = _bias_of(x).x + losses.mean()
-    return probability_interval_at(losses, threshold, atol=_tie_band(losses.atoms))
+    return probability_interval_at(losses, threshold, atol=_tie_band(np.abs(losses.atoms).max()))
 
 
-def _tie_band(atoms: np.ndarray) -> float:
-    """Half-width of the band within which a loss counts as tied with a threshold."""
-    return THRESHOLD_RTOL * max(1.0, float(np.abs(atoms).max()))
+def _tie_band(largest) -> float:
+    """Half-width of the band within which a loss counts as tied with a threshold.
+
+    ``largest`` is the sample's largest |loss|.
+    """
+    return THRESHOLD_RTOL * max(1.0, float(largest))
 
 
 def equivalence_sweep(returns, target_mean: float, x_grid, long_only: bool = False):

@@ -60,8 +60,28 @@ class TestMakeSample:
             make_sample([1, 2], [0, 0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            make_sample([1, np.inf])
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="values must be finite"):
+                make_sample([1, bad])
+            with pytest.raises(ValueError, match="values must be finite"):
+                make_sample([1, bad], [1, 1])
+
+    def test_checks_finiteness_once_per_array(self, rng, monkeypatch):
+        """One finiteness pass over the values, and one over weights when given."""
+        calls = []
+        isfinite = np.isfinite
+
+        def counting(array, *args, **kwargs):
+            calls.append(np.shape(array))
+            return isfinite(array, *args, **kwargs)
+
+        values, weights = rng.standard_normal(40), rng.uniform(0.1, 1.0, 40)
+        monkeypatch.setattr(np, "isfinite", counting)
+        make_sample(values)
+        assert calls == [(40,)]
+        calls.clear()
+        make_sample(values, weights)
+        assert calls == [(40,), (40,)]
 
     def test_invariant_checked_on_type(self):
         with pytest.raises(ValueError):
@@ -97,9 +117,19 @@ class TestSampleContract:
         with pytest.raises(ValueError):
             s.probabilities[0] = 1.0
         view = s.sorted_view
+        assert len(list(view)) == len(view._fields) == 5  # the lazy grid and tail too
         for array in view:
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_tail_sums_built_on_first_read(self, rng):
+        """``var`` and ``cvar`` read the atoms and cdf alone; ``grid`` and ``tail`` wait."""
+        s = make_sample(rng.standard_normal(50))
+        var(s, 0.3), cvar(s, 0.3)
+        view = s.sorted_view
+        assert "grid" not in vars(view) and "tail" not in vars(view)
+        cvar_via_min(s, 0.3)
+        assert view.grid is s.sorted_view.grid and view.tail is s.sorted_view.tail
 
     def test_caller_arrays_detached(self, rng):
         atoms = rng.standard_normal(30)
@@ -183,6 +213,26 @@ class TestSampleContract:
         for name, got, want in zip(merged._fields, sample.sorted_view, merged):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
             assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("weights", ["equal", "random", "signed_zeros"])
+    def test_tie_merge_matches_add_at(self, rng, weights):
+        """The merge sums each run in order onto 0.0, as ``np.add.at`` onto zeros does."""
+        for n, values in ((2, 1), (9, 2), (500, 40), (500, 3), (8000, 9)):
+            a = np.sort(rng.integers(0, values, n) * 0.5)
+            p = np.full(n, 1.0 / n) if weights == "equal" else rng.uniform(0.0, 1.0, n)
+            if weights == "signed_zeros":  # -0.0 alone, first in a run and after a 0.0
+                p[::5] = -0.0
+                p[1::11] = 0.0
+            distinct = np.concatenate(([True], a[1:] != a[:-1]))
+            want = np.zeros(int(distinct.sum()))
+            np.add.at(want, np.cumsum(distinct) - 1, p)
+            atoms, merged = _merge_ties(a, p, distinct)
+            assert atoms.tolist() == np.unique(a).tolist()
+            assert merged.dtype == want.dtype and merged.tobytes() == want.tobytes()
+        if weights == "signed_zeros":
+            lone = _merge_ties(np.array([1.0, 2.0]), np.array([-0.0, 1.0]),
+                               np.array([True, True]))[1]
+            assert np.signbit(lone).tolist() == [False, False]
 
 
 class TestSkewNormal:

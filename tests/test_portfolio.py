@@ -374,8 +374,9 @@ class TestLazyAlphaInterval:
         for alpha in (0.05, 0.5, 0.9, 0.99):
             sol = optimize_cvar_dev(problem, alpha)
             losses = sol.losses
+            atol = portfolio._tie_band(np.abs(losses.atoms).max())
             assert sol.alpha_interval == probability_interval_at(
-                losses, var(losses, alpha).lower, atol=portfolio._tie_band(losses.atoms))
+                losses, var(losses, alpha).lower, atol=atol)
 
     @pytest.mark.parametrize("long_only", [False, True])
     def test_the_sweep_never_computes_it(self, monkeypatch, long_only):
@@ -527,6 +528,39 @@ class TestLossSamples:
         with pytest.raises(ValueError):
             problem.scenario_probabilities[0] = 0.5
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "duplicated"])
+    def test_view_is_the_gathered_and_cumsummed_view(self, rng, kind):
+        """A loss sample's kept sort gives the view of its gathered, cumsum'd probabilities."""
+        problem = _problem(_returns(rng, kind), False)
+        for w in (default_start(problem), rng.dirichlet(np.ones(problem.m))):
+            losses = portfolio._loss_sample(problem, w)
+            order, atoms = losses.sort
+            assert order.tobytes() == np.argsort(losses.atoms, kind="stable").tobytes()
+            assert atoms.tobytes() == losses.atoms[order].tobytes()
+            assert not order.flags.writeable and not atoms.flags.writeable
+            probs = losses.probabilities[order] + 0.0
+            distinct = np.concatenate(([True], atoms[1:] != atoms[:-1]))
+            if not distinct.all():
+                merged = np.zeros(int(distinct.sum()))
+                np.add.at(merged, np.cumsum(distinct) - 1, probs)
+                atoms, probs = atoms[distinct], merged
+            cdf = np.cumsum(probs)
+            cdf[-1] = 1.0
+            want = (atoms, probs, cdf, np.concatenate(([0.0], cdf)),
+                    np.concatenate(((atoms * probs)[::-1].cumsum()[::-1], [0.0])))
+            view = losses.sorted_view
+            for name, got, expected in zip(view._fields, view, want, strict=True):
+                assert got.dtype == expected.dtype, name
+                assert got.tobytes() == expected.tobytes(), name
+                assert not got.flags.writeable, name
+            ties = not distinct.all()
+            assert ties == (kind != "random")
+            # without ties the view shares the problem's probabilities and cdf
+            assert (view.probabilities is problem.scenario_probabilities) != ties
+            assert (view.cdf is problem.scenario_cdf) != ties
+        with pytest.raises(ValueError):
+            problem.scenario_cdf[0] = 0.5
+
     def test_refuses_non_finite_losses(self, rng):
         problem = _problem(random_returns(rng, n=50), False)
         for bad in (np.nan, np.inf):
@@ -535,23 +569,51 @@ class TestLossSamples:
             with pytest.raises(ValueError, match="atoms must be finite"):
                 portfolio._loss_sample(problem, w)
 
+    def test_checks_finiteness_once(self, rng, monkeypatch):
+        problem = _problem(random_returns(rng, n=50), False)
+        w = np.full(problem.m, 1.0 / problem.m)
+        problem.scenario_cdf  # built before counting
+        calls = []
+        isfinite = np.isfinite
+
+        def counting(array, *args, **kwargs):
+            calls.append(np.shape(array))
+            return isfinite(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        portfolio._loss_sample(problem, w)
+        assert calls == [(50,)]
+
     @pytest.mark.parametrize("long_only", [False, True])
     @pytest.mark.parametrize("kind", ["random", "tied", "duplicated"])
     def test_crash_from_the_sample_matches_the_weights(self, rng, kind, long_only):
+        """The crash read off the sample's sort equals the mask, partition and argsort one."""
         problem = _problem(_returns(rng, kind), long_only)
         start = default_start(problem)
         se = optimize_se_dev(problem, 0.003, start=start)
+        pool = CRASH_POOL * (problem.m + 1)
         for w, losses in ((start, portfolio._loss_sample(problem, start)), (se.weights, se.losses)):
             atoms = losses.atoms
+            top = np.sort(atoms)[::-1]
+            band = portfolio._tie_band(np.abs(atoms).max())
+            # thresholds whose band ends fall exactly on an atom
+            edges = [t for a in atoms[:40] for t in (a + band, a - band)
+                     if a in (t - band, t + band)]
+            assert edges
             for threshold in (0.003 + losses.mean(), var(losses, 0.8).lower, atoms[7],
-                              float(np.median(atoms))):
+                              float(np.median(atoms)),
+                              top[-1] - 1.0, top[0] + 1.0,  # below and above every atom
+                              top[3], top[pool // 2],  # fewer above it than the crash reads
+                              atoms[7] + 0.5 * band, *edges):
                 want = _reference_crash(problem, w, threshold)
                 for above, order in (scenario_crash(problem, w, threshold),
-                                     portfolio._crash(problem, w, atoms, threshold)):
-                    assert np.array_equal(above, want[0])
+                                     portfolio._crash(problem, w, losses, threshold)):
+                    assert above.dtype == want[0].dtype and np.array_equal(above, want[0])
                     assert order.dtype == want[1].dtype and np.array_equal(order, want[1])
         # the default start leaves all but two assets idle: their slacks join the order
         assert np.count_nonzero(start == 0.0) >= problem.m - 2
+        if kind == "duplicated":  # every loss is tied with its twin
+            assert np.unique(se.losses.atoms).size <= problem.n // 2
 
     def test_mean_is_cached(self, rng):
         losses = portfolio._loss_sample(_problem(random_returns(rng), False),
